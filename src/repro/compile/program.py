@@ -21,9 +21,13 @@ typed plan from :mod:`repro.sql.planner` into a straight-line program:
    COUNT accumulates integers per group, so morsel partials merge
    *exactly* (units are exact per element, so any partitioning of the
    rows sums to identical units) and every engine/executor combination
-   rounds once to the same float64.  Grouping is sort-based
-   (``np.lexsort``) into a string-keyed state dict that
-   :func:`repro.engines.morsel.merge_states` folds across morsels.
+   rounds once to the same float64.  Grouping is sort-free where the
+   key domain allows: key columns fold by offset / mixed radix into one
+   dense group id per row (:func:`_group_ids`), COUNT is one
+   ``np.bincount`` and every SUM slot one
+   :meth:`ExactSum.grouped_units` call, emitted as a string-keyed state
+   dict that :func:`repro.engines.morsel.merge_states` folds across
+   morsels.
 4. **Finish** -- HAVING, output expressions over the exact slot totals,
    ORDER BY with a deterministic group-key tiebreak, LIMIT.
 
@@ -36,6 +40,7 @@ morsel-invariant working sets, and per-element costs are dyadic so no
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -80,6 +85,28 @@ _NUMPY_OPS = {
     ">=": np.greater_equal,
     "=": np.equal,
     "<>": np.not_equal,
+}
+
+
+def _divide(left, right):
+    return left / right if right else float("nan")
+
+
+#: Output-expression operators of the finisher (Python scalars).
+_FINISH_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+}
+
+_FINISH_COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 #: Single-column unique keys the schema guarantees; a build side keyed
@@ -243,35 +270,44 @@ class KernelProgram:
         # -- probes (selection vector threaded through) --
         builds: dict[str, dict] = {}
         matches: dict[str, np.ndarray] = {}
-        fetched_site: dict[tuple, np.ndarray] = {}
+        # Per selection vector: gathered values by (table, column), the
+        # sites already recorded, and the driving-table line counts.
+        fetched: dict[tuple, np.ndarray] = {}
+        recorded: set[str] = set()
+        sel_lines = None
 
         def fetch(table, column, site):
-            """Column values over the current selection, recorded once
-            per (program site, column)."""
-            cache_key = (site, table, column)
-            hit = fetched_site.get(cache_key)
-            if hit is not None:
-                return hit
-            if table == self.driving:
-                values = driving[column][lo:hi][sel]
-                touched, total = gather_lines(sel + lo, lo, hi)
-                work.record_gather(
-                    f"gather {table}.{column}@{site}",
-                    bytes_for_rows(driving, [column], lo, hi),
-                    touched,
-                    total,
-                )
-            else:
-                build = builds[table]
-                work.record_random(
-                    f"gather {table}.{column}@{site}",
-                    len(sel),
-                    build["payload_bytes"],
-                )
-                work.record_work(instructions=len(sel) * 1.0, loads=len(sel))
-                values = build["values"][column][matches[table]]
-            fetched_site[cache_key] = values
+            """Column values over the current selection: gathered once
+            per column, recorded once per (program site, column)."""
+            nonlocal sel_lines
+            name = f"gather {table}.{column}@{site}"
+            if name not in recorded:
+                recorded.add(name)
+                if table == self.driving:
+                    if sel_lines is None:
+                        sel_lines = gather_lines(sel + lo, lo, hi)
+                    work.record_gather(
+                        name, bytes_for_rows(driving, [column], lo, hi), *sel_lines
+                    )
+                else:
+                    work.record_random(
+                        name, len(sel), builds[table]["payload_bytes"]
+                    )
+                    work.record_work(instructions=len(sel) * 1.0, loads=len(sel))
+            values = fetched.get((table, column))
+            if values is None:
+                if table == self.driving:
+                    values = driving[column][lo:hi][sel]
+                else:
+                    values = builds[table]["values"][column][matches[table]]
+                fetched[(table, column)] = values
             return values
+
+        def selection_changed():
+            nonlocal sel_lines
+            fetched.clear()
+            recorded.clear()
+            sel_lines = None
 
         for idx, step in enumerate(self.steps):
             spec = step.build
@@ -317,7 +353,7 @@ class KernelProgram:
             for name in matches:
                 matches[name] = matches[name][found]
             matches[spec.table] = match
-            fetched_site.clear()
+            selection_changed()
 
         # -- residual equality pairs --
         for idx, residual in enumerate(self.residuals):
@@ -333,7 +369,7 @@ class KernelProgram:
             sel = sel[keep]
             for name in matches:
                 matches[name] = matches[name][keep]
-            fetched_site.clear()
+            selection_changed()
 
         # -- aggregation --
         n_final = len(sel)
@@ -381,25 +417,26 @@ class KernelProgram:
         groups: dict[str, dict] = {}
         if self.group_refs:
             if n_final:
-                order = np.lexsort(tuple(reversed(key_arrays)))
-                sorted_keys = [k[order] for k in key_arrays]
-                change = np.zeros(n_final, dtype=bool)
-                change[0] = True
-                for k in sorted_keys:
-                    change[1:] |= k[1:] != k[:-1]
-                starts = np.flatnonzero(change)
-                ends = np.append(starts[1:], n_final)
-                for start, end in zip(starts, ends):
-                    key = tuple(_pyval(k[start]) for k in sorted_keys)
-                    rows = order[start:end]
+                ids, n_groups = _group_ids(key_arrays)
+                # Any row of a group carries its key.
+                key_row = np.empty(n_groups, dtype=np.int64)
+                key_row[ids] = np.arange(n_final)
+                key_columns = [k[key_row].tolist() for k in key_arrays]
+                counts = np.bincount(ids, minlength=n_groups).tolist()
+                slot_units = {
+                    name: ExactSum.grouped_units(values, ids, n_groups)
+                    for name, values in slot_values.items()
+                }
+                # Ascending ids are ascending key tuples, the order the
+                # groups enter the state dict.
+                for g in range(n_groups):
+                    key = tuple(_pyval(column[g]) for column in key_columns)
                     group = {"const_key": key}
                     for slot in self.slots:
                         if slot.func == "count":
-                            group[slot.name] = int(end - start)
+                            group[slot.name] = counts[g]
                         else:
-                            group[slot.name] = ExactSum.of_array(
-                                slot_values[slot.name][rows]
-                            )
+                            group[slot.name] = ExactSum(slot_units[slot.name][g])
                     groups[repr(key)] = group
         else:
             group = {"const_key": ()}
@@ -432,18 +469,15 @@ class KernelProgram:
         record_encoded_agg(decision)
         names = [out.name for out in self.outputs]
 
+        having = None if self.having is None else self._predicate(self.having)
+        cells = [self._display_cell(out.expr) for out in self.outputs]
         entries = []
         for group in state.get("groups", {}).values():
             key = group["const_key"]
             key_values = dict(zip(self.group_refs, key))
-            if self.having is not None and not self._predicate_value(
-                self.having, group, key_values
-            ):
+            if having is not None and not having(group, key_values):
                 continue
-            row = [
-                self._display_value(out.expr, group, key_values)
-                for out in self.outputs
-            ]
+            row = [cell(group, key_values) for cell in cells]
             entries.append((key, row, group))
         entries.sort(key=lambda entry: entry[0])
 
@@ -479,39 +513,55 @@ class KernelProgram:
             details["operators"] = merged.operators
         return QueryResult(self.workload, value, merged.tuples, work, details)
 
-    def _display_value(self, expr, group, key_values):
-        """An output cell: :meth:`_finish_value`, with dictionary codes
+    # Output expressions become closures over ``(group, key_values)``
+    # once per finish call, so the per-group loop neither walks the
+    # expression tree nor re-derives slot names.
+    def _display_cell(self, expr):
+        """An output cell: :meth:`_finish_cell`, with dictionary codes
         decoded to their strings for bare name-column outputs."""
-        value = self._finish_value(expr, group, key_values)
+        cell = self._finish_cell(expr)
         if isinstance(expr, ir.ColumnExpr):
             names = _DISPLAY_DECODE.get((expr.ref.table, expr.ref.column))
-            if names is not None and isinstance(value, int) and 0 <= value < len(names):
-                return names[value]
-        return value
+            if names is not None:
 
-    def _finish_value(self, expr, group, key_values):
+                def decoded(group, key_values):
+                    value = cell(group, key_values)
+                    if isinstance(value, int) and 0 <= value < len(names):
+                        return names[value]
+                    return value
+
+                return decoded
+        return cell
+
+    def _finish_cell(self, expr):
         if isinstance(expr, ir.ConstExpr):
-            return expr.value
+            value = expr.value
+            return lambda group, key_values: value
         if isinstance(expr, ir.ColumnExpr):
-            return key_values[(expr.ref.table, expr.ref.column)]
+            ref = (expr.ref.table, expr.ref.column)
+            return lambda group, key_values: key_values[ref]
         if isinstance(expr, ir.Arith):
-            left = self._finish_value(expr.left, group, key_values)
-            right = self._finish_value(expr.right, group, key_values)
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            return left / right if right else float("nan")
+            left = self._finish_cell(expr.left)
+            right = self._finish_cell(expr.right)
+            op = _FINISH_ARITH[expr.op]
+            return lambda group, key_values: op(
+                left(group, key_values), right(group, key_values)
+            )
         if isinstance(expr, ir.AggCall):
             if expr.func == "count":
-                return group[self._slot_of(expr).name]
+                name = self._slot_of(expr).name
+                return lambda group, key_values: group[name]
             if expr.func == "avg":
-                total = group[self._slot_of(expr, "sum").name].total()
-                count = group[self._slot_of(expr, "count").name]
-                return total / count if count else float("nan")
-            return group[self._slot_of(expr).name].total()
+                sum_name = self._slot_of(expr, "sum").name
+                count_name = self._slot_of(expr, "count").name
+
+                def average(group, key_values):
+                    count = group[count_name]
+                    return group[sum_name].total() / count if count else float("nan")
+
+                return average
+            name = self._slot_of(expr).name
+            return lambda group, key_values: group[name].total()
         raise CompileError(f"unsupported output expression {type(expr).__name__}")
 
     def _slot_of(self, agg: ir.AggCall, role: str | None = None) -> AggSlot:
@@ -521,17 +571,13 @@ class KernelProgram:
                 return slot
         raise KeyError(name)
 
-    def _predicate_value(self, compare: ir.Compare, group, key_values) -> bool:
-        left = self._finish_value(compare.left, group, key_values)
-        right = self._finish_value(compare.right, group, key_values)
-        return {
-            "=": left == right,
-            "<>": left != right,
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-        }[compare.op]
+    def _predicate(self, compare: ir.Compare):
+        left = self._finish_cell(compare.left)
+        right = self._finish_cell(compare.right)
+        op = _FINISH_COMPARE[compare.op]
+        return lambda group, key_values: op(
+            left(group, key_values), right(group, key_values)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -616,8 +662,58 @@ def _record_build(work, build, spec: BuildSpec, lead: bool) -> None:
     )
 
 
+#: Mixed-radix group ids stay inside int64 below this domain product.
+_MAX_DOMAIN = 1 << 62
+
+#: Widest single-key value range folded by offset; wider keys are
+#: factorised, so a compacted prefix times any radix fits _MAX_DOMAIN.
+_MAX_RADIX = 1 << 31
+
+#: A code domain is remapped through a dense table while it has at most
+#: this many entries per row; sparser domains are factorised by sorting.
+_DENSE_DOMAIN_PER_ROW = 4
+
+
+def _key_codes(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving codes in ``[0, radix)`` of one key column."""
+    if keys.dtype.kind == "i":
+        low = int(keys.min())
+        radix = int(keys.max()) - low + 1
+        if radix <= _MAX_RADIX:
+            return keys.astype(np.int64, copy=False) - low, radix
+    uniques, codes = np.unique(keys, return_inverse=True)
+    return codes, len(uniques)
+
+
+def _compact(codes: np.ndarray, domain: int) -> tuple[np.ndarray, int]:
+    """Order-preserving dense ranks of the occupied codes of
+    ``[0, domain)``: ``(ids, n_occupied)``."""
+    if domain <= _DENSE_DOMAIN_PER_ROW * len(codes):
+        occupied = np.flatnonzero(np.bincount(codes, minlength=domain))
+        rank = np.empty(domain, dtype=np.int64)
+        rank[occupied] = np.arange(len(occupied))
+        return rank[codes], len(occupied)
+    uniques, ids = np.unique(codes, return_inverse=True)
+    return ids, len(uniques)
+
+
+def _group_ids(key_arrays) -> tuple[np.ndarray, int]:
+    """Dense group ids of the rows' key tuples, ascending in tuple
+    order: ``(ids, n_groups)``.  Key columns fold left to right into one
+    mixed-radix code, compacted early only if it would leave int64."""
+    codes, domain = _key_codes(key_arrays[0])
+    for keys in key_arrays[1:]:
+        key_codes, radix = _key_codes(keys)
+        if domain * radix > _MAX_DOMAIN:
+            codes, domain = _compact(codes, domain)
+        codes = codes * radix + key_codes
+        domain *= radix
+    return _compact(codes, domain)
+
+
 def _pyval(value):
-    value = value.item() if hasattr(value, "item") else value
+    """A group-key cell (already a Python scalar) as it enters
+    ``const_key``: integer-valued floats become ints."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value

@@ -11,13 +11,16 @@ quantum), so the *true* sum of any set of doubles is representable as a
 Python integer in units of 2**-1074.  Integer addition is exact and
 associative, which makes :class:`ExactSum` merges partition-invariant
 by construction; the final :meth:`total` rounds the true sum to the
-nearest double exactly once (via :class:`fractions.Fraction`, whose
-float conversion is correctly rounded).
+nearest double exactly once (Python's ``int / int`` true division is
+correctly rounded).
 
-The per-array conversion is vectorized: ``np.frexp`` splits values into
-a 53-bit integer mantissa and an exponent, mantissas are summed per
-distinct exponent (hi/lo split so int64 never overflows), and the few
-per-exponent subtotals are combined with Python integers.
+The per-array conversion is vectorized and sort-free: per block of at
+most 2**16 rows ``np.frexp`` splits values into a 53-bit integer
+mantissa and an exponent, the hi/lo 26-bit mantissa halves are summed
+per ``(group, exponent)`` cell with ``np.bincount`` (float64 weights
+are exact: a block's |sum| < 2**16 * 2**27 = 2**43 < 2**53), and only
+the occupied cells are lifted into Python integers.  The whole-array
+sum is the one-group case of the grouped form.
 """
 
 from __future__ import annotations
@@ -29,6 +32,17 @@ import numpy as np
 
 #: Units of the fixed-point representation: 2**-_SHIFT per unit.
 _SHIFT = 1074
+
+#: Rows per conversion block.  With the mantissa split below, a block's
+#: per-cell sums are bounded by 2**16 * 2**27 = 2**43 < 2**53, so
+#: ``np.bincount``'s float64 accumulation is exact.
+_BLOCK = 1 << 16
+_LO_BITS = 26
+_LO_MASK = (1 << _LO_BITS) - 1
+
+#: A dense (group x exponent) cell table is used while it has at most
+#: this many cells per block row; sparser cell sets are factorised.
+_DENSE_CELLS_PER_ROW = 4
 
 
 def _float_to_units(value: float) -> int:
@@ -42,34 +56,64 @@ def _float_to_units(value: float) -> int:
     return units.numerator
 
 
+def _grouped_units(values, group_ids, n_groups: int) -> list[int]:
+    """Exact per-group sums of ``values`` in 2**-1074 units.
+
+    ``group_ids`` are dense ids in ``[0, n_groups)`` (``None``: one
+    group).  Scratch memory is O(block), whatever the array length.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    units = [0] * n_groups
+    for start in range(0, values.size, _BLOCK):
+        block = values[start : start + _BLOCK]
+        if not np.isfinite(block).all():
+            raise ValueError("cannot exactly sum non-finite values")
+        mantissa, exponent = np.frexp(block)
+        # mantissa in +-[0.5, 1); mantissa * 2**53 is an exact int64
+        # (doubles have 53 significant bits), value = m53 * 2**(e - 53).
+        m53 = np.ldexp(mantissa, 53).astype(np.int64)
+        exp_lo = int(exponent.min())
+        span = int(exponent.max()) - exp_lo + 1
+        cells = exponent - exp_lo
+        if group_ids is not None:
+            cells = group_ids[start : start + _BLOCK] * span + cells
+        # m53 = hi * 2**26 + lo with |hi| <= 2**27 and 0 <= lo < 2**26,
+        # so both per-cell block sums stay below 2**43 and float64
+        # weights accumulate them exactly.
+        hi, lo = m53 >> _LO_BITS, m53 & _LO_MASK
+        n_cells = n_groups * span
+        if n_cells <= _DENSE_CELLS_PER_ROW * block.size:
+            hi_sums = np.bincount(cells, weights=hi, minlength=n_cells)
+            lo_sums = np.bincount(cells, weights=lo, minlength=n_cells)
+            occupied = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
+            hi_sums, lo_sums = hi_sums[occupied], lo_sums[occupied]
+        else:
+            # Many groups, few rows each: factorise the occupied cells
+            # instead of allocating the (group x exponent) table.
+            occupied, inverse = np.unique(cells, return_inverse=True)
+            hi_sums = np.bincount(inverse, weights=hi, minlength=len(occupied))
+            lo_sums = np.bincount(inverse, weights=lo, minlength=len(occupied))
+        for cell, hi_sum, lo_sum in zip(
+            occupied.tolist(),
+            hi_sums.astype(np.int64).tolist(),
+            lo_sums.astype(np.int64).tolist(),
+        ):
+            group, exp = divmod(cell, span)
+            cell_sum = (hi_sum << _LO_BITS) + lo_sum
+            shift = exp + exp_lo - 53 + _SHIFT
+            if shift >= 0:
+                units[group] += cell_sum << shift
+            else:
+                # Subnormal inputs: the mantissa has trailing zero bits,
+                # so the right shift is still exact.
+                assert cell_sum % (1 << -shift) == 0
+                units[group] += cell_sum >> -shift
+    return units
+
+
 def _array_to_units(values: np.ndarray) -> int:
     """The exact sum of an array of doubles, in 2**-1074 units."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        return 0
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cannot exactly sum non-finite values")
-    mantissa, exponent = np.frexp(values)
-    # mantissa in +-[0.5, 1); mantissa * 2**53 is an exact int64
-    # (doubles have 53 significant bits), value = m53 * 2**(e - 53).
-    m53 = np.round(np.ldexp(mantissa, 53)).astype(np.int64)
-    total = 0
-    for exp in np.unique(exponent):
-        group = m53[exponent == exp]
-        # hi/lo split keeps the int64 partial sums overflow-free for
-        # any realistic array length (|hi| < 2**27, lo < 2**26).
-        hi = int(np.sum(group >> 26, dtype=np.int64))
-        lo = int(np.sum(group & ((1 << 26) - 1), dtype=np.int64))
-        group_sum = (hi << 26) + lo
-        shift = int(exp) - 53 + _SHIFT
-        if shift >= 0:
-            total += group_sum << shift
-        else:
-            # Subnormal inputs: the mantissa has trailing zero bits, so
-            # the right shift is still exact.
-            assert group_sum % (1 << -shift) == 0
-            total += group_sum >> -shift
-    return total
+    return _grouped_units(values, None, 1)[0]
 
 
 class ExactSum:
@@ -88,6 +132,26 @@ class ExactSum:
     @classmethod
     def of_array(cls, values) -> "ExactSum":
         return cls(_array_to_units(np.asarray(values)))
+
+    @staticmethod
+    def grouped_units(values, group_ids, n_groups: int) -> list[int]:
+        """Exact units of ``sum(values[group_ids == g])`` for every
+        ``g`` in ``range(n_groups)`` (0 for empty groups), without
+        materialising any per-group intermediate.
+
+        ``ExactSum(units[g])`` equals ``of_array(values[group_ids == g])``
+        bit for bit; ``group_ids`` must be dense integer ids in
+        ``[0, n_groups)``.
+        """
+        values = np.asarray(values, dtype=np.float64).ravel()
+        group_ids = np.asarray(group_ids).ravel()
+        if len(values) != len(group_ids):
+            raise ValueError("values and group_ids must have equal length")
+        if len(group_ids) and not (
+            0 <= int(group_ids.min()) and int(group_ids.max()) < n_groups
+        ):
+            raise ValueError(f"group ids must lie in [0, {n_groups})")
+        return _grouped_units(values, group_ids.astype(np.int64, copy=False), n_groups)
 
     @classmethod
     def of(cls, *values: float) -> "ExactSum":
@@ -174,6 +238,8 @@ class ExactSum:
         if self.units == 0:
             return 0.0
         try:
-            return float(Fraction(self.units, 1 << _SHIFT))
+            # int / int is correctly rounded (it is what
+            # ``float(Fraction)`` evaluates, minus the gcd reduction).
+            return self.units / (1 << _SHIFT)
         except OverflowError:
             return math.inf if self.units > 0 else -math.inf

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.workprofile import WorkProfile
-from repro.engines.morsel import merge_states
+from repro.engines.morsel import merge_states, touched_lines
 from repro.obs import trace
 from repro.storage import Database
 from repro.tpch.schema import PROJECTION_COLUMNS, SELECTION_PREDICATE_COLUMNS
@@ -185,9 +185,8 @@ def line_density(indices: np.ndarray, total_rows: int, itemsize: int = 8) -> flo
     if total_rows <= 0 or not len(indices):
         return 1.0
     values_per_line = max(1, 64 // itemsize)
-    touched = len(np.unique(indices // values_per_line))
     total_lines = -(-total_rows // values_per_line)
-    return min(1.0, touched / total_lines)
+    return touched_lines(indices, values_per_line, 0, total_lines) / total_lines
 
 
 _RESOLVED_SELECTIONS: dict = {}

@@ -148,6 +148,26 @@ def row_scan_bytes(db, table_name: str, lo: int, hi: int) -> float:
     return float(pages * DEFAULT_PAGE_BYTES)
 
 
+def touched_lines(
+    indices: np.ndarray, values_per_line: int, first_line: int, end_line: int
+) -> int:
+    """How many distinct cache lines of ``[first_line, end_line)`` the
+    row ``indices`` fall on.
+
+    A flag scatter over the line range: O(indices + lines) with no sort
+    or hash, exact for unsorted and repeated indices.  Indices outside
+    the range raise :class:`IndexError`.
+    """
+    lines = np.asarray(indices) // values_per_line - first_line
+    if not len(lines):
+        return 0
+    if lines.min() < 0:
+        raise IndexError("gather index below the line range")
+    flags = np.zeros(end_line - first_line, dtype=bool)
+    flags[lines] = True
+    return int(np.count_nonzero(flags))
+
+
 def gather_lines(global_indices: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     """(touched, total) cache-line counts of a gather at the given
     *global* row indices within morsel ``[lo, hi)``.
@@ -157,9 +177,11 @@ def gather_lines(global_indices: np.ndarray, lo: int, hi: int) -> tuple[int, int
     inside one morsel, so both counts sum exactly to the single-shot
     ``line_density`` accounting.
     """
-    touched = int(len(np.unique(np.asarray(global_indices) // _VALUES_PER_LINE)))
-    total = -(-hi // _VALUES_PER_LINE) - (-(-lo // _VALUES_PER_LINE))
-    return touched, total
+    end_line = -(-hi // _VALUES_PER_LINE)
+    touched = touched_lines(
+        global_indices, _VALUES_PER_LINE, lo // _VALUES_PER_LINE, end_line
+    )
+    return touched, end_line - (-(-lo // _VALUES_PER_LINE))
 
 
 # ----------------------------------------------------------------------

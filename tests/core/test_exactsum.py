@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import exactsum as exactsum_module
 from repro.core.exactsum import ExactSum
 
 finite_doubles = st.floats(
@@ -114,3 +116,129 @@ class TestTransport:
     def test_empty_sum_is_zero(self):
         assert ExactSum().total() == 0.0
         assert ExactSum.of_array(np.array([])).total() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Array and grouped conversion kernels vs a fractions.Fraction oracle
+# ---------------------------------------------------------------------------
+
+def oracle_units(values) -> int:
+    """The true sum in 2**-1074 units, by rational arithmetic."""
+    total = sum((Fraction(float(v)) for v in values), Fraction(0)) * 2**1074
+    assert total.denominator == 1
+    return total.numerator
+
+
+def oracle_grouped(values, group_ids, n_groups) -> list[int]:
+    return [
+        oracle_units(v for v, g in zip(values, group_ids) if g == group)
+        for group in range(n_groups)
+    ]
+
+
+#: Magnitudes from below the subnormal quantum (rounds to 0 or a
+#: subnormal) up to 2**1000, both signs, zero included.
+wide_doubles = st.builds(
+    math.ldexp,
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    st.integers(min_value=-1080, max_value=1000),
+)
+
+
+@st.composite
+def grouped_inputs(draw):
+    values = draw(st.lists(wide_doubles, max_size=40))
+    if draw(st.booleans()):
+        # Exact cancellation: every value meets its negation somewhere.
+        values = values + [-v for v in values]
+        values = draw(st.permutations(values))
+    # n_groups above len(values) leaves empty groups and, with the wide
+    # exponent span, exercises the factorised (sparse) cell branch;
+    # small n_groups with narrow spans stays in the dense table.
+    n_groups = draw(st.integers(min_value=1, max_value=300))
+    group_ids = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_groups - 1),
+            min_size=len(values), max_size=len(values),
+        )
+    )
+    return values, group_ids, n_groups
+
+
+class TestFractionOracle:
+    @given(st.lists(wide_doubles, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_of_array_equals_rational_sum(self, values):
+        assert ExactSum.of_array(np.array(values)).units == oracle_units(values)
+
+    @given(grouped_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_equals_rational_sum_per_group(self, case):
+        values, group_ids, n_groups = case
+        units = ExactSum.grouped_units(
+            np.array(values, dtype=np.float64),
+            np.array(group_ids, dtype=np.int64),
+            n_groups,
+        )
+        assert units == oracle_grouped(values, group_ids, n_groups)
+
+    @given(grouped_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_grouped_equals_of_array_per_group(self, case):
+        values, group_ids, n_groups = case
+        values = np.array(values, dtype=np.float64)
+        group_ids = np.array(group_ids, dtype=np.int64)
+        units = ExactSum.grouped_units(values, group_ids, n_groups)
+        for group in range(n_groups):
+            assert units[group] == ExactSum.of_array(values[group_ids == group]).units
+
+    def test_narrow_exponents_take_the_dense_table(self):
+        """TPC-H money columns: a handful of exponents, a few groups."""
+        rng = np.random.default_rng(11)
+        values = rng.uniform(-1000.0, 1000.0, size=500).round(2)
+        group_ids = rng.integers(0, 6, size=500)
+        units = ExactSum.grouped_units(values, group_ids, 8)
+        assert units == oracle_grouped(values.tolist(), group_ids.tolist(), 8)
+        assert units[6] == units[7] == 0
+
+    def test_arrays_longer_than_one_block(self):
+        """Blocks convert independently; a group's rows straddle them."""
+        n = exactsum_module._BLOCK + 4321
+        rng = np.random.default_rng(5)
+        values = np.ldexp(rng.uniform(-1, 1, size=n), rng.integers(-1078, 1000, size=n))
+        values[::97] = 0.0
+        group_ids = rng.integers(0, 4, size=n)  # group 4 stays empty
+        assert ExactSum.of_array(values).units == oracle_units(values.tolist())
+        assert ExactSum.grouped_units(values, group_ids, 5) == oracle_grouped(
+            values.tolist(), group_ids.tolist(), 5
+        )
+
+    def test_subnormals_and_huge_values_share_a_group(self):
+        values = np.array([5e-324, -2.0**1000, 1.5e-310, 2.0**1000, 5e-324])
+        assert ExactSum.of_array(values).units == 2 + oracle_units([1.5e-310])
+        assert ExactSum.grouped_units(values, np.zeros(5, dtype=np.int64), 1) == [
+            oracle_units(values.tolist())
+        ]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_by_both_entry_points(self, bad):
+        n = exactsum_module._BLOCK + 10
+        for position in (0, n - 1):  # first block, last block
+            values = np.ones(n)
+            values[position] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                ExactSum.of_array(values)
+            with pytest.raises(ValueError, match="non-finite"):
+                ExactSum.grouped_units(values, np.zeros(n, dtype=np.int64), 1)
+
+    def test_group_ids_are_validated(self):
+        values = np.ones(3)
+        with pytest.raises(ValueError, match="equal length"):
+            ExactSum.grouped_units(values, np.zeros(2, dtype=np.int64), 1)
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            ExactSum.grouped_units(values, np.array([0, 1, 2]), 2)
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            ExactSum.grouped_units(values, np.array([0, -1, 1]), 2)
+
+    def test_empty_input(self):
+        assert ExactSum.grouped_units(np.array([]), np.array([], dtype=np.int64), 3) == [0, 0, 0]

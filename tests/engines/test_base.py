@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engines import (
     JOIN_SPECS,
@@ -11,6 +13,7 @@ from repro.engines import (
     selection_predicate_masks,
     selection_thresholds,
 )
+from repro.engines.morsel import gather_lines
 
 
 class TestProjectionColumns:
@@ -61,6 +64,41 @@ class TestLineDensity:
     def test_bounded_by_one(self):
         indices = np.repeat(np.arange(10), 50)
         assert 0.0 < line_density(indices, 80) <= 1.0
+
+
+@st.composite
+def gathers(draw):
+    """A morsel ``[lo, hi)`` with unaligned bounds and row indices in
+    it: unsorted, possibly repeated, possibly empty."""
+    lo = draw(st.integers(min_value=0, max_value=500))
+    hi = lo + draw(st.integers(min_value=1, max_value=700))
+    indices = draw(
+        st.lists(st.integers(min_value=lo, max_value=hi - 1), max_size=200)
+    )
+    return np.array(indices, dtype=np.int64), lo, hi
+
+
+class TestGatherLines:
+    @given(gathers())
+    @settings(max_examples=200, deadline=None)
+    def test_touched_equals_distinct_lines(self, case):
+        indices, lo, hi = case
+        touched, total = gather_lines(indices, lo, hi)
+        assert touched == len(np.unique(indices // 8))
+        assert total == -(-hi // 8) - (-(-lo // 8))
+
+    @given(gathers())
+    @settings(max_examples=50, deadline=None)
+    def test_line_density_shares_the_count(self, case):
+        indices, _, hi = case
+        expected = len(np.unique(indices // 8)) / -(-hi // 8) if len(indices) else 1.0
+        assert line_density(indices, hi) == min(1.0, expected)
+
+    def test_indices_outside_the_morsel_are_rejected(self):
+        with pytest.raises(IndexError):
+            gather_lines(np.array([63]), 64, 128)
+        with pytest.raises(IndexError):
+            gather_lines(np.array([128]), 64, 128)
 
 
 class TestJoinSpecs:

@@ -3,10 +3,14 @@
 All profiled systems use hash joins for the join micro-benchmark
 (Section 2) and hash aggregation for group-bys.  This implementation
 builds a real bucket-chained table (head array + next links, Fibonacci
-hashing into a power-of-two bucket array) so that the chain-length
-statistics the paper reports in Section 6 (join chains 0-1, mean 0.44;
-group-by chains 0-7, mean 0.23, more irregular) are *measured*, not
-assumed, and probe work (key comparisons, chain-walk lengths) is exact.
+hashing into a power-of-two bucket array) and probes it by walking it:
+hash, load the bucket head, compare, follow ``next`` to a match or the
+end of the chain, batched over a shrinking set of active probes.  Each
+key comparison the hardware would make is one element of one round, so
+probe work is counted, not derived: a hit costs its 1-based position
+in its chain, a miss the chain's length.  The chain-length statistics
+the paper reports in Section 6 (join chains 0-1, mean 0.44; group-by
+chains 0-7, mean 0.23, more irregular) are measured on the same table.
 """
 
 from __future__ import annotations
@@ -30,14 +34,22 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def _fibonacci_hash(keys: np.ndarray, n_buckets: int) -> np.ndarray:
+    """``key * phi64`` as a fresh uint64 array the caller may fold in
+    place: int64 keys are reinterpreted, narrower ones widened."""
+    if n_buckets & (n_buckets - 1):
+        raise ValueError("n_buckets must be a power of two")
+    if keys.dtype.itemsize == 8 and keys.dtype.kind in "iu":
+        return keys.view(np.uint64) * FIBONACCI_64
+    return keys.astype(np.uint64) * FIBONACCI_64
+
+
 def fibonacci_bucket(keys: np.ndarray, n_buckets: int) -> np.ndarray:
     """Vectorised Fibonacci hashing of int keys into ``n_buckets``
     (a power of two): the top log2(n_buckets) bits of key * phi64."""
-    if n_buckets & (n_buckets - 1):
-        raise ValueError("n_buckets must be a power of two")
-    shift = np.uint64(64 - int(n_buckets).bit_length() + 1)
-    hashed = keys.astype(np.uint64) * FIBONACCI_64
-    return (hashed >> shift).astype(np.int64)
+    hashed = _fibonacci_hash(keys, n_buckets)
+    hashed >>= np.uint64(64 - int(n_buckets).bit_length() + 1)
+    return hashed.view(np.int64)
 
 
 def weak_composite_bucket(keys: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -46,11 +58,10 @@ def weak_composite_bucket(keys: np.ndarray, n_buckets: int) -> np.ndarray:
     XOR-shift.  Correlated components collide far more often than
     evenly distributed primary/foreign keys, producing the irregular
     chains the paper measures for group-by tables."""
-    if n_buckets & (n_buckets - 1):
-        raise ValueError("n_buckets must be a power of two")
-    hashed = keys.astype(np.uint64) * FIBONACCI_64
-    folded = hashed ^ (hashed >> np.uint64(32))
-    return (folded & np.uint64(n_buckets - 1)).astype(np.int64)
+    hashed = _fibonacci_hash(keys, n_buckets)
+    hashed ^= hashed >> np.uint64(32)
+    hashed &= np.uint64(n_buckets - 1)
+    return hashed.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,12 +93,22 @@ class ProbeResult:
         return float(self.found.mean()) if len(self.found) else 0.0
 
 
+def _integer_keys(keys, side: str) -> np.ndarray:
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        raise TypeError(
+            f"{side} keys must be integers, not {keys.dtype}: build and "
+            "probe keys have to hash alike"
+        )
+    return keys
+
+
 class ChainedHashTable:
-    """Bucket-chained hash table over unique build keys.
+    """Bucket-chained hash table over unique integer build keys.
 
     Values are inserted at the head of their chain (the classic
-    insert-at-head layout), so a key's probe depth equals the number of
-    same-bucket keys inserted after it.
+    insert-at-head layout), so a probe meets a bucket's keys in reverse
+    insertion order.
     """
 
     def __init__(
@@ -96,11 +117,9 @@ class ChainedHashTable:
         target_load: float = 0.5,
         hash_fn=fibonacci_bucket,
     ):
-        keys = np.asarray(keys)
+        keys = _integer_keys(keys, "build")
         if keys.ndim != 1:
             raise ValueError("build keys must be one-dimensional")
-        if len(np.unique(keys)) != len(keys):
-            raise ValueError("build keys must be unique (join build side)")
         if not 0.0 < target_load <= 1.0:
             raise ValueError("target_load must be in (0, 1]")
         self.keys = keys
@@ -109,17 +128,13 @@ class ChainedHashTable:
         self._hash_fn = hash_fn
         self.buckets = hash_fn(keys, self.n_buckets) if self.n_keys else np.empty(0, np.int64)
         self.bucket_counts = np.bincount(self.buckets, minlength=self.n_buckets)
-
-        # Chain layout: head/next arrays (the real structure), plus the
-        # per-key probe depth used for exact comparison accounting.
         self.head = np.full(self.n_buckets, -1, dtype=np.int64)
         self.next = np.full(self.n_keys, -1, dtype=np.int64)
         self._build_chains()
-        self._depth = self._compute_depths()
-
-        # Sorted-key index for vectorised exact probes.
-        self._key_order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._key_order]
+        # A duplicate sits behind its later twin in the same chain, so
+        # probing for it finds the twin.
+        if not np.array_equal(self.probe(keys).match_index, np.arange(self.n_keys)):
+            raise ValueError("build keys must be unique (join build side)")
 
     def _build_chains(self) -> None:
         """Vectorised head/next construction equivalent to inserting
@@ -131,26 +146,10 @@ class ChainedHashTable:
         # and next links run backwards through the insertion order.
         order = np.argsort(self.buckets, kind="stable")
         sorted_buckets = self.buckets[order]
-        same_as_prev = np.concatenate(([False], sorted_buckets[1:] == sorted_buckets[:-1]))
-        self.next[order[same_as_prev]] = order[np.flatnonzero(same_as_prev) - 1]
-        last_of_group = np.concatenate((sorted_buckets[1:] != sorted_buckets[:-1], [True]))
+        same_as_prev = sorted_buckets[1:] == sorted_buckets[:-1]
+        self.next[order[1:][same_as_prev]] = order[:-1][same_as_prev]
+        last_of_group = np.concatenate((~same_as_prev, [True]))
         self.head[sorted_buckets[last_of_group]] = order[last_of_group]
-
-    def _compute_depths(self) -> np.ndarray:
-        """Probe depth of each build key: 1 + number of same-bucket keys
-        inserted after it."""
-        if not self.n_keys:
-            return np.empty(0, dtype=np.int64)
-        order = np.lexsort((-np.arange(self.n_keys), self.buckets))
-        sorted_buckets = self.buckets[order]
-        first_of_group = np.concatenate(([True], np.diff(sorted_buckets) != 0))
-        group_start = np.maximum.accumulate(
-            np.where(first_of_group, np.arange(self.n_keys), 0)
-        )
-        depth_sorted = np.arange(self.n_keys) - group_start + 1
-        depth = np.empty(self.n_keys, dtype=np.int64)
-        depth[order] = depth_sorted
-        return depth
 
     # ------------------------------------------------------------------
     @property
@@ -179,33 +178,31 @@ class ChainedHashTable:
         return chain
 
     def probe(self, probe_keys: np.ndarray) -> ProbeResult:
-        """Batch probe; exact comparison counts from chain depths."""
-        probe_keys = np.asarray(probe_keys)
-        if not self.n_keys:
-            return ProbeResult(
-                found=np.zeros(len(probe_keys), dtype=bool),
-                match_index=np.full(len(probe_keys), -1, dtype=np.int64),
-                comparisons=0,
-                extra_walk=0,
-            )
-        positions = np.searchsorted(self._sorted_keys, probe_keys)
-        positions = np.clip(positions, 0, self.n_keys - 1)
-        candidates = self._key_order[positions]
-        found = self.keys[candidates] == probe_keys
-        match_index = np.where(found, candidates, -1)
-
-        # Hits walk to the key's depth; misses walk the whole chain of
-        # the probed bucket.
-        hit_comparisons = int(self._depth[candidates[found]].sum())
-        miss_buckets = self._hash_fn(probe_keys[~found], self.n_buckets)
-        miss_comparisons = int(self.bucket_counts[miss_buckets].sum())
-        comparisons = hit_comparisons + miss_comparisons
-        walks = comparisons - int(found.sum())  # beyond-first-entry walks
+        """Batch probe by walking the chains: every round compares the
+        still-active probes with the entry under their cursor, retires
+        the hits, advances the misses along ``next`` and drops those
+        whose chain ended."""
+        probe_keys = _integer_keys(probe_keys, "probe")
+        match_index = np.full(len(probe_keys), -1, dtype=np.int64)
+        comparisons = 0
+        cursor = self.head[self._hash_fn(probe_keys, self.n_buckets)]
+        active = np.flatnonzero(cursor >= 0)
+        cursor = cursor[active]
+        while len(active):
+            comparisons += len(active)
+            hit = self.keys[cursor] == probe_keys[active]
+            match_index[active[hit]] = cursor[hit]
+            miss = ~hit
+            cursor = self.next[cursor[miss]]
+            live = cursor >= 0
+            cursor = cursor[live]
+            active = active[miss][live]
+        found = match_index >= 0
         return ProbeResult(
             found=found,
             match_index=match_index,
             comparisons=comparisons,
-            extra_walk=max(0, walks),
+            extra_walk=comparisons - int(np.count_nonzero(found)),
         )
 
 

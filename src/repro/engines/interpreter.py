@@ -37,9 +37,10 @@ from repro.engines.base import (
     projection_columns,
     resolve_selection_cached,
 )
-from repro.engines.hashtable import ChainedHashTable, GroupByHashTable
+from repro.engines.hashtable import GroupByHashTable
 from repro.engines.morsel import (
     bytes_for_rows,
+    key_table,
     resolve_range,
     row_scan_bytes,
     shared_structure,
@@ -293,13 +294,6 @@ class InterpreterEngine(Engine):
             term_evals = m * 2 * len(masks)
         return term_evals, int(alive.sum())
 
-    def _join_table(self, db: Database, spec) -> ChainedHashTable:
-        return shared_structure(
-            db,
-            ("join-build", spec.size),
-            lambda: ChainedHashTable(db.table(spec.build_table)[spec.build_key]),
-        )
-
     def run_join(
         self, db: Database, size: str, simd: bool = False, row_range=None
     ) -> QueryResult:
@@ -313,10 +307,10 @@ class InterpreterEngine(Engine):
         m = hi - lo
         lead = lo == 0
 
-        table = self._join_table(db, spec)
+        table = key_table(db, spec.build_table, spec.build_key)
         result = table.probe(probe[spec.probe_key][lo:hi])
-        matched = result.found
-        matches = int(matched.sum())
+        matched = np.flatnonzero(result.found)
+        matches = len(matched)
         projected = np.zeros(matches)
         for column in spec.sum_columns:
             projected = projected + probe[column][lo:hi][matched]
@@ -354,7 +348,7 @@ class InterpreterEngine(Engine):
         self, db: Database, merged: MergedPartials, size: str, simd: bool = False
     ) -> QueryResult:
         spec = JOIN_SPECS[size]
-        table = self._join_table(db, spec)
+        table = key_table(db, spec.build_table, spec.build_key)
         n_probe = merged.tuples
         work = self._finalize_profile(merged.work)
         details = {

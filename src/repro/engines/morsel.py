@@ -16,8 +16,9 @@ engines share:
   exactly (integer bytes, first-row page attribution).
 * **Shared global structures** -- hash tables, group-by tables and
   sorted lookup sides depend on *all* rows, not a morsel's; they are
-  built once per process and memoized by database identity + tag, so a
-  worker executing many morsels never rebuilds them.
+  built once per process and memoized by database identity + tag
+  (join hash tables by key column, :func:`key_table`), so a worker
+  executing many morsels never rebuilds them.
 * **Exactly mergeable state** -- :func:`merge_states` folds the
   per-morsel value states (ints, :class:`ExactSum`, numpy arrays, sets,
   nested dicts) with exact, associative, commutative operations.
@@ -31,6 +32,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.exactsum import ExactSum
+from repro.engines.hashtable import ChainedHashTable
 
 #: Morsel boundaries must be multiples of this row count: one 64-byte
 #: cache line of the widest (8-byte) values, which also divides the
@@ -214,6 +216,15 @@ def shared_structure(db, tag, build):
         while len(_STRUCTURES) > _STRUCTURES_CAP:
             _STRUCTURES.popitem(last=False)
     return value
+
+
+def key_table(db, table: str, column: str) -> ChainedHashTable:
+    """The one hash table over a key column of a base table: every
+    query and engine joining on that column probes the same build."""
+    return shared_structure(
+        db, ("key-table", table, column),
+        lambda: ChainedHashTable(db.table(table)[column]),
+    )
 
 
 def clear_shared_structures() -> None:

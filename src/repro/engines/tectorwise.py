@@ -43,6 +43,7 @@ from repro.engines.hashtable import ChainedHashTable, GroupByHashTable
 from repro.engines.morsel import (
     bytes_for_rows,
     gather_lines,
+    key_table,
     resolve_range,
     shared_structure,
 )
@@ -332,13 +333,6 @@ class TectorwiseEngine(Engine):
     # ------------------------------------------------------------------
     # Join (Sections 5 and 8.2)
     # ------------------------------------------------------------------
-    def _join_table(self, db: Database, spec) -> ChainedHashTable:
-        return shared_structure(
-            db,
-            ("join-build", spec.size),
-            lambda: ChainedHashTable(db.table(spec.build_table)[spec.build_key]),
-        )
-
     def run_join(
         self, db: Database, size: str, simd: bool = False, row_range=None
     ) -> QueryResult:
@@ -351,10 +345,10 @@ class TectorwiseEngine(Engine):
         m = hi - lo
         lead = lo == 0
 
-        table = self._join_table(db, spec)
+        table = key_table(db, spec.build_table, spec.build_key)
         result = table.probe(probe[spec.probe_key][lo:hi])
-        matched = result.found
-        matches = int(matched.sum())
+        matched = np.flatnonzero(result.found)
+        matches = len(matched)
 
         projected = np.zeros(matches)
         for column in spec.sum_columns:
@@ -400,7 +394,7 @@ class TectorwiseEngine(Engine):
         self, db: Database, merged: MergedPartials, size: str, simd: bool = False
     ) -> QueryResult:
         spec = JOIN_SPECS[size]
-        table = self._join_table(db, spec)
+        table = key_table(db, spec.build_table, spec.build_key)
         n_probe = merged.tuples
         work = self._finalize_profile(merged.work)
         operators = {
@@ -692,10 +686,8 @@ class TectorwiseEngine(Engine):
     def _q9_structures(self, db: Database) -> dict:
         def build():
             part = db.table("part")
-            supplier = db.table("supplier")
             partsupp = db.table("partsupp")
-            orders = db.table("orders")
-            n_supp = supplier.n_rows
+            n_supp = db.table("supplier").n_rows
             green_keys = part["p_partkey"][part["p_namecat"] == sc.GREEN_CATEGORY]
             ps_composite = partsupp["ps_partkey"] * (n_supp + 1) + partsupp["ps_suppkey"]
             return {
@@ -703,8 +695,6 @@ class TectorwiseEngine(Engine):
                 "green_keys": green_keys,
                 "green_table": ChainedHashTable(green_keys),
                 "ps_table": ChainedHashTable(ps_composite),
-                "supp_table": ChainedHashTable(supplier["s_suppkey"]),
-                "orders_table": ChainedHashTable(orders["o_orderkey"]),
             }
 
         return shared_structure(db, "q9-structs", build)
@@ -721,28 +711,27 @@ class TectorwiseEngine(Engine):
         n_supp = structs["n_supp"]
         green_table = structs["green_table"]
         ps_table = structs["ps_table"]
-        supp_table = structs["supp_table"]
-        orders_table = structs["orders_table"]
+        supp_table = key_table(db, "supplier", "s_suppkey")
+        orders_table = key_table(db, "orders", "o_orderkey")
 
-        green_probe = green_table.probe(lineitem["l_partkey"][lo:hi])
-        green = green_probe.found
-        q = int(green.sum())
+        partkey = lineitem["l_partkey"][lo:hi]
+        green_probe = green_table.probe(partkey)
+        green = np.flatnonzero(green_probe.found)
+        q = len(green)
 
-        li_composite = (
-            lineitem["l_partkey"][lo:hi][green] * (n_supp + 1)
-            + lineitem["l_suppkey"][lo:hi][green]
-        )
-        ps_probe = ps_table.probe(li_composite)
-        supp_probe = supp_table.probe(lineitem["l_suppkey"][lo:hi][green])
+        suppkey = lineitem["l_suppkey"][lo:hi][green]
+        ps_probe = ps_table.probe(partkey[green] * (n_supp + 1) + suppkey)
+        supp_probe = supp_table.probe(suppkey)
         orders_probe = orders_table.probe(lineitem["l_orderkey"][lo:hi][green])
 
         keep = ps_probe.found & supp_probe.found & orders_probe.found
+        kept = green[keep]
+        survivors = len(kept)
         supplycost = partsupp["ps_supplycost"][ps_probe.match_index[keep]]
-        price = lineitem["l_extendedprice"][lo:hi][green][keep]
-        disc = lineitem["l_discount"][lo:hi][green][keep]
-        qty = lineitem["l_quantity"][lo:hi][green][keep]
+        price = lineitem["l_extendedprice"][lo:hi][kept]
+        disc = lineitem["l_discount"][lo:hi][kept]
+        qty = lineitem["l_quantity"][lo:hi][kept]
         amount = price * (1.0 - disc) - supplycost * qty
-        survivors = int(keep.sum())
 
         work = self._new_work()
         work.record_sequential_read(
@@ -780,13 +769,12 @@ class TectorwiseEngine(Engine):
         return self._finish_q9(db, MergedPartials(state, work, m))
 
     def _finish_q9(self, db: Database, merged: MergedPartials) -> QueryResult:
-        structs = self._q9_structures(db)
         n = merged.tuples
         work = self._finalize_profile(merged.work)
         details = {
             "green_fraction": merged.state["green"] / n if n else 0.0,
             "survivors": merged.state["survivors"],
-            "orders_ht_bytes": structs["orders_table"].working_set_bytes,
+            "orders_ht_bytes": key_table(db, "orders", "o_orderkey").working_set_bytes,
         }
         return QueryResult("Q9", merged.state["sum"].total(), n, work, details)
 
@@ -832,14 +820,10 @@ class TectorwiseEngine(Engine):
         winner_orderkeys = group_table.distinct_keys[big]
         winners = len(winner_orderkeys)
 
-        orders_table = shared_structure(
-            db, "q18-orders", lambda: ChainedHashTable(orders["o_orderkey"])
-        )
+        orders_table = key_table(db, "orders", "o_orderkey")
         winner_probe = orders_table.probe(winner_orderkeys)
         custkeys = orders["o_custkey"][winner_probe.match_index[winner_probe.found]]
-        cust_table = shared_structure(
-            db, "q18-cust", lambda: ChainedHashTable(customer["c_custkey"])
-        )
+        cust_table = key_table(db, "customer", "c_custkey")
         cust_probe = cust_table.probe(custkeys)
         value = {
             "winners": winners,

@@ -48,9 +48,34 @@ class TestHelpers:
 
 
 class TestBuild:
-    def test_rejects_duplicate_keys(self):
-        with pytest.raises(ValueError):
-            ChainedHashTable(np.array([1, 2, 2]))
+    @pytest.mark.parametrize(
+        "keys",
+        ([2, 2, 1, 3, 4], [1, 3, 4, 2, 2], [1, 2, 2, 3, 4], [2, 1, 3, 4, 2]),
+        ids=("first", "last", "adjacent", "ends"),
+    )
+    def test_rejects_duplicate_keys(self, keys):
+        with pytest.raises(ValueError, match="unique"):
+            ChainedHashTable(np.array(keys))
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32, bool, object))
+    def test_rejects_non_integer_keys(self, dtype):
+        """Build and probe keys must hash alike; a float would be
+        truncated by the hash but not by the comparison."""
+        with pytest.raises(TypeError, match="integers"):
+            ChainedHashTable(np.array([1, 2, 3]).astype(dtype))
+        table = ChainedHashTable(np.array([1, 2, 3]))
+        with pytest.raises(TypeError, match="integers"):
+            table.probe(np.array([1, 2]).astype(dtype))
+
+    def test_keeps_no_per_key_array_beyond_keys_buckets_next(self):
+        """The probe walks head/next; there is no sorted copy of the
+        keys, no key order and no per-key depth beside the table."""
+        table = ChainedHashTable(np.arange(1, 38) * 7)
+        per_key = {
+            name for name, value in vars(table).items()
+            if isinstance(value, np.ndarray) and len(value) == table.n_keys
+        }
+        assert per_key == {"keys", "buckets", "next"}
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -202,6 +227,46 @@ def test_property_probe_equivalent_to_dict(keys, probes):
         assert result.found[i] == (probe in lookup)
         if probe in lookup:
             assert result.match_index[i] == lookup[probe]
+
+
+def _few_buckets(n_live: int):
+    """Adversarial hash: every key lands in one of ``n_live`` buckets,
+    whatever the table's size, so chains are long."""
+    return lambda keys, n_buckets: (keys.astype(np.int64) % min(n_live, n_buckets))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=-60, max_value=60), max_size=40, unique=True),
+    probes=st.lists(st.integers(min_value=-70, max_value=70), max_size=80),
+    n_live=st.integers(min_value=1, max_value=4),
+    build_dtype=st.sampled_from((np.int64, np.int32)),
+    probe_dtype=st.sampled_from((np.int64, np.int32)),
+)
+def test_property_probe_counts_equal_python_chain_walk(
+    keys, probes, n_live, build_dtype, probe_dtype
+):
+    """``comparisons`` and ``extra_walk`` are the walk's own counts: a
+    hit costs its 1-based position in ``chain_of``, a miss the chain's
+    length -- for negative, unsorted, repeated and narrower probe keys,
+    an empty probe and an empty table."""
+    table = ChainedHashTable(np.array(keys, dtype=build_dtype), hash_fn=_few_buckets(n_live))
+    result = table.probe(np.array(probes, dtype=probe_dtype))
+
+    comparisons = hits = 0
+    for i, probe in enumerate(probes):
+        chain = table.chain_of(probe)
+        position = next((p for p, row in enumerate(chain) if keys[row] == probe), None)
+        if position is None:
+            comparisons += len(chain)
+            assert not result.found[i] and result.match_index[i] == -1
+        else:
+            comparisons += position + 1
+            hits += 1
+            assert result.found[i] and result.match_index[i] == chain[position]
+    assert result.comparisons == comparisons
+    assert result.extra_walk == comparisons - hits
+    assert result.found.dtype == bool and len(result.found) == len(probes)
 
 
 @settings(max_examples=40, deadline=None)

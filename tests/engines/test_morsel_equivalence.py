@@ -11,10 +11,13 @@ tuples, work profiles, per-operator attribution), not approximate.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.engines import ALL_ENGINES
+from repro.engines import ALL_ENGINES, TectorwiseEngine, TyperEngine
 from repro.engines.morsel import MORSEL_ALIGN, morsel_ranges
 
 #: (method, kwargs) pairs covering the acceptance matrix: the three
@@ -120,6 +123,48 @@ class TestMorselMerge:
         ]
         merged = engine.merge_morsels(tiny_db, "run_q1", {}, partials)
         assert_identical(merged, single, f"{engine.name} pickled partials")
+
+
+#: Q9 and join-large WorkProfiles (total and per operator, every field)
+#: of Typer and Tectorwise at SF 0.01, seed 7, recorded at the commit
+#: before the hash-table probe became a chain walk.  The figure digests
+#: cover the same numbers end to end; this localises a break to the
+#: probe's ``comparisons`` / ``extra_walk`` / ``found``.
+PINNED_JOIN_PROFILES = Path(__file__).with_name("pinned_join_profiles.json")
+
+JOIN_WORKLOADS = {"Q9": ("run_q9", {}), "join-large": ("run_join", {"size": "large"})}
+
+
+def profile_fields(result) -> dict:
+    return {
+        "work": dataclasses.asdict(result.work),
+        "operators": {
+            name: dataclasses.asdict(profile)
+            for name, profile in result.operator_work.items()
+        },
+    }
+
+
+class TestPinnedJoinProfiles:
+    @pytest.mark.parametrize("workload", JOIN_WORKLOADS)
+    @pytest.mark.parametrize("engine_cls", (TyperEngine, TectorwiseEngine), ids=lambda c: c.name)
+    @pytest.mark.parametrize("tiling", ("whole", "ragged"))
+    def test_profiles_equal_pinned(self, db_factory, engine_cls, workload, tiling):
+        db = db_factory(0.01, seed=7)
+        engine = engine_cls()
+        method, kwargs = JOIN_WORKLOADS[workload]
+        n_rows = engine.partition_rows(db, method, kwargs)
+        partials = [
+            getattr(engine, method)(db, row_range=row_range, **kwargs)
+            for row_range in partitionings(n_rows)[tiling]
+        ]
+        merged = engine.merge_morsels(db, method, kwargs, partials)
+        pinned = json.loads(PINNED_JOIN_PROFILES.read_text())[engine.name][workload]
+        got = profile_fields(merged)
+        assert got["operators"].keys() == pinned["operators"].keys()
+        for name, fields in pinned["operators"].items():
+            assert got["operators"][name] == fields, f"operator={name}"
+        assert got["work"] == pinned["work"]
 
 
 class TestMergeAssociativity:

@@ -20,6 +20,12 @@ schedule analytical queries across cores:
   :mod:`repro.engines.morsel` for the recording contract that makes
   this true).
 
+The execution driver, :func:`run_call`, lives here as well: the
+service's threads, this pool and a shard node all run one normalized
+call through the same route -> prune -> dispatch -> synthesize ->
+finish stages; :meth:`WorkerPool.dispatch` is its morsel-parallel
+dispatcher, ``finish=False`` the shard node's stop-as-partial.
+
 Workers are persistent spawn-mode processes.  The base data crosses
 the process boundary exactly once, through one
 :mod:`repro.storage.shm` segment exported at pool construction;
@@ -44,7 +50,7 @@ import time
 import traceback
 
 from repro.core import pruning
-from repro.engines.morsel import MORSEL_ALIGN, morsel_ranges
+from repro.engines.morsel import MORSEL_ALIGN, merge_worker_partials, morsel_ranges
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 
@@ -95,42 +101,68 @@ def normalized_call(engine, method: str, args: tuple, kwargs: dict):
     return method, items
 
 
-def merge_worker_partials(partials: list):
-    """Fold several morsel partials into one (still partial) result.
+# ----------------------------------------------------------------------
+# The execution driver
+# ----------------------------------------------------------------------
+def run_call(
+    db, engine, method: str, kwargs_items: tuple, *, pool=None, finish=True, executor
+):
+    """Execute one normalized engine call (see :func:`normalized_call`):
+    route -> prune -> dispatch -> synthesize -> finish, on every
+    executor.
 
-    Workers do this locally so only one partial per worker crosses the
-    process boundary.  All merge operations are commutative and exact
-    (see :func:`repro.engines.morsel.merge_states` and
-    :meth:`WorkProfile.merge_partial`), so steal-order does not affect
-    the merged bits.  The synthetic row range spans the merged morsels
-    (ranges are only used to order partials deterministically).
+    ``pool`` picks the dispatcher: None scans on the calling thread, a
+    :class:`WorkerPool` fans morsels out.  ``finish=False`` stops before
+    the finisher and returns one still-mergeable partial for a
+    scatter-gather coordinator.  ``executor`` only labels the
+    ``route``/``prune`` spans (``thread``/``process``/``shard``).
+    The result is bit-identical to the direct engine call, except that
+    a routed result reports the rollup rows it read.
     """
-    from repro.engines.morsel import merge_states
+    from repro.rollup import router
 
-    partials = sorted(partials, key=lambda result: result.details["row_range"])
-    first = partials[0]
-    state = first.details["partial"]
-    work = first.work
-    operators = first.details.get("operators")
-    tuples = first.tuples
-    lo, hi = first.details["row_range"]
-    for partial in partials[1:]:
-        merge_states(state, partial.details["partial"])
-        work.merge_partial(partial.work)
-        tuples += partial.tuples
-        other_ops = partial.details.get("operators")
-        if (operators is None) != (other_ops is None):
-            raise ValueError("partial operator profiles are not congruent")
-        if operators is not None:
-            if operators.keys() != other_ops.keys():
-                raise ValueError("partial operator profiles are not congruent")
-            for name, profile in operators.items():
-                profile.merge_partial(other_ops[name])
-        other_lo, other_hi = partial.details["row_range"]
-        lo, hi = min(lo, other_lo), max(hi, other_hi)
-    first.details["row_range"] = (lo, hi)
-    first.tuples = tuples
-    return first
+    kwargs = dict(kwargs_items)
+    # Routing stays on the calling thread: a routed query reads the
+    # (tiny) pre-aggregated table, cheaper than one dispatch.
+    result, decision = router.attempt(db, engine, method, kwargs, executor, finish)
+    if result is None:
+        plan = pruning.plan_for(db, method, kwargs, executor)
+        if pool is None and plan is None and finish:
+            # The one special case: a whole-table run on this thread is
+            # the plain engine call, which is what the execution cache
+            # memoizes (row_range partials are never cached).
+            row_range = None
+            if trace.active():
+                row_range = (0, engine.partition_rows(db, method, kwargs))
+            with trace.span(
+                "morsel",
+                worker=threading.current_thread().name,
+                row_range=row_range,
+                stolen=False,
+            ):
+                result = getattr(engine, method)(db, **kwargs)
+        else:
+            if plan is not None:
+                segments = plan.kept_segments
+            else:
+                segments = ((0, engine.partition_rows(db, method, kwargs)),)
+            if pool is None:
+                partials = pruning.scan_segments(engine, db, method, kwargs, segments)
+            else:
+                partials = pool.dispatch(engine, method, kwargs_items, segments)
+            if plan is not None:
+                partials.extend(
+                    pruning.pruned_partials(engine, db, method, kwargs, plan)
+                )
+            if finish:
+                result = engine.merge_morsels(db, method, kwargs_items, partials)
+            else:
+                result = merge_worker_partials(partials)
+            if plan is not None:
+                result.details["pruning"] = plan.summary(db, method)
+    if decision is not None:
+        result.details["rollup"] = decision
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -286,15 +318,11 @@ def _worker_main(worker_id, manifest, ledger, inbox, results, morsel_rows):
                     engine = _resolve_engine(engine_spec, engines)
                     runner = getattr(engine, method)
                     kwargs = dict(kwargs_items)
-                    # With pruning active the ledger hands out ranges
-                    # over the *compacted* kept-row space; translate
-                    # each claim back to actual table rows (a claim
-                    # spanning a kept-segment boundary splits).
-                    offsets = (
-                        pruning.kept_offsets(segments)
-                        if segments is not None
-                        else None
-                    )
+                    # The ledger hands out ranges over the *compacted*
+                    # space of the rows to scan; translate each claim
+                    # back to actual table rows (a claim spanning a
+                    # segment boundary splits).
+                    offsets = pruning.kept_offsets(segments)
                     partials = []
                     records = []
                     while True:
@@ -302,12 +330,7 @@ def _worker_main(worker_id, manifest, ledger, inbox, results, morsel_rows):
                         if claim is None:
                             break
                         lo, hi, stolen = claim
-                        if segments is None:
-                            pieces = ((lo, hi),)
-                        else:
-                            pieces = pruning.translate_claim(
-                                segments, offsets, lo, hi
-                            )
+                        pieces = pruning.translate_claim(segments, offsets, lo, hi)
                         for piece_lo, piece_hi in pieces:
                             t0 = time.perf_counter()
                             partials.append(
@@ -341,7 +364,7 @@ class WorkerPool:
     """Persistent multi-process morsel executor over one database.
 
     The database is exported into shared memory once, workers are
-    spawned once, and every :meth:`run_query` fans one engine call out
+    spawned once, and every :meth:`dispatch` fans one engine call out
     as morsels.  Thread-safe: concurrent callers (the query service's
     admission threads) serialise on an internal lock, so the pool runs
     one query at a time with all workers on it -- intra-query
@@ -466,40 +489,21 @@ class WorkerPool:
             payloads[worker_id] = payload
         return payloads
 
-    def _dispatch_morsels(self, engine, method: str, kwargs_items: tuple):
-        """Prune, assign ledger ranges, broadcast and collect morsels.
-
-        Returns ``(partials, plan)`` where ``partials`` is the list of
-        per-worker merged partials (plus synthesized pruned partials)
-        and ``plan`` the prune plan, or None when nothing was pruned.
-        Shared by :meth:`run_query` (which finishes the merge locally)
-        and :meth:`run_partial` (which hands the still-partial state to
-        a scatter-gather coordinator).
-        """
+    def dispatch(self, engine, method: str, kwargs_items: tuple, segments) -> list:
+        """Pool dispatch stage of :func:`run_call`: fan the row ranges
+        ``segments`` out as morsels and return one pre-merged partial
+        per worker that ran any.  Worker morsel timings are grafted
+        into the active trace as completed ``morsel`` spans."""
+        if self._closed:
+            raise RuntimeError("pool is closed")
         engine_cls = type(engine)
         engine_spec = (engine_cls.__module__, engine_cls.__qualname__)
-        plan = None
-        if pruning.pruning_enabled():
-            atoms = pruning.atoms_for(self.db, method, dict(kwargs_items))
-            if atoms:
-                with trace.span("prune", executor="process"):
-                    plan = pruning.compute_prune_plan(self.db, atoms)
-                    if plan is not None:
-                        trace.annotate(**plan.summary(self.db, method))
-        if plan is not None and plan.nothing_pruned:
-            plan = None
-        segments = plan.kept_segments if plan is not None else None
+        segments = tuple(segments)
+        n_rows = sum(hi - lo for lo, hi in segments)
         with self._lock:
-            if plan is not None and plan.kept_rows == 0:
-                payloads = {}  # everything pruned: nothing to dispatch
-            else:
-                if plan is None:
-                    n_rows = engine.partition_rows(self.db, method, kwargs_items)
-                    self._ledger.assign(morsel_ranges(n_rows, self.n_workers))
-                else:
-                    self._ledger.assign(
-                        morsel_ranges(plan.kept_rows, self.n_workers)
-                    )
+            payloads = {}
+            if n_rows:
+                self._ledger.assign(morsel_ranges(n_rows, self.n_workers))
                 payloads = self._broadcast_collect(
                     lambda task_id: (
                         "run", task_id, engine_spec, method, kwargs_items, segments,
@@ -508,14 +512,14 @@ class WorkerPool:
             self.queries_run += 1
         partials = []
         records = []
-        for payload in payloads.values():
-            partial, worker_records = payload
+        for partial, worker_records in payloads.values():
             if partial is not None:
                 partials.append(partial)
             records.extend(worker_records)
+        if n_rows and not partials:
+            raise WorkerCrashed("no worker produced a partial result")
         if trace.active():
-            # Graft the workers' morsel timings as completed child
-            # spans, ordered by row range so the tree is deterministic.
+            # Ordered by row range so the tree is deterministic.
             for worker_id, lo, hi, stolen, t0, t1 in sorted(
                 records, key=lambda r: (r[1], r[2])
             ):
@@ -527,15 +531,7 @@ class WorkerPool:
                     row_range=(lo, hi),
                     stolen=stolen,
                 )
-        if plan is not None:
-            partials.extend(
-                pruning.pruned_partials(
-                    engine, self.db, method, dict(kwargs_items), plan
-                )
-            )
-        if not partials:
-            raise WorkerCrashed("no worker produced a partial result")
-        return partials, plan
+        return partials
 
     def run_query(self, engine, method: str, *args, **kwargs):
         """Execute ``engine.<method>(db, *args, **kwargs)`` morsel-parallel.
@@ -545,47 +541,9 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         method, kwargs_items = normalized_call(engine, method, args, kwargs)
-        # Rollup routing happens parent-side: a routed query reads the
-        # (tiny) pre-aggregated table, so fanning it out to workers
-        # would cost more in dispatch than the scan itself.
-        from repro.rollup import router as rollup_router
-
-        routed, decision = rollup_router.attempt(
-            self.db, engine, method, dict(kwargs_items), executor="process"
+        return run_call(
+            self.db, engine, method, kwargs_items, pool=self, executor="process"
         )
-        if routed is not None:
-            with self._lock:
-                self.queries_run += 1
-            return routed
-        partials, plan = self._dispatch_morsels(engine, method, kwargs_items)
-        result = engine.merge_morsels(self.db, method, kwargs_items, partials)
-        if plan is not None:
-            result.details["pruning"] = plan.summary(self.db, method)
-        if decision is not None:
-            result.details["rollup"] = decision
-        return result
-
-    def run_partial(self, engine, method: str, *args, **kwargs):
-        """Execute one engine call morsel-parallel but stop *before* the
-        finisher: return ``(partial, prune_summary)`` where ``partial``
-        is a single still-mergeable QueryResult (state under
-        ``details["partial"]``, span under ``details["row_range"]``).
-
-        This is the shard-node entry point: a scatter-gather
-        coordinator merges such partials across node boundaries with
-        the same exact mergers :meth:`run_query` uses within one node,
-        so the distributed result stays bit-identical.  Rollup routing
-        is intentionally skipped here -- it returns *finished* values,
-        which would round per shard; shard-aware rollup routing
-        synthesizes partials instead (see ``repro.shard.partial_exec``).
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        method, kwargs_items = normalized_call(engine, method, args, kwargs)
-        partials, plan = self._dispatch_morsels(engine, method, kwargs_items)
-        partial = merge_worker_partials(partials)
-        summary = plan.summary(self.db, method) if plan is not None else None
-        return partial, summary
 
     def ping(self) -> bool:
         with self._lock:

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs import trace
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE, CHUNK_ROWS, MIXED
 
 #: Rows per synthesized pruned block.  Matches the process executor's
@@ -332,6 +333,28 @@ def compute_prune_plan(
     )
 
 
+def plan_for(db, method: str, kwargs, executor: str) -> PrunePlan | None:
+    """The prune stage of :func:`repro.core.parallel.run_call`: the
+    plan for one bound call, or None when execution should not prune
+    (pruning off, no prunable predicate summary, or nothing pruned).
+
+    Emits a ``prune`` span whenever a summary was evaluated, so the
+    decision -- including "kept everything" -- is visible in traces.
+    """
+    if not pruning_enabled():
+        return None
+    atoms = atoms_for(db, method, kwargs)
+    if not atoms:
+        return None
+    with trace.span("prune", executor=executor):
+        plan = compute_prune_plan(db, atoms)
+        if plan is not None:
+            trace.annotate(**plan.summary(db, method))
+    if plan is None or plan.nothing_pruned:
+        return None
+    return plan
+
+
 # ----------------------------------------------------------------------
 # Constant-mask substitution
 # ----------------------------------------------------------------------
@@ -424,22 +447,24 @@ def pruned_partials(engine, db, method: str, kwargs, plan: PrunePlan) -> list:
     return partials
 
 
-def execute_pruned(engine, db, method: str, kwargs, plan: PrunePlan):
-    """Thread-executor pruned path: scan the kept segments for real,
-    synthesize the pruned ones, merge exactly.
-
-    Emits one ``morsel`` span per kept segment when tracing is active
-    (no-ops otherwise), mirroring the process executor's shape.
-    """
-    from repro.obs import trace
-
-    kwargs = dict(kwargs)
-    partials = pruned_partials(engine, db, method, kwargs, plan)
-    for lo, hi in plan.kept_segments:
+def scan_segments(engine, db, method: str, kwargs, segments) -> list:
+    """Inline dispatch: run each row range on the calling thread, one
+    ``morsel`` span per range (no-ops when untraced), mirroring the
+    process executor's shape."""
+    runner = getattr(engine, method)
+    partials = []
+    for lo, hi in segments:
         with trace.span("morsel", row_range=(lo, hi), stolen=False):
-            partials.append(
-                getattr(engine, method)(db, row_range=(lo, hi), **kwargs)
-            )
+            partials.append(runner(db, row_range=(lo, hi), **kwargs))
+    return partials
+
+
+def execute_pruned(engine, db, method: str, kwargs, plan: PrunePlan):
+    """Inline execution under a given plan: scan the kept segments for
+    real, synthesize the pruned ones, merge exactly."""
+    kwargs = dict(kwargs)
+    partials = scan_segments(engine, db, method, kwargs, plan.kept_segments)
+    partials.extend(pruned_partials(engine, db, method, kwargs, plan))
     result = engine.merge_morsels(db, method, kwargs, partials)
     result.details["pruning"] = plan.summary(db, method)
     return result

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.workprofile import WorkProfile
-from repro.engines.morsel import merge_states, touched_lines
+from repro.engines.morsel import merge_worker_partials, touched_lines
 from repro.obs import trace
 from repro.storage import Database
 from repro.tpch.schema import PROJECTION_COLUMNS, SELECTION_PREDICATE_COLUMNS
@@ -322,24 +322,13 @@ class Engine(ABC):
         for partial in partials:
             if "partial" not in partial.details:
                 raise ValueError("merge_morsels needs partial results (row_range runs)")
-        partials.sort(key=lambda result: result.details["row_range"])
-        state = partials[0].details["partial"]
-        work = partials[0].work
-        operators = partials[0].details.get("operators")
-        tuples = partials[0].tuples
-        for partial in partials[1:]:
-            merge_states(state, partial.details["partial"])
-            work.merge_partial(partial.work)
-            tuples += partial.tuples
-            other_ops = partial.details.get("operators")
-            if (operators is None) != (other_ops is None):
-                raise ValueError("partials disagree on operator attribution")
-            if operators is not None:
-                if operators.keys() != other_ops.keys():
-                    raise ValueError("partials disagree on operator names")
-                for name, profile in operators.items():
-                    profile.merge_partial(other_ops[name])
-        merged = MergedPartials(state=state, work=work, tuples=tuples, operators=operators)
+        folded = merge_worker_partials(partials)
+        merged = MergedPartials(
+            state=folded.details["partial"],
+            work=folded.work,
+            tuples=folded.tuples,
+            operators=folded.details.get("operators"),
+        )
         finisher = getattr(self, f"_finish_{method[len('run_'):]}", None)
         if finisher is None:
             raise ValueError(f"{self.name} has no morsel finisher for {method!r}")

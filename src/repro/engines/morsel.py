@@ -277,3 +277,41 @@ def merge_states(target: dict, other: dict) -> dict:
                 f"cannot merge state key {key!r} of type {type(current).__name__}"
             )
     return target
+
+
+def merge_worker_partials(partials: list):
+    """Fold several morsel partials into one (still partial) result:
+    the pre-merge stage of every executor.
+
+    Pool workers do this locally so only one partial per worker crosses
+    the process boundary, a shard node before its partial crosses the
+    wire, and :meth:`Engine.merge_morsels` before its finisher.  All
+    merge operations are commutative and exact (see :func:`merge_states`
+    and :meth:`WorkProfile.merge_partial`), so steal-order does not
+    affect the merged bits.  The synthetic row range spans the merged
+    morsels (ranges are only used to order partials deterministically).
+    """
+    partials = sorted(partials, key=lambda result: result.details["row_range"])
+    first = partials[0]
+    state = first.details["partial"]
+    work = first.work
+    operators = first.details.get("operators")
+    tuples = first.tuples
+    lo, hi = first.details["row_range"]
+    for partial in partials[1:]:
+        merge_states(state, partial.details["partial"])
+        work.merge_partial(partial.work)
+        tuples += partial.tuples
+        other_ops = partial.details.get("operators")
+        if (operators is None) != (other_ops is None):
+            raise ValueError("partial operator profiles are not congruent")
+        if operators is not None:
+            if operators.keys() != other_ops.keys():
+                raise ValueError("partial operator profiles are not congruent")
+            for name, profile in operators.items():
+                profile.merge_partial(other_ops[name])
+        other_lo, other_hi = partial.details["row_range"]
+        lo, hi = min(lo, other_lo), max(hi, other_hi)
+    first.details["row_range"] = (lo, hi)
+    first.tuples = tuples
+    return first

@@ -138,43 +138,39 @@ def _match(db, rollup, profile: QueryProfile):
     return include
 
 
-def _assemble(engine, db, rollup, profile: QueryProfile, included, kwargs):
+def _assemble(engine, db, rollup, profile: QueryProfile, selected, kwargs, finish):
     """The routed :class:`QueryResult`: exact partial merge + an honest
-    (rollup-sized) work profile."""
+    (rollup-sized) work profile.  ``finish=False`` stops before the one
+    global rounding and returns the ExactSum as a morsel partial."""
     from repro.engines.base import QueryResult
 
-    kwargs = dict(kwargs)
-    selected = np.flatnonzero(included[rollup.partition_ids])
     agg_names = tuple(
         rollup.aggregate_named("sum", expr).name for expr in profile.expressions
     )
+    sums = [ExactSum(rollup.sum_units(name, selected)) for name in agg_names]
     details: dict = {}
-    if profile.method == "run_projection":
-        degree = int(kwargs["degree"])
-        label = f"projection-p{degree}"
-        value = ExactSum(rollup.sum_units(agg_names[0], selected)).total()
-    elif profile.method == "run_groupby":
-        label = "groupby-micro"
-        value = ExactSum(rollup.sum_units(agg_names[0], selected)).total()
-    else:  # run_q1
+    if profile.method == "run_q1":
         label = "Q1"
-        totals = [
-            ExactSum(rollup.sum_units(name, selected)).total()
-            for name in agg_names
-        ]
         flags = rollup.key_columns["l_returnflag"][selected]
         status = rollup.key_columns["l_linestatus"][selected]
         group_key = flags.astype(np.int64) * 2 + status.astype(np.int64)
         groups = int(len(np.unique(group_key)))
         value = {
-            "sum_qty": totals[0],
-            "sum_base_price": totals[1],
-            "sum_disc_price": totals[2],
-            "sum_charge": totals[3],
+            "sum_qty": sums[0].total(),
+            "sum_base_price": sums[1].total(),
+            "sum_disc_price": sums[2].total(),
+            "sum_charge": sums[3].total(),
             "groups": groups,
         }
         details["groups"] = groups
         agg_names = agg_names + (rollup.aggregate_named("count").name,)
+    else:  # run_projection / run_groupby: one global sum
+        label = (
+            "groupby-micro"
+            if profile.method == "run_groupby"
+            else f"projection-p{int(kwargs['degree'])}"
+        )
+        value = sums[0].total()
 
     n_read = len(selected)
     work = engine._new_work()
@@ -185,15 +181,29 @@ def _assemble(engine, db, rollup, profile: QueryProfile, included, kwargs):
         chain=float(n_read),
     )
     work.record_sequential_read(float(rollup.row_bytes(agg_names) * n_read))
-    work = engine._finalize_profile(work)
-    return QueryResult(label, value, n_read, work, details)
+    if not finish:
+        # The global-sum finishers consume exactly state["sum"] + the
+        # merged tuples, so this is indistinguishable from a scan
+        # partial.  tuples stays the base-row count: cross-shard sums
+        # must equal the single-node scan's count.
+        n_rows = db.table(rollup.base_table).n_rows
+        return engine._partial_result(
+            label, {"sum": sums[0]}, n_rows, work, (0, n_rows)
+        )
+    return QueryResult(label, value, n_read, engine._finalize_profile(work), details)
 
 
-def route(db, engine, method: str, kwargs):
+def route(db, engine, method: str, kwargs, finish: bool = True):
     """Try to answer one bound call from an attached rollup.
 
     Returns ``(result, decision)``; ``result`` is None on fallback and
-    ``decision`` always records the outcome and reason.
+    ``decision`` always records the outcome and reason.  With
+    ``finish=False`` (a shard node's share of a scattered query) the
+    result is a still-mergeable partial, and only key-less, atom-less
+    global sums route: a per-shard finished value would round once per
+    shard, and per-group or filtered output would need
+    partition-aligned predicates per shard, which hash sharding does
+    not preserve.
     """
     decision = {
         "rollup_used": False,
@@ -208,6 +218,9 @@ def route(db, engine, method: str, kwargs):
     profile = profile_for(method, kwargs)
     if profile is None:
         decision["reason"] = "unsupported-method"
+        return None, decision
+    if not finish and (profile.atoms or profile.keys or profile.needs_groups):
+        decision["reason"] = "partial-not-a-global-sum"
         return None, decision
     if profile.hpe_only:
         from repro.engines.interpreter import InterpreterEngine
@@ -225,7 +238,8 @@ def route(db, engine, method: str, kwargs):
         if isinstance(matched, str):
             reason = matched
             continue
-        result = _assemble(engine, db, rollup, profile, matched, kwargs)
+        selected = np.flatnonzero(matched[rollup.partition_ids])
+        result = _assemble(engine, db, rollup, profile, selected, kwargs, finish)
         table = db.table(rollup.base_table)
         scan_columns = _BASE_SCAN_COLUMNS.get(method)
         if scan_columns is None:  # projection: the first `degree` columns
@@ -238,7 +252,7 @@ def route(db, engine, method: str, kwargs):
             rollup=rollup.name,
             partitions_included=int(matched.sum()),
             partitions_total=int(rollup.n_partitions),
-            rows_read=int(result.tuples),
+            rows_read=len(selected),
             base_rows_avoided=int(table.n_rows),
             bytes_read=int(result.work.seq_read_bytes),
             base_bytes_avoided=int(table.bytes_for(scan_columns)),
@@ -248,8 +262,9 @@ def route(db, engine, method: str, kwargs):
     return None, decision
 
 
-def attempt(db, engine, method: str, kwargs, executor: str):
-    """Route with a ``route`` span, used by both executors.
+def attempt(db, engine, method: str, kwargs, executor: str, finish: bool = True):
+    """Route with a ``route`` span: the first stage of
+    :func:`repro.core.parallel.run_call` on every executor.
 
     Returns ``(None, None)`` without emitting a span when routing is
     inactive (toggle off, or the database has no rollups) so span trees
@@ -263,7 +278,7 @@ def attempt(db, engine, method: str, kwargs, executor: str):
     from repro.obs import trace
 
     with trace.span("route", executor=executor):
-        result, decision = route(db, engine, method, kwargs)
+        result, decision = route(db, engine, method, kwargs, finish)
         trace.annotate(
             rollup_used=decision["rollup_used"], reason=decision["reason"]
         )

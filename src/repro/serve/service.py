@@ -18,11 +18,13 @@ tier served them.
 
 from __future__ import annotations
 
+import copy
 import queue
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.core.parallel import WorkerPool, normalized_call, run_call
 from repro.obs import (
     Clock,
     DEFAULT_CLOCK,
@@ -40,7 +42,7 @@ from repro.serve.protocol import (
     STATUS_TIMEOUT,
     jsonable,
 )
-from repro.sql import SqlError, compile_sql, normalize_sql
+from repro.sql import compile_sql, normalize_sql
 
 
 @dataclass(frozen=True)
@@ -186,43 +188,30 @@ class QueryService:
         self.stats = ServiceStats()
         self.metrics = MetricsRegistry()
         self.slowlog = SlowLog(self.config.slowlog_capacity)
-        self._pruning_lock = threading.Lock()
-        self._pruning_totals = {
-            "queries": 0,
-            "queries_pruned": 0,
-            "morsels_scanned": 0,
-            "morsels_pruned": 0,
-            "rows_pruned": 0,
-            "bytes_pruned": 0,
-        }
-        self._rollup_lock = threading.Lock()
-        self._rollup_totals = {
-            "queries": 0,
-            "routed": 0,
-            "fallbacks": 0,
-            "rows_read": 0,
-            "base_rows_avoided": 0,
-            "bytes_read": 0,
-            "base_bytes_avoided": 0,
-        }
-        self._encoded_agg_lock = threading.Lock()
-        self._encoded_agg_totals = {
-            "queries": 0,
-            "queries_code_domain": 0,
-            "aggregates_code_domain": 0,
-            "aggregates_decoded": 0,
-        }
-        self._compile_lock = threading.Lock()
-        self._compile_totals = {
-            "queries": 0,
-            "joins": 0,
-            "groups_emitted": 0,
-        }
-        self._chooser_lock = threading.Lock()
-        self._chooser_totals = {
-            "decisions": 0,
-            "declined": 0,
-            "chosen": {},
+        #: What the execution stages decided, summed over the service's
+        #: lifetime: one block per ``stats_snapshot()`` key, filled by
+        #: :meth:`_record_decisions` (and the chooser) under one lock
+        #: and mirrored into counters at scrape time.  Sub-dicts count
+        #: per metric label value.
+        self._totals_lock = threading.Lock()
+        self._totals = {
+            "pruning": dict.fromkeys(
+                ("queries", "queries_pruned", "morsels_scanned",
+                 "morsels_pruned", "rows_pruned", "bytes_pruned"), 0
+            ),
+            "rollups": {
+                **dict.fromkeys(
+                    ("queries", "routed", "fallbacks", "rows_read",
+                     "base_rows_avoided", "bytes_read", "base_bytes_avoided"), 0
+                ),
+                "fallback_reasons": {},
+            },
+            "encoded_agg": dict.fromkeys(
+                ("queries", "queries_code_domain", "aggregates_code_domain",
+                 "aggregates_decoded"), 0
+            ),
+            "compile": dict.fromkeys(("queries", "joins", "groups_emitted"), 0),
+            "chooser": {"decisions": 0, "declined": 0, "chosen": {}},
         }
         self._register_metrics()
         self._workers: list[threading.Thread] = []
@@ -272,53 +261,8 @@ class QueryService:
         self._m_pool_queries = m.counter(
             "repro_pool_queries_total", "Queries executed on the morsel pool"
         )
-        self._m_prune_queries = m.counter(
-            "repro_prune_queries_total",
-            "Queries that skipped at least one morsel via zone maps",
-        )
-        self._m_prune_scanned = m.counter(
-            "repro_prune_morsels_scanned_total",
-            "Zone-map chunks scanned by prune-eligible queries",
-        )
-        self._m_prune_pruned = m.counter(
-            "repro_prune_morsels_pruned_total",
-            "Zone-map chunks skipped without scanning",
-        )
-        self._m_prune_rows = m.counter(
-            "repro_prune_rows_pruned_total", "Rows skipped via zone maps"
-        )
-        self._m_rollup_routed = m.counter(
-            "repro_rollup_routed_total",
-            "Queries answered from a materialized rollup",
-        )
-        self._m_rollup_fallbacks = m.counter(
-            "repro_rollup_fallbacks_total",
-            "Rollup-eligible queries that fell back to base execution",
-            ("reason",),
-        )
-        self._m_rollup_rows_read = m.counter(
-            "repro_rollup_rows_read_total",
-            "Pre-aggregated rollup rows read by routed queries",
-        )
-        self._m_rollup_rows_avoided = m.counter(
-            "repro_rollup_base_rows_avoided_total",
-            "Base-table rows routed queries did not scan",
-        )
         self._m_rollup_tables = m.gauge(
             "repro_rollup_tables", "Rollup tables attached to the served database"
-        )
-        self._m_encoded_agg_queries = m.counter(
-            "repro_encoded_agg_queries_total",
-            "Queries that aggregated at least one measure in the code domain",
-        )
-        self._m_encoded_agg_aggregates = m.counter(
-            "repro_encoded_agg_aggregates_total",
-            "Aggregate slots by morph decision (code-domain vs decoded)",
-            ("mode",),
-        )
-        self._m_compile_queries = m.counter(
-            "repro_compile_queries_total",
-            "Queries executed through a compiled kernel program",
         )
         self._m_compile_hits = m.counter(
             "repro_compile_cache_hits_total", "Compiled-program cache hits"
@@ -330,14 +274,64 @@ class QueryService:
         self._m_compile_entries = m.gauge(
             "repro_compile_cache_entries", "Compiled programs currently cached"
         )
+        #: Counters that mirror one decision total each:
+        #: (``_totals`` block, key) -> counter.
+        self._m_decisions = {
+            ("pruning", "queries_pruned"): m.counter(
+                "repro_prune_queries_total",
+                "Queries that skipped at least one morsel via zone maps",
+            ),
+            ("pruning", "morsels_scanned"): m.counter(
+                "repro_prune_morsels_scanned_total",
+                "Zone-map chunks scanned by prune-eligible queries",
+            ),
+            ("pruning", "morsels_pruned"): m.counter(
+                "repro_prune_morsels_pruned_total",
+                "Zone-map chunks skipped without scanning",
+            ),
+            ("pruning", "rows_pruned"): m.counter(
+                "repro_prune_rows_pruned_total", "Rows skipped via zone maps"
+            ),
+            ("rollups", "routed"): m.counter(
+                "repro_rollup_routed_total",
+                "Queries answered from a materialized rollup",
+            ),
+            ("rollups", "rows_read"): m.counter(
+                "repro_rollup_rows_read_total",
+                "Pre-aggregated rollup rows read by routed queries",
+            ),
+            ("rollups", "base_rows_avoided"): m.counter(
+                "repro_rollup_base_rows_avoided_total",
+                "Base-table rows routed queries did not scan",
+            ),
+            ("encoded_agg", "queries_code_domain"): m.counter(
+                "repro_encoded_agg_queries_total",
+                "Queries that aggregated at least one measure in the code domain",
+            ),
+            ("compile", "queries"): m.counter(
+                "repro_compile_queries_total",
+                "Queries executed through a compiled kernel program",
+            ),
+            ("chooser", "declined"): m.counter(
+                "repro_chooser_declined_total",
+                "Queries the engine chooser could not model",
+            ),
+        }
+        # Labelled mirrors: one series per label value seen.
+        self._m_rollup_fallbacks = m.counter(
+            "repro_rollup_fallbacks_total",
+            "Rollup-eligible queries that fell back to base execution",
+            ("reason",),
+        )
+        self._m_encoded_agg_aggregates = m.counter(
+            "repro_encoded_agg_aggregates_total",
+            "Aggregate slots by morph decision (code-domain vs decoded)",
+            ("mode",),
+        )
         self._m_chooser_decisions = m.counter(
             "repro_chooser_decisions_total",
             "Engine-chooser decisions by predicted-fastest route",
             ("chosen",),
-        )
-        self._m_chooser_declined = m.counter(
-            "repro_chooser_declined_total",
-            "Queries the engine chooser could not model",
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -399,8 +393,6 @@ class QueryService:
         thread-mode services never spawn processes)."""
         with self._pool_lock:
             if self._pool is None:
-                from repro.core.parallel import WorkerPool
-
                 self._pool = WorkerPool(
                     self.db, n_workers=self.config.process_workers
                 )
@@ -432,6 +424,20 @@ class QueryService:
             bound = self._plans[key]
         return bound
 
+    def _run(self, engine, method: str, kwargs_items: tuple, finish: bool = True):
+        """One normalized call through the execution driver on this
+        service's executor."""
+        pool = self.pool() if self.config.executor == "process" else None
+        # Span label: a thread node's partials are tagged "shard".
+        label = self.config.executor if pool is not None or finish else "shard"
+        result = run_call(
+            self.db, engine, method, kwargs_items,
+            pool=pool, finish=finish, executor=label,
+        )
+        if pool is not None:
+            self._m_pool_queries.inc()
+        return result
+
     def execute_partial(self, method: str, kwargs_items: tuple, engine=None):
         """One shard's share of a scattered query: execute the already
         normalized call over this service's (shard) database and stop
@@ -439,31 +445,26 @@ class QueryService:
         QueryResult for the coordinator's exact cross-node merge.
 
         The coordinator lowered and normalized once; this node never
-        parses SQL for scattered work.  Shard-aware reuse happens in
-        :mod:`repro.shard.partial_exec`: zone-map pruning runs against
-        this shard's own morsels, and rollup routing contributes
-        ExactSum partials instead of finished (rounded) values.
+        parses SQL for scattered work.  Reuse is per shard: zone-map
+        pruning runs against this shard's own morsels, and rollup
+        routing contributes ExactSum partials instead of finished
+        (rounded) values.
         """
         if not self.config.shard_node:
             raise RuntimeError("execute_partial requires a shard_node service")
-        from repro.shard import partial_exec
-
-        engine_obj = self.engine(engine or self.config.default_engine)
-        kwargs_items = tuple(kwargs_items)
-        if self.config.executor == "process":
-            partial, prune_summary, rollup_decision = partial_exec.pooled_partial(
-                self.pool(), engine_obj, method, kwargs_items
+        engine_name = engine or self.config.default_engine
+        started = self.clock.now()
+        status = STATUS_ERROR
+        try:
+            partial = self._run(
+                self.engine(engine_name), method, tuple(kwargs_items), finish=False
             )
-        else:
-            partial, prune_summary, rollup_decision = partial_exec.thread_partial(
-                self.db, engine_obj, method, kwargs_items
-            )
-        if prune_summary is not None:
-            partial.details["pruning"] = prune_summary
-            self._record_pruning(partial)
-        if rollup_decision is not None:
-            self._record_rollup(partial)
-        return partial
+            self._record_decisions(partial, method)
+            status = STATUS_OK
+            return partial
+        finally:
+            latency_ms = (self.clock.now() - started) * 1e3
+            self._count(engine_name, status, latency_ms, False)
 
     def queue_depth(self) -> int:
         return self._queue.qsize()
@@ -532,6 +533,16 @@ class QueryService:
             error=f"request missed its {deadline:.3f}s deadline",
         )
 
+    def _count(self, engine_name: str, status: str, latency_ms, cached: bool) -> None:
+        """Count one terminal outcome (a query, or a shard node's
+        ``partial`` op) in the stats and the query/latency metrics;
+        latency is kept for ``ok`` outcomes only."""
+        ok = status == STATUS_OK
+        self.stats.record(status, latency_ms if ok else None, cached)
+        self._m_queries.labels(engine=engine_name, status=status).inc()
+        if ok:
+            self._m_latency.labels(engine=engine_name).observe(latency_ms / 1e3)
+
     def _finish(
         self, request: _Request, *, skip_if_abandoned: bool = False, **fields
     ) -> dict | None:
@@ -553,16 +564,9 @@ class QueryService:
             if response.get("trace") is None:
                 response.pop("trace", None)  # untraced responses stay as before
             status = response["status"]
-            self.stats.record(
-                status,
-                latency_ms if status == STATUS_OK else None,
-                bool(response.get("cached")),
+            self._count(
+                request.engine_name, status, latency_ms, bool(response.get("cached"))
             )
-            self._m_queries.labels(engine=request.engine_name, status=status).inc()
-            if status == STATUS_OK:
-                self._m_latency.labels(engine=request.engine_name).observe(
-                    latency_ms / 1e3
-                )
             if status != STATUS_REJECTED:  # rejected queries never ran
                 self.slowlog.record(
                     sql=request.sql,
@@ -600,167 +604,54 @@ class QueryService:
 
     def _trace_dict(self, request: _Request) -> dict | None:
         """Finish and render the request's span tree, if it has one."""
-        if request.tracer is None:
-            return None
-        return request.tracer.render()
+        return request.tracer.render() if request.tracer is not None else None
 
-    def _morsel_rows(self, bound, engine) -> int | None:
-        """Row count the thread executor's single 'morsel' covers."""
-        try:
-            kwargs = bound.call_kwargs()
-            kwargs["args"] = list(bound.args)
-            return engine.partition_rows(self.db, bound.method, kwargs)
-        except (ValueError, KeyError):
-            return None
-
-    def _thread_pruned(self, bound, engine, options: dict):
-        """Execute on this thread with zone-map pruning, or return None
-        when the normal path should run (pruning off, no prunable
-        predicate summary, or nothing pruned).
-
-        Emits a ``prune`` span whenever a summary was evaluated, so the
-        decision -- including "kept everything" -- is visible in traces.
-        """
-        from repro.core import parallel, pruning
-
-        if not pruning.pruning_enabled():
-            return None
-        merged = bound.call_kwargs()
-        merged.update(options)
-        try:
-            method, kwargs_items = parallel.normalized_call(
-                engine, bound.method, bound.args, merged
-            )
-        except ValueError:
-            return None  # no morsel support: nothing to prune
-        atoms = pruning.atoms_for(self.db, method, dict(kwargs_items))
-        if not atoms:
-            return None
-        with trace.span("prune", executor="thread"):
-            plan = pruning.compute_prune_plan(self.db, atoms)
-            if plan is not None:
-                trace.annotate(**plan.summary(self.db, method))
-        if plan is None or plan.nothing_pruned:
-            return None
-        return pruning.execute_pruned(
-            engine, self.db, method, dict(kwargs_items), plan
-        )
-
-    def _thread_routed(self, bound, engine, options: dict):
-        """Try to answer on this thread from a materialized rollup.
-
-        Returns ``(result, decision)`` from
-        :func:`repro.rollup.router.attempt`: ``(None, None)`` when
-        routing is inactive, ``(None, decision)`` on a reasoned
-        fallback, a routed result otherwise."""
-        from repro.core import parallel
-        from repro.rollup import router
-
-        merged = bound.call_kwargs()
-        merged.update(options)
-        try:
-            method, kwargs_items = parallel.normalized_call(
-                engine, bound.method, bound.args, merged
-            )
-        except ValueError:
-            return None, None  # no morsel support: rollups target scans
-        return router.attempt(
-            self.db, engine, method, dict(kwargs_items), executor="thread"
-        )
-
-    def _record_rollup(self, result) -> None:
-        """Fold one result's routing decision into service totals and
-        the rollup metric family (both executors ship the decision in
-        ``result.details['rollup']``)."""
-        info = result.details.get("rollup")
-        if not info:
-            return
-        routed = bool(info.get("rollup_used"))
-        rows_read = int(info.get("rows_read", 0))
-        rows_avoided = int(info.get("base_rows_avoided", 0))
-        with self._rollup_lock:
-            totals = self._rollup_totals
-            totals["queries"] += 1
-            if routed:
-                totals["routed"] += 1
-                totals["rows_read"] += rows_read
-                totals["base_rows_avoided"] += rows_avoided
-                totals["bytes_read"] += int(info.get("bytes_read", 0))
-                totals["base_bytes_avoided"] += int(
-                    info.get("base_bytes_avoided", 0)
+    def _record_decisions(self, result, method: str) -> None:
+        """Fold what the execution stages decided for one result (every
+        executor and partials alike ship it in ``result.details``) into
+        the service totals."""
+        details = result.details
+        pruning = details.get("pruning")
+        rollup = details.get("rollup")
+        encoded = details.get("encoded_agg")
+        with self._totals_lock:
+            if pruning:
+                totals = self._totals["pruning"]
+                totals["queries"] += 1
+                totals["queries_pruned"] += bool(pruning.get("morsels_pruned"))
+                for key in (
+                    "morsels_scanned", "morsels_pruned", "rows_pruned", "bytes_pruned"
+                ):
+                    totals[key] += int(pruning.get(key, 0))
+            if rollup:
+                totals = self._totals["rollups"]
+                totals["queries"] += 1
+                if rollup.get("rollup_used"):
+                    totals["routed"] += 1
+                    for key in (
+                        "rows_read", "base_rows_avoided", "bytes_read",
+                        "base_bytes_avoided",
+                    ):
+                        totals[key] += int(rollup.get(key, 0))
+                else:
+                    totals["fallbacks"] += 1
+                    reasons = totals["fallback_reasons"]
+                    reason = str(rollup.get("reason", "unknown"))
+                    reasons[reason] = reasons.get(reason, 0) + 1
+            if encoded:
+                totals = self._totals["encoded_agg"]
+                code_domain = int(encoded.get("code_domain", 0))
+                totals["queries"] += 1
+                totals["queries_code_domain"] += bool(code_domain)
+                totals["aggregates_code_domain"] += code_domain
+                totals["aggregates_decoded"] += int(encoded.get("decoded", 0))
+            if method == "run_compiled":
+                totals = self._totals["compile"]
+                totals["queries"] += 1
+                totals["joins"] += len(
+                    (details.get("compiled") or {}).get("joins", ())
                 )
-            else:
-                totals["fallbacks"] += 1
-        if routed:
-            self._m_rollup_routed.inc()
-            self._m_rollup_rows_read.inc(rows_read)
-            self._m_rollup_rows_avoided.inc(rows_avoided)
-        else:
-            self._m_rollup_fallbacks.labels(
-                reason=str(info.get("reason", "unknown"))
-            ).inc()
-
-    def _record_pruning(self, result) -> None:
-        """Fold one result's pruning decision into service totals and
-        the prune metric family (works for both executors: the decision
-        rides in ``result.details['pruning']``)."""
-        info = result.details.get("pruning")
-        if not info:
-            return
-        pruned = int(info.get("morsels_pruned", 0))
-        scanned = int(info.get("morsels_scanned", 0))
-        rows_pruned = int(info.get("rows_pruned", 0))
-        bytes_pruned = int(info.get("bytes_pruned", 0))
-        with self._pruning_lock:
-            totals = self._pruning_totals
-            totals["queries"] += 1
-            totals["queries_pruned"] += 1 if pruned else 0
-            totals["morsels_scanned"] += scanned
-            totals["morsels_pruned"] += pruned
-            totals["rows_pruned"] += rows_pruned
-            totals["bytes_pruned"] += bytes_pruned
-        if pruned:
-            self._m_prune_queries.inc()
-        self._m_prune_scanned.inc(scanned)
-        self._m_prune_pruned.inc(pruned)
-        self._m_prune_rows.inc(rows_pruned)
-
-    def _record_encoded_agg(self, result) -> None:
-        """Fold one result's aggregation morph decision into service
-        totals and the encoded-agg metric family (both executors ship
-        the decision in ``result.details['encoded_agg']``)."""
-        info = result.details.get("encoded_agg")
-        if not info:
-            return
-        code_domain = int(info.get("code_domain", 0))
-        decoded = int(info.get("decoded", 0))
-        with self._encoded_agg_lock:
-            totals = self._encoded_agg_totals
-            totals["queries"] += 1
-            totals["queries_code_domain"] += 1 if code_domain else 0
-            totals["aggregates_code_domain"] += code_domain
-            totals["aggregates_decoded"] += decoded
-        if code_domain:
-            self._m_encoded_agg_queries.inc()
-            self._m_encoded_agg_aggregates.labels(mode="code-domain").inc(
-                code_domain
-            )
-        if decoded:
-            self._m_encoded_agg_aggregates.labels(mode="decoded").inc(decoded)
-
-    def _record_compile(self, result, bound) -> None:
-        """Fold one compiled-path execution into service totals and the
-        compile metric family (the program summary rides in
-        ``result.details['compiled']``)."""
-        if bound.method != "run_compiled":
-            return
-        info = result.details.get("compiled") or {}
-        with self._compile_lock:
-            totals = self._compile_totals
-            totals["queries"] += 1
-            totals["joins"] += len(info.get("joins", ()))
-            totals["groups_emitted"] += int(result.details.get("groups", 0))
-        self._m_compile_queries.inc()
+                totals["groups_emitted"] += int(details.get("groups", 0))
 
     def _chooser_decision(self, bound) -> dict:
         """The engine chooser's prediction for ``bound`` (a
@@ -774,21 +665,19 @@ class QueryService:
                 decision = choose(self.db, bound)
             except ChooserError as exc:
                 trace.annotate(outcome="declined")
-                with self._chooser_lock:
-                    self._chooser_totals["declined"] += 1
-                self._m_chooser_declined.inc()
+                with self._totals_lock:
+                    self._totals["chooser"]["declined"] += 1
                 return {"declined": str(exc)}
             trace.annotate(
                 outcome="decided",
                 chosen=decision["chosen"],
                 predicted_cycles=decision["predicted_cycles"][decision["chosen"]],
             )
-        with self._chooser_lock:
-            totals = self._chooser_totals
+        with self._totals_lock:
+            totals = self._totals["chooser"]
             totals["decisions"] += 1
             chosen = decision["chosen"]
             totals["chosen"][chosen] = totals["chosen"].get(chosen, 0) + 1
-        self._m_chooser_decisions.labels(chosen=decision["chosen"]).inc()
         return decision
 
     def explain(self, sql: str) -> dict:
@@ -833,39 +722,12 @@ class QueryService:
                 engine=request.engine_name,
                 executor=self.config.executor,
             ):
-                if self.config.executor == "process":
-                    merged = bound.call_kwargs()
-                    merged.update(request.options)
-                    result = self.pool().run_query(
-                        engine, bound.method, *bound.args, **merged
-                    )
-                    self._m_pool_queries.inc()
-                else:
-                    result, rollup_decision = self._thread_routed(
-                        bound, engine, request.options
-                    )
-                    if result is None:
-                        result = self._thread_pruned(
-                            bound, engine, request.options
-                        )
-                    if result is None and tracing:
-                        # Thread mode runs the whole table as one morsel
-                        # on this worker thread; record it in the same
-                        # shape the process executor produces.
-                        n_rows = self._morsel_rows(bound, engine)
-                        with trace.span(
-                            "morsel",
-                            worker=threading.current_thread().name,
-                            row_range=(0, n_rows) if n_rows is not None else None,
-                            stolen=False,
-                        ):
-                            result = bound.execute(
-                                engine, self.db, **request.options
-                            )
-                    elif result is None:
-                        result = bound.execute(engine, self.db, **request.options)
-                    if rollup_decision is not None and "rollup" not in result.details:
-                        result.details["rollup"] = rollup_decision
+                merged = bound.call_kwargs()
+                merged.update(request.options)
+                method, kwargs_items = normalized_call(
+                    engine, bound.method, bound.args, merged
+                )
+                result = self._run(engine, method, kwargs_items)
                 if "chooser" not in result.details:
                     result.details["chooser"] = self._chooser_decision(bound)
                 if tracing:
@@ -873,20 +735,8 @@ class QueryService:
                         cached=bool(result.details.get("cached")),
                         **self.profiler().span_attrs(engine, result),
                     )
-            self._record_pruning(result)
-            self._record_rollup(result)
-            self._record_encoded_agg(result)
-            self._record_compile(result, bound)
-        except SqlError as exc:
-            self._finish(
-                request,
-                skip_if_abandoned=True,
-                status=STATUS_ERROR,
-                error=str(exc),
-                trace=self._trace_dict(request),
-            )
-            return
-        except (ValueError, TypeError, RuntimeError) as exc:
+            self._record_decisions(result, method)
+        except (ValueError, TypeError, RuntimeError) as exc:  # SqlError included
             self._finish(
                 request,
                 skip_if_abandoned=True,
@@ -909,88 +759,21 @@ class QueryService:
             trace=self._trace_dict(request),
         )
 
-    def _storage_stats(self) -> dict:
-        """Storage shape of the served database: encoding state and
-        logical vs stored bytes.  Never triggers generation -- an
-        unserved database reports only the toggle."""
-        from repro.storage import encoding_enabled
-
-        stats: dict = {"encoding_enabled": encoding_enabled()}
-        with self._db_lock:
-            db = self._db
-        if db is None:
-            stats["database_loaded"] = False
-            return stats
-        encoded_columns = sum(
-            1
-            for name in db.table_names
-            for column in db.table(name).column_names
-            if db.table(name).encoding(column) is not None
-        )
-        stats.update(
-            database_loaded=True,
-            logical_bytes=db.nbytes,
-            stored_bytes=db.encoded_nbytes,
-            compression_ratio=round(db.nbytes / db.encoded_nbytes, 3)
-            if db.encoded_nbytes
-            else 1.0,
-            encoded_columns=encoded_columns,
-        )
-        return stats
-
-    def _pruning_stats(self) -> dict:
-        """Zone-map pruning state and service-lifetime totals."""
-        from repro.core.pruning import pruning_enabled
-
-        with self._pruning_lock:
-            totals = dict(self._pruning_totals)
-        return {"enabled": pruning_enabled(), **totals}
-
-    def _rollup_stats(self) -> dict:
-        """Rollup routing state and service-lifetime totals.  Never
-        triggers generation -- an unserved database reports only the
-        toggle and counters."""
-        from repro.rollup import rollups_enabled
-
-        with self._db_lock:
-            db = self._db
-        stats: dict = {
-            "enabled": rollups_enabled(),
-            "tables": sorted(getattr(db, "rollup_names", ())) if db else [],
-        }
-        with self._rollup_lock:
-            stats.update(self._rollup_totals)
-        return stats
-
-    def _encoded_agg_stats(self) -> dict:
-        """Code-domain aggregation state and service-lifetime totals."""
-        from repro.storage.encoding import encoded_agg_enabled
-
-        with self._encoded_agg_lock:
-            totals = dict(self._encoded_agg_totals)
-        return {"enabled": encoded_agg_enabled(), **totals}
-
-    def _compile_stats(self) -> dict:
-        """Compiled-path state, program-cache counters and totals."""
-        from repro.compile import compile_enabled
-        from repro.compile.program import compile_cache_stats
-
-        with self._compile_lock:
-            totals = dict(self._compile_totals)
-        return {
-            "enabled": compile_enabled(),
-            "cache": compile_cache_stats(),
-            **totals,
-        }
-
-    def _chooser_stats(self) -> dict:
-        """Engine-chooser decision totals."""
-        with self._chooser_lock:
-            totals = dict(self._chooser_totals)
-            totals["chosen"] = dict(totals["chosen"])
-        return totals
+    def _decision_totals(self) -> dict:
+        with self._totals_lock:
+            return copy.deepcopy(self._totals)
 
     def stats_snapshot(self) -> dict:
+        """Service counters plus, per subsystem, its toggle and what
+        the execution stages decided over the service's lifetime.
+        Never triggers generation -- an unserved database reports only
+        toggles and counters."""
+        from repro.compile import compile_enabled
+        from repro.compile.program import compile_cache_stats
+        from repro.core.pruning import pruning_enabled
+        from repro.rollup import rollups_enabled
+        from repro.storage.encoding import encoded_agg_enabled, encoding_enabled
+
         snapshot = self.stats.snapshot()
         with self._plans_lock:
             snapshot["plan_cache_entries"] = len(self._plans)
@@ -1005,12 +788,43 @@ class QueryService:
         snapshot["queue_depth"] = self.queue_depth()
         snapshot["workers"] = self.config.workers
         snapshot["executor"] = self.config.executor
-        snapshot["storage"] = self._storage_stats()
-        snapshot["pruning"] = self._pruning_stats()
-        snapshot["rollups"] = self._rollup_stats()
-        snapshot["encoded_agg"] = self._encoded_agg_stats()
-        snapshot["compile"] = self._compile_stats()
-        snapshot["chooser"] = self._chooser_stats()
+        with self._db_lock:
+            db = self._db
+        storage: dict = {
+            "encoding_enabled": encoding_enabled(),
+            "database_loaded": db is not None,
+        }
+        if db is not None:
+            tables = [db.table(name) for name in db.table_names]
+            storage.update(
+                logical_bytes=db.nbytes,
+                stored_bytes=db.encoded_nbytes,
+                compression_ratio=round(db.nbytes / db.encoded_nbytes, 3)
+                if db.encoded_nbytes
+                else 1.0,
+                encoded_columns=sum(
+                    table.encoding(column) is not None
+                    for table in tables
+                    for column in table.column_names
+                ),
+            )
+        snapshot["storage"] = storage
+        totals = self._decision_totals()
+        snapshot["pruning"] = {"enabled": pruning_enabled(), **totals["pruning"]}
+        snapshot["rollups"] = {
+            "enabled": rollups_enabled(),
+            "tables": sorted(getattr(db, "rollup_names", ())) if db else [],
+            **totals["rollups"],
+        }
+        snapshot["encoded_agg"] = {
+            "enabled": encoded_agg_enabled(), **totals["encoded_agg"]
+        }
+        snapshot["compile"] = {
+            "enabled": compile_enabled(),
+            "cache": compile_cache_stats(),
+            **totals["compile"],
+        }
+        snapshot["chooser"] = totals["chooser"]
         with self._pool_lock:
             if self._pool is not None:
                 snapshot["process_pool"] = {
@@ -1021,11 +835,28 @@ class QueryService:
 
     # -- observability -------------------------------------------------
     def _sync_mirrored_metrics(self) -> None:
-        """Refresh metrics that mirror state owned elsewhere (plan
-        cache, execcache, queue, pool) at scrape time."""
+        """Refresh metrics that mirror state owned elsewhere (decision
+        totals, plan cache, execcache, queue, pool) at scrape time."""
         from repro.compile.program import compile_cache_stats
         from repro.core.execcache import EXECUTION_CACHE
 
+        totals = self._decision_totals()
+        for (block, key), counter in self._m_decisions.items():
+            counter.sync(totals[block][key])
+        encoded = totals["encoded_agg"]
+        modes = {
+            "code-domain": encoded["aggregates_code_domain"],
+            "decoded": encoded["aggregates_decoded"],
+        }
+        for counter, label, counts in (
+            (self._m_rollup_fallbacks, "reason",
+             totals["rollups"]["fallback_reasons"]),
+            (self._m_encoded_agg_aggregates, "mode", modes),
+            (self._m_chooser_decisions, "chosen", totals["chooser"]["chosen"]),
+        ):
+            for value, count in counts.items():
+                if count:  # a series exists once its label value was seen
+                    counter.labels(**{label: value}).sync(count)
         compile_cache = compile_cache_stats()
         self._m_compile_hits.sync(compile_cache["hits"])
         self._m_compile_misses.sync(compile_cache["misses"])

@@ -20,10 +20,13 @@ those pieces across process boundaries:
   replica failover under a bounded backoff;
 - :mod:`repro.shard.wire` -- checksummed partial-result codec;
 - :mod:`repro.shard.faults` -- deterministic fault injection (kill /
-  drop / delay / corrupt) for the failover tests;
-- :mod:`repro.shard.partial_exec` -- shard-node partial execution:
-  zone-map pruning and rollup routing per shard, stopping before the
-  finisher so the coordinator can merge exactly.
+  drop / delay / corrupt) for the failover tests.
+
+Shard nodes have no executor of their own: a node's ``partial`` op is
+:func:`repro.core.parallel.run_call` with ``finish=False`` -- the same
+routing, zone-map pruning and dispatch as a single node, over the
+shard's own rows, stopping before the finisher so the coordinator can
+merge exactly.
 """
 
 from repro.shard.cluster import ShardCluster

@@ -59,8 +59,8 @@ def decode_call(message: dict) -> tuple[str, tuple]:
 
 
 def encode_partial(result) -> dict:
-    """A still-partial QueryResult (from ``run_partial`` /
-    ``thread_partial``) as wire fields."""
+    """A still-partial QueryResult (``run_call(..., finish=False)``)
+    as wire fields."""
     return _pack(
         {
             "workload": result.workload,

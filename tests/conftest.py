@@ -7,10 +7,12 @@ exceed the modelled L3 the way the paper's SF 5 database does.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import BROADWELL, SKYLAKE, MicroArchProfiler
 from repro.tpch import generate_database
+from repro.tpch.schema import DATE_1998_09_02
 
 TINY_SF = 0.002
 SMALL_SF = 0.02
@@ -70,6 +72,64 @@ def big_db(db_factory):
         seed=42,
         tables=("lineitem", "orders", "supplier", "nation", "partsupp"),
     )
+
+
+def lineitem_twin(db, suffix: str, mutate):
+    """A copy of ``db`` whose lineitem columns went through ``mutate``
+    (dict of arrays -> dict of arrays) before encoding."""
+    from repro.storage import ColumnTable, Database
+    from repro.storage.encoding import encode_columns
+
+    twin = Database(name=f"{db.name}-{suffix}", scale_factor=db.scale_factor)
+    for table_name in db.table_names:
+        table = db.table(table_name)
+        columns = {c: np.asarray(table[c]) for c in table.column_names}
+        if table_name == "lineitem":
+            columns = mutate(columns)
+        twin.add_table(ColumnTable(table_name, encode_columns(columns)))
+    return twin
+
+
+@pytest.fixture(scope="session")
+def sorted_db(small_db):
+    """lineitem clustered on l_shipdate: selective date predicates
+    isolate a narrow kept range, so most chunks prune."""
+
+    def clustered(columns):
+        order = np.argsort(columns["l_shipdate"], kind="stable")
+        return {c: values[order] for c, values in columns.items()}
+
+    return lineitem_twin(small_db, "sorted", clustered)
+
+
+@pytest.fixture(scope="session")
+def shifted_db(tiny_db):
+    """Every l_shipdate pushed past Q6's window: all chunks prune."""
+
+    def shifted(columns):
+        out = dict(columns)
+        out["l_shipdate"] = columns["l_shipdate"] + 10000.0
+        return out
+
+    return lineitem_twin(tiny_db, "shifted", shifted)
+
+
+#: Breaks aligned with the Q1 cutoff: ``searchsorted(side="right")``
+#: puts a value equal to a break into the upper partition, so the upper
+#: break sits just past the cutoff and every partition decides the Q1
+#: predicate wholly.
+ALIGNED_BREAKS = (2100.0, 2300.0, DATE_1998_09_02 + 0.5)
+
+
+@pytest.fixture(scope="session")
+def rollup_db(tiny_db):
+    """Shipdate-partitioned twin of ``tiny_db`` with the default
+    lineitem rollup attached."""
+    from repro.rollup import PartitionSpec, build_and_attach, partitioned_database
+
+    db = partitioned_database(tiny_db, PartitionSpec("l_shipdate", ALIGNED_BREAKS))
+    build_and_attach(db)
+    return db
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from repro.core.parallel import (
     WorkerPool,
     merge_worker_partials,
     normalized_call,
+    run_call,
 )
 from repro.engines import (
     ALL_ENGINES,
@@ -192,6 +193,86 @@ class TestPoolExecution:
     def test_invalid_morsel_rows_rejected(self, tiny_db):
         with pytest.raises(ValueError, match="multiple"):
             WorkerPool(tiny_db, n_workers=1, morsel_rows=100)
+
+
+class TestDriverMatrix:
+    """``run_call`` is the one execution driver: whatever the stages
+    decide (route, decline, prune some, prune all, none of it), either
+    dispatcher, finished here or stopped as a partial and finished by
+    the caller, the result is the direct engine call's."""
+
+    #: scenario -> (database fixture, method, kwargs)
+    SCENARIOS = {
+        "plain": ("tiny_db", "run_q6", {}),  # shuffled: nothing prunes
+        "pruned": ("sorted_db", "run_q6", {}),
+        "all-pruned": ("shifted_db", "run_q6", {}),
+        "routed": ("rollup_db", "run_groupby", {}),
+        "declined": ("rollup_db", "run_q6", {}),
+    }
+
+    @pytest.fixture(scope="class")
+    def pools(self):
+        """One 2-worker pool per database, spawned on first use."""
+        pools: dict = {}
+
+        def get(db):
+            if id(db) not in pools:  # the databases outlive the class
+                pools[id(db)] = WorkerPool(db, n_workers=2)
+            return pools[id(db)]
+
+        yield get
+        for pool in pools.values():
+            pool.close()
+
+    @pytest.mark.parametrize(
+        "engine_cls",
+        (TyperEngine, TectorwiseEngine, ColumnStoreEngine),
+        ids=lambda cls: cls.name,
+    )
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("finish", (True, False), ids=("finish", "partial"))
+    @pytest.mark.parametrize("pooled", (False, True), ids=("inline", "pool"))
+    def test_equals_direct_call(
+        self, request, pools, pooled, finish, scenario, engine_cls
+    ):
+        fixture, method, kwargs = self.SCENARIOS[scenario]
+        db = request.getfixturevalue(fixture)
+        engine = engine_cls()
+        method, items = normalized_call(engine, method, (), kwargs)
+        result = run_call(
+            db, engine, method, items,
+            pool=pools(db) if pooled else None,
+            finish=finish,
+            executor="process" if pooled else "thread",
+        )
+        details = result.details
+        if not finish:
+            assert result.value is None and "partial" in details
+            result = engine.merge_morsels(db, method, items, [result])
+        direct = getattr(engine, method)(db, **dict(items))
+        context = f"{engine.name} {scenario}"
+        assert result.value == direct.value, context
+
+        routed = scenario == "routed"
+        if scenario in ("routed", "declined"):
+            assert details["rollup"]["rollup_used"] is routed, context
+        else:
+            assert "rollup" not in details
+        if scenario in ("pruned", "all-pruned"):
+            assert details["pruning"]["morsels_pruned"] > 0, context
+        if scenario == "all-pruned":
+            assert details["pruning"]["morsels_scanned"] == 0, context
+        if scenario == "plain":
+            assert "pruning" not in details
+        if not routed:
+            assert result.work == direct.work, context
+        if not routed or not finish:
+            # A routed partial keeps the base-row count so cross-shard
+            # sums equal the scan's; a routed finished result reports
+            # the rollup rows it read.
+            assert result.tuples == direct.tuples, context
+        else:
+            assert result.tuples == details["rollup"]["rows_read"], context
 
 
 class TestCrashRecovery:

@@ -20,8 +20,6 @@ from repro.core import pruning
 from repro.core.parallel import WorkerPool
 from repro.engines import ALL_ENGINES, TyperEngine, engine_by_name
 from repro.engines.morsel import morsel_ranges
-from repro.storage import ColumnTable, Database
-from repro.storage.encoding import encode_columns
 from repro.tpch.schema import SELECTION_PREDICATE_COLUMNS
 
 #: Prunable workloads exercised across the full engine matrix.
@@ -37,41 +35,6 @@ WORKLOAD_IDS = [
     f"{method[len('run_'):]}-{'-'.join(f'{k}{v}' for k, v in kwargs.items()) or 'default'}"
     for method, kwargs in WORKLOADS
 ]
-
-
-def _twin(db, suffix: str, mutate) -> Database:
-    twin = Database(name=f"{db.name}-{suffix}", scale_factor=db.scale_factor)
-    for table_name in db.table_names:
-        table = db.table(table_name)
-        columns = {c: np.asarray(table[c]) for c in table.column_names}
-        if table_name == "lineitem":
-            columns = mutate(columns)
-        twin.add_table(ColumnTable(table_name, encode_columns(columns)))
-    return twin
-
-
-@pytest.fixture(scope="module")
-def sorted_db(small_db):
-    """lineitem clustered on l_shipdate: selective date predicates
-    isolate a narrow kept range, so most chunks prune."""
-
-    def clustered(columns):
-        order = np.argsort(columns["l_shipdate"], kind="stable")
-        return {c: values[order] for c, values in columns.items()}
-
-    return _twin(small_db, "sorted", clustered)
-
-
-@pytest.fixture(scope="module")
-def shifted_db(tiny_db):
-    """Every l_shipdate pushed past Q6's window: all chunks prune."""
-
-    def shifted(columns):
-        out = dict(columns)
-        out["l_shipdate"] = columns["l_shipdate"] + 10000.0
-        return out
-
-    return _twin(tiny_db, "shifted", shifted)
 
 
 @pytest.fixture(scope="module", params=ALL_ENGINES, ids=lambda cls: cls.name)

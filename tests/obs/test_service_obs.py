@@ -9,7 +9,13 @@ from repro.core.execcache import EXECUTION_CACHE
 from repro.obs import FakeClock, parse_exposition
 from repro.serve import QueryService, ServiceConfig
 from repro.serve.server import dispatch
-from repro.tpch.sql import TPCH_SQL, projection_sql
+from repro.tpch.sql import (
+    EXTENDED_TPCH_SQL,
+    GROUPBY_SQL,
+    TPCH_SQL,
+    projection_sql,
+    selection_sql,
+)
 
 
 @pytest.fixture
@@ -140,6 +146,102 @@ class TestPruningObservability:
         stats = service.stats_snapshot()["pruning"]
         assert stats["queries"] == 0
         assert stats["morsels_pruned"] == 0
+
+
+class TestDecisionSink:
+    """Every stage decision lands in one totals table, whichever
+    executor made it, and the counters mirror that table at scrape."""
+
+    #: total -> the unlabelled counter that mirrors it
+    MIRRORS = {
+        ("pruning", "queries_pruned"): "repro_prune_queries_total",
+        ("pruning", "morsels_scanned"): "repro_prune_morsels_scanned_total",
+        ("pruning", "morsels_pruned"): "repro_prune_morsels_pruned_total",
+        ("pruning", "rows_pruned"): "repro_prune_rows_pruned_total",
+        ("rollups", "routed"): "repro_rollup_routed_total",
+        ("rollups", "rows_read"): "repro_rollup_rows_read_total",
+        ("rollups", "base_rows_avoided"): "repro_rollup_base_rows_avoided_total",
+        ("encoded_agg", "queries_code_domain"): "repro_encoded_agg_queries_total",
+        ("compile", "queries"): "repro_compile_queries_total",
+        ("chooser", "declined"): "repro_chooser_declined_total",
+    }
+
+    def run(self, db, executor: str):
+        statements = (
+            TPCH_SQL["Q1"], TPCH_SQL["Q6"], selection_sql(0.02, db),
+            projection_sql(2), GROUPBY_SQL, EXTENDED_TPCH_SQL["Q3"],
+        )
+        EXECUTION_CACHE.clear()
+        service = QueryService(
+            ServiceConfig(workers=1, queue_depth=8, timeout_s=120.0,
+                          executor=executor, process_workers=2),
+            db=db,
+        )
+        with service:
+            for sql in statements:
+                response = service.submit(sql)
+                assert response["status"] == "ok", response
+            stats = service.stats_snapshot()
+            samples = parse_exposition(service.metrics_text())
+        EXECUTION_CACHE.clear()
+        return stats, samples
+
+    @pytest.fixture(scope="class")
+    def reuse_db(self, tiny_db):
+        """Clustered + rollup twin: the break at Q6's upper date bound
+        lets its window prune, the one past Q1's cutoff lets Q1 route."""
+        from repro.rollup import PartitionSpec, build_and_attach, partitioned_database
+        from repro.tpch.schema import DATE_1995_01_01, DATE_1998_09_02
+
+        db = partitioned_database(
+            tiny_db,
+            PartitionSpec("l_shipdate", (DATE_1995_01_01, DATE_1998_09_02 + 0.5)),
+        )
+        build_and_attach(db)
+        return db
+
+    @pytest.fixture(scope="class")
+    def thread_run(self, reuse_db):
+        return self.run(reuse_db, "thread")
+
+    @pytest.fixture(scope="class")
+    def process_run(self, reuse_db):
+        return self.run(reuse_db, "process")
+
+    def test_executors_record_equal_decisions(self, thread_run, process_run):
+        thread_stats, process_stats = thread_run[0], process_run[0]
+        for block in ("pruning", "rollups", "encoded_agg", "compile"):
+            # compile.cache counts the process-global program cache.
+            thread_block = {k: v for k, v in thread_stats[block].items() if k != "cache"}
+            process_block = {k: v for k, v in process_stats[block].items() if k != "cache"}
+            assert thread_block == process_block, block
+        assert thread_stats["rollups"]["routed"] >= 2  # Q1 and the group-by
+        assert thread_stats["rollups"]["fallbacks"] >= 1
+        assert thread_stats["pruning"]["queries_pruned"] >= 1
+        assert thread_stats["compile"]["queries"] == 1
+
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_counters_mirror_totals(self, request, executor):
+        stats, samples = request.getfixturevalue(f"{executor}_run")
+        for (block, key), family in self.MIRRORS.items():
+            assert samples[family][()] == stats[block][key], family
+        labelled = (
+            ("repro_rollup_fallbacks_total", "reason",
+             stats["rollups"]["fallback_reasons"]),
+            ("repro_encoded_agg_aggregates_total", "mode", {
+                "code-domain": stats["encoded_agg"]["aggregates_code_domain"],
+                "decoded": stats["encoded_agg"]["aggregates_decoded"],
+            }),
+            ("repro_chooser_decisions_total", "chosen", stats["chooser"]["chosen"]),
+        )
+        for family, label, counts in labelled:
+            expected = {
+                ((label, value),): count for value, count in counts.items() if count
+            }
+            assert samples.get(family, {}) == expected, family
+        assert sum(stats["rollups"]["fallback_reasons"].values()) == (
+            stats["rollups"]["fallbacks"]
+        )
 
 
 class TestSlowlogOp:

@@ -207,6 +207,44 @@ class TestAttempt:
         assert decision["reason"] == "unsupported-method"
 
 
+    def test_unfinished_route_has_the_finished_decision_and_span(self, rollup_db):
+        """``finish=False`` (a shard node's share) stops before the one
+        rounding but decides, reports and traces exactly alike."""
+        from repro.obs import Tracer, trace
+
+        def traced(finish):
+            tracer = Tracer()
+            tracer.start("test")
+            token = trace.activate(tracer, tracer.root)
+            try:
+                result, decision = attempt(
+                    rollup_db, engine, "run_groupby", {}, "shard", finish=finish
+                )
+            finally:
+                trace.deactivate(token)
+            (span,) = tracer.render()["children"]
+            return result, decision, (span["name"], span["attrs"])
+
+        engine = TyperEngine()
+        finished, full, finished_span = traced(True)
+        partial, stopped, partial_span = traced(False)
+        assert stopped == full and stopped["bytes_read"] > 0
+        assert partial_span == finished_span
+        assert partial_span[0] == "route" and partial_span[1]["rollup_used"] is True
+        assert partial.details["rollup"] is stopped
+        baseline = engine.run_groupby(rollup_db)
+        merged = engine.merge_morsels(rollup_db, "run_groupby", {}, [partial])
+        assert merged.value == finished.value == baseline.value
+        assert merged.tuples == baseline.tuples  # base rows, not rollup rows
+
+    def test_unfinished_route_declines_grouped_output(self, rollup_db):
+        result, decision = route(
+            rollup_db, TyperEngine(), "run_q1", {}, finish=False
+        )
+        assert result is None
+        assert decision["reason"] == "partial-not-a-global-sum"
+
+
 class TestPartitionSelection:
     def test_only_included_partitions_contribute(self, tiny_db):
         """With the Q1 cutoff as a break, the routed Q1 must equal a

@@ -16,6 +16,8 @@ import pytest
 
 from repro.engines import engine_by_name
 from repro.serve import protocol
+from repro.shard.cluster import ShardCluster
+from repro.shard.coordinator import Coordinator
 from repro.sql import compile_sql
 from repro.tpch.sql import GROUPBY_SQL, TPCH_SQL, projection_sql
 
@@ -48,6 +50,41 @@ def test_sharded_matches_single_node_exactly(
     assert response["route"] == "scatter"
     assert response["value"] == protocol.jsonable(oracle.value)
     assert response["tuples"] == oracle.tuples
+
+
+def assert_matches_single_node(coordinator, db, sql, engine_name):
+    oracle = compile_sql(sql).execute(engine_by_name(engine_name), db)
+    response = coordinator.execute(sql, engine=engine_name)
+    assert response["status"] == "ok", response.get("error")
+    assert response["value"] == protocol.jsonable(oracle.value)
+    assert response["tuples"] == oracle.tuples
+
+
+def test_process_executor_nodes_match_single_node(tiny_db):
+    """Nodes that fan their share out to their own worker pool stop as
+    partials too (pool dispatch + ``finish=False``)."""
+    with ShardCluster(
+        tiny_db, n_shards=2, mode="hash", spawn="thread", node_executor="process"
+    ) as cluster:
+        coordinator = Coordinator(tiny_db, cluster)
+        for query_name in ("Q1", "Q6"):
+            assert_matches_single_node(
+                coordinator, tiny_db, TPCH_SQL[query_name], "Typer"
+            )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="hand-wired Q18 group-table state does not harmonise across hash "
+    "shards (shape-broadcast error; olapbench KNOWN_FAILURES, ROADMAP item 1)",
+)
+@pytest.mark.parametrize("engine_name", ("Typer", "Tectorwise"))
+def test_template_q18_over_two_hash_shards(tiny_db, engine_name):
+    with ShardCluster(tiny_db, n_shards=2, mode="hash", spawn="thread") as cluster:
+        assert_matches_single_node(
+            Coordinator(tiny_db, cluster), tiny_db, TPCH_SQL["Q18"], engine_name
+        )
 
 
 def test_compiled_query_lowers_to_the_compiled_route(tiny_db):
@@ -86,6 +123,42 @@ class TestRouting:
 
 
 class TestObservability:
+    def test_node_counts_the_partials_it_serves(self, rollup_db):
+        """``partial`` ops show up in a node's ``:stats`` and metrics,
+        and the decisions its stages made in the same blocks a
+        single-node service fills."""
+        from repro.obs import parse_exposition
+        from repro.serve.server import dispatch
+        from repro.serve.service import QueryService, ServiceConfig
+        from repro.shard import build_shards, wire
+
+        shard = build_shards(rollup_db, 2, "hash")[0]
+        node = QueryService(
+            ServiceConfig(shard_node=True, scale_factor=0.0), db=shard
+        )
+        for method in ("run_groupby", "run_q1", "run_q6", "run_nope"):
+            message = {**wire.encode_call(method, ()), "engine": "Tectorwise"}
+            response = dispatch(node, message)
+            expected = "error" if method == "run_nope" else "ok"
+            assert response["status"] == expected, response
+        stats = node.stats_snapshot()
+        assert (stats["ok"], stats["errors"], stats["submitted"]) == (3, 1, 4)
+        assert stats["latency"]["max_ms"] >= 0.0
+        rollups = stats["rollups"]
+        assert (rollups["routed"], rollups["fallbacks"]) == (1, 2)
+        assert rollups["bytes_read"] > 0 and rollups["base_bytes_avoided"] > 0
+        assert rollups["fallback_reasons"] == {
+            "partial-not-a-global-sum": 1, "unsupported-method": 1,
+        }
+        samples = parse_exposition(node.metrics_text())
+        queries = samples["repro_queries_total"]
+        assert queries[(("engine", "Tectorwise"), ("status", "ok"))] == 3
+        assert queries[(("engine", "Tectorwise"), ("status", "error"))] == 1
+        assert samples["repro_query_latency_seconds_count"][
+            (("engine", "Tectorwise"),)
+        ] == 3
+        assert samples["repro_rollup_routed_total"][()] == 1
+
     def test_latency_quantiles_have_paper_names(self, sharded):
         _, coordinator = sharded
         coordinator.execute(TPCH_SQL["Q6"])

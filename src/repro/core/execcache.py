@@ -44,8 +44,9 @@ from repro.rollup.router import rollups_enabled
 from repro.storage.encoding import encoded_agg_enabled, encoding_enabled
 
 #: Engine methods that are memoized (the complete execution surface).
-#: ``run_compiled`` is defined concretely on the base Engine and
-#: wrapped by :func:`repro.engines.base._wrap_base_cached_methods`.
+#: :func:`repro.engines.base._memoize_run_methods` wraps each where it
+#: is defined: once on the base Engine for the shared ones, per
+#: subclass for overrides.
 CACHED_METHODS = (
     "run_projection",
     "run_selection",

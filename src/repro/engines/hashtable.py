@@ -16,6 +16,7 @@ chains 0-7, mean 0.23, more irregular) are measured on the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,18 @@ class ChainStats:
     def load_factor(self) -> float:
         return self.n_keys / self.n_buckets if self.n_buckets else 0.0
 
+    @classmethod
+    def of_buckets(cls, bucket_counts: np.ndarray, n_keys: int) -> "ChainStats":
+        """The statistics of a table with the given keys-per-bucket."""
+        counts = bucket_counts
+        return cls(
+            mean=float(counts.mean()) if len(counts) else 0.0,
+            std=float(counts.std()) if len(counts) else 0.0,
+            max=int(counts.max()) if len(counts) else 0,
+            n_buckets=len(counts),
+            n_keys=n_keys,
+        )
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -108,7 +121,8 @@ class ChainedHashTable:
 
     Values are inserted at the head of their chain (the classic
     insert-at-head layout), so a probe meets a bucket's keys in reverse
-    insertion order.
+    insertion order.  The table is immutable once built, so its chain
+    statistics are computed at first use and kept.
     """
 
     def __init__(
@@ -157,15 +171,12 @@ class ChainedHashTable:
         """Bytes a probe touches at random: bucket heads + entries."""
         return self.n_buckets * HEAD_BYTES + self.n_keys * ENTRY_BYTES
 
+    @cached_property
+    def _chain_stats(self) -> ChainStats:
+        return ChainStats.of_buckets(self.bucket_counts, self.n_keys)
+
     def chain_stats(self) -> ChainStats:
-        counts = self.bucket_counts
-        return ChainStats(
-            mean=float(counts.mean()) if len(counts) else 0.0,
-            std=float(counts.std()) if len(counts) else 0.0,
-            max=int(counts.max()) if len(counts) else 0,
-            n_buckets=self.n_buckets,
-            n_keys=self.n_keys,
-        )
+        return self._chain_stats
 
     def chain_of(self, key: int) -> list[int]:
         """Walk one chain the way the hardware would (test helper)."""
@@ -212,7 +223,8 @@ class GroupByHashTable:
     Groups are identified exactly (``np.unique``); the bucket structure
     over the *distinct* keys provides chain statistics and per-update
     probe costs, using the weaker composite hash that makes group-by
-    chains irregular (Section 6).
+    chains irregular (Section 6).  Immutable once built: the chain and
+    update statistics are computed at first use and kept.
     """
 
     def __init__(
@@ -244,27 +256,34 @@ class GroupByHashTable:
     def working_set_bytes(self) -> int:
         return self.n_buckets * HEAD_BYTES + self.n_groups * ENTRY_BYTES
 
+    @cached_property
+    def _chain_stats(self) -> ChainStats:
+        return ChainStats.of_buckets(self.bucket_counts, self.n_groups)
+
     def chain_stats(self) -> ChainStats:
-        counts = self.bucket_counts
-        return ChainStats(
-            mean=float(counts.mean()) if len(counts) else 0.0,
-            std=float(counts.std()) if len(counts) else 0.0,
-            max=int(counts.max()) if len(counts) else 0,
-            n_buckets=self.n_buckets,
-            n_keys=self.n_groups,
-        )
+        return self._chain_stats
+
+    def update_depths(self, lo: int, hi: int) -> np.ndarray:
+        """Chain depth each of the updates ``[lo, hi)`` walks to: the
+        1-based position of its group's entry in its bucket chain."""
+        return self._depth[self.group_ids[lo:hi]]
+
+    @cached_property
+    def _update_stats(self) -> tuple[int, float]:
+        """(comparisons, collision fraction) over all updates."""
+        depths = self.update_depths(0, self.n_updates)
+        collisions = float((depths > 1).mean()) if self.n_updates else 0.0
+        return int(depths.sum()), collisions
 
     def update_comparisons(self) -> int:
         """Total key comparisons over all aggregation updates: each
         update walks to its group's chain depth."""
-        return int(self._depth[self.group_ids].sum())
+        return self._update_stats[0]
 
     def collision_fraction(self) -> float:
         """Fraction of updates that walk past the first chain entry
         (the hash-collision branches of Section 6)."""
-        if not self.n_updates:
-            return 0.0
-        return float((self._depth[self.group_ids] > 1).mean())
+        return self._update_stats[1]
 
     def aggregate_sum(self, values: np.ndarray) -> np.ndarray:
         """SUM(values) per group, aligned with ``distinct_keys``."""

@@ -14,44 +14,35 @@ model; the two concrete classes configure granularity (1 vs 1024
 tuples per ``next()``), per-expression interpretation cost, storage
 layout (full row pages vs single columns) and code footprint.
 
-Morsel mode (``row_range=(lo, hi)``, see :mod:`repro.engines.morsel`):
-each morsel records the interpretation cost of its own rows -- all
-scalar quantities are dyadic and merge exactly -- and defers the
-non-dyadic operation-mix rates (``alu = instructions * 0.30`` etc.)
-through :attr:`PENDING_RATES`, so the single resolution at finalization
-rounds identically for any partitioning.  TPC-H result values come
-from the reference implementations (the interpreters model *cost*, not
-novel execution), evaluated once in the merge finisher.
+The four micro-benchmarks run through
+:class:`~repro.engines.base.Engine`'s shared data passes and are only
+*priced* here (``_cost_projection`` ... ``_cost_groupby``).  The four
+TPC-H queries keep their own ``run_*``: the interpreters model *cost*,
+not novel execution, so a morsel measures just the streams that cost
+depends on (filter masks, the green-part probe) and the result values
+come from the reference implementations, evaluated once in the merge
+finisher.
+
+Morsel protocol (:mod:`repro.engines.morsel`): each morsel records the
+interpretation cost of its own rows -- all scalar quantities are dyadic
+and merge exactly -- and defers the non-dyadic operation-mix rates
+(``alu = instructions * 0.30`` etc.) through :attr:`PENDING_RATES`, so
+the single resolution at finalization rounds identically for any
+partitioning.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.exactsum import ExactSum
-from repro.engines.base import (
-    Engine,
-    JOIN_SPECS,
-    MergedPartials,
-    QueryResult,
-    projection_columns,
-    resolve_selection_cached,
-)
-from repro.engines.hashtable import GroupByHashTable
+from repro.engines.base import Engine, Facts
 from repro.engines.morsel import (
     bytes_for_rows,
-    key_table,
     resolve_range,
     row_scan_bytes,
     shared_structure,
 )
-from repro.engines.scan import (
-    AGG_STATE_KEY,
-    decision_details,
-    exact_sum_column,
-    predicate_mask,
-    record_encoded_agg,
-)
+from repro.engines.scan import AGG_STATE_KEY, predicate_mask
 from repro.storage import Database
 from repro.tpch import schema as sc
 
@@ -145,138 +136,46 @@ class InterpreterEngine(Engine):
         return self._scan_bytes(db, table, columns, 0, db.table(table).n_rows)
 
     # ------------------------------------------------------------------
-    # Micro-benchmarks
+    # Micro-benchmarks: interpretation cost of the shared passes.
     # ------------------------------------------------------------------
-    def run_projection(
-        self, db: Database, degree: int, simd: bool = False, row_range=None
-    ) -> QueryResult:
-        self._check_simd(simd)
-        columns = projection_columns(degree)
-        lineitem = db.table("lineitem")
-        lo, hi = resolve_range(row_range, lineitem.n_rows)
+    def _cost_projection(
+        self, db: Database, facts: Facts, lo: int, hi: int, degree: int, simd: bool = False
+    ):
         m = hi - lo
-        if degree == 1:
-            # Single column: ``0.0 + v`` carries the same ExactSum units
-            # as ``v`` (both signed zeros convert to zero units), so the
-            # sum may come straight from the storage codec.
-            total_sum, mode, why = exact_sum_column(lineitem, columns[0], lo, hi)
-            decision = (("sum", columns[0], mode, why),)
-        else:
-            # Higher degrees round per row inside ``a + b + ...``; no
-            # per-column code rebase reproduces that, so decode.
-            total = np.zeros(m)
-            for column in columns:
-                total = total + lineitem[column][lo:hi]
-            total_sum = ExactSum.of_array(total)
-            decision = tuple(
-                ("sum", column, "decoded", "per-row-rounding")
-                for column in columns
-            )
-
         work = self._new_work()
         # Plan: Scan -> Project -> Aggregate.
         self._interp_work(work, m, n_operators=3, term_evals=m * 2 * degree)
-        work.record_sequential_read(self._scan_bytes(db, "lineitem", columns, lo, hi))
-        state = {"sum": total_sum, AGG_STATE_KEY: decision}
-        label = f"projection-p{degree}"
-        if row_range is not None:
-            return self._partial_result(label, state, m, work, (lo, hi))
-        return self._finish_projection(
-            db, MergedPartials(state, work, m), degree=degree, simd=simd
+        work.record_sequential_read(
+            self._scan_bytes(db, "lineitem", facts.columns, lo, hi)
         )
+        return work
 
-    def _finish_projection(
-        self, db: Database, merged: MergedPartials, degree: int, simd: bool = False
-    ) -> QueryResult:
-        decision = merged.state.pop(AGG_STATE_KEY, None)
-        work = self._finalize_profile(merged.work)
-        details = {}
-        if decision:
-            record_encoded_agg(decision)
-            details["encoded_agg"] = decision_details(decision)
-        return QueryResult(
-            f"projection-p{degree}",
-            merged.state["sum"].total(),
-            merged.tuples,
-            work,
-            details,
-        )
-
-    def run_selection(
+    def _cost_selection(
         self,
         db: Database,
-        selectivity: float | None,
+        facts: Facts,
+        lo: int,
+        hi: int,
+        selectivity: float,
         predicated: bool = False,
         simd: bool = False,
         thresholds=None,
-        row_range=None,
-    ) -> QueryResult:
-        self._check_simd(simd)
-        selectivity, thresholds = resolve_selection_cached(db, selectivity, thresholds)
-        lineitem = db.table("lineitem")
-        lo, hi = resolve_range(row_range, lineitem.n_rows)
+    ):
         m = hi - lo
-        proj_cols = projection_columns(4)
-
-        masks = [
-            (column, predicate_mask(lineitem, column, "le", threshold, lo, hi))
-            for column, threshold in thresholds.items()
-        ]
-        combined = masks[0][1] & masks[1][1] & masks[2][1]
-        qualifying = np.flatnonzero(combined)
-        q = len(qualifying)
-        projected = np.zeros(q)
-        for column in proj_cols:
-            projected = projected + lineitem[column][lo:hi][qualifying]
-
         work = self._new_work()
         # Plan: Scan -> Filter -> Project -> Aggregate.  The filter
         # interprets predicates tuple-at-a-time with short-circuiting,
         # so later predicates run on survivors only; the branch-free
         # variant evaluates the projection for every tuple.
-        work_terms, _survivors = self._filter_terms_and_streams(work, masks, m, predicated)
-        projected_tuples = m if predicated else q
-        term_evals = work_terms + projected_tuples * 2 * len(proj_cols)
+        work_terms, _survivors = self._filter_terms_and_streams(
+            work, facts.masks, m, predicated
+        )
+        projected_tuples = m if predicated else len(facts.qualifying)
+        term_evals = work_terms + projected_tuples * 2 * len(facts.proj_cols)
         self._interp_work(work, m, n_operators=4, term_evals=term_evals)
-        columns = [name for name, _ in masks] + list(proj_cols)
+        columns = [name for name, _ in facts.masks] + list(facts.proj_cols)
         work.record_sequential_read(self._scan_bytes(db, "lineitem", columns, lo, hi))
-        label = f"selection-{int(selectivity * 100)}%" + (
-            "-predicated" if predicated else ""
-        )
-        state = {"sum": ExactSum.of_array(projected), "qualifying": q}
-        if row_range is not None:
-            return self._partial_result(label, state, m, work, (lo, hi))
-        return self._finish_selection(
-            db,
-            MergedPartials(state, work, m),
-            selectivity=selectivity,
-            predicated=predicated,
-            simd=simd,
-            thresholds=thresholds,
-        )
-
-    def _finish_selection(
-        self,
-        db: Database,
-        merged: MergedPartials,
-        selectivity: float | None,
-        predicated: bool = False,
-        simd: bool = False,
-        thresholds=None,
-    ) -> QueryResult:
-        selectivity, _ = resolve_selection_cached(db, selectivity, thresholds)
-        n = merged.tuples
-        q = merged.state["qualifying"]
-        work = self._finalize_profile(merged.work)
-        label = f"selection-{int(selectivity * 100)}%" + (
-            "-predicated" if predicated else ""
-        )
-        details = {
-            "selectivity": selectivity,
-            "combined_selectivity": q / n if n else 0.0,
-            "predicated": predicated,
-        }
-        return QueryResult(label, merged.state["sum"].total(), n, work, details)
+        return work
 
     def _filter_terms_and_streams(self, work, masks, m: int, predicated: bool):
         """Short-circuit predicate evaluation: returns the number of
@@ -294,86 +193,38 @@ class InterpreterEngine(Engine):
             term_evals = m * 2 * len(masks)
         return term_evals, int(alive.sum())
 
-    def run_join(
-        self, db: Database, size: str, simd: bool = False, row_range=None
-    ) -> QueryResult:
-        self._check_simd(simd)
-        if size not in JOIN_SPECS:
-            raise ValueError(f"unknown join size {size!r}")
-        spec = JOIN_SPECS[size]
-        build = db.table(spec.build_table)
-        probe = db.table(spec.probe_table)
-        lo, hi = resolve_range(row_range, probe.n_rows)
+    def _cost_join(
+        self, db: Database, facts: Facts, lo: int, hi: int, size: str, simd: bool = False
+    ):
+        spec = facts.spec
         m = hi - lo
         lead = lo == 0
-
-        table = key_table(db, spec.build_table, spec.build_key)
-        result = table.probe(probe[spec.probe_key][lo:hi])
-        matched = np.flatnonzero(result.found)
-        matches = len(matched)
-        projected = np.zeros(matches)
-        for column in spec.sum_columns:
-            projected = projected + probe[column][lo:hi][matched]
-
         work = self._new_work()
         # Build pipeline: Scan -> HashBuild over the build side (global
         # work, recorded by the lead morsel only).
-        n_build = build.n_rows if lead else 0
+        n_build = db.table(spec.build_table).n_rows if lead else 0
         self._interp_work(work, n_build, n_operators=2, term_evals=n_build)
         work.record_sequential_read(
             self._full_scan_bytes(db, spec.build_table, [spec.build_key]) if lead else 0.0
         )
-        ws = table.working_set_bytes * self.HT_SIZE_FACTOR
+        ws = facts.table.working_set_bytes * self.HT_SIZE_FACTOR
         work.record_random("hash build scatter", n_build, ws)
         # Probe pipeline: Scan -> HashJoin -> Project -> Aggregate.
         degree = len(spec.sum_columns)
         self._interp_work(
             work, m, n_operators=4,
-            term_evals=m * 2 + matches * 2 * degree,
+            term_evals=m * 2 + facts.state["found"] * 2 * degree,
         )
         work.record_sequential_read(
             self._scan_bytes(db, spec.probe_table, [spec.probe_key, *spec.sum_columns], lo, hi)
         )
         work.record_random("hash probe heads", m, ws)
-        work.record_random("hash chain walk", result.extra_walk, ws, dependent=True)
-        work.record_branch_outcomes("probe hit", result.found)
-        state = {"sum": ExactSum.of_array(projected), "found": matches}
-        if row_range is not None:
-            return self._partial_result(f"join-{size}", state, m, work, (lo, hi))
-        return self._finish_join(
-            db, MergedPartials(state, work, m), size=size, simd=simd
-        )
+        work.record_random("hash chain walk", facts.probe.extra_walk, ws, dependent=True)
+        work.record_branch_outcomes("probe hit", facts.probe.found)
+        return work
 
-    def _finish_join(
-        self, db: Database, merged: MergedPartials, size: str, simd: bool = False
-    ) -> QueryResult:
-        spec = JOIN_SPECS[size]
-        table = key_table(db, spec.build_table, spec.build_key)
-        n_probe = merged.tuples
-        work = self._finalize_profile(merged.work)
-        details = {
-            "join_size": size,
-            "hit_fraction": merged.state["found"] / n_probe if n_probe else 0.0,
-            "chain_stats": table.chain_stats(),
-        }
-        return QueryResult(
-            f"join-{size}", merged.state["sum"].total(), n_probe, work, details
-        )
-
-    def _groupby_table(self, db: Database) -> GroupByHashTable:
-        def build():
-            lineitem = db.table("lineitem")
-            composite = lineitem["l_partkey"] * 4 + lineitem["l_returnflag"]
-            return GroupByHashTable(composite)
-
-        return shared_structure(db, "groupby-micro", build)
-
-    def run_groupby(self, db: Database, row_range=None) -> QueryResult:
-        lineitem = db.table("lineitem")
-        lo, hi = resolve_range(row_range, lineitem.n_rows)
+    def _cost_groupby(self, db: Database, facts: Facts, lo: int, hi: int):
         m = hi - lo
-        table = self._groupby_table(db)
-
         work = self._new_work()
         self._interp_work(work, m, n_operators=3, term_evals=m * 3)
         work.record_sequential_read(
@@ -381,36 +232,17 @@ class InterpreterEngine(Engine):
                 db, "lineitem", ["l_partkey", "l_returnflag", "l_extendedprice"], lo, hi
             )
         )
-        ws = table.working_set_bytes * self.HT_SIZE_FACTOR
+        ws = facts.table.working_set_bytes * self.HT_SIZE_FACTOR
         work.record_random("group table update", m, ws)
         # Constant-rate stream: every morsel records the same global
         # fraction, so the merged stream keeps it bit-for-bit.
-        work.record_branch_stream("group collision", m, table.collision_fraction())
-        total, mode, why = exact_sum_column(lineitem, "l_extendedprice", lo, hi)
-        state = {
-            "sum": total,
-            AGG_STATE_KEY: (("sum", "l_extendedprice", mode, why),),
-        }
-        if row_range is not None:
-            return self._partial_result("groupby-micro", state, m, work, (lo, hi))
-        return self._finish_groupby(db, MergedPartials(state, work, m))
-
-    def _finish_groupby(self, db: Database, merged: MergedPartials) -> QueryResult:
-        table = self._groupby_table(db)
-        decision = merged.state.pop(AGG_STATE_KEY, None)
-        work = self._finalize_profile(merged.work)
-        details = {"groups": table.n_groups, "chain_stats": table.chain_stats()}
-        if decision:
-            record_encoded_agg(decision)
-            details["encoded_agg"] = decision_details(decision)
-        return QueryResult(
-            "groupby-micro", merged.state["sum"].total(), merged.tuples, work, details
-        )
+        work.record_branch_stream("group collision", m, facts.table.collision_fraction())
+        return work
 
     # ------------------------------------------------------------------
     # TPC-H: interpretation cost over the reference plans.
     # ------------------------------------------------------------------
-    def run_q1(self, db: Database, row_range=None) -> QueryResult:
+    def run_q1(self, db: Database, row_range=None):
         lineitem = db.table("lineitem")
         lo, hi = resolve_range(row_range, lineitem.n_rows)
         m = hi - lo
@@ -438,23 +270,15 @@ class InterpreterEngine(Engine):
             )
         )
         state = {"qualifying": q, AGG_STATE_KEY: decision}
-        if row_range is not None:
-            return self._partial_result("Q1", state, m, work, (lo, hi))
-        return self._finish_q1(db, MergedPartials(state, work, m))
+        return self._conclude("q1", db, state, work, lo, hi, row_range)
 
-    def _finish_q1(self, db: Database, merged: MergedPartials) -> QueryResult:
+    def _finish_q1(self, db: Database, merged):
         from repro.tpch.queries import q1_reference
 
-        decision = merged.state.pop(AGG_STATE_KEY, None)
         groups = q1_reference(db)
-        work = self._finalize_profile(merged.work)
-        details = {"groups": len(groups)}
-        if decision:
-            record_encoded_agg(decision)
-            details["encoded_agg"] = decision_details(decision)
-        return QueryResult("Q1", groups, merged.tuples, work, details)
+        return self._result("q1", groups, merged, {"groups": len(groups)})
 
-    def run_q6(self, db: Database, predicated: bool = False, row_range=None) -> QueryResult:
+    def run_q6(self, db: Database, predicated: bool = False, row_range=None):
         from repro.tpch.queries import q6_predicates
 
         lineitem = db.table("lineitem")
@@ -477,23 +301,16 @@ class InterpreterEngine(Engine):
         self._interp_work(work, m, n_operators=4, term_evals=term_evals + q * 3)
         columns = ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"]
         work.record_sequential_read(self._scan_bytes(db, "lineitem", columns, lo, hi))
-        state = {"qualifying": q}
-        label = "Q6-predicated" if predicated else "Q6"
-        if row_range is not None:
-            return self._partial_result(label, state, m, work, (lo, hi))
-        return self._finish_q6(db, MergedPartials(state, work, m), predicated=predicated)
+        return self._conclude(
+            "q6", db, {"qualifying": q}, work, lo, hi, row_range, predicated=predicated
+        )
 
-    def _finish_q6(
-        self, db: Database, merged: MergedPartials, predicated: bool = False
-    ) -> QueryResult:
+    def _finish_q6(self, db: Database, merged, predicated: bool = False):
         from repro.tpch.queries import q6_reference
 
-        value = q6_reference(db)
         n = merged.tuples
-        q = merged.state["qualifying"]
-        work = self._finalize_profile(merged.work)
-        label = "Q6-predicated" if predicated else "Q6"
-        return QueryResult(label, value, n, work, {"selectivity": q / n if n else 0.0})
+        details = {"selectivity": merged.state["qualifying"] / n if n else 0.0}
+        return self._result("q6", q6_reference(db), merged, details, predicated=predicated)
 
     def _q9_green_keys(self, db: Database) -> np.ndarray:
         def build():
@@ -502,7 +319,7 @@ class InterpreterEngine(Engine):
 
         return shared_structure(db, "q9-green-keys", build)
 
-    def run_q9(self, db: Database, row_range=None) -> QueryResult:
+    def run_q9(self, db: Database, row_range=None):
         lineitem = db.table("lineitem")
         supplier = db.table("supplier")
         partsupp = db.table("partsupp")
@@ -535,34 +352,22 @@ class InterpreterEngine(Engine):
         ht_bytes = self.HT_SIZE_FACTOR * 24 * (partsupp.n_rows + orders.n_rows)
         work.record_random("hash probe heads", m + 3.0 * q, ht_bytes)
         work.record_branch_outcomes("green part probe", green)
-        state = {"green": q}
-        if row_range is not None:
-            return self._partial_result("Q9", state, m, work, (lo, hi))
-        return self._finish_q9(db, MergedPartials(state, work, m))
+        return self._conclude("q9", db, {"green": q}, work, lo, hi, row_range)
 
-    def _finish_q9(self, db: Database, merged: MergedPartials) -> QueryResult:
+    def _finish_q9(self, db: Database, merged):
         from repro.tpch.queries import q9_reference
 
-        value = q9_reference(db)
         n = merged.tuples
-        q = merged.state["green"]
-        work = self._finalize_profile(merged.work)
-        return QueryResult("Q9", value, n, work, {"green_fraction": q / n if n else 0.0})
+        details = {"green_fraction": merged.state["green"] / n if n else 0.0}
+        return self._result("q9", q9_reference(db), merged, details)
 
-    def _q18_group_table(self, db: Database) -> GroupByHashTable:
-        return shared_structure(
-            db,
-            ("q18-groups", 0.25),
-            lambda: GroupByHashTable(db.table("lineitem")["l_orderkey"], target_load=0.25),
-        )
-
-    def run_q18(self, db: Database, row_range=None) -> QueryResult:
+    def run_q18(self, db: Database, row_range=None):
         lineitem = db.table("lineitem")
         lo, hi = resolve_range(row_range, lineitem.n_rows)
         m = hi - lo
         lead = lo == 0
 
-        table = self._q18_group_table(db)
+        table = self._q18_group_table(db, target_load=0.25)
         work = self._new_work()
         self._interp_work(work, m, n_operators=4, term_evals=m * 4)
         work.record_sequential_read(
@@ -575,18 +380,15 @@ class InterpreterEngine(Engine):
         ws = table.working_set_bytes * self.HT_SIZE_FACTOR
         work.record_random("group table update", m, ws)
         work.record_branch_stream("group collision", m, table.collision_fraction())
-        if row_range is not None:
-            return self._partial_result("Q18", {}, m, work, (lo, hi))
-        return self._finish_q18(db, MergedPartials({}, work, m))
+        return self._conclude("q18", db, {}, work, lo, hi, row_range)
 
-    def _finish_q18(self, db: Database, merged: MergedPartials) -> QueryResult:
+    def _finish_q18(self, db: Database, merged):
         from repro.tpch.queries import q18_reference
 
         value = q18_reference(db)
-        table = self._q18_group_table(db)
-        work = self._finalize_profile(merged.work)
+        table = self._q18_group_table(db, target_load=0.25)
         details = {"groups": table.n_groups, "winners": len(value)}
-        return QueryResult("Q18", value, merged.tuples, work, details)
+        return self._result("q18", value, merged, details)
 
 
 class RowStoreEngine(InterpreterEngine):

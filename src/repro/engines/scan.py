@@ -68,16 +68,6 @@ def predicate_mask(
     return compare_values(table[column][lo:hi], op, threshold)
 
 
-def between_mask(
-    table: ColumnTable, column: str, low, high, lo: int, hi: int,
-    low_op: str = "ge", high_op: str = "le",
-) -> np.ndarray:
-    """``low <op> column <op> high`` over rows ``[lo, hi)``."""
-    return predicate_mask(table, column, low_op, low, lo, hi) & predicate_mask(
-        table, column, high_op, high, lo, hi
-    )
-
-
 def combined_key(
     table: ColumnTable,
     major: str,

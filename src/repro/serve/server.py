@@ -48,12 +48,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.wfile.flush()
                 if os.environ.get("REPRO_SHARD_NODE") == "1":
                     os._exit(17)  # a real process death: no cleanup
-                threading.Thread(target=self._stop_server, daemon=True).start()
+                # A thread-spawned node stops listening *before* this
+                # connection closes: the client waits for that EOF to
+                # know the node is gone.
+                self.server.shutdown()
+                self.server.server_close()
                 return
-
-    def _stop_server(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
 
 
 def dispatch(service: QueryService, message: dict) -> dict:

@@ -400,10 +400,20 @@ class Coordinator:
         return protocol.decode(line)
 
     def _send_die(self, endpoint) -> None:
-        """Deliver an injected kill; the node's death is observed by the
-        attempt that follows, like any real crash."""
+        """Deliver an injected kill and see the node die: the node acks
+        *before* it exits, so after the ack wait (bounded by the attempt
+        timeout) for EOF on the same connection.  Only then is the
+        attempt that follows sure to meet a dead node, like any real
+        crash, rather than race the node's last instructions."""
         try:
-            self._request(endpoint, {"op": "die"})
+            with socket.create_connection(
+                endpoint, timeout=self.config.attempt_timeout_s
+            ) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(protocol.encode({"op": "die"}))
+                stream.flush()
+                if protocol.decode(stream.readline()).get("dying"):
+                    stream.read()
         except (OSError, ValueError):
             pass
 

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines import (
+    ALL_ENGINES,
     JOIN_SPECS,
+    Engine,
+    InterpreterEngine,
+    TectorwiseEngine,
     TyperEngine,
     line_density,
     projection_columns,
@@ -14,6 +18,36 @@ from repro.engines import (
     selection_thresholds,
 )
 from repro.engines.morsel import gather_lines
+
+
+WORKLOADS = ("projection", "selection", "join", "groupby", "q1", "q6", "q9", "q18")
+
+
+class TestOneDataPassPerWorkload:
+    """Every workload is executed and finished by one function, defined
+    on ``Engine``; the engines differ only in their ``_cost_*``
+    recorders.  A pasted per-engine copy shows up here as a failure."""
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_run_and_finish_are_the_shared_functions(self, workload):
+        micro = workload in WORKLOADS[:4]
+        sharers = [TyperEngine, TectorwiseEngine]
+        if micro:
+            sharers += [InterpreterEngine, *ALL_ENGINES]
+        for name in (f"run_{workload}", f"_finish_{workload}"):
+            shared = getattr(Engine, name)
+            for engine_cls in sharers:
+                assert getattr(engine_cls, name) is shared, (engine_cls, name)
+        # Memoized once, on the base: one wrapper around one function.
+        run = getattr(Engine, f"run_{workload}")
+        assert run._execcache_wrapped
+        assert not getattr(run.__wrapped__, "_execcache_wrapped", False)
+
+    @pytest.mark.parametrize("engine_cls", ALL_ENGINES, ids=lambda cls: cls.name)
+    def test_engines_supply_only_cost_recorders(self, engine_cls):
+        for workload in WORKLOADS:
+            if getattr(engine_cls, f"run_{workload}") is getattr(Engine, f"run_{workload}"):
+                assert callable(getattr(engine_cls, f"_cost_{workload}"))
 
 
 class TestProjectionColumns:

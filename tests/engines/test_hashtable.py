@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.engines import (
     ChainedHashTable,
+    ChainStats,
     GroupByHashTable,
     fibonacci_bucket,
     next_power_of_two,
@@ -182,6 +183,49 @@ class TestChainStats:
         assert table.chain_stats().load_factor == pytest.approx(0.5)
 
 
+def recomputed_chain_stats(table, n_keys: int) -> ChainStats:
+    """``chain_stats()`` as it was computed per call before the tables
+    kept it: the same numpy reductions over ``bucket_counts``."""
+    counts = table.bucket_counts
+    return ChainStats(
+        mean=float(counts.mean()),
+        std=float(counts.std()),
+        max=int(counts.max()),
+        n_buckets=table.n_buckets,
+        n_keys=n_keys,
+    )
+
+
+class TestCachedStatistics:
+    """Both tables are immutable once built, so each statistic is
+    computed at first use and kept: the same object on every call, the
+    same floats a fresh computation gives."""
+
+    def test_join_table_chain_stats_computed_once(self):
+        table = ChainedHashTable(np.arange(1, 5_001) * 7)
+        stats = table.chain_stats()
+        assert table.chain_stats() is stats
+        assert stats == recomputed_chain_stats(table, table.n_keys)
+
+    def test_groupby_table_statistics_computed_once(self):
+        rng = np.random.default_rng(11)
+        keys = rng.integers(1, 3_000, 20_000) * 4 + rng.integers(0, 3, 20_000)
+        table = GroupByHashTable(keys)
+        stats = table.chain_stats()
+        assert table.chain_stats() is stats
+        assert stats == recomputed_chain_stats(table, table.n_groups)
+        depths = table._depth[table.group_ids]
+        assert table.collision_fraction() == float((depths > 1).mean())
+        assert table.update_comparisons() == int(depths.sum())
+
+    def test_empty_tables(self):
+        empty = np.array([], dtype=np.int64)
+        assert ChainedHashTable(empty).chain_stats() == ChainStats(0.0, 0.0, 0, 1, 0)
+        table = GroupByHashTable(empty)
+        assert table.chain_stats() == ChainStats(0.0, 0.0, 0, 1, 0)
+        assert (table.update_comparisons(), table.collision_fraction()) == (0, 0.0)
+
+
 class TestGroupByTable:
     def test_aggregate_sum_matches_numpy(self):
         keys = np.array([3, 1, 3, 2, 1, 3])
@@ -267,6 +311,28 @@ def test_property_probe_counts_equal_python_chain_walk(
     assert result.comparisons == comparisons
     assert result.extra_walk == comparisons - hits
     assert result.found.dtype == bool and len(result.found) == len(probes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=-60, max_value=60), max_size=80),
+    n_live=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_property_update_depths_slice_the_per_update_depths(keys, n_live, data):
+    """``update_depths(lo, hi)`` is the public view of what the engines
+    used to index out of the private ``_depth``: each update's 1-based
+    position in its group's bucket chain, for any sub-range."""
+    table = GroupByHashTable(np.array(keys, dtype=np.int64), hash_fn=_few_buckets(n_live))
+    lo = data.draw(st.integers(min_value=0, max_value=len(keys)))
+    hi = data.draw(st.integers(min_value=lo, max_value=len(keys)))
+    depths = table.update_depths(lo, hi)
+    assert np.array_equal(depths, table._depth[table.group_ids[lo:hi]])
+    assert len(depths) == hi - lo and (depths >= 1).all()
+    # Depths within a bucket are a permutation of 1..chain length.
+    for bucket in np.unique(table.buckets):
+        chain = np.sort(table._depth[table.buckets == bucket])
+        assert chain.tolist() == list(range(1, len(chain) + 1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,8 +16,15 @@ import json
 from pathlib import Path
 
 import pytest
+from generate_pinned_profiles import (
+    PINNED_PROFILES,
+    SCALE_FACTOR,
+    SEED,
+    cells_for,
+    summarize,
+)
 
-from repro.engines import ALL_ENGINES, TectorwiseEngine, TyperEngine
+from repro.engines import ALL_ENGINES, TectorwiseEngine, TyperEngine, engine_by_name
 from repro.engines.morsel import MORSEL_ALIGN, morsel_ranges
 
 #: (method, kwargs) pairs covering the acceptance matrix: the three
@@ -49,8 +56,8 @@ def ragged_ranges(n_rows: int) -> list[tuple[int, int]]:
     align = MORSEL_ALIGN
     cuts = sorted({
         0,
-        align,
-        3 * align,
+        min(align, n_rows),
+        min(3 * align, n_rows),
         (n_rows * 3 // 5) // align * align,
         (n_rows - 1) // align * align,
         n_rows,
@@ -165,6 +172,42 @@ class TestPinnedJoinProfiles:
         for name, fields in pinned["operators"].items():
             assert got["operators"][name] == fields, f"operator={name}"
         assert got["work"] == pinned["work"]
+
+
+PINNED = json.loads(PINNED_PROFILES.read_text())
+
+
+class TestPinnedProfiles:
+    """Every engine x workload x argument cell against the digests
+    ``generate_pinned_profiles.py`` recorded from the reference commit:
+    the single-shot run and the ragged tiling must both reproduce the
+    label, value, tuples and every WorkProfile, total and per operator."""
+
+    @pytest.mark.parametrize(
+        ("engine_name", "cell"),
+        [(name, cell) for name, cells in PINNED.items() for cell in cells],
+    )
+    def test_cell_equals_pinned(self, db_factory, engine_name, cell):
+        db = db_factory(SCALE_FACTOR, seed=SEED)
+        engine = engine_by_name(engine_name)
+        pinned = PINNED[engine_name][cell]
+        method, kwargs = next(
+            (method, kwargs)
+            for name, method, kwargs in cells_for(engine, db)
+            if name == cell
+        )
+        single = getattr(engine, method)(db, **kwargs)
+        n_rows = engine.partition_rows(db, method, kwargs)
+        ragged = engine.merge_morsels(db, method, kwargs, [
+            getattr(engine, method)(db, row_range=row_range, **kwargs)
+            for row_range in ragged_ranges(n_rows)
+        ])
+        for tiling, result in (("single-shot", single), ("ragged", ragged)):
+            got = summarize(result)
+            # A finisher may report more than the reference did.
+            assert set(got["details"]) >= set(pinned["details"]), tiling
+            for field in ("label", "value", "tuples", "work", "operators"):
+                assert got[field] == pinned[field], f"{tiling} {field}"
 
 
 class TestMergeAssociativity:

@@ -144,6 +144,26 @@ class TestProcessClusterFaults:
             assert "shard 1" in response["error"]
             assert "all replicas down" in response["error"]
 
+    def test_kill_is_seen_by_the_very_next_attempt(self, tiny_db):
+        """The injected kill returns only once the node is gone (EOF on
+        the kill's own connection, after the ack), so the attempt that
+        follows can never reach a node that is still on its way out:
+        20 kills, each followed at once by a request, none answered."""
+        with ShardCluster(
+            tiny_db, n_shards=1, replicas=20, spawn="process", faults=True
+        ) as cluster:
+            coordinator = Coordinator(
+                tiny_db, cluster, config=CoordinatorConfig(attempt_timeout_s=5.0)
+            )
+            for endpoint in cluster.endpoints[0]:
+                assert coordinator._request(endpoint, {"op": "ping"})["status"] == "ok"
+                coordinator._send_die(endpoint)
+                with pytest.raises(OSError):
+                    coordinator._request(endpoint, {"op": "ping"})
+            for process in cluster._processes:
+                process.join(timeout=5.0)
+                assert process.exitcode == KILLED_EXIT_CODE
+
 
 class TestFaultGating:
     def test_die_op_is_rejected_without_the_gate(self, tiny_db):

@@ -2,25 +2,35 @@
 
 The morsel-parallel executor (:mod:`repro.core.parallel`) must merge
 per-morsel partial aggregates into results that are **bit-identical**
-to a single-shot run, for *any* partitioning of the rows.  Plain float
-accumulation cannot deliver that -- float addition is not associative
--- so partial sums are carried as arbitrary-precision integers instead:
+to a single-shot run, for *any* partitioning of the rows.  Float
+addition is not associative, so partial sums are carried as
+arbitrary-precision integers instead: every finite double is an integer
+multiple of 2**-1074 (the subnormal quantum), so the *true* sum of any
+set of doubles is a Python integer in units of 2**-1074.  Integer
+addition is exact and associative, which makes :class:`ExactSum` merges
+partition-invariant by construction; the final :meth:`total` rounds the
+true sum to the nearest double exactly once (Python's ``int / int``
+true division is correctly rounded).
 
-Every finite double is an integer multiple of 2**-1074 (the subnormal
-quantum), so the *true* sum of any set of doubles is representable as a
-Python integer in units of 2**-1074.  Integer addition is exact and
-associative, which makes :class:`ExactSum` merges partition-invariant
-by construction; the final :meth:`total` rounds the true sum to the
-nearest double exactly once (Python's ``int / int`` true division is
-correctly rounded).
-
-The per-array conversion is vectorized and sort-free: per block of at
-most 2**16 rows ``np.frexp`` splits values into a 53-bit integer
-mantissa and an exponent, the hi/lo 26-bit mantissa halves are summed
-per ``(group, exponent)`` cell with ``np.bincount`` (float64 weights
-are exact: a block's |sum| < 2**16 * 2**27 = 2**43 < 2**53), and only
-the occupied cells are lifted into Python integers.  The whole-array
-sum is the one-group case of the grouped form.
+The per-array conversion is binned pre-rounding.  A block of ``rows``
+values below 2**E in magnitude is peeled into limbs ``q = (r + M) - M``
+with ``M = 1.5 * 2**(E - W + 52)``: ``r + M`` lies in M's binade, whose
+spacing is the grid 2**(E - W), so round-to-nearest makes ``q`` the grid
+multiple nearest ``r`` (a tie goes either way) and the subtraction is
+exact (``|q| <= 2**E`` is W bits of grid).  The residual ``r - q`` is
+exact too (a multiple of ``r``'s own ulp, no larger than ``|r|``) and at
+most half a grid step, so the next limb peels it with E - W for E, until
+nothing is left: one limb for integer-valued columns, two for TPC-H
+money and its products.  The one invariant is ``rows * 2**(W + 1) <=
+2**53`` (W = 36 at 2**16 rows): a limb's values are multiples of one
+grid summing to at most ``rows * 2**W`` grid steps in any order, so
+``q.sum()`` and ``np.bincount(ids, weights=q)`` are exact in float64,
+and the level sums, as int64 counts of grid steps, fold across blocks
+sharing a grid before they become Python integers.  The subnormal end
+needs nothing: every double is on a grid below 2**-1074, where ``r + M``
+is exact and ``q = r``.  At the overflow end, where ``r + M`` could pass
+2**1024, a block's huge rows are summed apart after an exact scaling.
+NaN and the infinities surface in the ``max``/``min`` pass that finds E.
 """
 
 from __future__ import annotations
@@ -33,16 +43,11 @@ import numpy as np
 #: Units of the fixed-point representation: 2**-_SHIFT per unit.
 _SHIFT = 1074
 
-#: Rows per conversion block.  With the mantissa split below, a block's
-#: per-cell sums are bounded by 2**16 * 2**27 = 2**43 < 2**53, so
-#: ``np.bincount``'s float64 accumulation is exact.
+#: Rows per conversion block (limb width 36) unless groups are many.
 _BLOCK = 1 << 16
-_LO_BITS = 26
-_LO_MASK = (1 << _LO_BITS) - 1
 
-#: A dense (group x exponent) cell table is used while it has at most
-#: this many cells per block row; sparser cell sets are factorised.
-_DENSE_CELLS_PER_ROW = 4
+#: Rows >= 2**_HUGE could overflow the shifter: summed apart, scaled down.
+_HUGE = 971
 
 
 def _float_to_units(value: float) -> int:
@@ -56,64 +61,66 @@ def _float_to_units(value: float) -> int:
     return units.numerator
 
 
+def _lift(levels: dict, units: list[int]) -> None:
+    """Empty ``levels`` (grid exponent -> int64 steps per group) into ``units``."""
+    for grid, steps in levels.items():
+        occupied = np.flatnonzero(steps)
+        for group, count in zip(occupied.tolist(), steps[occupied].tolist()):
+            units[group] += count << (grid + _SHIFT)
+    levels.clear()
+
+
 def _grouped_units(values, group_ids, n_groups: int) -> list[int]:
     """Exact per-group sums of ``values`` in 2**-1074 units.
 
     ``group_ids`` are dense ids in ``[0, n_groups)`` (``None``: one
-    group).  Scratch memory is O(block), whatever the array length.
+    group), checked by the ``np.bincount`` that sums them.  Scratch is
+    O(block); a block's O(n_groups) level sums cost less than its rows.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    units = [0] * n_groups
-    for start in range(0, values.size, _BLOCK):
-        block = values[start : start + _BLOCK]
-        if not np.isfinite(block).all():
+    rows = max(_BLOCK, 4 * n_groups)
+    width = 52 - (rows - 1).bit_length()  # rows * 2**(width + 1) <= 2**53
+    scratch = np.empty((2, min(rows, values.size)))
+    units, levels = [0] * n_groups, {}
+    for start in range(0, values.size, rows):
+        left = values[start : start + rows]
+        ids = group_ids if group_ids is None else group_ids[start : start + rows]
+        top = max(left.max(), -left.min())
+        if not math.isfinite(top):
             raise ValueError("cannot exactly sum non-finite values")
-        mantissa, exponent = np.frexp(block)
-        # mantissa in +-[0.5, 1); mantissa * 2**53 is an exact int64
-        # (doubles have 53 significant bits), value = m53 * 2**(e - 53).
-        m53 = np.ldexp(mantissa, 53).astype(np.int64)
-        exp_lo = int(exponent.min())
-        span = int(exponent.max()) - exp_lo + 1
-        cells = exponent - exp_lo
-        if group_ids is not None:
-            cells = group_ids[start : start + _BLOCK] * span + cells
-        # m53 = hi * 2**26 + lo with |hi| <= 2**27 and 0 <= lo < 2**26,
-        # so both per-cell block sums stay below 2**43 and float64
-        # weights accumulate them exactly.
-        hi, lo = m53 >> _LO_BITS, m53 & _LO_MASK
-        n_cells = n_groups * span
-        if n_cells <= _DENSE_CELLS_PER_ROW * block.size:
-            hi_sums = np.bincount(cells, weights=hi, minlength=n_cells)
-            lo_sums = np.bincount(cells, weights=lo, minlength=n_cells)
-            occupied = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
-            hi_sums, lo_sums = hi_sums[occupied], lo_sums[occupied]
-        else:
-            # Many groups, few rows each: factorise the occupied cells
-            # instead of allocating the (group x exponent) table.
-            occupied, inverse = np.unique(cells, return_inverse=True)
-            hi_sums = np.bincount(inverse, weights=hi, minlength=len(occupied))
-            lo_sums = np.bincount(inverse, weights=lo, minlength=len(occupied))
-        for cell, hi_sum, lo_sum in zip(
-            occupied.tolist(),
-            hi_sums.astype(np.int64).tolist(),
-            lo_sums.astype(np.int64).tolist(),
-        ):
-            group, exp = divmod(cell, span)
-            cell_sum = (hi_sum << _LO_BITS) + lo_sum
-            shift = exp + exp_lo - 53 + _SHIFT
-            if shift >= 0:
-                units[group] += cell_sum << shift
+        exponent = math.frexp(top)[1]  # top < 2**exponent
+        if exponent > _HUGE:
+            huge = np.abs(left) >= math.ldexp(1.0, _HUGE)
+            scaled = left[huge] * math.ldexp(1.0, -_HUGE)
+            apart = _grouped_units(scaled, ids if ids is None else ids[huge], n_groups)
+            units = [u + (a << _HUGE) for u, a in zip(units, apart)]
+            left, exponent = np.where(huge, 0.0, left), _HUGE
+        if start % (rows << 10) == 0:  # int64 holds 2**10 folds of <= 2**52 steps
+            _lift(levels, units)
+        limb, rest = scratch[:, : left.size]
+        while True:
+            shifter = math.ldexp(1.5, exponent - width + 52)
+            np.subtract(np.add(left, shifter, out=limb), shifter, out=limb)
+            if ids is None:
+                sums = limb.sum(keepdims=True)
             else:
-                # Subnormal inputs: the mantissa has trailing zero bits,
-                # so the right shift is still exact.
-                assert cell_sum % (1 << -shift) == 0
-                units[group] += cell_sum >> -shift
+                try:
+                    sums = np.bincount(ids, weights=limb, minlength=n_groups)
+                except (ValueError, MemoryError):  # a negative or absurd id
+                    sums = ()
+                if len(sums) != n_groups:
+                    raise ValueError(f"group ids must lie in [0, {n_groups})")
+            grid = max(exponent - width, -_SHIFT)
+            steps = np.ldexp(sums, -grid).astype(np.int64)
+            if grid not in levels and len(levels) == 8:  # scratch stays O(block)
+                _lift(levels, units)
+            levels[grid] = levels.get(grid, 0) + steps
+            if (limb == left).all():
+                break
+            left = np.subtract(left, limb, out=rest)
+            exponent -= width
+    _lift(levels, units)
     return units
-
-
-def _array_to_units(values: np.ndarray) -> int:
-    """The exact sum of an array of doubles, in 2**-1074 units."""
-    return _grouped_units(values, None, 1)[0]
 
 
 class ExactSum:
@@ -131,27 +138,20 @@ class ExactSum:
 
     @classmethod
     def of_array(cls, values) -> "ExactSum":
-        return cls(_array_to_units(np.asarray(values)))
+        return cls(_grouped_units(values, None, 1)[0])
 
     @staticmethod
     def grouped_units(values, group_ids, n_groups: int) -> list[int]:
-        """Exact units of ``sum(values[group_ids == g])`` for every
-        ``g`` in ``range(n_groups)`` (0 for empty groups), without
-        materialising any per-group intermediate.
-
-        ``ExactSum(units[g])`` equals ``of_array(values[group_ids == g])``
-        bit for bit; ``group_ids`` must be dense integer ids in
-        ``[0, n_groups)``.
+        """Exact units of ``sum(values[group_ids == g])`` for every ``g``
+        in ``range(n_groups)`` (0 for empty groups), with no per-group
+        intermediate.  ``ExactSum(units[g])`` equals
+        ``of_array(values[group_ids == g])`` bit for bit; ``group_ids``
+        must be dense integer ids in ``[0, n_groups)``.
         """
-        values = np.asarray(values, dtype=np.float64).ravel()
-        group_ids = np.asarray(group_ids).ravel()
-        if len(values) != len(group_ids):
+        group_ids = np.asarray(group_ids).ravel().astype(np.int64, copy=False)
+        if np.size(values) != group_ids.size:
             raise ValueError("values and group_ids must have equal length")
-        if len(group_ids) and not (
-            0 <= int(group_ids.min()) and int(group_ids.max()) < n_groups
-        ):
-            raise ValueError(f"group ids must lie in [0, {n_groups})")
-        return _grouped_units(values, group_ids.astype(np.int64, copy=False), n_groups)
+        return _grouped_units(values, group_ids, n_groups)
 
     @classmethod
     def of(cls, *values: float) -> "ExactSum":
@@ -200,7 +200,7 @@ class ExactSum:
         return cls(int(total) << _SHIFT)
 
     def add_array(self, values) -> "ExactSum":
-        self.units += _array_to_units(np.asarray(values))
+        self.units += _grouped_units(values, None, 1)[0]
         return self
 
     def __add__(self, other: "ExactSum") -> "ExactSum":

@@ -522,8 +522,10 @@ class Engine(ABC):
         else:
             # Higher degrees round per row inside ``a + b + ...``; no
             # per-column code rebase reproduces that, so decode.
-            total = np.zeros(hi - lo)
-            for column in columns:
+            # Start from the first (float64) column: a ``0.0`` seed is a
+            # pass that changes no unit, by the argument above.
+            total = lineitem[columns[0]][lo:hi]
+            for column in columns[1:]:
                 total = total + lineitem[column][lo:hi]
             total_sum = ExactSum.of_array(total)
             decision = tuple(
@@ -568,8 +570,8 @@ class Engine(ABC):
         combined = masks[0][1] & masks[1][1] & masks[2][1]
         qualifying = np.flatnonzero(combined)
         proj_cols = projection_columns(4)
-        projected = np.zeros(len(qualifying))
-        for column in proj_cols:
+        projected = lineitem[proj_cols[0]][lo:hi][qualifying]
+        for column in proj_cols[1:]:
             projected = projected + lineitem[column][lo:hi][qualifying]
         facts = Facts(
             state={"sum": ExactSum.of_array(projected), "qualifying": len(qualifying)},
@@ -618,8 +620,8 @@ class Engine(ABC):
         table = key_table(db, spec.build_table, spec.build_key)
         result = table.probe(probe[spec.probe_key][lo:hi])
         matched = np.flatnonzero(result.found)
-        projected = np.zeros(len(matched))
-        for column in spec.sum_columns:
+        projected = probe[spec.sum_columns[0]][lo:hi][matched]
+        for column in spec.sum_columns[1:]:
             projected = projected + probe[column][lo:hi][matched]
         facts = Facts(
             state={"sum": ExactSum.of_array(projected), "found": len(matched)},

@@ -259,7 +259,8 @@ class QueryService:
             "repro_pool_workers_alive", "Live morsel-pool worker processes"
         )
         self._m_pool_queries = m.counter(
-            "repro_pool_queries_total", "Queries executed on the morsel pool"
+            "repro_pool_queries_total",
+            "Queries dispatched to the morsel pool (a routed one never is)",
         )
         self._m_rollup_tables = m.gauge(
             "repro_rollup_tables", "Rollup tables attached to the served database"
@@ -430,13 +431,10 @@ class QueryService:
         pool = self.pool() if self.config.executor == "process" else None
         # Span label: a thread node's partials are tagged "shard".
         label = self.config.executor if pool is not None or finish else "shard"
-        result = run_call(
+        return run_call(
             self.db, engine, method, kwargs_items,
             pool=pool, finish=finish, executor=label,
         )
-        if pool is not None:
-            self._m_pool_queries.inc()
-        return result
 
     def execute_partial(self, method: str, kwargs_items: tuple, engine=None):
         """One shard's share of a scattered query: execute the already
@@ -871,6 +869,9 @@ class QueryService:
         self._m_exec_entries.set(len(EXECUTION_CACHE))
         self._m_queue_depth.set(self.queue_depth())
         self._m_workers.set(len(self._workers))
+        with self._pool_lock:
+            if self._pool is not None:
+                self._m_pool_queries.sync(self._pool.queries_run)
         with self._db_lock:
             db = self._db
         self._m_rollup_tables.set(len(getattr(db, "rollup_names", ())) if db else 0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -152,9 +153,8 @@ def grouped_inputs(draw):
         # Exact cancellation: every value meets its negation somewhere.
         values = values + [-v for v in values]
         values = draw(st.permutations(values))
-    # n_groups above len(values) leaves empty groups and, with the wide
-    # exponent span, exercises the factorised (sparse) cell branch;
-    # small n_groups with narrow spans stays in the dense table.
+    # n_groups above len(values) leaves empty groups; the wide exponent
+    # span peels many limbs, down to the subnormal grid.
     n_groups = draw(st.integers(min_value=1, max_value=300))
     group_ids = draw(
         st.lists(
@@ -192,8 +192,8 @@ class TestFractionOracle:
         for group in range(n_groups):
             assert units[group] == ExactSum.of_array(values[group_ids == group]).units
 
-    def test_narrow_exponents_take_the_dense_table(self):
-        """TPC-H money columns: a handful of exponents, a few groups."""
+    def test_money_columns_in_a_few_groups(self):
+        """TPC-H money columns: two limbs, a few groups, two empty."""
         rng = np.random.default_rng(11)
         values = rng.uniform(-1000.0, 1000.0, size=500).round(2)
         group_ids = rng.integers(0, 6, size=500)
@@ -242,3 +242,178 @@ class TestFractionOracle:
 
     def test_empty_input(self):
         assert ExactSum.grouped_units(np.array([]), np.array([], dtype=np.int64), 3) == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# The pre-rounded limb kernel at its edges
+# ---------------------------------------------------------------------------
+
+BLOCK = exactsum_module._BLOCK
+#: Limb width of a one-block call: BLOCK * 2**(WIDTH + 1) == 2**53.
+WIDTH = 52 - (BLOCK - 1).bit_length()
+
+
+def both_entry_points(values) -> set[int]:
+    """The one-group sum through ``of_array`` and ``grouped_units``."""
+    ids = np.zeros(len(values), dtype=np.int64)
+    return {
+        ExactSum.of_array(values).units,
+        ExactSum.grouped_units(values, ids, 1)[0],
+    }
+
+
+class TestLimbKernel:
+    @pytest.mark.parametrize("power", [-1030, 0, 17, 971, 972, 1024])
+    def test_full_block_at_the_exactness_bound(self, power):
+        """BLOCK copies of the largest double below 2**power (its first
+        limb rounds up to 2**power: 2**52 grid steps in all, the most
+        the invariant allows) and of the widest limb below it (WIDTH
+        one-bits); alternating signs cancel to zero."""
+        largest = (
+            sys.float_info.max if power == 1024
+            else math.nextafter(math.ldexp(1.0, power), 0.0)
+        )
+        widest = math.ldexp(2.0**WIDTH - 1, power - WIDTH)
+        for value in (largest, widest):
+            assert math.frexp(value)[1] == power
+            block = np.full(BLOCK, value)
+            assert both_entry_points(block) == {BLOCK * oracle_units([value])}
+            block[1::2] *= -1.0
+            assert both_entry_points(block) == {0}
+            assert both_entry_points(block[:-1]) == {oracle_units([value])}
+
+    def test_full_block_of_full_mantissas_in_one_binade(self):
+        """Every first limb carries WIDTH random bits, so the level sum
+        needs all of WIDTH + 16 <= 53 bits: a limb two bits wider would
+        round.  The oracle is integer arithmetic on the scaled values."""
+        rng = np.random.default_rng(41)
+        values = rng.uniform(2.0**16, 2.0**17, size=BLOCK)
+        scaled = (values * 2.0**36).astype(np.int64)  # ulp is 2**-36: exact
+        assert (scaled * 2.0**-36 == values).all()
+        assert both_entry_points(values) == {sum(scaled.tolist()) << (1074 - 36)}
+
+    def test_level_sums_fold_across_more_blocks_than_int64_holds(self, monkeypatch):
+        """Blocks sharing a grid fold as int64 grid steps, at most 2**52
+        per block: they must be lifted before 2**11 of them overflow."""
+        monkeypatch.setattr(exactsum_module, "_BLOCK", 4)  # 50-bit limbs
+        value = 2.0**50 - 1  # one limb of 50 one-bits
+        values = np.full(4 * 3000, value)
+        assert both_entry_points(values) == {len(values) * oracle_units([value])}
+
+    @pytest.mark.parametrize("exponent", [-1000, 3, 20, 970])
+    def test_ties_at_a_limb_boundary(self, exponent):
+        """Values half a grid step from a grid point, and one ulp to
+        either side of that: a tie may round either way, the residual
+        carries the difference."""
+        anchor = math.ldexp(1.0, exponent - 1)  # top exponent == exponent
+        grid = math.ldexp(1.0, exponent - WIDTH)
+        values = [anchor]
+        for multiple in range(-6, 7):
+            tie = (multiple + 0.5) * grid
+            values += [tie, math.nextafter(tie, math.inf), math.nextafter(tie, -math.inf)]
+        # The same again one limb down, where the residuals land.
+        values += [v * math.ldexp(1.0, -WIDTH) for v in values[1:]]
+        values = np.array(values)
+        assert both_entry_points(values) == {oracle_units(values.tolist())}
+        ids = np.arange(len(values)) % 3
+        assert ExactSum.grouped_units(values, ids, 3) == oracle_grouped(
+            values.tolist(), ids.tolist(), 3
+        )
+
+    def test_shifter_overflow_rows_next_to_subnormals(self):
+        """Rows from 2**971 up cannot take the shifter: they are summed
+        apart, scaled down, beside the block's tiny rows."""
+        largest = sys.float_info.max
+        values = np.array([
+            5e-324, largest, -2.0**1000, 1.5e-310, 2.0**971, -5e-324 * 3,
+            math.nextafter(2.0**971, 0.0), 2.0**970, -largest, largest, 1.0, 0.1,
+        ])
+        assert both_entry_points(values) == {oracle_units(values.tolist())}
+        ids = np.array([0, 1, 2] * 4)
+        assert ExactSum.grouped_units(values, ids, 4) == oracle_grouped(
+            values.tolist(), ids.tolist(), 4
+        )
+        # A sum beyond the double range is still exact in units.
+        assert ExactSum.of_array(np.full(5, largest)).units == 5 * oracle_units([largest])
+
+    def test_signed_zeros_and_all_zero_blocks(self):
+        zeros = np.zeros(2 * BLOCK + 7)
+        zeros[1::2] = -0.0
+        assert both_entry_points(zeros) == {0}
+        zeros[BLOCK + 3] = 0.1  # one value in the middle block
+        zeros[-1] = -5e-324
+        assert both_entry_points(zeros) == {oracle_units([0.1, -5e-324])}
+        ids = np.zeros(len(zeros), dtype=np.int64)
+        ids[-1] = 2  # ids are checked in all-zero blocks too
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            ExactSum.grouped_units(np.zeros(len(zeros)), ids, 2)
+
+    def test_consecutive_blocks_with_different_top_exponents(self):
+        """Each block peels on its own grids; blocks that share a grid
+        fold before they are lifted."""
+        rng = np.random.default_rng(23)
+        pattern = rng.uniform(-1000.0, 1000.0, size=64).round(2)
+        repeats = BLOCK // len(pattern)
+        scales = [1e-300, 1.0, 1.0, 2.0**990, 1.0, 2.0**-1060]
+        values = np.concatenate([np.tile(pattern * scale, repeats) for scale in scales])
+        expected = repeats * sum(
+            oracle_units((pattern * scale).tolist()) for scale in scales
+        )
+        assert both_entry_points(values) == {expected}
+        ids = np.arange(len(values)) % 2  # even / odd pattern positions
+        assert ExactSum.grouped_units(values, ids, 2) == [
+            repeats * sum(
+                oracle_units((pattern[parity::2] * scale).tolist()) for scale in scales
+            )
+            for parity in (0, 1)
+        ]
+
+    def test_far_more_groups_than_rows(self):
+        rng = np.random.default_rng(29)
+        values = np.ldexp(rng.uniform(-1, 1, size=50), rng.integers(-1078, 1024, size=50))
+        n_groups = 4 * BLOCK  # blocks of 2**20 rows, 32-bit limbs
+        ids = rng.integers(0, n_groups, size=50)
+        ids[:10] = ids[10:20]  # some groups hold two rows
+        units = ExactSum.grouped_units(values, ids, n_groups)
+        assert len(units) == n_groups
+        expected = {}
+        for group, value in zip(ids.tolist(), values.tolist()):
+            expected[group] = expected.get(group, 0) + oracle_units([value])
+        assert {g: u for g, u in enumerate(units) if u} == {
+            g: u for g, u in expected.items() if u
+        }
+
+    def test_many_groups_over_several_long_blocks(self):
+        """Blocks grow with n_groups (here 4 * 20 000 rows, 35-bit
+        limbs); a group's rows straddle them."""
+        rng = np.random.default_rng(31)
+        n_groups, per_group = 20_000, 11
+        pattern = (rng.uniform(900.0, 105_000.0, size=100).round(2)
+                   * (1 - rng.integers(0, 11, size=100) / 100))
+        index = np.arange(n_groups * per_group)
+        values, ids = pattern[index % 100], index % n_groups
+        units = ExactSum.grouped_units(values, ids, n_groups)
+        by_position = [per_group * oracle_units([v]) for v in pattern.tolist()]
+        assert units == [by_position[group % 100] for group in range(n_groups)]
+
+    def test_far_fewer_groups_than_rows(self):
+        rng = np.random.default_rng(37)
+        n = 3 * BLOCK + 99
+        pattern = rng.uniform(-1.0, 1.0, size=128) * 1e4
+        values = pattern[np.arange(n) % 128]
+        ids = (np.arange(n) % 128 >= 64).astype(np.int64)
+        counts = np.bincount(np.arange(n) % 128, minlength=128).tolist()
+        expected = [
+            sum(counts[i] * oracle_units([pattern[i]]) for i in half)
+            for half in (range(64), range(64, 128))
+        ]
+        assert ExactSum.grouped_units(values, ids, 2) == expected
+        assert ExactSum.of_array(values).units == sum(expected)
+
+    def test_absurd_and_late_bad_ids_are_value_errors(self):
+        values = np.ones(BLOCK + 3)
+        for bad in (10**12, 2**62, -1, 5):
+            ids = np.zeros(len(values), dtype=np.int64)
+            ids[-1] = bad  # in the last block
+            with pytest.raises(ValueError, match=r"\[0, 5\)"):
+                ExactSum.grouped_units(values, ids, 5)

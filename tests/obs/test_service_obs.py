@@ -220,6 +220,16 @@ class TestDecisionSink:
         assert thread_stats["pruning"]["queries_pruned"] >= 1
         assert thread_stats["compile"]["queries"] == 1
 
+    def test_pool_counts_dispatches_not_requests(self, process_run):
+        """A rollup-routed request never reaches the pool: it moves
+        neither ``WorkerPool.queries_run`` nor its scrape-time mirror."""
+        stats, samples = process_run
+        requests = sum(samples["repro_queries_total"].values())
+        dispatched = stats["process_pool"]["queries_run"]
+        assert stats["rollups"]["routed"] >= 2
+        assert dispatched == requests - stats["rollups"]["routed"]
+        assert samples["repro_pool_queries_total"][()] == dispatched
+
     @pytest.mark.parametrize("executor", ("thread", "process"))
     def test_counters_mirror_totals(self, request, executor):
         stats, samples = request.getfixturevalue(f"{executor}_run")

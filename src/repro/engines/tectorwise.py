@@ -329,7 +329,7 @@ class TectorwiseEngine(Engine):
     ) -> None:
         depths = table.update_depths(lo, hi)
         n = hi - lo
-        comparisons = int(depths.sum())
+        comparisons = int(depths.sum(dtype=np.int64))
         collisions = int((depths > 1).sum())
         self._pass(work, n, extra_instr=self.HASH_INSTRS)  # hash pass
         self._pass(work, n, loads=1.0)  # slot gather

@@ -220,7 +220,7 @@ class TyperEngine(Engine):
     ) -> None:
         depths = table.update_depths(lo, hi)
         n = hi - lo
-        comparisons = int(depths.sum())
+        comparisons = int(depths.sum(dtype=np.int64))
         collisions = int((depths > 1).sum())
         work.record_work(
             instructions=n * (self.LOOP_INSTRS + self.HASH_INSTRS + 3)

@@ -14,6 +14,7 @@ from repro.engines import (
     next_power_of_two,
     weak_composite_bucket,
 )
+from repro.engines.hashtable import DENSE_SLOTS_PER_BUCKET
 
 
 class TestHelpers:
@@ -68,19 +69,43 @@ class TestBuild:
         with pytest.raises(TypeError, match="integers"):
             table.probe(np.array([1, 2]).astype(dtype))
 
-    def test_keeps_no_per_key_array_beyond_keys_buckets_next(self):
-        """The probe walks head/next; there is no sorted copy of the
-        keys, no key order and no per-key depth beside the table."""
-        table = ChainedHashTable(np.arange(1, 38) * 7)
-        per_key = {
-            name for name, value in vars(table).items()
-            if isinstance(value, np.ndarray) and len(value) == table.n_keys
+    @pytest.mark.parametrize(
+        "stride, per_slot",
+        ((7, {"row_of_key", "cost_of_key"}), (7_000, set())),
+        ids=("dense", "sparse"),
+    )
+    def test_per_key_arrays_and_per_domain_slot_arrays(self, stride, per_slot):
+        """Per key the table holds its keys, buckets, next links and
+        chain depths: no sorted copy of the keys and no key order.  The
+        two per-domain-slot arrays (one slot per domain value plus the
+        one for keys outside it) exist on a dense table only."""
+        table = ChainedHashTable(np.arange(1, 38) * stride)
+        arrays = {
+            name: value for name, value in vars(table).items() if isinstance(value, np.ndarray)
         }
-        assert per_key == {"keys", "buckets", "next"}
+        per_key = {name for name, value in arrays.items() if len(value) == table.n_keys}
+        assert per_key == {"keys", "buckets", "next", "depth"}
+        domain_slots = 36 * stride + 2
+        assert {name for name, value in arrays.items() if len(value) == domain_slots} == per_slot
+        assert set(arrays) == per_key | per_slot | {"head", "bucket_counts"}
+        if not per_slot:
+            assert table.row_of_key is None and table.cost_of_key is None
 
     def test_rejects_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="build keys must be one-dimensional"):
             ChainedHashTable(np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("stride", (1, 7_000), ids=("lookup", "walk"))
+    def test_probe_rejects_2d_and_types_an_empty_probe(self, stride):
+        table = ChainedHashTable(np.arange(1, 38) * stride)
+        assert (table.row_of_key is None) == (stride > 1)
+        with pytest.raises(ValueError, match="probe keys must be one-dimensional"):
+            table.probe(np.ones((2, 2), dtype=np.int64))
+        empty = table.probe(np.array([], dtype=np.int32))
+        assert empty.found.dtype == bool and empty.found.shape == (0,)
+        assert empty.match_index.dtype == np.int64 and empty.match_index.shape == (0,)
+        assert (empty.comparisons, empty.extra_walk) == (0, 0)
+        assert type(empty.comparisons) is int and type(empty.extra_walk) is int
 
     def test_rejects_bad_load(self):
         with pytest.raises(ValueError):
@@ -279,22 +304,32 @@ def _few_buckets(n_live: int):
     return lambda keys, n_buckets: (keys.astype(np.int64) % min(n_live, n_buckets))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(
     keys=st.lists(st.integers(min_value=-60, max_value=60), max_size=40, unique=True),
     probes=st.lists(st.integers(min_value=-70, max_value=70), max_size=80),
     n_live=st.integers(min_value=1, max_value=4),
     build_dtype=st.sampled_from((np.int64, np.int32)),
     probe_dtype=st.sampled_from((np.int64, np.int32)),
+    stride=st.sampled_from((1, 4099)),
 )
 def test_property_probe_counts_equal_python_chain_walk(
-    keys, probes, n_live, build_dtype, probe_dtype
+    keys, probes, n_live, build_dtype, probe_dtype, stride
 ):
     """``comparisons`` and ``extra_walk`` are the walk's own counts: a
     hit costs its 1-based position in ``chain_of``, a miss the chain's
     length -- for negative, unsorted, repeated and narrower probe keys,
-    an empty probe and an empty table."""
+    an empty probe and an empty table, on a dense key draw (stride 1:
+    probed by direct address) and on the same draw spread out (stride
+    4099: probed by the walk)."""
+    keys = [key * stride for key in keys]
+    probes = [probe * stride for probe in probes]
     table = ChainedHashTable(np.array(keys, dtype=build_dtype), hash_fn=_few_buckets(n_live))
+    if len(keys) >= 8:
+        # Both paths are exercised: 8 keys have >= 16 buckets, whose guard
+        # (256 slots) holds any stride-1 draw (<= 121 slots), and two keys
+        # a stride apart outspan the largest table's (128 buckets, 2 048).
+        assert (table.row_of_key is None) == (stride > 1)
     result = table.probe(np.array(probes, dtype=probe_dtype))
 
     comparisons = hits = 0
@@ -311,6 +346,108 @@ def test_property_probe_counts_equal_python_chain_walk(
     assert result.comparisons == comparisons
     assert result.extra_walk == comparisons - hits
     assert result.found.dtype == bool and len(result.found) == len(probes)
+
+
+def assert_lookup_equals_walk(table, probe_keys):
+    """The table's own ``probe`` (direct address) against the chain
+    walk over the same head/next arrays."""
+    assert table.row_of_key is not None
+    result = table.probe(probe_keys)
+    match_index, comparisons = table._walk(probe_keys)
+    assert result.match_index.dtype == match_index.dtype
+    assert np.array_equal(result.match_index, match_index)
+    assert np.array_equal(result.found, match_index >= 0) and result.found.dtype == bool
+    assert result.comparisons == comparisons and type(result.comparisons) is int
+    assert result.extra_walk == comparisons - np.count_nonzero(match_index >= 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    low=st.integers(min_value=-300, max_value=300),
+    offsets=st.lists(st.integers(min_value=0, max_value=199), min_size=7, max_size=120, unique=True),
+    probes=st.lists(st.integers(min_value=-260, max_value=260), max_size=80),
+    hash_fn=st.sampled_from((fibonacci_bucket, _few_buckets(1), _few_buckets(3))),
+    build_dtype=st.sampled_from((np.int64, np.int32)),
+    probe_dtype=st.sampled_from((np.int64, np.int32)),
+)
+def test_property_lookup_equals_walk(low, offsets, probes, hash_fn, build_dtype, probe_dtype):
+    """Direct address and chain walk return the same ``ProbeResult``
+    on a dense table: full and filtered domains, negative keys, mixed
+    widths, repeated probe keys, probes on either side of the domain,
+    regular and adversarially long chains."""
+    table = ChainedHashTable(np.array(offsets, dtype=build_dtype) + build_dtype(low), hash_fn=hash_fn)
+    # Probes around the domain's middle reach below, inside and above it.
+    assert_lookup_equals_walk(table, np.array(probes, dtype=probe_dtype) + probe_dtype(low + 100))
+
+
+_INSIDE_AND_AROUND = {  # offsets from the domain's lowest key
+    "all": np.arange(0, 100),
+    "repeats": np.array([50, 50, 1, 50, 1, 0, 0]),
+    "holes": np.arange(1, 100, 2),
+    "below": np.arange(-100, 0),
+    "above": np.arange(99, 200),
+    "straddle": np.arange(-50, 150),
+    "empty": np.array([], dtype=np.int64),
+}
+_FAR_AWAY = {  # absolute keys: their offsets wrap
+    "wrap": np.array([-(2**63), 2**63 - 1, 0, 100]),
+    # Past int64; as int64 these are -199 (a key), -150 (a hole), ...
+    "uint64": np.array([2**64 - 199, 2**64 - 150, 2**63 + 100, 100], dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("case", (*_INSIDE_AND_AROUND, *_FAR_AWAY))
+@pytest.mark.parametrize("low", (100, -199), ids=("positive", "negative"))
+def test_lookup_equals_walk_at_the_domain_edges(case, low):
+    """A filtered subset (every other key) of a 99-wide domain."""
+    table = ChainedHashTable(np.arange(low, low + 99, 2), hash_fn=_few_buckets(3))
+    probes = _INSIDE_AND_AROUND[case] + low if case in _INSIDE_AND_AROUND else _FAR_AWAY[case]
+    assert_lookup_equals_walk(table, probes)
+
+
+def test_empty_table_is_walked_and_costs_nothing():
+    table = ChainedHashTable(np.array([], dtype=np.int64))
+    assert table.row_of_key is None
+    result = table.probe(np.arange(-3, 4))
+    assert not result.found.any() and (result.match_index == -1).all()
+    assert (result.comparisons, result.extra_walk) == (0, 0)
+
+
+def test_density_guard_boundary():
+    """The same chains just under and just over the guard: the top key
+    moves by one bucket cycle of the hash, so only the path changes."""
+    n_live = 3
+    base = np.arange(40)
+    table_slots = DENSE_SLOTS_PER_BUCKET * next_power_of_two(2 * 41)
+    results = {}
+    for name, top in (("under", table_slots - 1), ("over", table_slots - 1 + n_live)):
+        table = ChainedHashTable(np.append(base, top), hash_fn=_few_buckets(n_live))
+        assert (table.row_of_key is None) == (name == "over")
+        probes = np.concatenate((base[::3], [top, top, -1, 45, top + n_live], base[::-5]))
+        results[name] = table.probe(probes)
+    under, over = results.values()
+    assert np.array_equal(under.found, over.found)
+    assert np.array_equal(under.match_index, over.match_index)
+    assert (under.comparisons, under.extra_walk) == (over.comparisons, over.extra_walk)
+    assert under.comparisons > len(under.found)  # long chains: the walk has work to count
+
+
+@pytest.mark.parametrize(
+    "keys",
+    (
+        np.array([2**63 + 5, 2**63 + 6, 3], dtype=np.uint64),  # beyond int64
+        np.array([-(2**63), 2**63 - 1, 0]),                     # max - min overflows int64
+    ),
+    ids=("uint64-top", "span-overflow"),
+)
+def test_keys_no_int64_offset_can_address_take_the_walk(keys):
+    table = ChainedHashTable(keys)
+    assert table.row_of_key is None
+    result = table.probe(np.concatenate((keys[::-1], keys[:1] + keys.dtype.type(2))))
+    assert result.match_index.tolist() == [2, 1, 0, -1]
+    assert result.found.tolist() == [True, True, True, False]
+    with pytest.raises(ValueError, match="unique"):
+        ChainedHashTable(np.append(keys, keys[0]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -148,9 +148,9 @@ class TestProcessClusterFaults:
         """The injected kill returns only once the node is gone (EOF on
         the kill's own connection, after the ack), so the attempt that
         follows can never reach a node that is still on its way out:
-        20 kills, each followed at once by a request, none answered."""
+        5 kills, each followed at once by a request, none answered."""
         with ShardCluster(
-            tiny_db, n_shards=1, replicas=20, spawn="process", faults=True
+            tiny_db, n_shards=1, replicas=5, spawn="process", faults=True
         ) as cluster:
             coordinator = Coordinator(
                 tiny_db, cluster, config=CoordinatorConfig(attempt_timeout_s=5.0)

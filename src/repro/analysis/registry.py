@@ -7,10 +7,10 @@ machine model it runs on and the TPC-H tables it needs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import settings
 from repro.hardware.spec import BROADWELL, SKYLAKE, ServerSpec
 from repro.core.profiler import MicroArchProfiler
 from repro.tpch.dbgen import generate_database
@@ -32,7 +32,7 @@ from repro.analysis import (
 #: scanned columns and the large join's hash table exceed the 35 MB L3
 #: (the paper uses SF 5 / SF 70 on a 256 GB box).  Override with the
 #: REPRO_SF environment variable.
-DEFAULT_SCALE_FACTOR = float(os.environ.get("REPRO_SF", "0.3"))
+DEFAULT_SCALE_FACTOR = settings.scale_factor()
 DEFAULT_SEED = 42
 
 SCAN_TABLES = ("lineitem",)

@@ -11,18 +11,12 @@ the pipeline so intermediates are never materialised, hash joins on
 :class:`repro.core.exactsum.ExactSum` units so morsel partials merge
 bit-identically on both executors.
 
-This module is import-light on purpose: :mod:`repro.core.execcache`
-keys the execution cache on :func:`compile_enabled`, so importing it
-must not pull in the engines or the compiler itself.
-
-Toggle with ``REPRO_COMPILE`` (on by default).
+Toggle with ``REPRO_COMPILE`` (on by default; see :mod:`repro.settings`).
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = ["CompileError", "compile_enabled"]
+__all__ = ["CompileError"]
 
 
 class CompileError(Exception):
@@ -31,11 +25,3 @@ class CompileError(Exception):
     Lowering catches this and reports the reason in its "no binding"
     diagnostic; it is never a silent fallback to a wrong program.
     """
-
-
-def compile_enabled() -> bool:
-    """Whether lowering may fall back to the plan compiler
-    (``REPRO_COMPILE``, on unless explicitly disabled)."""
-    return os.environ.get("REPRO_COMPILE", "1").strip().lower() not in {
-        "0", "false", "no", "off",
-    }

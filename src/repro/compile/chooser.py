@@ -15,8 +15,8 @@ route the model predicts to be fastest.
 
 The chooser is *advisory*: the serve layer attaches the decision to
 ``result.details["chooser"]`` so predictions can be validated against
-measured latencies (see ``benchmarks/record_bench.py``), but it never
-overrides the engine the caller asked for.
+measured latencies (olapbench's ``compile.chooser_rank_agreement``),
+but it never overrides the engine the caller asked for.
 
 The synthetic profiles are estimates, not measurements -- they mirror
 the recording formulas of the real executions (sequential column

@@ -32,16 +32,12 @@ Disable with ``REPRO_EXEC_CACHE=0``.
 from __future__ import annotations
 
 import inspect
-import os
 import threading
 from collections import OrderedDict
 from functools import wraps
 
-from repro.compile import compile_enabled
-from repro.core.pruning import pruning_enabled
+from repro import settings
 from repro.obs import trace
-from repro.rollup.router import rollups_enabled
-from repro.storage.encoding import encoded_agg_enabled, encoding_enabled
 
 #: Engine methods that are memoized (the complete execution surface).
 #: :func:`repro.engines.base._memoize_run_methods` wraps each where it
@@ -58,12 +54,6 @@ CACHED_METHODS = (
     "run_q18",
     "run_compiled",
 )
-
-
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_EXEC_CACHE", "1").strip().lower() not in {
-        "0", "false", "no", "off",
-    }
 
 
 def _snapshot(result, cached: bool):
@@ -145,7 +135,7 @@ def memoized_execution(method_name: str, func):
     @wraps(func)
     def wrapper(self, db, *args, **kwargs):
         cls = type(self)
-        if not cache_enabled() or not _first_party(cls):
+        if not settings.enabled("exec_cache") or not _first_party(cls):
             return func(self, db, *args, **kwargs)
         try:
             bound = signature.bind(self, db, *args, **kwargs)
@@ -163,16 +153,11 @@ def memoized_execution(method_name: str, func):
                 method_name,
                 db.identity,
                 call_args,
-                # Storage-tier state: results are bit-identical across
-                # these modes, but byte accounting (encoded_nbytes,
-                # details like storage stats) and downstream pruning
-                # behaviour are not -- a raw-storage run must never be
-                # served an entry produced under different settings.
-                encoding_enabled(),
-                encoded_agg_enabled(),
-                pruning_enabled(),
-                rollups_enabled(),
-                compile_enabled(),
+                # Results are bit-identical across the keyed switches,
+                # but byte accounting (encoded_nbytes, storage stats)
+                # and pruning / routing behaviour are not -- a run must
+                # never be served an entry recorded under other settings.
+                settings.result_key(),
             )
             hash(key)
         except TypeError:

@@ -9,6 +9,7 @@ breakdown plus the aggregate socket bandwidth reproduce Figures 27-30.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from repro.engines.base import Engine, QueryResult
@@ -133,29 +134,22 @@ def measured_speedup_curve(
 
     Timing uses the best of ``repeats`` runs after one warm-up (the
     warm-up also populates per-worker shared structures such as hash
-    tables).  The execution cache is disabled around the single-process
-    baseline so repeats measure execution, not memo lookups.  Returns
+    tables).  The single-process baseline times the runner underneath
+    the execution cache's wrapper so repeats measure execution, not
+    memo lookups.  Returns
     ``{"baseline_s", "workers": {n: {"seconds", "speedup"}}}``.
     """
-    import os
-
-    from repro.core.parallel import WorkerPool
+    from repro.core.parallel import WorkerPool, normalized_call
 
     kwargs = dict(kwargs or {})
-    runner = getattr(engine, method)
+    runner_name, items = normalized_call(engine, method, args, kwargs)
+    runner = inspect.unwrap(getattr(type(engine), runner_name))
+    runner_kwargs = dict(items)
 
-    saved = os.environ.get("REPRO_EXEC_CACHE")
-    os.environ["REPRO_EXEC_CACHE"] = "0"
-    try:
-        runner(db, *args, **kwargs)  # warm-up
-        baseline = min(
-            _timed(lambda: runner(db, *args, **kwargs)) for _ in range(repeats)
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_EXEC_CACHE", None)
-        else:
-            os.environ["REPRO_EXEC_CACHE"] = saved
+    runner(engine, db, **runner_kwargs)  # warm-up
+    baseline = min(
+        _timed(lambda: runner(engine, db, **runner_kwargs)) for _ in range(repeats)
+    )
 
     curve: dict[int, dict[str, float]] = {}
     for n_workers in worker_counts:

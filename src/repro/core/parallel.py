@@ -50,6 +50,7 @@ import time
 import traceback
 
 from repro.core import pruning
+from repro.engines.base import TPCH_RUNNERS
 from repro.engines.morsel import MORSEL_ALIGN, merge_worker_partials, morsel_ranges
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -57,8 +58,6 @@ from repro.obs import trace
 #: Rows one claim hands a worker.  Aligned, and large enough that the
 #: per-morsel numpy dispatch overhead stays negligible.
 DEFAULT_MORSEL_ROWS = 1 << 16
-
-_TPCH_RUNNERS = {"Q1": "run_q1", "Q6": "run_q6", "Q9": "run_q9", "Q18": "run_q18"}
 
 
 class WorkerCrashed(RuntimeError):
@@ -82,11 +81,11 @@ def normalized_call(engine, method: str, args: tuple, kwargs: dict):
         bound.apply_defaults()
         query_id = bound.arguments["query_id"]
         predicated = bound.arguments["predicated"]
-        if query_id not in _TPCH_RUNNERS:
+        if query_id not in TPCH_RUNNERS:
             raise ValueError(f"unsupported TPC-H query {query_id!r}")
         if predicated and query_id != "Q6":
             raise ValueError("predication is studied on Q6 only (Section 7)")
-        method = _TPCH_RUNNERS[query_id]
+        method = TPCH_RUNNERS[query_id]
         args, kwargs = (), ({"predicated": True} if predicated else {})
     signature = inspect.signature(getattr(type(engine), method))
     if "row_range" not in signature.parameters:

@@ -48,11 +48,11 @@ from __future__ import annotations
 import bisect
 import contextvars
 import copy
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import settings
 from repro.obs import trace
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE, CHUNK_ROWS, MIXED
 
@@ -60,13 +60,6 @@ from repro.storage.zonemap import ALL_FALSE, ALL_TRUE, CHUNK_ROWS, MIXED
 #: claim size; pruned runs split into blocks of this size (aligned to
 #: the run start) so equal-length blocks share one memoized partial.
 PRUNED_BLOCK_ROWS = 1 << 16
-
-_OFF_VALUES = {"0", "false", "no", "off"}
-
-
-def pruning_enabled() -> bool:
-    """Zone-map pruning toggle (``REPRO_PRUNING``, on by default)."""
-    return os.environ.get("REPRO_PRUNING", "1").strip().lower() not in _OFF_VALUES
 
 
 # ----------------------------------------------------------------------
@@ -132,47 +125,6 @@ def atoms_for(db, method: str, kwargs) -> tuple[PredicateAtom, ...]:
             for column, threshold in thresholds.items()
         )
     return ()
-
-
-def plan_atoms(plan) -> tuple[PredicateAtom, ...]:
-    """Extract a conjunctive summary from a logical plan's Filter nodes.
-
-    Returns one atom per ``column <op> literal`` conjunct, in plan
-    order; any non-atomic predicate yields an empty summary (pruning
-    only ever acts on summaries it fully understands).
-    """
-    from repro.sql import plan as ir
-
-    ops = {"<=": "le", "<": "lt", ">=": "ge", ">": "gt", "=": "eq"}
-    atoms: list[PredicateAtom] = []
-
-    def walk(node) -> bool:
-        if isinstance(node, ir.Filter):
-            for predicate in node.predicates:
-                if not (
-                    isinstance(predicate, ir.Compare)
-                    and predicate.op in ops
-                    and isinstance(predicate.left, ir.ColumnExpr)
-                    and isinstance(predicate.right, ir.ConstExpr)
-                    and isinstance(predicate.right.value, (int, float))
-                ):
-                    return False
-                atoms.append(
-                    PredicateAtom(
-                        predicate.left.ref.column,
-                        ops[predicate.op],
-                        float(predicate.right.value),
-                    )
-                )
-        for child_name in ("child", "left", "right"):
-            child = getattr(node, child_name, None)
-            if child is not None and not walk(child):
-                return False
-        return True
-
-    if plan is None or not walk(plan):
-        return ()
-    return tuple(atoms)
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +293,7 @@ def plan_for(db, method: str, kwargs, executor: str) -> PrunePlan | None:
     Emits a ``prune`` span whenever a summary was evaluated, so the
     decision -- including "kept everything" -- is visible in traces.
     """
-    if not pruning_enabled():
+    if not settings.enabled("pruning"):
         return None
     atoms = atoms_for(db, method, kwargs)
     if not atoms:

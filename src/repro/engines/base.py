@@ -287,6 +287,10 @@ _LABELS = {
     "q18": lambda: "Q18",
 }
 
+#: ``run_tpch`` query id -> per-query runner (the dispatch of
+#: :meth:`Engine.run_tpch`, shared with call normalisation and lowering).
+TPCH_RUNNERS = {"Q1": "run_q1", "Q6": "run_q6", "Q9": "run_q9", "Q18": "run_q18"}
+
 
 class Engine(ABC):
     """A profiled system: the shared workloads plus one cost model.
@@ -691,13 +695,7 @@ class Engine(ABC):
         predicated: bool = False,
         row_range=None,
     ) -> QueryResult:
-        runners = {
-            "Q1": self.run_q1,
-            "Q6": self.run_q6,
-            "Q9": self.run_q9,
-            "Q18": self.run_q18,
-        }
-        if query_id not in runners:
+        if query_id not in TPCH_RUNNERS:
             raise ValueError(f"unsupported TPC-H query {query_id!r}")
         # Forward row_range only when set so subclasses that override a
         # runner without morsel support keep working for full runs.
@@ -706,7 +704,7 @@ class Engine(ABC):
             return self.run_q6(db, predicated=predicated, **extra)
         if predicated:
             raise ValueError("predication is studied on Q6 only (Section 7)")
-        return runners[query_id](db, **extra)
+        return getattr(self, TPCH_RUNNERS[query_id])(db, **extra)
 
     def run_q1(self, db: Database, row_range=None) -> QueryResult:
         """TPC-H Q1: low-cardinality group by."""

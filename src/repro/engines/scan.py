@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import settings
 from repro.core.exactsum import ExactSum
 from repro.core.pruning import scan_outcome
 from repro.obs import trace
 from repro.storage.column import ColumnTable
-from repro.storage.encoding import (
-    compare_values,
-    encoded_agg_enabled,
-    selection_mask,
-)
+from repro.storage.encoding import compare_values, selection_mask
 
 #: Merge-state key engines use to carry the morph decision to their
 #: finishers (``const_``: every morsel computes the identical tuple).
@@ -152,7 +149,7 @@ def exact_sum_column(
         if selected is not None:
             values = values[selected]
         return ExactSum.of_array(values), "decoded", "column-raw"
-    if not encoded_agg_enabled():
+    if not settings.enabled("encoded_agg"):
         values = table[column][lo:hi]
         if selected is not None:
             values = values[selected]
@@ -190,7 +187,7 @@ def grouped_exact_sum(
     set of ``major * multiplier + minor`` key values that occur in the
     selection.
     """
-    if not encoded_agg_enabled():
+    if not settings.enabled("encoded_agg"):
         return None
     major_enc = table.encoding(major)
     minor_enc = table.encoding(minor)
@@ -263,7 +260,7 @@ def q1_encoded_aggregation(lineitem, lo: int, hi: int, selected):
     )
     if grouped is not None:
         qty_mode, qty_why = "code-domain", "grouped-bincount"
-    elif not encoded_agg_enabled():
+    elif not settings.enabled("encoded_agg"):
         qty_mode, qty_why = "decoded", "toggle-off"
     elif lineitem.encoding("l_quantity") is None:
         qty_mode, qty_why = "decoded", "column-raw"

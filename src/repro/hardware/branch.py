@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import settings
+
 
 def two_bit_stationary_distribution(p_taken: float) -> np.ndarray:
     """Stationary distribution over the four 2-bit counter states.
@@ -140,7 +142,10 @@ class GSharePredictor:
         from repro.hardware import fastsim
 
         count = len(outcomes)
-        if count >= fastsim.MIN_BATCH_EVENTS and not fastsim.use_reference():
+        if (
+            count >= fastsim.MIN_BATCH_EVENTS
+            and not settings.enabled("reference_sim")
+        ):
             added = fastsim.gshare_run_batch(self, pc, outcomes)
             return added / count
         before = self.mispredictions

@@ -38,20 +38,11 @@ Broadwell/Skylake servers.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 #: Below this many events the batch kernels gain nothing; the dispatch
 #: helpers fall back to the reference loops.
 MIN_BATCH_EVENTS = 32
-
-
-def use_reference() -> bool:
-    """True when ``REPRO_REFERENCE_SIM`` selects the per-event models."""
-    return os.environ.get("REPRO_REFERENCE_SIM", "").strip().lower() in {
-        "1", "true", "yes", "on",
-    }
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import settings
 from repro.hardware.cache import SetAssociativeCache
 from repro.hardware.prefetcher import (
     NextLinePrefetcher,
@@ -127,7 +128,10 @@ class CacheHierarchy:
         from repro.hardware import fastsim
 
         addresses = np.asarray(addresses)
-        if len(addresses) >= fastsim.MIN_BATCH_EVENTS and not fastsim.use_reference():
+        if (
+            len(addresses) >= fastsim.MIN_BATCH_EVENTS
+            and not settings.enabled("reference_sim")
+        ):
             fastsim.replay_hierarchy(self, addresses)
             return self.stats
         for addr in addresses:

@@ -29,7 +29,6 @@ from repro.rollup.router import (
     attempt,
     has_rollups,
     profile_for,
-    rollups_enabled,
     route,
 )
 from repro.rollup.table import AggregateSpec, RollupTable
@@ -51,6 +50,5 @@ __all__ = [
     "has_rollups",
     "partitioned_database",
     "profile_for",
-    "rollups_enabled",
     "route",
 ]

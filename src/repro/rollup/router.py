@@ -30,16 +30,14 @@ into the execution cache, so flipping it can never serve stale results.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import settings
 from repro.core.exactsum import ExactSum
 from repro.core.pruning import PredicateAtom
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE
-
-_OFF_VALUES = {"0", "false", "no", "off"}
 
 #: Base-table columns each routable method would stream, for the
 #: avoided-traffic accounting in decisions and stats.
@@ -50,11 +48,6 @@ _BASE_SCAN_COLUMNS = {
         "l_extendedprice", "l_discount", "l_tax",
     ),
 }
-
-
-def rollups_enabled() -> bool:
-    """Rollup routing toggle (``REPRO_ROLLUPS``, on by default)."""
-    return os.environ.get("REPRO_ROLLUPS", "1").strip().lower() not in _OFF_VALUES
 
 
 def has_rollups(db) -> bool:
@@ -273,7 +266,7 @@ def attempt(db, engine, method: str, kwargs, executor: str, finish: bool = True)
     hit, returns the routed result with the decision in
     ``details["rollup"]``.
     """
-    if not rollups_enabled() or not has_rollups(db):
+    if not settings.enabled("rollups") or not has_rollups(db):
         return None, None
     from repro.obs import trace
 

@@ -12,7 +12,6 @@ The REPL reads bare SQL lines from stdin (``:engine NAME``, ``:stats``,
 
 from __future__ import annotations
 
-import os
 import socketserver
 import sys
 import threading
@@ -46,11 +45,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 # crash *after* acking, so the client's next request --
                 # not this one -- observes the dead node.
                 self.wfile.flush()
-                if os.environ.get("REPRO_SHARD_NODE") == "1":
-                    os._exit(17)  # a real process death: no cleanup
-                # A thread-spawned node stops listening *before* this
-                # connection closes: the client waits for that EOF to
-                # know the node is gone.
+                # The node stops listening *before* this connection
+                # closes: the client waits for that EOF to know the
+                # node is gone.  A node process hard-exits as soon as
+                # its ``serve_forever`` returns with ``killed`` set.
+                self.server.killed = True
                 self.server.shutdown()
                 self.server.server_close()
                 return
@@ -112,15 +111,11 @@ def dispatch(service: QueryService, message: dict) -> dict:
             }
         return {"status": protocol.STATUS_OK, **wire.encode_partial(partial)}
     if op == "die":
-        allowed = (
-            getattr(service.config, "shard_node", False)
-            and os.environ.get("REPRO_SHARD_FAULTS") == "1"
-        )
-        if not allowed:
+        if not (service.config.shard_node and service.config.fault_ops):
             return {
                 "status": protocol.STATUS_ERROR,
-                "error": "die is enabled only on shard nodes with "
-                "REPRO_SHARD_FAULTS=1",
+                "error": "die is enabled only on shard nodes configured "
+                "with fault_ops=True",
             }
         return {"status": protocol.STATUS_OK, "dying": True}
     if op is not None:
@@ -162,6 +157,8 @@ class QueryServer(socketserver.ThreadingTCPServer):
     def __init__(self, service: QueryService, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.service = service
+        #: Set by an honoured ``die`` op just before the server stops.
+        self.killed = False
 
     @property
     def address(self) -> tuple[str, int]:

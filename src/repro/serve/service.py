@@ -21,9 +21,9 @@ from __future__ import annotations
 import copy
 import queue
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro import settings
 from repro.core.parallel import WorkerPool, normalized_call, run_call
 from repro.obs import (
     Clock,
@@ -42,7 +42,7 @@ from repro.serve.protocol import (
     STATUS_TIMEOUT,
     jsonable,
 )
-from repro.sql import compile_sql, normalize_sql
+from repro.sql import PlanCache
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,9 @@ class ServiceConfig:
     #: server then accepts the ``partial`` op (execute-and-stop-before-
     #: the-finisher, see :meth:`QueryService.execute_partial`).
     shard_node: bool = False
+    #: Fault injection: a shard node honours the ``die`` op only when
+    #: set (see :class:`repro.shard.cluster.ShardCluster` ``faults=``).
+    fault_ops: bool = False
 
     def __post_init__(self) -> None:
         if self.executor not in ("thread", "process"):
@@ -173,11 +176,7 @@ class QueryService:
         self._db_lock = threading.Lock()
         self._engines: dict[str, object] = {}
         self._engines_lock = threading.Lock()
-        self._plans: "OrderedDict[str, object]" = OrderedDict()
-        self._plans_lock = threading.Lock()
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_evictions = 0
+        self._plans = PlanCache(self.config.plan_cache_size)
         self._pool = None
         self._pool_lock = threading.Lock()
         self._profiler = None
@@ -400,30 +399,9 @@ class QueryService:
             return self._pool
 
     def compile(self, sql: str):
-        """Compile with the per-service plan cache: an LRU bounded at
-        ``config.plan_cache_size`` entries, keyed on normalized text so
-        formatting differences share one plan."""
-        key = normalize_sql(sql)
-        with self._plans_lock:
-            bound = self._plans.get(key)
-            if bound is not None:
-                self._plans.move_to_end(key)
-                self.plan_hits += 1
-                trace.annotate(outcome="hit")
-                return bound
-            self.plan_misses += 1
-        trace.annotate(outcome="miss")
-        bound = compile_sql(sql)
-        with self._plans_lock:
-            if key not in self._plans:
-                self._plans[key] = bound
-                while len(self._plans) > self.config.plan_cache_size:
-                    self._plans.popitem(last=False)
-                    self.plan_evictions += 1
-            else:
-                self._plans.move_to_end(key)
-            bound = self._plans[key]
-        return bound
+        """Compile through the per-service :class:`~repro.sql.PlanCache`
+        (bounded at ``config.plan_cache_size`` entries)."""
+        return self._plans.compile(sql)
 
     def _run(self, engine, method: str, kwargs_items: tuple, finish: bool = True):
         """One normalized call through the execution driver on this
@@ -683,7 +661,7 @@ class QueryService:
         it: the bound route (hand-wired template vs compiled kernel
         program), the program shape when compiled, and the engine
         chooser's predicted cycles per candidate route."""
-        from repro.compile import CompileError, compile_enabled
+        from repro.compile import CompileError
         from repro.compile.program import compiled_program
 
         bound = self.compile(sql)
@@ -693,7 +671,7 @@ class QueryService:
             "route": "compiled" if bound.method == "run_compiled" else "template",
             "binding": str(bound),
         }
-        if bound.plan is not None and compile_enabled():
+        if bound.plan is not None and settings.enabled("compile"):
             try:
                 report["program"] = compiled_program(bound.plan).describe()
             except CompileError as exc:
@@ -712,8 +690,7 @@ class QueryService:
                 queued_depth=request.queued_depth,
             )
         try:
-            with trace.span("plan_cache"):
-                bound = self.compile(request.sql)
+            bound = self.compile(request.sql)
             engine = self.engine(request.engine_name)
             with trace.span(
                 "execute",
@@ -766,30 +743,20 @@ class QueryService:
         the execution stages decided over the service's lifetime.
         Never triggers generation -- an unserved database reports only
         toggles and counters."""
-        from repro.compile import compile_enabled
         from repro.compile.program import compile_cache_stats
-        from repro.core.pruning import pruning_enabled
-        from repro.rollup import rollups_enabled
-        from repro.storage.encoding import encoded_agg_enabled, encoding_enabled
 
         snapshot = self.stats.snapshot()
-        with self._plans_lock:
-            snapshot["plan_cache_entries"] = len(self._plans)
-            snapshot["plan_cache_hits"] = self.plan_hits
-            snapshot["plan_cache"] = {
-                "hits": self.plan_hits,
-                "misses": self.plan_misses,
-                "evictions": self.plan_evictions,
-                "entries": len(self._plans),
-                "capacity": self.config.plan_cache_size,
-            }
+        plan_cache = self._plans.stats()
+        snapshot["plan_cache_entries"] = plan_cache["entries"]
+        snapshot["plan_cache_hits"] = plan_cache["hits"]
+        snapshot["plan_cache"] = plan_cache
         snapshot["queue_depth"] = self.queue_depth()
         snapshot["workers"] = self.config.workers
         snapshot["executor"] = self.config.executor
         with self._db_lock:
             db = self._db
         storage: dict = {
-            "encoding_enabled": encoding_enabled(),
+            "encoding_enabled": settings.enabled("encoding"),
             "database_loaded": db is not None,
         }
         if db is not None:
@@ -808,17 +775,19 @@ class QueryService:
             )
         snapshot["storage"] = storage
         totals = self._decision_totals()
-        snapshot["pruning"] = {"enabled": pruning_enabled(), **totals["pruning"]}
+        snapshot["pruning"] = {
+            "enabled": settings.enabled("pruning"), **totals["pruning"]
+        }
         snapshot["rollups"] = {
-            "enabled": rollups_enabled(),
+            "enabled": settings.enabled("rollups"),
             "tables": sorted(getattr(db, "rollup_names", ())) if db else [],
             **totals["rollups"],
         }
         snapshot["encoded_agg"] = {
-            "enabled": encoded_agg_enabled(), **totals["encoded_agg"]
+            "enabled": settings.enabled("encoded_agg"), **totals["encoded_agg"]
         }
         snapshot["compile"] = {
-            "enabled": compile_enabled(),
+            "enabled": settings.enabled("compile"),
             "cache": compile_cache_stats(),
             **totals["compile"],
         }
@@ -859,11 +828,11 @@ class QueryService:
         self._m_compile_hits.sync(compile_cache["hits"])
         self._m_compile_misses.sync(compile_cache["misses"])
         self._m_compile_entries.set(compile_cache["entries"])
-        with self._plans_lock:
-            self._m_plan_hits.sync(self.plan_hits)
-            self._m_plan_misses.sync(self.plan_misses)
-            self._m_plan_evictions.sync(self.plan_evictions)
-            self._m_plan_entries.set(len(self._plans))
+        plan_cache = self._plans.stats()
+        self._m_plan_hits.sync(plan_cache["hits"])
+        self._m_plan_misses.sync(plan_cache["misses"])
+        self._m_plan_evictions.sync(plan_cache["evictions"])
+        self._m_plan_entries.set(plan_cache["entries"])
         self._m_exec_hits.sync(EXECUTION_CACHE.hits)
         self._m_exec_misses.sync(EXECUTION_CACHE.misses)
         self._m_exec_entries.set(len(EXECUTION_CACHE))

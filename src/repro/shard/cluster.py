@@ -39,9 +39,6 @@ KILLED_EXIT_CODE = 17
 
 def _node_main(manifest, port_conn, executor, process_workers, workers, faults):
     """Entry point of one spawned shard-node process."""
-    os.environ["REPRO_SHARD_NODE"] = "1"
-    if faults:
-        os.environ["REPRO_SHARD_FAULTS"] = "1"
     from repro.serve.server import QueryServer
     from repro.serve.service import QueryService, ServiceConfig
     from repro.storage import shm
@@ -52,6 +49,7 @@ def _node_main(manifest, port_conn, executor, process_workers, workers, faults):
         executor=executor,
         process_workers=process_workers,
         shard_node=True,
+        fault_ops=faults,
         scale_factor=0.0,  # the db is attached, never generated
     )
     service = QueryService(config, db=attached.database).start()
@@ -63,6 +61,9 @@ def _node_main(manifest, port_conn, executor, process_workers, workers, faults):
     except KeyboardInterrupt:
         pass
     finally:
+        if server.killed:
+            # An injected kill is a real process death: no cleanup.
+            os._exit(KILLED_EXIT_CODE)
         server.server_close()
         service.stop()
         attached.close()
@@ -105,11 +106,6 @@ class ShardCluster:
         self._segments: list = []
         self._processes: list = []
         self._closed = False
-        self._had_faults_env = os.environ.get("REPRO_SHARD_FAULTS")
-        if faults:
-            # Thread-mode replicas share this process; the die op gate
-            # reads the environment either way.
-            os.environ["REPRO_SHARD_FAULTS"] = "1"
         try:
             if spawn == "thread":
                 self._start_threads(node_executor, node_workers, process_workers)
@@ -133,6 +129,7 @@ class ShardCluster:
                     executor=node_executor,
                     process_workers=process_workers,
                     shard_node=True,
+                    fault_ops=self.faults,
                     scale_factor=0.0,
                 )
                 service = QueryService(config, db=shard_db).start()
@@ -212,8 +209,6 @@ class ShardCluster:
         # Segments unlink strictly after every attached node is gone.
         for exported in self._segments:
             exported.unlink()
-        if self._had_faults_env is None:
-            os.environ.pop("REPRO_SHARD_FAULTS", None)
         atexit.unregister(self.close)
 
     def __enter__(self) -> "ShardCluster":

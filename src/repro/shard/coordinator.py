@@ -39,7 +39,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.obs import Tracer, histogram_quantiles, trace
@@ -48,7 +47,9 @@ from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.serve import protocol
 from repro.serve.protocol import STATUS_ERROR, STATUS_OK
 from repro.shard import wire
+from repro.shard.faults import mangle_payload
 from repro.shard.partition import FACT_TABLE
+from repro.sql import PlanCache
 from repro.sql.lower import partition_binding
 
 
@@ -112,8 +113,7 @@ class Coordinator:
         self.clock = clock or DEFAULT_CLOCK
         self._sleep = sleep
         self._engines: dict[str, object] = {}
-        self._plans: "OrderedDict[str, object]" = OrderedDict()
-        self._plans_lock = threading.Lock()
+        self._plans = PlanCache(self.config.plan_cache_size)
         self._rr = 0
         self._rr_lock = threading.Lock()
         self.metrics = MetricsRegistry()
@@ -146,25 +146,6 @@ class Coordinator:
         )
         self._m_shards = m.gauge("repro_shard_count", "Shards in the cluster")
         self._m_shards.set(cluster.n_shards)
-
-    # -- lowering ------------------------------------------------------
-    def compile(self, sql: str):
-        """Lower once per normalized text (LRU, like the service's)."""
-        from repro.sql import compile_sql, normalize_sql
-
-        key = normalize_sql(sql)
-        with self._plans_lock:
-            bound = self._plans.get(key)
-            if bound is not None:
-                self._plans.move_to_end(key)
-                return bound
-        bound = compile_sql(sql)
-        with self._plans_lock:
-            self._plans.setdefault(key, bound)
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.config.plan_cache_size:
-                self._plans.popitem(last=False)
-            return self._plans[key]
 
     def engine(self, name: str):
         if name not in self._engines:
@@ -220,8 +201,7 @@ class Coordinator:
         from repro.sql.errors import SqlError
 
         try:
-            with trace.span("plan_cache"):
-                bound = self.compile(sql)
+            bound = self._plans.compile(sql)
         except SqlError as exc:
             return {"status": STATUS_ERROR, "error": str(exc)}
         binding = partition_binding(bound)
@@ -236,7 +216,7 @@ class Coordinator:
                         "to distribute this query"
                     ),
                 }
-            return self._single(sql, engine_name, options, bound)
+            return self._single(sql, engine_name, options)
         engine_obj = self.engine(engine_name)
         merged = bound.call_kwargs()
         merged.update(options)
@@ -278,12 +258,12 @@ class Coordinator:
         for thread in threads:
             thread.join()
         failovers: list[dict] = []
-        errors: list[ShardError] = []
+        down: list[AllReplicasDown] = []
         partials = []
         for shard_id, outcome in enumerate(outcomes):
-            partial, attempts, t0, t1, hard_error = outcome
-            if hard_error is not None:
-                raise hard_error
+            partial, attempts, t0, t1, error = outcome
+            if error is not None and not isinstance(error, AllReplicasDown):
+                raise error
             if trace.active():
                 trace.record(
                     "shard",
@@ -294,97 +274,93 @@ class Coordinator:
                     failed_over=len(attempts) - 1,
                     outcome="ok" if partial is not None else "down",
                 )
-            for endpoint, reason in attempts[:-1] if partial is not None else attempts:
-                failovers.append(
-                    {
-                        "shard": shard_id,
-                        "endpoint": f"{endpoint[0]}:{endpoint[1]}",
-                        "reason": reason,
-                    }
-                )
+            failovers.extend(_failed(shard_id, attempts))
             if partial is None:
-                self._m_exhausted.labels(shard=str(shard_id)).inc()
-                errors.append(AllReplicasDown(shard_id, attempts))
+                down.append(error)
             else:
                 self._m_partials.labels(shard=str(shard_id)).inc()
                 partials.append(partial)
-        if errors:
-            raise errors[0]
+        if down:
+            raise down[0]
         result = self._merge(engine_obj, method, kwargs_items, partials)
         return result, failovers
 
     def _gather_one(self, shard_id: int, message: dict, outcomes: list) -> None:
-        t0 = self.clock.now()
-        try:
-            partial, attempts = self._shard_partial(shard_id, message)
-        except AllReplicasDown as exc:
-            outcomes[shard_id] = (None, exc.reasons, t0, self.clock.now(), None)
-            return
-        except ShardError as exc:
-            outcomes[shard_id] = (None, [], t0, self.clock.now(), exc)
-            return
-        outcomes[shard_id] = (partial, attempts, t0, self.clock.now(), None)
+        def accept(response: dict):
+            if response.get("status") != STATUS_OK:
+                # The node answered: a deterministic error, identical
+                # on every replica.  Surface it.
+                raise ShardError(
+                    f"shard {shard_id} rejected the plan: "
+                    f"{response.get('error', 'unknown error')}"
+                )
+            plan = self.fault_plan
+            if plan is not None and plan.take("corrupt", shard_id):
+                response = mangle_payload(response)
+            return wire.decode_partial(response)
 
-    def _shard_partial(self, shard_id: int, message: dict):
-        """The failover loop for one shard (see the module docstring)."""
-        endpoints = self.cluster.endpoints[shard_id]
+        t0 = self.clock.now()
+        partial = error = None
+        try:
+            partial, attempts = self._with_failover(shard_id, message, accept)
+        except AllReplicasDown as exc:
+            attempts, error = exc.reasons, exc
+        except ShardError as exc:
+            attempts, error = [], exc
+        outcomes[shard_id] = (partial, attempts, t0, self.clock.now(), error)
+
+    def _with_failover(self, shard_id: int, message: dict, accept):
+        """The failover loop for one shard (see the module docstring).
+
+        Returns ``(accept(response), attempts)`` for the first replica
+        that answers and whose answer ``accept`` takes; ``accept``
+        raises :class:`~repro.shard.wire.CorruptPartial` to reject an
+        answer like a dead replica, anything else to give up.
+        """
         plan = self.fault_plan
         attempts: list = []
-        failures = 0
-        for _ in range(self.config.max_rounds):
-            for endpoint in endpoints:
-                reason = None
-                if plan is not None and plan.take("kill", shard_id):
-                    self._send_die(endpoint)
-                if plan is not None and plan.take("drop", shard_id):
-                    reason = "drop-injected"
-                elif plan is not None:
-                    delay = plan.take("delay", shard_id)
-                    if delay is not None:
-                        self._sleep(delay["seconds"])
-                        reason = "delay-injected"
-                if reason is None:
+        rotation = list(self.cluster.endpoints[shard_id]) * self.config.max_rounds
+        for failures, endpoint in enumerate(rotation):
+            reason = None
+            if plan is not None and plan.take("kill", shard_id):
+                self._send_die(endpoint)
+            if plan is not None and plan.take("drop", shard_id):
+                reason = "drop-injected"
+            elif plan is not None:
+                delay = plan.take("delay", shard_id)
+                if delay is not None:
+                    self._sleep(delay["seconds"])
+                    reason = "delay-injected"
+            if reason is None:
+                try:
+                    response = self._request(endpoint, message)
+                except (OSError, ValueError) as exc:
+                    reason = f"connection: {type(exc).__name__}"
+                else:
                     try:
-                        response = self._request(endpoint, message)
-                    except (OSError, ValueError) as exc:
-                        reason = f"connection: {type(exc).__name__}"
+                        accepted = accept(response)
+                    except wire.CorruptPartial as exc:
+                        reason = f"corrupt-partial: {exc}"
                     else:
-                        if response.get("status") != STATUS_OK:
-                            # The node answered: a deterministic error,
-                            # identical on every replica.  Surface it.
-                            raise ShardError(
-                                f"shard {shard_id} rejected the plan: "
-                                f"{response.get('error', 'unknown error')}"
-                            )
-                        if plan is not None and plan.take("corrupt", shard_id):
-                            response = wire_mangled(response)
-                        try:
-                            partial = wire.decode_partial(response)
-                        except wire.CorruptPartial as exc:
-                            reason = f"corrupt-partial: {exc}"
-                        else:
-                            attempts.append((endpoint, "ok"))
-                            return partial, attempts
-                attempts.append((endpoint, reason))
-                self._m_failover.labels(
-                    shard=str(shard_id), reason=reason.split(":", 1)[0]
-                ).inc()
-                if trace.active():
-                    now = self.clock.now()
-                    trace.record(
-                        "failover",
-                        now,
-                        now,
-                        shard=shard_id,
-                        endpoint=f"{endpoint[0]}:{endpoint[1]}",
-                        reason=reason,
-                    )
-                backoff = min(
-                    self.config.backoff_base_s * (2.0 ** failures),
-                    self.config.backoff_max_s,
+                        attempts.append((endpoint, "ok"))
+                        return accepted, attempts
+            attempts.append((endpoint, reason))
+            self._m_failover.labels(
+                shard=str(shard_id), reason=reason.split(":", 1)[0]
+            ).inc()
+            if trace.active():
+                now = self.clock.now()
+                trace.record(
+                    "failover",
+                    now,
+                    now,
+                    shard=shard_id,
+                    endpoint=f"{endpoint[0]}:{endpoint[1]}",
+                    reason=reason,
                 )
-                failures += 1
-                self._sleep(backoff)
+            backoff = self.config.backoff_base_s * (2.0 ** failures)
+            self._sleep(min(backoff, self.config.backoff_max_s))
+        self._m_exhausted.labels(shard=str(shard_id)).inc()
         raise AllReplicasDown(shard_id, attempts)
 
     def _request(self, endpoint, message: dict) -> dict:
@@ -471,7 +447,7 @@ class Coordinator:
             return engine_obj.merge_morsels(self.db, method, kwargs_items, partials)
 
     # -- single route --------------------------------------------------
-    def _single(self, sql: str, engine_name: str, options: dict, bound) -> dict:
+    def _single(self, sql: str, engine_name: str, options: dict) -> dict:
         """Dimension-only queries run on one shard (fully replicated);
         shards take turns, with the same failover loop."""
         with self._rr_lock:
@@ -480,47 +456,16 @@ class Coordinator:
         message: dict = {"sql": sql, "engine": engine_name}
         if options:
             message["options"] = options
-        partial_message = dict(message)
-        response, attempts = self._single_failover(shard_id, partial_message)
+        response, attempts = self._with_failover(
+            shard_id, message, lambda response: response
+        )
         response = dict(response)
         response["route"] = "single"
         response["shard"] = shard_id
-        if len(attempts) > 1:
-            response["failovers"] = [
-                {
-                    "shard": shard_id,
-                    "endpoint": f"{endpoint[0]}:{endpoint[1]}",
-                    "reason": reason,
-                }
-                for endpoint, reason in attempts[:-1]
-            ]
+        failed = _failed(shard_id, attempts)
+        if failed:
+            response["failovers"] = failed
         return response
-
-    def _single_failover(self, shard_id: int, message: dict):
-        endpoints = self.cluster.endpoints[shard_id]
-        attempts: list = []
-        failures = 0
-        for _ in range(self.config.max_rounds):
-            for endpoint in endpoints:
-                try:
-                    response = self._request(endpoint, message)
-                except (OSError, ValueError) as exc:
-                    reason = f"connection: {type(exc).__name__}"
-                else:
-                    attempts.append((endpoint, "ok"))
-                    return response, attempts
-                attempts.append((endpoint, reason))
-                self._m_failover.labels(
-                    shard=str(shard_id), reason=reason.split(":", 1)[0]
-                ).inc()
-                backoff = min(
-                    self.config.backoff_base_s * (2.0 ** failures),
-                    self.config.backoff_max_s,
-                )
-                failures += 1
-                self._sleep(backoff)
-        self._m_exhausted.labels(shard=str(shard_id)).inc()
-        raise AllReplicasDown(shard_id, attempts)
 
     # -- introspection -------------------------------------------------
     def stats_snapshot(self) -> dict:
@@ -549,6 +494,19 @@ class Coordinator:
 
     def metrics_text(self) -> str:
         return self.metrics.render()
+
+
+def _failed(shard_id: int, attempts: list) -> list[dict]:
+    """The ``failovers`` response entries of one shard's attempts."""
+    return [
+        {
+            "shard": shard_id,
+            "endpoint": f"{endpoint[0]}:{endpoint[1]}",
+            "reason": reason,
+        }
+        for endpoint, reason in attempts
+        if reason != "ok"
+    ]
 
 
 def _harmonize_patterns(works) -> None:
@@ -587,9 +545,3 @@ def _const_equal(a, b) -> bool:
         return bool(a == b)
     except Exception:
         return False
-
-
-def wire_mangled(response: dict) -> dict:
-    from repro.shard.faults import mangle_payload
-
-    return mangle_payload(response)

@@ -6,7 +6,7 @@ existing ``run_*`` paths, so a SQL round-trip produces bit-identical
 results to the hand-wired plans.
 """
 
-from repro.sql.api import compile_sql, execute_sql, parse_sql, plan_sql
+from repro.sql.api import PlanCache, compile_sql, execute_sql, parse_sql, plan_sql
 from repro.sql.errors import SqlError
 from repro.sql.lower import BoundQuery, lower
 from repro.sql.parser import parse
@@ -15,6 +15,7 @@ from repro.sql.tokens import Token, normalize_sql, tokenize
 
 __all__ = [
     "BoundQuery",
+    "PlanCache",
     "Planner",
     "SqlError",
     "Token",

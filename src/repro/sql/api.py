@@ -10,12 +10,16 @@ This is the surface the examples, the query service and the tests use::
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.obs import trace
 from repro.sql import ast
 from repro.sql import plan as ir
 from repro.sql.lower import BoundQuery, lower
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
+from repro.sql.tokens import normalize_sql
 
 
 def parse_sql(sql: str) -> ast.Select:
@@ -36,6 +40,57 @@ def compile_sql(sql: str) -> BoundQuery:
     plan = plan_sql(sql)
     with trace.span("lower"):
         return lower(plan, sql)
+
+
+class PlanCache:
+    """LRU of lowered statements keyed on :func:`normalize_sql` text, so
+    requests that differ only in formatting share one plan.
+
+    Thread-safe.  Lowering runs outside the lock; threads that miss the
+    same text at once each lower it and converge on the entry stored
+    first.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._plans: OrderedDict[str, BoundQuery] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def compile(self, sql: str) -> BoundQuery:
+        """:func:`compile_sql` through the cache, inside a
+        ``plan_cache`` span annotated with the outcome."""
+        with trace.span("plan_cache"):
+            key = normalize_sql(sql)
+            with self._lock:
+                bound = self._plans.get(key)
+                if bound is not None:
+                    self._plans.move_to_end(key)
+                    self.hits += 1
+                    trace.annotate(outcome="hit")
+                    return bound
+                self.misses += 1
+            trace.annotate(outcome="miss")
+            bound = compile_sql(sql)
+            with self._lock:
+                bound = self._plans.setdefault(key, bound)
+                self._plans.move_to_end(key)
+                while len(self._plans) > self.capacity:
+                    self._plans.popitem(last=False)
+                    self.evictions += 1
+            return bound
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "entries": len(self._plans),
+                "capacity": self.capacity,
+            }
 
 
 def execute_sql(sql: str, engine, db, **options):

@@ -33,6 +33,8 @@ import dataclasses
 import functools
 from dataclasses import dataclass, field
 
+from repro import settings
+from repro.engines.base import TPCH_RUNNERS
 from repro.sql import plan as ir
 from repro.sql.errors import SqlError, err
 from repro.tpch.schema import PROJECTION_COLUMNS, SELECTION_PREDICATE_COLUMNS
@@ -61,18 +63,6 @@ class BoundQuery:
     args: tuple = ()
     kwargs: tuple = ()
     plan: ir.PlanNode | None = field(default=None, compare=False)
-    #: Conjunctive predicate summary extracted from the plan's Filter
-    #: nodes (see :func:`repro.core.pruning.plan_atoms`); the serve
-    #: layer evaluates it against zone maps before dispatch.  Excluded
-    #: from equality like ``plan``: two bindings of the same workload
-    #: are the same query.
-    atoms: tuple = field(default=(), compare=False)
-    #: Rollup routing profile
-    #: (:class:`repro.rollup.router.QueryProfile`) when the bound call's
-    #: value can in principle be assembled from pre-aggregated partials;
-    #: None for shapes no rollup can answer.  Derived metadata, so
-    #: excluded from equality like ``plan`` and ``atoms``.
-    rollup_profile: object | None = field(default=None, compare=False)
 
     def call_kwargs(self) -> dict:
         return dict(self.kwargs)
@@ -271,32 +261,8 @@ def _match_groupby(core: ir.PlanNode) -> BoundQuery | None:
 _MATCHERS = (_match_projection, _match_selection, _match_join, _match_groupby)
 
 
-#: ``run_tpch`` query id -> per-query runner, mirroring
-#: :meth:`Engine.run_tpch` dispatch for routing-profile purposes.
-_TPCH_RUNNERS = {"Q1": "run_q1", "Q6": "run_q6", "Q9": "run_q9", "Q18": "run_q18"}
-
-
-def _rollup_profile(method: str, args: tuple, kwargs: tuple):
-    """Routing profile of a bound call (None when unroutable).
-
-    ``run_tpch`` resolves to its per-query runner and positional
-    projection degrees become the keyword :func:`profile_for` expects,
-    so the profile describes the call the engine will actually execute.
-    """
-    from repro.rollup.router import profile_for
-
-    call_kwargs = dict(kwargs)
-    if method == "run_tpch":
-        method = _TPCH_RUNNERS.get(args[0], method) if args else method
-    elif method == "run_projection" and args:
-        call_kwargs.setdefault("degree", args[0])
-    return profile_for(method, call_kwargs)
-
-
 def lower(plan: ir.PlanNode, sql: str | None = None) -> BoundQuery:
     """Bind a logical plan onto an engine entry point, or raise."""
-    from repro.core.pruning import plan_atoms
-
     core = ir.strip_decorations(plan)
     template = _template_index().get(core)
     if template is not None:
@@ -306,10 +272,6 @@ def lower(plan: ir.PlanNode, sql: str | None = None) -> BoundQuery:
             args=template.args,
             kwargs=template.kwargs,
             plan=plan,
-            atoms=plan_atoms(core),
-            rollup_profile=_rollup_profile(
-                template.method, template.args, template.kwargs
-            ),
         )
     for matcher in _MATCHERS:
         bound = matcher(core)
@@ -320,15 +282,11 @@ def lower(plan: ir.PlanNode, sql: str | None = None) -> BoundQuery:
                 args=bound.args,
                 kwargs=bound.kwargs,
                 plan=plan,
-                atoms=plan_atoms(core),
-                rollup_profile=_rollup_profile(
-                    bound.method, bound.args, bound.kwargs
-                ),
             )
     compile_reason = None
-    from repro.compile import CompileError, compile_enabled
+    from repro.compile import CompileError
 
-    if compile_enabled():
+    if settings.enabled("compile"):
         from repro.compile.program import compiled_program
 
         try:
@@ -338,8 +296,8 @@ def lower(plan: ir.PlanNode, sql: str | None = None) -> BoundQuery:
         else:
             # Compiled programs partition their own driving table and
             # merge exactly, but they stay outside zone-map pruning and
-            # rollup routing: atoms/profile describe the hand-wired
-            # templates' access paths, not an arbitrary kernel DAG.
+            # rollup routing: ``pruning.atoms_for`` / ``router.profile_for``
+            # know the hand-wired runners only and decline ``run_compiled``.
             return BoundQuery(
                 workload=program.workload,
                 method="run_compiled",
@@ -411,7 +369,7 @@ def partition_binding(bound: BoundQuery) -> PartitionBinding:
     method = bound.method
     kwargs = dict(bound.kwargs)
     if method == "run_tpch" and bound.args:
-        method = _TPCH_RUNNERS.get(bound.args[0], method)
+        method = TPCH_RUNNERS.get(bound.args[0], method)
     if method == "run_join":
         from repro.engines.base import JOIN_SPECS
 
@@ -467,7 +425,7 @@ def _no_binding(
     core = ir.strip_decorations(plan)
     known = sorted({bound.workload for bound in _template_index().values()})
     runners = ", ".join(
-        f"{query_id}->{runner}" for query_id, runner in sorted(_TPCH_RUNNERS.items())
+        f"{query_id}->{runner}" for query_id, runner in sorted(TPCH_RUNNERS.items())
     )
     lines = [
         "query is valid but does not match any profiled workload and "

@@ -1,7 +1,7 @@
 """Storage substrate: columnar (DSM) and row (NSM) table layouts."""
 
 from repro.storage.column import Column, ColumnTable
-from repro.storage.encoding import EncodedColumn, encode_columns, encoding_enabled
+from repro.storage.encoding import EncodedColumn, encode_columns
 from repro.storage.row import DEFAULT_PAGE_BYTES, RowTable
 from repro.storage.catalog import Database
 from repro.storage.zonemap import CHUNK_ROWS, ColumnZoneMap, build_zone_map
@@ -17,5 +17,4 @@ __all__ = [
     "RowTable",
     "build_zone_map",
     "encode_columns",
-    "encoding_enabled",
 ]

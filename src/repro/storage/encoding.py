@@ -41,15 +41,10 @@ stats at load time; ``REPRO_ENCODING=off`` disables the whole tier.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-#: Environment toggle: ``REPRO_ENCODING=off`` (or 0/false/no) disables
-#: encoding at database load time; everything then runs on raw arrays.
-ENV_VAR = "REPRO_ENCODING"
-
-_OFF_VALUES = {"0", "false", "no", "off"}
+from repro import settings
 
 #: Policy bounds (see :func:`choose_encoding`).
 MAX_DICT_SIZE = 4096
@@ -63,12 +58,6 @@ _PROBE_SAMPLE = 4096
 _PROBE_MAX_SAMPLE_CARDINALITY = 512
 
 
-#: Environment toggle for code-domain *aggregation* (summing codes
-#: instead of decoded values).  Independent of ``REPRO_ENCODING`` so the
-#: two effects can be measured separately; tracked by the execution
-#: cache key like the other storage-tier modes.
-AGG_ENV_VAR = "REPRO_ENCODED_AGG"
-
 #: Largest FoR code width the count-based aggregation path will
 #: bincount over (2**16 bins); wider domains use the integer-sum
 #: identity or decode.
@@ -77,18 +66,6 @@ AGG_MAX_BITS = 16
 #: Every |value| <= 2**53 converts to float64 exactly, which is what
 #: makes the FoR integer-sum identity bit-identical to the decoded path.
 _EXACT_FLOAT_BOUND = 1 << 53
-
-
-def encoding_enabled() -> bool:
-    """Whether the encoding tier is on (``REPRO_ENCODING`` escape hatch)."""
-    return os.environ.get(ENV_VAR, "on").strip().lower() not in _OFF_VALUES
-
-
-def encoded_agg_enabled() -> bool:
-    """Whether aggregates may run in the code domain
-    (``REPRO_ENCODED_AGG`` escape hatch; results are bit-identical
-    either way, only the execution strategy changes)."""
-    return os.environ.get(AGG_ENV_VAR, "on").strip().lower() not in _OFF_VALUES
 
 
 def selection_mask(selected, length: int) -> np.ndarray | None:
@@ -762,7 +739,7 @@ def encode_columns(columns: dict) -> dict:
     """Policy-encode a ``{name: array}`` mapping (used at database load
     time); respects the ``REPRO_ENCODING`` toggle.  Values that are
     already encoded pass through."""
-    if not encoding_enabled():
+    if not settings.enabled("encoding"):
         return dict(columns)
     result = {}
     for name, values in columns.items():

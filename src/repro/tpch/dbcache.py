@@ -61,7 +61,6 @@ in-process memo.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 from collections import OrderedDict
@@ -69,8 +68,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import settings
 from repro.storage import ColumnTable, Database, EncodedColumn, encode_columns
-from repro.storage import ColumnZoneMap, build_zone_map, encoding_enabled
+from repro.storage import ColumnZoneMap, build_zone_map
 
 #: Databases below this size are regenerated rather than persisted.
 MIN_PERSIST_BYTES = 8 * 1024 * 1024
@@ -86,20 +86,6 @@ _READABLE_FORMATS = (1, 2, 3, 4)
 #:         "partitionings": {name: Partitioning},
 #:         "rollups": {name: RollupTable}}
 _memo: OrderedDict[str, dict] = OrderedDict()
-
-
-def cache_root() -> Path:
-    """Cache directory root (``REPRO_CACHE_DIR`` or ``~/.cache/repro``)."""
-    override = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro"
-
-
-def disk_cache_enabled() -> bool:
-    return os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() not in {
-        "0", "false", "no", "off",
-    }
 
 
 def canonical_tables(tables) -> tuple[str, ...]:
@@ -135,7 +121,7 @@ def database_key(
 
 
 def _entry_dir(key: str) -> Path:
-    return cache_root() / "dbgen" / key
+    return settings.cache_dir() / "dbgen" / key
 
 
 def _attach_zone_maps(db: Database, zone_maps: dict) -> None:
@@ -235,7 +221,7 @@ def _extract(db: Database) -> tuple[dict, dict, dict, dict, dict]:
         "format": _FORMAT_VERSION,
         # True when the encoding policy already ran over this entry, so
         # a warm load can skip re-probing the deliberately-raw columns.
-        "encoded": encoding_enabled(),
+        "encoded": settings.enabled("encoding"),
         "name": db.name,
         "scale_factor": db.scale_factor,
         "tables": {
@@ -292,7 +278,7 @@ def load(key: str) -> Database | None:
             entry.get("partitionings"),
             entry.get("rollups"),
         )
-    if not disk_cache_enabled():
+    if not settings.enabled("disk_cache"):
         return None
     directory = _entry_dir(key)
     meta_path = directory / "meta.json"
@@ -324,13 +310,13 @@ def load(key: str) -> Database | None:
                 rebuilt = EncodedColumn.from_payload(column, descriptor, arrays)
                 # REPRO_ENCODING=off: decode encoded disk entries back
                 # to raw arrays so execution sees no encoding tier.
-                loaded[column] = rebuilt if encoding_enabled() else np.asarray(
+                loaded[column] = rebuilt if settings.enabled("encoding") else np.asarray(
                     rebuilt.values
                 )
             # Entries persisted with the policy applied need no second
             # pass; format-1 (all-raw) entries and entries written with
             # encoding off are brought up to the in-memory policy.
-            if meta.get("encoded") and encoding_enabled():
+            if meta.get("encoded") and settings.enabled("encoding"):
                 tables[table_name] = loaded
             else:
                 tables[table_name] = encode_columns(loaded)
@@ -404,7 +390,7 @@ def store(key: str, db: Database) -> Database:
     """
     meta, tables, zone_maps, partitionings, rollups = _extract(db)
     _memo_put(key, meta, tables, zone_maps, partitionings, rollups)
-    if disk_cache_enabled() and db.nbytes >= MIN_PERSIST_BYTES:
+    if settings.enabled("disk_cache") and db.nbytes >= MIN_PERSIST_BYTES:
         try:
             _persist(key, meta, tables, zone_maps, partitionings, rollups)
         except OSError:

@@ -7,6 +7,8 @@ exceed the modelled L3 the way the paper's SF 5 database does.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,25 @@ from repro.tpch.schema import DATE_1998_09_02
 TINY_SF = 0.002
 SMALL_SF = 0.02
 PAPER_SF = 0.2
+
+
+def _repro_env() -> dict:
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
+@pytest.fixture(autouse=True)
+def repro_env_unchanged():
+    """The environment is the one settings store (:mod:`repro.settings`),
+    so a flip that outlives its test silently reconfigures every later
+    one.  ``monkeypatch`` users are unaffected: it restores first."""
+    before = _repro_env()
+    yield
+    after = _repro_env()
+    if after != before:
+        for name in after.keys() - before.keys():
+            del os.environ[name]
+        os.environ.update(before)
+        pytest.fail(f"test left REPRO_* settings changed: {before} -> {after}")
 
 
 @pytest.fixture(scope="session")

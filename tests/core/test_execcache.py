@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.execcache import EXECUTION_CACHE, cache_enabled
+from repro import settings
+from repro.core.execcache import EXECUTION_CACHE
 from repro.core.profiler import MicroArchProfiler
 from repro.engines import TectorwiseEngine, TyperEngine
 from repro.tpch.dbgen import generate_database
@@ -88,7 +89,7 @@ class TestMemoization:
 
     def test_disable_env(self, db, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_CACHE", "0")
-        assert not cache_enabled()
+        assert not settings.enabled("exec_cache")
         engine = TyperEngine()
         engine.run_projection(db, 2)
         result = engine.run_projection(db, 2)
@@ -125,49 +126,50 @@ class TestMemoization:
             db._tables.pop("scratch")
 
 
+def _flipped(name: str) -> str:
+    return "0" if settings.SETTINGS[name].default else "1"
+
+
+_SWITCHES = [
+    name for name, row in settings.SETTINGS.items() if isinstance(row.default, bool)
+]
+
+
 class TestModeKeys:
-    """The cache key discriminates the storage-encoding, pruning and
-    rollup-routing modes: a result computed under one mode must never
-    serve another (the modes change details like compressed byte
-    accounting and routing decisions)."""
+    """The cache key carries every *keyed* switch of the settings
+    table: a result recorded under one mode must never serve another
+    (the modes change details like compressed byte accounting and
+    routing decisions).  Switches that are not keyed never split it."""
 
-    def test_encoding_flip_misses(self, db, monkeypatch):
-        engine = TyperEngine()
-        engine.run_projection(db, 2)
-        monkeypatch.setenv("REPRO_ENCODING", "0")
-        engine.run_projection(db, 2)
-        assert EXECUTION_CACHE.hits == 0
-        assert len(EXECUTION_CACHE) == 2
-
-    def test_pruning_flip_misses(self, db, monkeypatch):
+    @pytest.mark.parametrize(
+        "name", [name for name in _SWITCHES if settings.SETTINGS[name].keyed]
+    )
+    def test_keyed_flip_misses(self, db, monkeypatch, name):
         engine = TyperEngine()
         engine.run_q6(db)
-        monkeypatch.setenv("REPRO_PRUNING", "0")
+        monkeypatch.setenv(settings.SETTINGS[name].env, _flipped(name))
         engine.run_q6(db)
         assert EXECUTION_CACHE.hits == 0
         assert len(EXECUTION_CACHE) == 2
 
-    def test_rollup_flip_misses(self, db, monkeypatch):
+    @pytest.mark.parametrize(
+        "name", [name for name in _SWITCHES if not settings.SETTINGS[name].keyed]
+    )
+    def test_unkeyed_flip_does_not_split_the_key(self, db, monkeypatch, name):
         engine = TyperEngine()
-        engine.run_groupby(db)
-        monkeypatch.setenv("REPRO_ROLLUPS", "0")
-        engine.run_groupby(db)
-        assert EXECUTION_CACHE.hits == 0
-        assert len(EXECUTION_CACHE) == 2
-
-    def test_encoded_agg_flip_misses(self, db, monkeypatch):
-        engine = TyperEngine()
-        engine.run_q1(db)
-        monkeypatch.setenv("REPRO_ENCODED_AGG", "0")
-        engine.run_q1(db)
-        assert EXECUTION_CACHE.hits == 0
-        assert len(EXECUTION_CACHE) == 2
+        engine.run_q6(db)
+        key = settings.result_key()
+        monkeypatch.setenv(settings.SETTINGS[name].env, _flipped(name))
+        engine.run_q6(db)
+        assert settings.result_key() == key
+        assert len(EXECUTION_CACHE) == 1
 
     def test_same_modes_still_hit(self, db, monkeypatch):
         monkeypatch.setenv("REPRO_ENCODING", "0")
         monkeypatch.setenv("REPRO_ENCODED_AGG", "0")
         monkeypatch.setenv("REPRO_PRUNING", "0")
         monkeypatch.setenv("REPRO_ROLLUPS", "0")
+        monkeypatch.setenv("REPRO_COMPILE", "0")
         engine = TyperEngine()
         engine.run_projection(db, 2)
         result = engine.run_projection(db, 2)

@@ -11,13 +11,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.core import pruning
+from repro.core.parallel import normalized_call
 from repro.core.pruning import PredicateAtom, compute_prune_plan, translate_claim
+from repro.engines import TyperEngine
 from repro.sql.api import compile_sql
 from repro.storage import ColumnTable, Database
 from repro.storage.encoding import compare_values, encode_columns
 from repro.storage.zonemap import CHUNK_ROWS
-from repro.tpch.sql import GROUPBY_SQL, TPCH_SQL, projection_sql, selection_sql
+from repro.tpch.sql import GROUPBY_SQL, projection_sql
 
 
 def sorted_twin(db, order_by: str = "l_shipdate") -> Database:
@@ -43,16 +46,8 @@ def sorted_db(small_db):
 # Atom extraction
 # ----------------------------------------------------------------------
 class TestAtoms:
-    """The plan-derived summary must equal the canonical per-method one:
-    both describe the same predicate_mask calls in the same order."""
-
-    @pytest.mark.parametrize("query_id,method", [("Q6", "run_q6"),
-                                                 ("Q1", "run_q1")])
-    def test_tpch_plan_atoms_match_canonical(self, tiny_db, query_id, method):
-        bound = compile_sql(TPCH_SQL[query_id])
-        canonical = pruning.atoms_for(tiny_db, method, {})
-        assert bound.atoms == canonical
-        assert canonical  # both TPC-H scans are prunable
+    """The canonical per-method summary describes the engines'
+    predicate_mask calls in their evaluation order."""
 
     def test_q6_atom_order_is_engine_evaluation_order(self, tiny_db):
         columns = [atom.column for atom in
@@ -60,17 +55,13 @@ class TestAtoms:
         assert columns == ["l_shipdate", "l_shipdate", "l_discount",
                            "l_discount", "l_quantity"]
 
-    def test_selection_plan_atoms_match_canonical(self, tiny_db):
-        bound = compile_sql(selection_sql(0.1, tiny_db))
-        assert bound.method == "run_selection"
-        canonical = pruning.atoms_for(
-            tiny_db, "run_selection", bound.call_kwargs())
-        assert bound.atoms == canonical
-        assert all(atom.op == "le" for atom in canonical)
-
-    def test_unfiltered_plans_have_no_atoms(self):
-        assert compile_sql(projection_sql(3)).atoms == ()
-        assert compile_sql(GROUPBY_SQL).atoms == ()
+    def test_unfiltered_plans_have_no_atoms(self, tiny_db):
+        for sql in (projection_sql(3), GROUPBY_SQL):
+            bound = compile_sql(sql)
+            method, kwargs_items = normalized_call(
+                TyperEngine(), bound.method, bound.args, bound.call_kwargs()
+            )
+            assert pruning.atoms_for(tiny_db, method, kwargs_items) == ()
 
     def test_unprunable_methods_have_no_atoms(self, tiny_db):
         assert pruning.atoms_for(tiny_db, "run_projection", {"degree": 2}) == ()
@@ -87,11 +78,11 @@ class TestAtoms:
 class TestToggle:
     def test_disable_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PRUNING", "0")
-        assert not pruning.pruning_enabled()
+        assert not settings.enabled("pruning")
 
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_PRUNING", raising=False)
-        assert pruning.pruning_enabled()
+        assert settings.enabled("pruning")
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,24 @@ class TestAggToggle:
         if decision is not None:
             assert decision["code_domain"] == 0
 
+    def test_pool_spawned_with_toggle_off_matches_single_shot(
+        self, encoded_db, monkeypatch
+    ):
+        """Pool workers read the settings they inherited at spawn: a
+        pool started under ``REPRO_ENCODED_AGG=0`` decodes every slot
+        and still merges to the code-domain single-shot result."""
+        from repro.core.parallel import WorkerPool
+        from repro.engines import TectorwiseEngine
+
+        engine = TectorwiseEngine()
+        single = engine.run_q1(encoded_db)
+        assert single.details["encoded_agg"]["code_domain"] >= 2
+        monkeypatch.setenv("REPRO_ENCODED_AGG", "0")
+        with WorkerPool(encoded_db, n_workers=2) as pool:
+            pooled = pool.run_query(engine, "run_q1")
+        assert_identical(pooled, single, "Tectorwise run_q1 [pool, toggle off]")
+        assert pooled.details["encoded_agg"]["code_domain"] == 0
+
 
 class TestPredicateMasks:
     """The shared scan kernels, checked directly against numpy on the

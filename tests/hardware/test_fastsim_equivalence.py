@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import settings as repro_settings
 from repro.core.tracesim import (
     bernoulli_outcomes,
     random_trace,
@@ -137,7 +138,7 @@ class TestHierarchyEquivalence:
 
     def test_reference_env_forces_scalar_path(self, monkeypatch):
         monkeypatch.setenv("REPRO_REFERENCE_SIM", "1")
-        assert fastsim.use_reference()
+        assert repro_settings.enabled("reference_sim")
         calls = []
         hierarchy = CacheHierarchy(BROADWELL, PrefetcherConfig.all_disabled())
         original = hierarchy.access

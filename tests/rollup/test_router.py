@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.engines import ALL_ENGINES, TyperEngine, TectorwiseEngine
 from repro.rollup import (
     PartitionSpec,
@@ -13,7 +14,6 @@ from repro.rollup import (
     build_rollup,
     partitioned_database,
     profile_for,
-    rollups_enabled,
     route,
 )
 from repro.rollup.build import RollupSpec
@@ -179,7 +179,7 @@ class TestFallbackReasons:
 class TestAttempt:
     def test_inactive_when_disabled(self, rollup_db, monkeypatch):
         monkeypatch.setenv("REPRO_ROLLUPS", "0")
-        assert not rollups_enabled()
+        assert not settings.enabled("rollups")
         result, decision = attempt(
             rollup_db, TyperEngine(), "run_groupby", {}, executor="thread"
         )

@@ -99,6 +99,27 @@ class TestThreadClusterFaults:
             assert counts["repro_shard_exhausted_total"]["series"].get(("0",)) == 1.0
 
 
+class TestSingleRouteFailover:
+    def test_dropped_replica_fails_over_on_the_single_route(self, tiny_db):
+        """Dimension-only statements take the same failover loop as
+        scattered ones: replica 0 dropped, replica 1 answers."""
+        sql = "SELECT COUNT(*) FROM orders;"
+        oracle = compile_sql(sql).execute(engine_by_name("Typer"), tiny_db)
+        with ShardCluster(tiny_db, n_shards=1, replicas=2, spawn="thread") as cluster:
+            coordinator = Coordinator(
+                tiny_db, cluster, fault_plan=FaultPlan().drop(0)
+            )
+            response = coordinator.execute(sql)
+            assert response["status"] == "ok", response.get("error")
+            assert response["route"] == "single"
+            assert response["value"] == protocol.jsonable(oracle.value)
+            host, port = cluster.endpoints[0][0]
+            assert response["failovers"] == [
+                {"shard": 0, "endpoint": f"{host}:{port}", "reason": "drop-injected"}
+            ]
+            assert failover_counts(coordinator).get(("0", "drop-injected")) == 1.0
+
+
 class TestProcessClusterFaults:
     """The production shape: real node processes over shm segments,
     killed with ``os._exit`` mid-conversation."""
@@ -180,7 +201,39 @@ class TestFaultGating:
                 stream.flush()
                 response = proto.decode(stream.readline())
             assert response["status"] == "error"
-            assert "REPRO_SHARD_FAULTS" in response["error"]
+            assert "fault_ops" in response["error"]
+
+    def test_overlapping_clusters_keep_their_own_gate(self, tiny_db, q6_expected):
+        """The gate is each node's own ``ServiceConfig.fault_ops``:
+        closing a ``faults=False`` cluster must not disarm a
+        ``faults=True`` one that started after it, and the armed cluster
+        must not arm any other shard-node service in the process."""
+        from repro.serve.server import dispatch
+        from repro.serve.service import QueryService, ServiceConfig
+
+        plain = ShardCluster(tiny_db, n_shards=1, spawn="thread")
+        try:
+            with ShardCluster(
+                tiny_db, n_shards=2, replicas=2, spawn="thread", faults=True
+            ) as armed:
+                plain.close()
+                coordinator = Coordinator(
+                    tiny_db, armed, fault_plan=FaultPlan().kill(0)
+                )
+                response = coordinator.execute(TPCH_SQL["Q6"])
+                assert response["status"] == "ok", response.get("error")
+                assert (response["value"], response["tuples"]) == q6_expected
+                assert response["failovers"][0]["reason"].startswith("connection")
+
+                bystander = QueryService(
+                    ServiceConfig(workers=1, shard_node=True, scale_factor=0.0),
+                    db=tiny_db,
+                )
+                refused = dispatch(bystander, {"op": "die"})
+                assert refused["status"] == "error"
+                assert "fault_ops" in refused["error"]
+        finally:
+            plain.close()
 
     def test_partial_op_requires_a_shard_node(self, tiny_db):
         from repro.serve.server import dispatch

@@ -145,13 +145,15 @@ class TestOrderedClose:
                 raise RuntimeError("boom")
         assert not any(segment_exists(name) for name in names)
 
-    def test_faults_env_is_restored(self, tiny_db, monkeypatch):
+    @pytest.mark.parametrize("spawn", ["thread", "process"])
+    def test_faults_leave_environ_untouched(self, tiny_db, spawn):
+        """Fault gating is a node config field, never process state."""
         import os
 
-        monkeypatch.delenv("REPRO_SHARD_FAULTS", raising=False)
-        with ShardCluster(tiny_db, n_shards=1, spawn="thread", faults=True):
-            assert os.environ.get("REPRO_SHARD_FAULTS") == "1"
-        assert "REPRO_SHARD_FAULTS" not in os.environ
+        before = dict(os.environ)
+        with ShardCluster(tiny_db, n_shards=1, spawn=spawn, faults=True):
+            assert dict(os.environ) == before
+        assert dict(os.environ) == before
 
 
 class TestSigint:

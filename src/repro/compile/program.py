@@ -22,14 +22,18 @@ typed plan from :mod:`repro.sql.planner` into a straight-line program:
    *exactly* (units are exact per element, so any partitioning of the
    rows sums to identical units) and every engine/executor combination
    rounds once to the same float64.  Grouping is sort-free where the
-   key domain allows: key columns fold by offset / mixed radix into one
-   dense group id per row (:func:`_group_ids`), COUNT is one
-   ``np.bincount`` and every SUM slot one
-   :meth:`ExactSum.grouped_units` call, emitted as a string-keyed state
-   dict that :func:`repro.engines.morsel.merge_states` folds across
-   morsels.
-4. **Finish** -- HAVING, output expressions over the exact slot totals,
-   ORDER BY with a deterministic group-key tiebreak, LIMIT.
+   key domain allows: key columns (a small-domain driving column by its
+   dictionary / FoR codes) fold by offset / mixed radix into one dense
+   group id per row (:func:`repro.engines.morsel.group_ids`), COUNT is
+   one ``np.bincount`` and every SUM slot one
+   :meth:`ExactSum.grouped_units` call, emitted as one key-addressed
+   :class:`~repro.engines.morsel.GroupedPartial` (key columns at one
+   row per group, ascending) that merges by key across morsels, workers
+   and shards.
+4. **Finish** -- on arrays: slot totals rounded once per group, output
+   expressions and HAVING as numpy operations, ORDER BY as stable
+   passes with the group key as tiebreak (NaN sorts as the greatest
+   value), LIMIT; Python rows are built for the survivors only.
 
 Work recording follows the engine-wide morsel contract: stream names
 and order are fixed by the program (never by the data), global build
@@ -40,7 +44,7 @@ morsel-invariant working sets, and per-element costs are dyadic so no
 
 from __future__ import annotations
 
-import operator
+import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -51,8 +55,10 @@ from repro.compile.expr import ScalarKernel, compile_scalar
 from repro.core.exactsum import ExactSum
 from repro.engines.hashtable import HEAD_BYTES, ChainedHashTable
 from repro.engines.morsel import (
+    GroupedPartial,
     bytes_for_rows,
     gather_lines,
+    group_ids,
     resolve_range,
     shared_structure,
 )
@@ -88,26 +94,15 @@ _NUMPY_OPS = {
 }
 
 
-def _divide(left, right):
-    return left / right if right else float("nan")
+#: Output-expression arithmetic of the finisher (``/`` is :func:`_divide`).
+_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
-#: Output-expression operators of the finisher (Python scalars).
-_FINISH_ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-}
+def _divide(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left / right`` with NaN wherever the divisor is zero."""
+    out = np.full(np.shape(left), np.nan)
+    return np.divide(left, right, out=out, where=right != 0)
 
-_FINISH_COMPARE = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 #: Single-column unique keys the schema guarantees; a build side keyed
 #: by (or composite-keyed including) one of these provably satisfies
@@ -276,9 +271,10 @@ class KernelProgram:
         recorded: set[str] = set()
         sel_lines = None
 
-        def fetch(table, column, site):
-            """Column values over the current selection: gathered once
-            per column, recorded once per (program site, column)."""
+        def fetch(table, column, site, codes=False):
+            """Column values (or a driving column's codes) over the
+            current selection: gathered once per column, recorded once
+            per (program site, column) as the same logical gather."""
             nonlocal sel_lines
             name = f"gather {table}.{column}@{site}"
             if name not in recorded:
@@ -294,13 +290,15 @@ class KernelProgram:
                         name, len(sel), builds[table]["payload_bytes"]
                     )
                     work.record_work(instructions=len(sel) * 1.0, loads=len(sel))
-            values = fetched.get((table, column))
+            values = fetched.get((table, column, codes))
             if values is None:
-                if table == self.driving:
+                if codes:
+                    values = driving.encoding(column).codes_range(lo, hi)[sel]
+                elif table == self.driving:
                     values = driving[column][lo:hi][sel]
                 else:
                     values = builds[table]["values"][column][matches[table]]
-                fetched[(table, column)] = values
+                fetched[(table, column, codes)] = values
             return values
 
         def selection_changed():
@@ -373,9 +371,15 @@ class KernelProgram:
 
         # -- aggregation --
         n_final = len(sel)
+        # A small-domain driving key groups on its (order-preserving)
+        # codes and is decoded once per group below.
+        key_domains = [
+            _key_domain(driving, c) if t == self.driving else None
+            for t, c in self.group_refs
+        ]
         key_arrays = [
-            np.asarray(fetch(t, c, f"key{j}"))
-            for j, (t, c) in enumerate(self.group_refs)
+            np.asarray(fetch(t, c, f"key{j}", codes=domain is not None))
+            for j, ((t, c), domain) in enumerate(zip(self.group_refs, key_domains))
         ]
         slot_values: dict[str, np.ndarray] = {}
         decisions = []
@@ -414,44 +418,34 @@ class KernelProgram:
             instructions=n_final * GROUP_INSTRS, hash_ops=n_final,
             stores=n_final, alu=n_final,
         )
-        groups: dict[str, dict] = {}
         if self.group_refs:
-            if n_final:
-                ids, n_groups = _group_ids(key_arrays)
-                # Any row of a group carries its key.
-                key_row = np.empty(n_groups, dtype=np.int64)
-                key_row[ids] = np.arange(n_final)
-                key_columns = [k[key_row].tolist() for k in key_arrays]
-                counts = np.bincount(ids, minlength=n_groups).tolist()
-                slot_units = {
-                    name: ExactSum.grouped_units(values, ids, n_groups)
-                    for name, values in slot_values.items()
-                }
-                # Ascending ids are ascending key tuples, the order the
-                # groups enter the state dict.
-                for g in range(n_groups):
-                    key = tuple(_pyval(column[g]) for column in key_columns)
-                    group = {"const_key": key}
-                    for slot in self.slots:
-                        if slot.func == "count":
-                            group[slot.name] = counts[g]
-                        else:
-                            group[slot.name] = ExactSum(slot_units[slot.name][g])
-                    groups[repr(key)] = group
+            ids, n_groups = group_ids(key_arrays)
+            key_row = np.empty(n_groups, dtype=np.int64)
+            key_row[ids] = np.arange(n_final)  # any row of a group carries its key
+            # Ascending ids are ascending key tuples: the leaf's order.
+            keys = tuple(
+                column[key_row] if domain is None else domain[column[key_row]]
+                for column, domain in zip(key_arrays, key_domains)
+            )
+            counts = np.bincount(ids, minlength=n_groups)
+            columns = {
+                slot.name: counts if slot.func == "count"
+                else ExactSum.grouped_units(slot_values[slot.name], ids, n_groups)
+                for slot in self.slots
+            }
         else:
-            group = {"const_key": ()}
+            keys, columns = (), {}
             for slot in self.slots:
                 if slot.func == "count":
-                    group[slot.name] = n_final
-                else:
-                    accumulated = slot_values[slot.name]
-                    if not isinstance(accumulated, ExactSum):
-                        accumulated = ExactSum.of_array(accumulated)
-                    group[slot.name] = accumulated
-            groups["()"] = group
+                    columns[slot.name] = np.array([n_final], dtype=np.int64)
+                    continue
+                accumulated = slot_values[slot.name]
+                if not isinstance(accumulated, ExactSum):
+                    accumulated = ExactSum.of_array(accumulated)
+                columns[slot.name] = [accumulated.units]
 
         state = {
-            "groups": groups,
+            "groups": GroupedPartial(keys, columns),
             "candidates": n_final,
             AGG_STATE_KEY: tuple(decisions),
         }
@@ -467,42 +461,43 @@ class KernelProgram:
         state = merged.state
         decision = state.get(AGG_STATE_KEY) or ()
         record_encoded_agg(decision)
+        groups = state["groups"]
+        frame = _GroupFrame(self, groups)
         names = [out.name for out in self.outputs]
 
-        having = None if self.having is None else self._predicate(self.having)
-        cells = [self._display_cell(out.expr) for out in self.outputs]
-        entries = []
-        for group in state.get("groups", {}).values():
-            key = group["const_key"]
-            key_values = dict(zip(self.group_refs, key))
-            if having is not None and not having(group, key_values):
-                continue
-            row = [cell(group, key_values) for cell in cells]
-            entries.append((key, row, group))
-        entries.sort(key=lambda entry: entry[0])
-
+        with np.errstate(all="ignore"):  # x / 0 is NaN, overflow is inf
+            keep = (
+                np.ones(groups.n_groups, dtype=bool) if self.having is None
+                else frame.compare(self.having)
+            )
+            cells = [frame.cell(out.expr) for out in self.outputs]
+        survivors = np.flatnonzero(keep)
         exact_totals: dict[str, object] = {}
         for slot in self.slots:
+            column = groups.columns[slot.name]
             if slot.func == "count":
-                exact_totals[slot.name] = sum(
-                    group[slot.name] for _, _, group in entries
-                )
+                exact_totals[slot.name] = int(column[survivors].sum())
             else:
-                exact_totals[slot.name] = sum(
-                    group[slot.name].units for _, _, group in entries
-                )
+                exact_totals[slot.name] = sum(itertools.compress(column, keep))
 
+        # Groups arrive in ascending key order, so stable passes over
+        # the ORDER BY columns, last first, leave the key as tiebreak.
+        order = survivors
         for name, descending in reversed(self.order):
             index = names.index(name)
-            entries.sort(key=lambda entry: entry[1][index], reverse=descending)
-        included = len(entries)
+            sort_key = _sort_key(self.outputs[index].expr, cells[index])
+            order = order[_stable_order(sort_key[order], descending)]
         if self.limit is not None:
-            entries = entries[: self.limit]
+            order = order[: self.limit]
 
-        value = {"columns": names, "rows": [row for _, row, _ in entries]}
+        columns = [
+            _python_column(out.expr, cell, order)
+            for out, cell in zip(self.outputs, cells)
+        ]
+        value = {"columns": names, "rows": [list(row) for row in zip(*columns)]}
         details = {
             "compiled": self.describe(),
-            "groups": included,
+            "groups": len(survivors),
             "candidates": state.get("candidates", 0),
             "exact_totals": exact_totals,
         }
@@ -513,57 +508,6 @@ class KernelProgram:
             details["operators"] = merged.operators
         return QueryResult(self.workload, value, merged.tuples, work, details)
 
-    # Output expressions become closures over ``(group, key_values)``
-    # once per finish call, so the per-group loop neither walks the
-    # expression tree nor re-derives slot names.
-    def _display_cell(self, expr):
-        """An output cell: :meth:`_finish_cell`, with dictionary codes
-        decoded to their strings for bare name-column outputs."""
-        cell = self._finish_cell(expr)
-        if isinstance(expr, ir.ColumnExpr):
-            names = _DISPLAY_DECODE.get((expr.ref.table, expr.ref.column))
-            if names is not None:
-
-                def decoded(group, key_values):
-                    value = cell(group, key_values)
-                    if isinstance(value, int) and 0 <= value < len(names):
-                        return names[value]
-                    return value
-
-                return decoded
-        return cell
-
-    def _finish_cell(self, expr):
-        if isinstance(expr, ir.ConstExpr):
-            value = expr.value
-            return lambda group, key_values: value
-        if isinstance(expr, ir.ColumnExpr):
-            ref = (expr.ref.table, expr.ref.column)
-            return lambda group, key_values: key_values[ref]
-        if isinstance(expr, ir.Arith):
-            left = self._finish_cell(expr.left)
-            right = self._finish_cell(expr.right)
-            op = _FINISH_ARITH[expr.op]
-            return lambda group, key_values: op(
-                left(group, key_values), right(group, key_values)
-            )
-        if isinstance(expr, ir.AggCall):
-            if expr.func == "count":
-                name = self._slot_of(expr).name
-                return lambda group, key_values: group[name]
-            if expr.func == "avg":
-                sum_name = self._slot_of(expr, "sum").name
-                count_name = self._slot_of(expr, "count").name
-
-                def average(group, key_values):
-                    count = group[count_name]
-                    return group[sum_name].total() / count if count else float("nan")
-
-                return average
-            name = self._slot_of(expr).name
-            return lambda group, key_values: group[name].total()
-        raise CompileError(f"unsupported output expression {type(expr).__name__}")
-
     def _slot_of(self, agg: ir.AggCall, role: str | None = None) -> AggSlot:
         name = _slot_key(agg, role)
         for slot in self.slots:
@@ -571,13 +515,105 @@ class KernelProgram:
                 return slot
         raise KeyError(name)
 
-    def _predicate(self, compare: ir.Compare):
-        left = self._finish_cell(compare.left)
-        right = self._finish_cell(compare.right)
-        op = _FINISH_COMPARE[compare.op]
-        return lambda group, key_values: op(
-            left(group, key_values), right(group, key_values)
-        )
+
+class _GroupFrame:
+    """A merged :class:`GroupedPartial` as output columns.
+
+    Every expression evaluates over all groups at once to ``(values,
+    intlike)``: a numpy array and a boolean mask (or scalar) marking
+    the cells that leave the finisher as Python ints -- integer and
+    integer-valued key cells, integer constants, counts, and ``+ - *``
+    of two such cells -- which are the types SQL values have always had
+    here.  ``/`` with a zero divisor and AVG of an empty group are NaN.
+    """
+
+    def __init__(self, program: KernelProgram, groups: GroupedPartial):
+        self.program = program
+        self.groups = groups
+        self.n = groups.n_groups
+        self._totals: dict[str, np.ndarray] = {}
+
+    def _total(self, name: str) -> np.ndarray:
+        if name not in self._totals:
+            self._totals[name] = ExactSum.totals(self.groups.columns[name])
+        return self._totals[name]
+
+    def cell(self, expr):
+        """``(values, intlike)`` of one output expression, every group."""
+        if isinstance(expr, ir.ConstExpr):
+            return np.full(self.n, expr.value), isinstance(expr.value, int)
+        if isinstance(expr, ir.ColumnExpr):
+            ref = (expr.ref.table, expr.ref.column)
+            values = self.groups.keys[self.program.group_refs.index(ref)]
+            if values.dtype.kind in "iu":
+                return values, True
+            integral = np.isfinite(values) & (np.trunc(values) == values)
+            return values, integral if integral.any() else False
+        if isinstance(expr, ir.Arith):
+            left, left_int = self.cell(expr.left)
+            right, right_int = self.cell(expr.right)
+            if expr.op == "/":
+                return _divide(left, right), False
+            return _ARITH[expr.op](left, right), left_int & right_int
+        if isinstance(expr, ir.AggCall):
+            program = self.program
+            if expr.func == "count":
+                return self.groups.columns[program._slot_of(expr).name], True
+            total = self._total(program._slot_of(expr, "sum").name)
+            if expr.func == "avg":
+                counts = self.groups.columns[program._slot_of(expr, "count").name]
+                return _divide(total, counts), False
+            return total, False
+        raise CompileError(f"unsupported output expression {type(expr).__name__}")
+
+    def compare(self, compare: ir.Compare) -> np.ndarray:
+        """The HAVING mask."""
+        left, _ = self.cell(compare.left)
+        right, _ = self.cell(compare.right)
+        return _NUMPY_OPS[compare.op](left, right)
+
+
+def _display_names(expr) -> tuple[str, ...] | None:
+    """The strings a bare name-column output decodes its codes to."""
+    if isinstance(expr, ir.ColumnExpr):
+        return _DISPLAY_DECODE.get((expr.ref.table, expr.ref.column))
+    return None
+
+
+def _sort_key(expr, cell) -> np.ndarray:
+    """What ORDER BY compares: the values, or for a display-decoded
+    name column the rank of each code's string."""
+    values, _ = cell
+    names = _display_names(expr)
+    if names is None:
+        return values
+    return np.argsort(np.argsort(np.array(names)))[values]
+
+
+def _stable_order(values: np.ndarray, descending: bool) -> np.ndarray:
+    """A stable sorting permutation of ``values``.  NaN is greater than
+    every number (PostgreSQL's rule): last ascending, first descending."""
+    if not descending:
+        return np.argsort(values, kind="stable")
+    return np.lexsort((-values, ~np.isnan(values)))
+
+
+def _python_column(expr, cell, rows: np.ndarray) -> list:
+    """One output column at ``rows`` as Python values: integer-like
+    cells as ints, name codes as their strings.  This is the only
+    per-group Python work, and it runs on the LIMIT survivors."""
+    values, intlike = cell
+    column = values[rows].tolist()
+    if values.dtype.kind == "f" and intlike is not False:
+        intlike = np.broadcast_to(intlike, values.shape)[rows].tolist()
+        column = [int(v) if i else v for v, i in zip(column, intlike)]
+    names = _display_names(expr)
+    if names is not None:
+        column = [
+            names[v] if isinstance(v, int) and 0 <= v < len(names) else v
+            for v in column
+        ]
+    return column
 
 
 # ----------------------------------------------------------------------
@@ -662,61 +698,16 @@ def _record_build(work, build, spec: BuildSpec, lead: bool) -> None:
     )
 
 
-#: Mixed-radix group ids stay inside int64 below this domain product.
-_MAX_DOMAIN = 1 << 62
-
-#: Widest single-key value range folded by offset; wider keys are
-#: factorised, so a compacted prefix times any radix fits _MAX_DOMAIN.
-_MAX_RADIX = 1 << 31
-
-#: A code domain is remapped through a dense table while it has at most
-#: this many entries per row; sparser domains are factorised by sorting.
-_DENSE_DOMAIN_PER_ROW = 4
-
-
-def _key_codes(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Order-preserving codes in ``[0, radix)`` of one key column."""
-    if keys.dtype.kind == "i":
-        low = int(keys.min())
-        radix = int(keys.max()) - low + 1
-        if radix <= _MAX_RADIX:
-            return keys.astype(np.int64, copy=False) - low, radix
-    uniques, codes = np.unique(keys, return_inverse=True)
-    return codes, len(uniques)
-
-
-def _compact(codes: np.ndarray, domain: int) -> tuple[np.ndarray, int]:
-    """Order-preserving dense ranks of the occupied codes of
-    ``[0, domain)``: ``(ids, n_occupied)``."""
-    if domain <= _DENSE_DOMAIN_PER_ROW * len(codes):
-        occupied = np.flatnonzero(np.bincount(codes, minlength=domain))
-        rank = np.empty(domain, dtype=np.int64)
-        rank[occupied] = np.arange(len(occupied))
-        return rank[codes], len(occupied)
-    uniques, ids = np.unique(codes, return_inverse=True)
-    return ids, len(uniques)
-
-
-def _group_ids(key_arrays) -> tuple[np.ndarray, int]:
-    """Dense group ids of the rows' key tuples, ascending in tuple
-    order: ``(ids, n_groups)``.  Key columns fold left to right into one
-    mixed-radix code, compacted early only if it would leave int64."""
-    codes, domain = _key_codes(key_arrays[0])
-    for keys in key_arrays[1:]:
-        key_codes, radix = _key_codes(keys)
-        if domain * radix > _MAX_DOMAIN:
-            codes, domain = _compact(codes, domain)
-        codes = codes * radix + key_codes
-        domain *= radix
-    return _compact(codes, domain)
-
-
-def _pyval(value):
-    """A group-key cell (already a Python scalar) as it enters
-    ``const_key``: integer-valued floats become ints."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+def _key_domain(table, column: str) -> np.ndarray | None:
+    """``domain[code] -> value`` (in the column's dtype) of a driving
+    group key whose encoding has a small domain, or None.  Codes preserve
+    value order, so grouping on them ranks groups exactly like the
+    values."""
+    encoded = table.encoding(column)
+    domain = None if encoded is None else encoded.small_domain()
+    if domain is None:
+        return None
+    return np.asarray(domain).astype(encoded.dtype, copy=False)
 
 
 def _decode_why(program: KernelProgram) -> str:

@@ -35,7 +35,9 @@ NaN and the infinities surface in the ``max``/``min`` pass that finds E.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +154,16 @@ class ExactSum:
         if np.size(values) != group_ids.size:
             raise ValueError("values and group_ids must have equal length")
         return _grouped_units(values, group_ids, n_groups)
+
+    @staticmethod
+    def totals(units) -> np.ndarray:
+        """``ExactSum(u).total()`` for every ``u`` in ``units``, as a
+        float64 array built without a Python frame per element."""
+        try:
+            rounded = map(operator.truediv, units, itertools.repeat(1 << _SHIFT))
+            return np.fromiter(rounded, np.float64, len(units))
+        except OverflowError:
+            return np.array([ExactSum(u).total() for u in units], dtype=np.float64)
 
     @classmethod
     def of(cls, *values: float) -> "ExactSum":

@@ -27,6 +27,7 @@ from repro.core.exactsum import ExactSum
 from repro.core.workprofile import WorkProfile
 from repro.engines.hashtable import ChainedHashTable, GroupByHashTable
 from repro.engines.morsel import (
+    GroupedPartial,
     key_table,
     merge_worker_partials,
     resolve_range,
@@ -892,14 +893,22 @@ class Engine(ABC):
         lineitem = db.table("lineitem")
         lo, hi = resolve_range(row_range, lineitem.n_rows)
         group_table = self._q18_group_table(db)
-        # Partial per-group quantity sums: l_quantity is integer-valued,
-        # so the bincount partials add exactly across morsels.
-        qty_sums = np.bincount(
-            group_table.group_ids[lo:hi],
-            weights=lineitem["l_quantity"][lo:hi],
-            minlength=group_table.n_groups,
-        )
-        facts = Facts(state={"qty_sums": qty_sums}, table=group_table)
+        # Per-order quantity sums, addressed by l_orderkey so partials of
+        # different morsels (or shards, whose group tables differ) merge
+        # by key; l_quantity is integer-valued, so they add exactly.
+        ids = group_table.group_ids[lo:hi]
+        quantity = lineitem["l_quantity"][lo:hi]
+        if hi - lo == lineitem.n_rows:  # every order is touched
+            keys = group_table.distinct_keys
+            sums = np.bincount(ids, weights=quantity, minlength=group_table.n_groups)
+        else:
+            base = int(ids.min())
+            local = ids - base
+            touched = np.flatnonzero(np.bincount(local))
+            keys = group_table.distinct_keys[touched + base]
+            sums = np.bincount(local, weights=quantity)[touched]
+        groups = GroupedPartial((keys,), {"qty": sums})
+        facts = Facts(state={"groups": groups}, table=group_table)
         return self._price("q18", db, facts, lo, hi, row_range)
 
     def _finish_q18(self, db: Database, merged: MergedPartials) -> QueryResult:
@@ -911,9 +920,10 @@ class Engine(ABC):
         group_table = self._q18_group_table(db)
         work = merged.work
 
-        qty_sums = merged.state["qty_sums"]
+        groups = merged.state["groups"]
+        qty_sums = groups.columns["qty"]
         big = qty_sums > 300.0
-        winner_orderkeys = group_table.distinct_keys[big]
+        winner_orderkeys = groups.keys[0][big]
         winners = len(winner_orderkeys)
 
         orders_table = key_table(db, "orders", "o_orderkey")
@@ -930,8 +940,8 @@ class Engine(ABC):
         # HAVING branch over all groups (rarely taken).
         work.record_branch_stream(
             "having sum(qty) > 300",
-            group_table.n_groups,
-            winners / group_table.n_groups if group_table.n_groups else 0.0,
+            groups.n_groups,
+            winners / groups.n_groups if groups.n_groups else 0.0,
         )
         self._record_build(work, orders_table, orders.bytes_for(("o_orderkey", "o_custkey")))
         self._record_probe(work, orders_table, winner_probe, winners)

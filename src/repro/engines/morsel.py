@@ -20,12 +20,16 @@ engines share:
   (join hash tables by key column, :func:`key_table`), so a worker
   executing many morsels never rebuilds them.
 * **Exactly mergeable state** -- :func:`merge_states` folds the
-  per-morsel value states (ints, :class:`ExactSum`, numpy arrays, sets,
-  nested dicts) with exact, associative, commutative operations.
+  per-morsel value states (ints, :class:`ExactSum`, key-addressed
+  :class:`GroupedPartial` group tables, numpy arrays, sets, nested
+  dicts) with exact, associative, commutative operations.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
 import threading
 from collections import OrderedDict
 
@@ -233,8 +237,193 @@ def clear_shared_structures() -> None:
 
 
 # ----------------------------------------------------------------------
+# Group ids
+# ----------------------------------------------------------------------
+#: Mixed-radix group ids stay inside int64 below this domain product.
+_MAX_DOMAIN = 1 << 62
+
+#: Widest single-key value range folded by offset; wider keys are
+#: factorised, so a compacted prefix times any radix fits _MAX_DOMAIN.
+_MAX_RADIX = 1 << 31
+
+#: A code domain is remapped through a dense table while it has at most
+#: this many entries per row; sparser domains are factorised by sorting.
+_DENSE_DOMAIN_PER_ROW = 4
+
+
+def _key_codes(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving codes in ``[0, radix)`` of one key column."""
+    kind = keys.dtype.kind
+    if kind == "i" or (kind == "u" and keys.dtype.itemsize < 8):
+        low = int(keys.min())
+        radix = int(keys.max()) - low + 1
+        if radix <= _MAX_RADIX:
+            if kind == "u":  # dictionary / FoR codes stay narrow; no wrap
+                return keys - keys.dtype.type(low), radix
+            return keys.astype(np.int64, copy=False) - low, radix
+    uniques, codes = np.unique(keys, return_inverse=True)
+    return codes, len(uniques)
+
+
+def _compact(codes: np.ndarray, domain: int) -> tuple[np.ndarray, int]:
+    """Order-preserving dense ranks of the occupied codes of
+    ``[0, domain)``: ``(ids, n_occupied)``."""
+    if domain <= _DENSE_DOMAIN_PER_ROW * len(codes):
+        occupied = np.flatnonzero(np.bincount(codes, minlength=domain))
+        rank = np.empty(domain, dtype=np.int64)
+        rank[occupied] = np.arange(len(occupied))
+        return rank[codes], len(occupied)
+    uniques, ids = np.unique(codes, return_inverse=True)
+    return ids, len(uniques)
+
+
+def group_ids(key_arrays) -> tuple[np.ndarray, int]:
+    """Dense group ids of the rows' key tuples, ascending in tuple
+    order: ``(ids, n_groups)``.  Key columns fold left to right into one
+    mixed-radix code, compacted early only if it would leave int64."""
+    if not len(key_arrays[0]):
+        return np.empty(0, dtype=np.int64), 0
+    codes, domain = _key_codes(key_arrays[0])
+    for keys in key_arrays[1:]:
+        key_codes, radix = _key_codes(keys)
+        if domain * radix > _MAX_DOMAIN:
+            codes, domain = _compact(codes, domain)
+        domain *= radix
+        # The narrowest dtype that holds ``domain`` (uint64 would turn
+        # int64 codes into floats, so wide folds stay int64).
+        fold = np.min_scalar_type(domain) if domain <= 1 << 32 else np.int64
+        codes = codes.astype(fold, copy=False) * radix + key_codes
+    return _compact(codes, domain)
+
+
+# ----------------------------------------------------------------------
 # Exactly mergeable value state
 # ----------------------------------------------------------------------
+class GroupedPartial:
+    """Key-addressed grouped aggregate state: the merge leaf of compiled
+    GROUP BY programs and of Q18.
+
+    ``keys`` is a tuple of equal-length arrays whose rows are unique and
+    ascending in tuple order; with no key arrays the partial holds
+    exactly one group (an ungrouped aggregate).  ``columns`` maps a name
+    to one value per group: an integer-valued int64/float64 array
+    (counts, integer sums) or a list of Python-int :class:`ExactSum`
+    units.  ``+`` is exact, associative and commutative, and picks its
+    merge from the keys alone: identical keys add column-wise; otherwise
+    the rows of one side below the other's first key and above its last
+    key concatenate as they are, and only the overlap between is ranked
+    (so partials of adjacent row ranges, which share at most the
+    boundary group, merge at copying speed).
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns: dict):
+        self.keys = tuple(keys)
+        self.columns = columns
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.keys[0]) if self.keys else 1
+
+    def __reduce__(self):
+        return (GroupedPartial, (self.keys, self.columns))
+
+    def __add__(self, other: "GroupedPartial") -> "GroupedPartial":
+        if not isinstance(other, GroupedPartial):
+            return NotImplemented
+        if len(self.keys) != len(other.keys) or (
+            self.columns.keys() != other.columns.keys()
+        ):
+            raise ValueError("grouped partials are not congruent")
+        if not other.n_groups:
+            return self
+        if not self.n_groups:
+            return other
+        if self.n_groups == other.n_groups and all(
+            mine is theirs or np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.keys, other.keys)
+        ):
+            return GroupedPartial(self.keys, {
+                name: _add_column(column, other.columns[name])
+                for name, column in self.columns.items()
+            })
+        low, high = sorted((self, other), key=lambda partial: partial.key(0))
+        start = bisect.bisect_left(range(low.n_groups), high.key(0), key=low.key)
+        stop = bisect.bisect_right(range(high.n_groups), low.key(-1), key=high.key)
+        return _concatenate(
+            low.rows(0, start),
+            _union(low.rows(start, None), high.rows(0, stop)),
+            high.rows(stop, None),
+        )
+
+    def key(self, row: int) -> tuple:
+        """The key tuple of one group, as Python scalars."""
+        return tuple(keys[row].item() for keys in self.keys)
+
+    def rows(self, start, stop) -> "GroupedPartial":
+        """The groups ``[start, stop)`` (views of the arrays)."""
+        return GroupedPartial(
+            (keys[start:stop] for keys in self.keys),
+            {name: column[start:stop] for name, column in self.columns.items()},
+        )
+
+
+def _add_column(left, right):
+    if isinstance(left, np.ndarray):
+        return left + right
+    return list(map(operator.add, left, right))
+
+
+def _concatenate(*parts: GroupedPartial) -> GroupedPartial:
+    """Partials whose key ranges ascend part by part, in order."""
+    columns = {}
+    for name, column in parts[0].columns.items():
+        pieces = [part.columns[name] for part in parts]
+        if isinstance(column, np.ndarray):
+            columns[name] = np.concatenate(pieces)
+        else:
+            columns[name] = list(itertools.chain.from_iterable(pieces))
+    keys = (np.concatenate(keys) for keys in zip(*(part.keys for part in parts)))
+    return GroupedPartial(keys, columns)
+
+
+def _union(left: GroupedPartial, right: GroupedPartial) -> GroupedPartial:
+    """Overlapping key sets: rank the concatenated keys, then scatter
+    each side into the union (each side's ids are distinct, so a fancy
+    ``+=`` adds every group once)."""
+    if not left.n_groups:
+        return right
+    if not right.n_groups:
+        return left
+    keys = [np.concatenate(pair) for pair in zip(left.keys, right.keys)]
+    ids, n_groups = group_ids(keys)
+    key_row = np.empty(n_groups, dtype=np.int64)
+    key_row[ids] = np.arange(len(ids))  # any row of a group carries its key
+    sides = (ids[: left.n_groups], ids[left.n_groups :])
+    columns = {}
+    for name, column in left.columns.items():
+        other = right.columns[name]
+        if isinstance(column, np.ndarray):
+            merged = np.zeros(n_groups, dtype=np.result_type(column, other))
+            merged[sides[0]] += column
+            merged[sides[1]] += other
+            columns[name] = merged
+        else:
+            merged = np.zeros(n_groups, dtype=object)
+            merged[sides[0]] += _objects(column)
+            merged[sides[1]] += _objects(other)
+            columns[name] = merged.tolist()
+    return GroupedPartial((k[key_row] for k in keys), columns)
+
+
+def _objects(units: list) -> np.ndarray:
+    """Python ints as an object array (never squeezed into int64)."""
+    array = np.empty(len(units), dtype=object)
+    array[:] = units
+    return array
+
+
 def merge_states(target: dict, other: dict) -> dict:
     """Fold one morsel's value state into another, exactly.
 
@@ -243,7 +432,7 @@ def merge_states(target: dict, other: dict) -> dict:
     in any order):
 
     - ``int`` and (dyadic) ``float``: addition
-    - :class:`ExactSum`: exact addition
+    - :class:`ExactSum` and :class:`GroupedPartial`: exact addition
     - ``numpy.ndarray``: elementwise addition (integer-valued contents)
     - ``set`` / ``frozenset``: union
     - ``dict``: recursive key-wise merge (missing keys are adopted)
@@ -262,7 +451,7 @@ def merge_states(target: dict, other: dict) -> dict:
                 raise ValueError(
                     f"morsel constant {key!r} diverges: {current!r} vs {value!r}"
                 )
-        elif isinstance(current, ExactSum):
+        elif isinstance(current, (ExactSum, GroupedPartial)):
             target[key] = current + value
         elif isinstance(current, dict):
             merge_states(current, value)

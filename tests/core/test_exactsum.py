@@ -61,6 +61,15 @@ class TestExactness:
                 expected = math.inf if units > 0 else -math.inf
         assert ExactSum.of(*values).total() == expected
 
+    @given(st.lists(st.integers(-(1 << 2100), 1 << 2100), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_totals_round_each_group_like_total(self, units):
+        """Units past the double range round to signed infinity, like
+        :meth:`ExactSum.total`; every other group is unaffected."""
+        totals = ExactSum.totals(units)
+        assert totals.dtype == np.float64
+        assert totals.tolist() == [ExactSum(u).total() for u in units]
+
 
 class TestPartitionInvariance:
     @given(st.lists(finite_doubles, min_size=1, max_size=40), st.data())

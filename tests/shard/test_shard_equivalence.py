@@ -73,14 +73,10 @@ def test_process_executor_nodes_match_single_node(tiny_db):
             )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="hand-wired Q18 group-table state does not harmonise across hash "
-    "shards (shape-broadcast error; olapbench KNOWN_FAILURES, ROADMAP item 1)",
-)
 @pytest.mark.parametrize("engine_name", ("Typer", "Tectorwise"))
 def test_template_q18_over_two_hash_shards(tiny_db, engine_name):
+    """Each shard's Q18 partial holds its own orders' keys; the leaf
+    merges them by key, not by shard-local group id."""
     with ShardCluster(tiny_db, n_shards=2, mode="hash", spawn="thread") as cluster:
         assert_matches_single_node(
             Coordinator(tiny_db, cluster), tiny_db, TPCH_SQL["Q18"], engine_name

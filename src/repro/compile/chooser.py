@@ -27,10 +27,9 @@ so a decision is reproducible for a given database.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
+from repro import memo
 from repro.compile import CompileError
 from repro.compile.program import (
     AGG_INSTRS,
@@ -242,14 +241,8 @@ def _synthesize(route: str, program: KernelProgram, est: dict):
 # Decisions
 # ----------------------------------------------------------------------
 
-_DECISIONS: dict = {}
-_DECISIONS_LOCK = threading.Lock()
-_MAX_DECISIONS = 64
-
-
-def clear_chooser_cache() -> None:
-    with _DECISIONS_LOCK:
-        _DECISIONS.clear()
+_DECISIONS = memo.shared("chooser", 64)
+clear_chooser_cache = _DECISIONS.clear
 
 
 def choose(db, bound) -> dict:
@@ -266,30 +259,22 @@ def choose(db, bound) -> dict:
     Raises :class:`ChooserError` when the plan cannot be modelled (the
     chooser needs the compiled program's structure as its cost basis).
     """
-    plan = bound.plan
-    if plan is None:
+    if bound.plan is None:
         raise ChooserError("bound query carries no logical plan")
     key = (db.identity, bound.workload, bound.method, bound.args, bound.kwargs)
     try:
         hash(key)
     except TypeError:
-        key = None
-    if key is not None:
-        with _DECISIONS_LOCK:
-            cached = _DECISIONS.get(key)
-            if cached is not None:
-                return dict(cached)
+        return _price(db, bound)
+    return dict(_DECISIONS.get_or_build(key, lambda: _price(db, bound)))
+
+
+def _price(db, bound) -> dict:
     try:
-        program = compiled_program(plan)
+        program = compiled_program(bound.plan)
     except CompileError as exc:
         raise ChooserError(f"plan is not compilable: {exc}") from None
-    decision = _decide(db, bound, program)
-    if key is not None:
-        with _DECISIONS_LOCK:
-            if len(_DECISIONS) >= _MAX_DECISIONS:
-                _DECISIONS.pop(next(iter(_DECISIONS)))
-            _DECISIONS[key] = dict(decision)
-    return decision
+    return _decide(db, bound, program)
 
 
 def _decide(db, bound, program: KernelProgram) -> dict:

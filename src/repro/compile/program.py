@@ -45,11 +45,11 @@ morsel-invariant working sets, and per-element costs are dyadic so no
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import memo
 from repro.compile import CompileError
 from repro.compile.expr import ScalarKernel, compile_scalar
 from repro.core.exactsum import ExactSum
@@ -1094,10 +1094,9 @@ def _aggregate_refs(node: ir.Aggregate):
 # ----------------------------------------------------------------------
 # Compiled-program cache (per process)
 # ----------------------------------------------------------------------
-_CACHE: dict[ir.PlanNode, KernelProgram] = {}
-_CACHE_LOCK = threading.Lock()
-_CACHE_CAP = 128
-_CACHE_STATS = {"hits": 0, "misses": 0}
+_CACHE = memo.shared("compile", 128)
+compile_cache_stats = _CACHE.stats
+clear_compile_cache = _CACHE.clear
 
 
 def compiled_program(plan: ir.PlanNode) -> KernelProgram:
@@ -1107,11 +1106,10 @@ def compiled_program(plan: ir.PlanNode) -> KernelProgram:
     entry serves every database, engine and executor.  A fresh compile
     emits a ``compile`` span.
     """
-    with _CACHE_LOCK:
-        program = _CACHE.get(plan)
-        if program is not None:
-            _CACHE_STATS["hits"] += 1
-            return program
+    return _CACHE.get_or_build(plan, lambda: _compile(plan))
+
+
+def _compile(plan: ir.PlanNode) -> KernelProgram:
     with trace.span("compile"):
         program = _Compiler(plan).compile()
         trace.annotate(
@@ -1119,15 +1117,6 @@ def compiled_program(plan: ir.PlanNode) -> KernelProgram:
             joins=len(program.steps),
             groups=len(program.group_refs),
         )
-    with _CACHE_LOCK:
-        existing = _CACHE.get(plan)
-        if existing is not None:
-            _CACHE_STATS["hits"] += 1
-            return existing
-        _CACHE_STATS["misses"] += 1
-        _CACHE[plan] = program
-        while len(_CACHE) > _CACHE_CAP:
-            _CACHE.pop(next(iter(_CACHE)))
     return program
 
 
@@ -1156,14 +1145,3 @@ def finish_compiled(engine, db, merged, plan: ir.PlanNode):
     """Merge finisher behind :meth:`Engine._finish_compiled`."""
     return compiled_program(plan).finish(engine, db, merged)
 
-
-def compile_cache_stats() -> dict:
-    with _CACHE_LOCK:
-        return {"entries": len(_CACHE), **_CACHE_STATS}
-
-
-def clear_compile_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        _CACHE_STATS["hits"] = 0
-        _CACHE_STATS["misses"] = 0

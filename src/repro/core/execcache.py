@@ -32,11 +32,9 @@ Disable with ``REPRO_EXEC_CACHE=0``.
 from __future__ import annotations
 
 import inspect
-import threading
-from collections import OrderedDict
 from functools import wraps
 
-from repro import settings
+from repro import memo, settings
 from repro.obs import trace
 
 #: Engine methods that are memoized (the complete execution surface).
@@ -77,51 +75,8 @@ def _snapshot(result, cached: bool):
     )
 
 
-class ExecutionCache:
-    """Bounded LRU map of engine executions.
-
-    Thread-safe: the query service executes on a worker pool, so
-    lookups, stores and stats all happen under one re-entrant lock
-    (the critical sections are tiny next to an engine execution).
-    """
-
-    def __init__(self, max_entries: int = 512):
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return _snapshot(entry, cached=True)
-
-    def store(self, key, result) -> None:
-        with self._lock:
-            self._entries[key] = _snapshot(result, cached=False)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-#: The process-wide cache instance.
-EXECUTION_CACHE = ExecutionCache()
+#: The process-wide cache; entries are snapshots (see module docstring).
+EXECUTION_CACHE = memo.shared("execution", 512)
 
 
 def _first_party(cls) -> bool:
@@ -163,13 +118,13 @@ def memoized_execution(method_name: str, func):
         except TypeError:
             return func(self, db, *args, **kwargs)
         with trace.span("execcache", method=method_name):
-            cached = EXECUTION_CACHE.lookup(key)
+            cached = EXECUTION_CACHE.get(key)
             if cached is not None:
                 trace.annotate(outcome="hit")
-                return cached
+                return _snapshot(cached, cached=True)
             trace.annotate(outcome="miss")
             result = func(self, db, *args, **kwargs)
-            EXECUTION_CACHE.store(key, result)
+            EXECUTION_CACHE.put(key, _snapshot(result, cached=False))
             return result
 
     wrapper._execcache_wrapped = True

@@ -16,13 +16,13 @@ construction; only the recorded work differs.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
+from repro import memo
 from repro.core.exactsum import ExactSum
 from repro.core.workprofile import WorkProfile
 from repro.engines.hashtable import ChainedHashTable, GroupByHashTable
@@ -217,8 +217,7 @@ def line_density(indices: np.ndarray, total_rows: int, itemsize: int = 8) -> flo
     return touched_lines(indices, values_per_line, 0, total_lines) / total_lines
 
 
-_RESOLVED_SELECTIONS: dict = {}
-_RESOLVED_SELECTIONS_LOCK = threading.Lock()
+_RESOLVED_SELECTIONS = memo.shared("selections", 64)
 
 
 def resolve_selection_cached(db: Database, selectivity, thresholds):
@@ -233,16 +232,10 @@ def resolve_selection_cached(db: Database, selectivity, thresholds):
         thresholds_key = None
     else:
         thresholds_key = tuple(float(value) for value in thresholds)
-    key = (db.identity, selectivity, thresholds_key)
-    with _RESOLVED_SELECTIONS_LOCK:
-        if key in _RESOLVED_SELECTIONS:
-            return _RESOLVED_SELECTIONS[key]
-    resolved = resolve_selection(db, selectivity, thresholds)
-    with _RESOLVED_SELECTIONS_LOCK:
-        _RESOLVED_SELECTIONS.setdefault(key, resolved)
-        while len(_RESOLVED_SELECTIONS) > 64:
-            _RESOLVED_SELECTIONS.pop(next(iter(_RESOLVED_SELECTIONS)))
-    return resolved
+    return _RESOLVED_SELECTIONS.get_or_build(
+        (db.identity, selectivity, thresholds_key),
+        lambda: resolve_selection(db, selectivity, thresholds),
+    )
 
 
 @dataclass

@@ -179,8 +179,7 @@ def _obs_smoke(args: argparse.Namespace) -> int:
     for required in (
         "repro_queries_total",
         "repro_query_latency_seconds_bucket",
-        "repro_plan_cache_misses_total",
-        "repro_execcache_misses_total",
+        "repro_cache_misses_total",
         "repro_queue_depth",
         "repro_service_workers",
     ):

@@ -8,9 +8,10 @@ every admitted request carries a deadline; a request that misses it
 returns ``status="timeout"`` and is marked abandoned so a worker that
 later pops it drops it instead of executing dead work.
 
-Compiled plans are cached per normalized SQL text (the parse/plan/lower
-pipeline is pure), and the engine executions themselves hit the
-process-wide :mod:`repro.core.execcache`, so repeated statements -- the
+Compiled plans are cached per normalized SQL text and keyed settings
+(the parse/plan/lower pipeline is otherwise pure), and the engine
+executions themselves hit the process-wide
+:mod:`repro.core.execcache`, so repeated statements -- the
 common case for a profiling service -- cost one dictionary lookup plus
 a result snapshot.  Responses carry ``cached`` so callers can see which
 tier served them.
@@ -23,7 +24,7 @@ import queue
 import threading
 from dataclasses import dataclass, field
 
-from repro import settings
+from repro import memo, settings
 from repro.core.parallel import WorkerPool, normalized_call, run_call
 from repro.obs import (
     Clock,
@@ -227,26 +228,16 @@ class QueryService:
         self._m_latency = m.histogram(
             "repro_query_latency_seconds", "End-to-end query latency", ("engine",)
         )
-        self._m_plan_hits = m.counter(
-            "repro_plan_cache_hits_total", "Plan-cache hits"
-        )
-        self._m_plan_misses = m.counter(
-            "repro_plan_cache_misses_total", "Plan-cache misses"
-        )
-        self._m_plan_evictions = m.counter(
-            "repro_plan_cache_evictions_total", "Plan-cache evictions"
-        )
-        self._m_plan_entries = m.gauge(
-            "repro_plan_cache_entries", "Compiled plans currently cached"
-        )
-        self._m_exec_hits = m.counter(
-            "repro_execcache_hits_total", "Execution-cache hits"
-        )
-        self._m_exec_misses = m.counter(
-            "repro_execcache_misses_total", "Execution-cache misses"
-        )
-        self._m_exec_entries = m.gauge(
-            "repro_execcache_entries", "Execution-cache entries"
+        #: One family per counter over every cache of the process
+        #: (:data:`repro.memo.SHARED`) plus this service's plan cache.
+        self._m_caches = {
+            kind: m.counter(
+                f"repro_cache_{kind}_total", f"Cache {kind} by cache", ("cache",)
+            )
+            for kind in ("hits", "misses", "evictions")
+        }
+        self._m_cache_entries = m.gauge(
+            "repro_cache_entries", "Entries currently cached", ("cache",)
         )
         self._m_queue_depth = m.gauge(
             "repro_queue_depth", "Requests waiting for admission"
@@ -263,16 +254,6 @@ class QueryService:
         )
         self._m_rollup_tables = m.gauge(
             "repro_rollup_tables", "Rollup tables attached to the served database"
-        )
-        self._m_compile_hits = m.counter(
-            "repro_compile_cache_hits_total", "Compiled-program cache hits"
-        )
-        self._m_compile_misses = m.counter(
-            "repro_compile_cache_misses_total",
-            "Compiled-program cache misses (fresh compilations)",
-        )
-        self._m_compile_entries = m.gauge(
-            "repro_compile_cache_entries", "Compiled programs currently cached"
         )
         #: Counters that mirror one decision total each:
         #: (``_totals`` block, key) -> counter.
@@ -803,10 +784,7 @@ class QueryService:
     # -- observability -------------------------------------------------
     def _sync_mirrored_metrics(self) -> None:
         """Refresh metrics that mirror state owned elsewhere (decision
-        totals, plan cache, execcache, queue, pool) at scrape time."""
-        from repro.compile.program import compile_cache_stats
-        from repro.core.execcache import EXECUTION_CACHE
-
+        totals, caches, queue, pool) at scrape time."""
         totals = self._decision_totals()
         for (block, key), counter in self._m_decisions.items():
             counter.sync(totals[block][key])
@@ -824,18 +802,11 @@ class QueryService:
             for value, count in counts.items():
                 if count:  # a series exists once its label value was seen
                     counter.labels(**{label: value}).sync(count)
-        compile_cache = compile_cache_stats()
-        self._m_compile_hits.sync(compile_cache["hits"])
-        self._m_compile_misses.sync(compile_cache["misses"])
-        self._m_compile_entries.set(compile_cache["entries"])
-        plan_cache = self._plans.stats()
-        self._m_plan_hits.sync(plan_cache["hits"])
-        self._m_plan_misses.sync(plan_cache["misses"])
-        self._m_plan_evictions.sync(plan_cache["evictions"])
-        self._m_plan_entries.set(plan_cache["entries"])
-        self._m_exec_hits.sync(EXECUTION_CACHE.hits)
-        self._m_exec_misses.sync(EXECUTION_CACHE.misses)
-        self._m_exec_entries.set(len(EXECUTION_CACHE))
+        for cache in (*memo.SHARED.values(), self._plans):
+            stats = cache.stats()
+            for kind, counter in self._m_caches.items():
+                counter.labels(cache=cache.name).sync(stats[kind])
+            self._m_cache_entries.labels(cache=cache.name).set(stats["entries"])
         self._m_queue_depth.set(self.queue_depth())
         self._m_workers.set(len(self._workers))
         with self._pool_lock:

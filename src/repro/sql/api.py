@@ -10,9 +10,7 @@ This is the surface the examples, the query service and the tests use::
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
+from repro import memo, settings
 from repro.obs import trace
 from repro.sql import ast
 from repro.sql import plan as ir
@@ -42,55 +40,30 @@ def compile_sql(sql: str) -> BoundQuery:
         return lower(plan, sql)
 
 
-class PlanCache:
-    """LRU of lowered statements keyed on :func:`normalize_sql` text, so
-    requests that differ only in formatting share one plan.
+class PlanCache(memo.BoundedCache):
+    """LRU of lowered statements keyed on :func:`normalize_sql` text and
+    the keyed settings, so requests that differ only in formatting share
+    one plan and a lowering made under one setting (``REPRO_COMPILE``
+    decides whether a statement binds at all) never serves another.
 
-    Thread-safe.  Lowering runs outside the lock; threads that miss the
-    same text at once each lower it and converge on the entry stored
-    first.
+    Lowering runs outside the lock; threads that miss the same text at
+    once each lower it and converge on the entry stored first.
     """
 
     def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._plans: OrderedDict[str, BoundQuery] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__("plan", capacity)
 
     def compile(self, sql: str) -> BoundQuery:
         """:func:`compile_sql` through the cache, inside a
         ``plan_cache`` span annotated with the outcome."""
         with trace.span("plan_cache"):
-            key = normalize_sql(sql)
-            with self._lock:
-                bound = self._plans.get(key)
-                if bound is not None:
-                    self._plans.move_to_end(key)
-                    self.hits += 1
-                    trace.annotate(outcome="hit")
-                    return bound
-                self.misses += 1
+            key = (normalize_sql(sql), settings.result_key())
+            bound = self.get(key)
+            if bound is not None:
+                trace.annotate(outcome="hit")
+                return bound
             trace.annotate(outcome="miss")
-            bound = compile_sql(sql)
-            with self._lock:
-                bound = self._plans.setdefault(key, bound)
-                self._plans.move_to_end(key)
-                while len(self._plans) > self.capacity:
-                    self._plans.popitem(last=False)
-                    self.evictions += 1
-            return bound
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._plans),
-                "capacity": self.capacity,
-            }
+            return self.put(key, compile_sql(sql))
 
 
 def execute_sql(sql: str, engine, db, **options):

@@ -63,12 +63,11 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
-from repro import settings
+from repro import memo, settings
 from repro.storage import ColumnTable, Database, EncodedColumn, encode_columns
 from repro.storage import ColumnZoneMap, build_zone_map
 
@@ -85,7 +84,7 @@ _READABLE_FORMATS = (1, 2, 3, 4)
 #:         "zone_maps": {name: {column: ColumnZoneMap}},
 #:         "partitionings": {name: Partitioning},
 #:         "rollups": {name: RollupTable}}
-_memo: OrderedDict[str, dict] = OrderedDict()
+_memo = memo.shared("dbcache", MEMO_ENTRIES)
 
 
 def canonical_tables(tables) -> tuple[str, ...]:
@@ -182,16 +181,13 @@ def _memo_put(
     partitionings: dict | None = None,
     rollups: dict | None = None,
 ) -> None:
-    _memo[key] = {
+    _memo.put(key, {
         "meta": meta,
         "tables": tables,
         "zone_maps": zone_maps,
         "partitionings": partitionings or {},
         "rollups": rollups or {},
-    }
-    _memo.move_to_end(key)
-    while len(_memo) > MEMO_ENTRIES:
-        _memo.popitem(last=False)
+    })
 
 
 def _extract(db: Database) -> tuple[dict, dict, dict, dict, dict]:
@@ -269,7 +265,6 @@ def load(key: str) -> Database | None:
     """Database for ``key`` from the in-process memo or disk, else None."""
     entry = _memo.get(key)
     if entry is not None:
-        _memo.move_to_end(key)
         return _build_database(
             key,
             entry["meta"],
@@ -459,9 +454,8 @@ def _persist(
         raise
 
 
-def clear_memo() -> None:
-    """Drop the in-process memo (test isolation helper)."""
-    _memo.clear()
+#: Drop the in-process memo (test isolation helper).
+clear_memo = _memo.clear
 
 
 def prewarm(*specs) -> None:

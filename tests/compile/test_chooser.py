@@ -157,4 +157,5 @@ class TestServiceSurface:
         text = service.metrics_text()
         assert "repro_compile_queries_total" in text
         assert "repro_chooser_decisions_total" in text
-        assert "repro_compile_cache_entries" in text
+        assert 'repro_cache_entries{cache="compile"}' in text
+        assert 'repro_cache_hits_total{cache="chooser"}' in text

@@ -80,11 +80,12 @@ class TestMetricsOp:
         service.submit(sql)
         service.submit(sql)
         samples = parse_exposition(service.metrics_text())
-        assert samples["repro_plan_cache_misses_total"][()] == 1
-        assert samples["repro_plan_cache_hits_total"][()] == 1
-        assert samples["repro_plan_cache_entries"][()] == 1
-        assert samples["repro_execcache_misses_total"][()] >= 1
-        assert samples["repro_execcache_hits_total"][()] >= 1
+        plan, execution = (("cache", "plan"),), (("cache", "execution"),)
+        assert samples["repro_cache_misses_total"][plan] == 1
+        assert samples["repro_cache_hits_total"][plan] == 1
+        assert samples["repro_cache_entries"][plan] == 1
+        assert samples["repro_cache_misses_total"][execution] >= 1
+        assert samples["repro_cache_hits_total"][execution] >= 1
         assert samples["repro_service_workers"][()] == 2
 
     def test_rejected_queries_count_but_skip_latency(self, tiny_db):

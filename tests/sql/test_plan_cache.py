@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import threading
 
-from repro.sql import PlanCache, api
+import pytest
+
+from repro.sql import PlanCache, SqlError, api
 from repro.tpch.sql import GROUPBY_SQL, projection_sql
 
 
@@ -57,3 +59,17 @@ def test_concurrent_misses_converge_on_one_entry(monkeypatch):
     assert bound[0] is not None and bound[0] is bound[1]
     stats = cache.stats()
     assert (stats["misses"], stats["hits"], stats["entries"]) == (2, 0, 1)
+
+
+def test_a_lowering_is_not_served_under_other_settings(monkeypatch):
+    """``lower`` reads ``REPRO_COMPILE``: a statement compiled under the
+    default must not be served from the cache once compilation is off."""
+    sql = "SELECT l_returnflag, SUM(l_quantity) FROM lineitem GROUP BY l_returnflag"
+    cache = PlanCache(4)
+    assert cache.compile(sql).method == "run_compiled"
+    monkeypatch.setenv("REPRO_COMPILE", "0")
+    with pytest.raises(SqlError, match="REPRO_COMPILE=0"):
+        cache.compile(sql)
+    monkeypatch.delenv("REPRO_COMPILE")
+    assert cache.compile(sql).method == "run_compiled"
+    assert cache.stats()["hits"] == 1

@@ -193,7 +193,9 @@ def gather_lines(global_indices: np.ndarray, lo: int, hi: int) -> tuple[int, int
 # Shared global structures
 # ----------------------------------------------------------------------
 #: Sized from measurement: the scan statement mix holds 6 structures,
-#: the compiled mix 13, both together 19.
+#: the compiled mix 13, both together 19.  Compiled build sides are
+#: keyed by their step, literals included, so a stream of fresh ad hoc
+#: statements evicts at any count bound.
 _STRUCTURES = memo.shared("structures", 32)
 
 

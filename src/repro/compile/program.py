@@ -44,7 +44,6 @@ morsel-invariant working sets, and per-element costs are dyadic so no
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -442,7 +441,7 @@ class KernelProgram:
                 accumulated = slot_values[slot.name]
                 if not isinstance(accumulated, ExactSum):
                     accumulated = ExactSum.of_array(accumulated)
-                columns[slot.name] = [accumulated.units]
+                columns[slot.name] = accumulated
 
         state = {
             "groups": GroupedPartial(keys, columns),
@@ -478,7 +477,7 @@ class KernelProgram:
             if slot.func == "count":
                 exact_totals[slot.name] = int(column[survivors].sum())
             else:
-                exact_totals[slot.name] = sum(itertools.compress(column, keep))
+                exact_totals[slot.name] = column[survivors].sum().units
 
         # Groups arrive in ascending key order, so stable passes over
         # the ORDER BY columns, last first, leave the key as tiebreak.
@@ -535,7 +534,7 @@ class _GroupFrame:
 
     def _total(self, name: str) -> np.ndarray:
         if name not in self._totals:
-            self._totals[name] = ExactSum.totals(self.groups.columns[name])
+            self._totals[name] = self.groups.columns[name].totals()
         return self._totals[name]
 
     def cell(self, expr):

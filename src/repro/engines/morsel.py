@@ -28,8 +28,6 @@ engines share:
 from __future__ import annotations
 
 import bisect
-import itertools
-import operator
 
 import numpy as np
 
@@ -290,8 +288,8 @@ class GroupedPartial:
     ascending in tuple order; with no key arrays the partial holds
     exactly one group (an ungrouped aggregate).  ``columns`` maps a name
     to one value per group: an integer-valued int64/float64 array
-    (counts, integer sums) or a list of Python-int :class:`ExactSum`
-    units.  ``+`` is exact, associative and commutative, and picks its
+    (counts, integer sums) or an :class:`ExactSum` column of exact sums.
+    ``+`` is exact, associative and commutative, and picks its
     merge from the keys alone: identical keys add column-wise; otherwise
     the rows of one side below the other's first key and above its last
     key concatenate as they are, and only the overlap between is ranked
@@ -328,7 +326,7 @@ class GroupedPartial:
             for mine, theirs in zip(self.keys, other.keys)
         ):
             return GroupedPartial(self.keys, {
-                name: _add_column(column, other.columns[name])
+                name: column + other.columns[name]
                 for name, column in self.columns.items()
             })
         low, high = sorted((self, other), key=lambda partial: partial.key(0))
@@ -352,21 +350,21 @@ class GroupedPartial:
         )
 
 
-def _add_column(left, right):
-    if isinstance(left, np.ndarray):
-        return left + right
-    return list(map(operator.add, left, right))
+def _arrays(columns: list) -> tuple[list, object]:
+    """One column of each part as plain arrays, and the function that
+    turns an array built from them back into such a column (unit
+    columns share one limb window, see :meth:`ExactSum.aligned`)."""
+    if isinstance(columns[0], ExactSum):
+        return ExactSum.aligned(columns)
+    return columns, lambda array: array
 
 
 def _concatenate(*parts: GroupedPartial) -> GroupedPartial:
     """Partials whose key ranges ascend part by part, in order."""
     columns = {}
-    for name, column in parts[0].columns.items():
-        pieces = [part.columns[name] for part in parts]
-        if isinstance(column, np.ndarray):
-            columns[name] = np.concatenate(pieces)
-        else:
-            columns[name] = list(itertools.chain.from_iterable(pieces))
+    for name in parts[0].columns:
+        arrays, wrap = _arrays([part.columns[name] for part in parts])
+        columns[name] = wrap(np.concatenate(arrays))
     keys = (np.concatenate(keys) for keys in zip(*(part.keys for part in parts)))
     return GroupedPartial(keys, columns)
 
@@ -386,25 +384,14 @@ def _union(left: GroupedPartial, right: GroupedPartial) -> GroupedPartial:
     sides = (ids[: left.n_groups], ids[left.n_groups :])
     columns = {}
     for name, column in left.columns.items():
-        other = right.columns[name]
-        if isinstance(column, np.ndarray):
-            merged = np.zeros(n_groups, dtype=np.result_type(column, other))
-            merged[sides[0]] += column
-            merged[sides[1]] += other
-            columns[name] = merged
-        else:
-            merged = np.zeros(n_groups, dtype=object)
-            merged[sides[0]] += _objects(column)
-            merged[sides[1]] += _objects(other)
-            columns[name] = merged.tolist()
+        arrays, wrap = _arrays([column, right.columns[name]])
+        merged = np.zeros(
+            (n_groups, *arrays[0].shape[1:]), dtype=np.result_type(*arrays)
+        )
+        for side, array in zip(sides, arrays):
+            merged[side] += array
+        columns[name] = wrap(merged)
     return GroupedPartial((k[key_row] for k in keys), columns)
-
-
-def _objects(units: list) -> np.ndarray:
-    """Python ints as an object array (never squeezed into int64)."""
-    array = np.empty(len(units), dtype=object)
-    array[:] = units
-    return array
 
 
 def merge_states(target: dict, other: dict) -> dict:

@@ -14,7 +14,7 @@ The same contract extends to **aggregation** (the MorphStore
 direction): :func:`exact_sum_column` and :func:`grouped_exact_sum`
 sum *codes* instead of decoded values -- per-code occurrence counts
 (dict / narrow FoR), run views (RLE), or the FoR integer identity --
-and rebase once per group cell into :class:`ExactSum` units that are
+and rebase once per call into :class:`ExactSum` units that are
 bit-identical to summing the decoded column.  Each call records a
 **morph decision** (code-domain vs decode-then-sum, per column and
 operator); engines carry it in ``state["const_encoded_agg"]`` and the
@@ -127,7 +127,7 @@ def batched_decode_sum(
         values = encoded.decode_range(start, end).astype(dtype, copy=False)
         if mask is not None:
             values = values[mask[start - lo : end - lo]]
-        total.add_array(values)
+        total += ExactSum.of_array(values)
     return total
 
 
@@ -177,11 +177,11 @@ def grouped_exact_sum(
     """Grouped exact sum in the code domain, or None when ineligible.
 
     One ``bincount`` over the combined (major x minor x measure-code)
-    domain yields per-group-cell measure-code counts; each occupied
-    cell is rebased **once** into ExactSum units and the cells merge
-    exactly, so the global sum and the set of observed group keys are
-    both bit-identical to the decoded path (``ExactSum.of_array`` over
-    the selected measure values + ``np.unique`` over the combined key).
+    domain yields per-group-cell measure-code counts; their column sums
+    are rebased **once** into ExactSum units, so the global sum and the
+    set of observed group keys are both bit-identical to the decoded
+    path (``ExactSum.of_array`` over the selected measure values +
+    ``np.unique`` over the combined key).
 
     Returns ``(total, keys)``: the exact sum over all groups and the
     set of ``major * multiplier + minor`` key values that occur in the
@@ -222,9 +222,7 @@ def grouped_exact_sum(
     measure_values = np.asarray(measure_domain).astype(
         table.column(measure).dtype, copy=False
     )
-    total = ExactSum()
-    for cell in occupied.tolist():
-        total += ExactSum.of_counts(measure_values, counts[cell])
+    total = ExactSum.of_counts(measure_values, counts.sum(axis=0))
     # Key values exactly as the decoded path computes them: decoded
     # dtypes, then ``major * multiplier + minor`` under numpy promotion.
     major_values = np.asarray(major_domain).astype(

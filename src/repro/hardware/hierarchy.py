@@ -7,7 +7,7 @@ same structure the paper's VTune memory-access analysis observes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,6 @@ class HierarchyStats:
     @property
     def avg_latency_cycles(self) -> float:
         return self.total_latency_cycles / self.accesses if self.accesses else 0.0
-
-
-@dataclass
-class _LevelBundle:
-    cache: SetAssociativeCache
-    prefetchers: list = field(default_factory=list)
 
 
 class CacheHierarchy:

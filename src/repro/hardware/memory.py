@@ -131,36 +131,6 @@ class MemorySystem:
             raw_bytes, access_pattern, cores
         ) / self.transfer_cycles(encoded_bytes, access_pattern, cores)
 
-    def encoded_agg_speedup(
-        self,
-        raw_bytes: float,
-        code_bytes: float,
-        decoded_bytes: float = 0.0,
-        access_pattern: str = "sequential",
-        cores: int = 1,
-    ) -> float:
-        """Upper-bound speedup of a bandwidth-bound aggregation whose
-        scan stream is split by the morph decision
-        (``details["encoded_agg"]``): ``code_bytes`` stream at encoded
-        widths (predicates, keys and measures aggregated in the code
-        domain) while ``decoded_bytes`` stay at logical widths (raw
-        columns and measures the decision kept decoded, e.g. per-row
-        derived expressions).
-
-        Before encoded aggregation the compression model charged every
-        encoded column at code width even though measures were decoded
-        before summation; splitting the stream keeps modeled vs
-        measured honest.
-        """
-        if raw_bytes < 0 or code_bytes < 0 or decoded_bytes < 0:
-            raise ValueError("byte volumes must be non-negative")
-        streamed = code_bytes + decoded_bytes
-        if streamed <= 0:
-            raise ValueError("streamed volume must be positive")
-        return self.transfer_cycles(
-            raw_bytes, access_pattern, cores
-        ) / self.transfer_cycles(streamed, access_pattern, cores)
-
     def pruning_speedup(
         self,
         total_bytes: float,

@@ -17,9 +17,10 @@ evaluations element for element:
 * ``col:<name>`` is the raw column.
 
 All are per-row (elementwise) computations, so a partial over any row
-subset composes: ``ExactSum.of_array`` is exact over any split, and
-adding unit counts across (group, partition) cells reproduces the
-engines' single-shot sums to the last bit.
+subset composes: ``ExactSum.grouped_units`` gives each (group,
+partition) cell exactly ``ExactSum.of_array`` over its rows, and adding
+unit counts across cells reproduces the engines' single-shot sums to
+the last bit.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.exactsum import ExactSum
-from repro.rollup.table import AggregateSpec, RollupTable, encode_units
+from repro.core.exactsum import ExactSum, encode_units
+from repro.engines.morsel import group_ids
+from repro.rollup.table import AggregateSpec, RollupTable
 from repro.tpch.schema import PROJECTION_COLUMNS
 
 
@@ -100,33 +102,6 @@ def default_lineitem_spec(name: str = "lineitem_by_flag_status") -> RollupSpec:
     return RollupSpec(name=name)
 
 
-def _group_index(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, int, list]:
-    """Factorize rows into dense group ids (deterministic: groups are
-    ordered by ascending key tuples).  Returns (inverse, n_groups,
-    per-key group-representative value arrays)."""
-    if not key_arrays:
-        raise ValueError("internal: _group_index needs keys")
-    uniques_per_key = []
-    ids_per_key = []
-    for values in key_arrays:
-        uniques, ids = np.unique(values, return_inverse=True)
-        uniques_per_key.append(uniques)
-        ids_per_key.append(ids)
-    combined = ids_per_key[0].astype(np.int64)
-    for uniques, ids in zip(uniques_per_key[1:], ids_per_key[1:]):
-        combined = combined * len(uniques) + ids
-    group_codes, inverse = np.unique(combined, return_inverse=True)
-    # Decode each group's key values back from its combined code.
-    representatives = []
-    codes = group_codes.copy()
-    for uniques in reversed(uniques_per_key[1:]):
-        representatives.append(uniques[codes % len(uniques)])
-        codes = codes // len(uniques)
-    representatives.append(uniques_per_key[0][codes])
-    representatives.reverse()
-    return inverse, len(group_codes), representatives
-
-
 def build_rollup(db, spec: RollupSpec) -> RollupTable:
     """Materialize one rollup over the (possibly partitioned) base table.
 
@@ -149,9 +124,9 @@ def build_rollup(db, spec: RollupSpec) -> RollupTable:
     sum_specs = [s for s in spec.aggregates if s.kind == "sum"]
     other_specs = [s for s in spec.aggregates if s.kind != "sum"]
     units: dict[str, list[int]] = {s.name: [] for s in sum_specs}
-    plain_lists: dict[str, list] = {s.name: [] for s in other_specs}
-    key_lists: dict[str, list] = {k: [] for k in spec.keys}
-    partition_id_list: list[int] = []
+    plain_parts: dict[str, list] = {s.name: [] for s in other_specs}
+    key_parts: dict[str, list] = {k: [] for k in spec.keys}
+    partition_parts: list[np.ndarray] = []
 
     for p in range(n_partitions):
         lo, hi = bounds[p], bounds[p + 1]
@@ -163,44 +138,31 @@ def build_rollup(db, spec: RollupSpec) -> RollupTable:
             if agg.expr
         }
         if spec.keys:
-            inverse, n_groups, representatives = _group_index(
-                [np.asarray(table[k][lo:hi]) for k in spec.keys]
-            )
+            key_arrays = [np.asarray(table[k][lo:hi]) for k in spec.keys]
+            inverse, n_groups = group_ids(key_arrays)  # ascending key tuples
+            key_row = np.empty(n_groups, dtype=np.int64)
+            key_row[inverse] = np.arange(hi - lo)  # any row of a group has its key
+            representatives = [keys[key_row] for keys in key_arrays]
         else:
             inverse, n_groups = np.zeros(hi - lo, dtype=np.int64), 1
             representatives = []
-        for g in range(n_groups):
-            member = inverse == g
-            partition_id_list.append(p)
-            for key_name, values in zip(spec.keys, representatives):
-                key_lists[key_name].append(values[g])
-            for agg in sum_specs:
-                units[agg.name].append(
-                    ExactSum.of_array(expressions[agg.expr][member]).units
-                )
-            for agg in other_specs:
-                if agg.kind == "count":
-                    plain_lists[agg.name].append(int(member.sum()))
-                elif agg.kind == "min":
-                    plain_lists[agg.name].append(float(expressions[agg.expr][member].min()))
-                else:
-                    plain_lists[agg.name].append(float(expressions[agg.expr][member].max()))
+        partition_parts.append(np.full(n_groups, p, dtype=np.int64))
+        for key_name, values in zip(spec.keys, representatives):
+            key_parts[key_name].append(values)
+        for agg in sum_specs:
+            units[agg.name] += ExactSum.grouped_units(
+                expressions[agg.expr], inverse, n_groups
+            ).tolist()
+        for agg in other_specs:
+            if agg.kind == "count":
+                plain_parts[agg.name].append(np.bincount(inverse, minlength=n_groups))
+                continue
+            extreme = np.full(n_groups, np.inf if agg.kind == "min" else -np.inf)
+            fold = np.minimum if agg.kind == "min" else np.maximum
+            fold.at(extreme, inverse, expressions[agg.expr])
+            plain_parts[agg.name].append(extreme)
 
-    sum_signs: dict[str, np.ndarray] = {}
-    sum_magnitudes: dict[str, np.ndarray] = {}
-    sum_widths: dict[str, int] = {}
-    for agg in sum_specs:
-        signs, magnitudes, width = encode_units(units[agg.name])
-        sum_signs[agg.name] = signs
-        sum_magnitudes[agg.name] = magnitudes
-        sum_widths[agg.name] = width
-    plain: dict[str, np.ndarray] = {}
-    for agg in other_specs:
-        dtype = np.int64 if agg.kind == "count" else np.float64
-        plain[agg.name] = np.asarray(plain_lists[agg.name], dtype=dtype)
-    key_columns = {
-        k: np.asarray(values) for k, values in key_lists.items()
-    }
+    encoded = {name: encode_units(sums) for name, sums in units.items()}
     return RollupTable(
         name=spec.name,
         base_table=spec.table,
@@ -208,13 +170,13 @@ def build_rollup(db, spec: RollupSpec) -> RollupTable:
         partition_column=partition_column,
         n_partitions=n_partitions,
         source_rows=table.n_rows,
-        partition_ids=np.asarray(partition_id_list, dtype=np.int64),
-        key_columns=key_columns,
+        partition_ids=np.concatenate(partition_parts),
+        key_columns={k: np.concatenate(parts) for k, parts in key_parts.items()},
         aggregates=spec.aggregates,
-        sum_signs=sum_signs,
-        sum_magnitudes=sum_magnitudes,
-        sum_widths=sum_widths,
-        plain=plain,
+        sum_signs={name: signs for name, (signs, _, _) in encoded.items()},
+        sum_magnitudes={name: mags for name, (_, mags, _) in encoded.items()},
+        sum_widths={name: width for name, (_, _, width) in encoded.items()},
+        plain={name: np.concatenate(parts) for name, parts in plain_parts.items()},
     )
 
 

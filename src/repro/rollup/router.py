@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import settings
-from repro.core.exactsum import ExactSum
 from repro.core.pruning import PredicateAtom
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE
 
@@ -140,7 +139,7 @@ def _assemble(engine, db, rollup, profile: QueryProfile, selected, kwargs, finis
     agg_names = tuple(
         rollup.aggregate_named("sum", expr).name for expr in profile.expressions
     )
-    sums = [ExactSum(rollup.sum_units(name, selected)) for name in agg_names]
+    sums = [rollup.sum_units(name, selected) for name in agg_names]
     details: dict = {}
     if profile.method == "run_q1":
         label = "Q1"

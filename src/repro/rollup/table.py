@@ -6,13 +6,15 @@ present in the base table, and for each aggregate a *partial* that
 merges exactly:
 
 * ``sum`` partials are :class:`~repro.core.exactsum.ExactSum` units --
-  arbitrary-precision integers counting 2^-1074 quanta.  Adding units
-  across any subset of rollup rows and rounding once reproduces, bit
-  for bit, what the engines compute with ``ExactSum.of_array`` over the
-  same base rows.  Units are persisted as a sign byte plus a fixed-width
-  big-endian magnitude (the width is per-aggregate metadata), so the
-  payload is plain numpy arrays that ship through dbcache files and
-  shared-memory segments unchanged.
+  integers counting 2^-1074 quanta.  Adding units across any subset of
+  rollup rows and rounding once reproduces, bit for bit, what the
+  engines compute with ``ExactSum.of_array`` over the same base rows.
+  Units are persisted as a sign byte plus a fixed-width big-endian
+  magnitude (the width is per-aggregate metadata), so the payload is
+  plain numpy arrays that ship through dbcache files and shared-memory
+  segments unchanged.  :func:`~repro.core.exactsum.encode_units` writes
+  them; :meth:`RollupTable.sum_units` reads them back with
+  :meth:`ExactSum.of_bytes`, a view, no Python per row.
 * ``count`` partials are int64 row counts.
 * ``min``/``max`` partials are float64 extrema (min of mins is the min).
 
@@ -25,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.core.exactsum import ExactSum
 
 AGG_KINDS = ("sum", "count", "min", "max")
 
@@ -44,30 +48,6 @@ class AggregateSpec:
             raise ValueError(f"unknown aggregate kind {self.kind!r}")
         if self.kind != "count" and not self.expr:
             raise ValueError(f"aggregate {self.name!r} needs an expression")
-
-
-def encode_units(units: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pack ExactSum unit integers as (signs, magnitudes, width).
-
-    ``signs`` is int8; ``magnitudes`` is a flat uint8 array of
-    ``len(units) * width`` big-endian bytes.
-    """
-    signs = np.array([(u > 0) - (u < 0) for u in units], dtype=np.int8)
-    width = max((abs(u).bit_length() + 7) // 8 for u in units) if units else 1
-    width = max(width, 1)
-    magnitudes = np.zeros(len(units) * width, dtype=np.uint8)
-    for index, value in enumerate(units):
-        magnitudes[index * width:(index + 1) * width] = np.frombuffer(
-            abs(value).to_bytes(width, "big"), dtype=np.uint8
-        )
-    return signs, magnitudes, width
-
-
-def decode_unit(signs: np.ndarray, magnitudes: np.ndarray, width: int,
-                index: int) -> int:
-    """One row's ExactSum units back as a python int."""
-    raw = magnitudes[index * width:(index + 1) * width]
-    return int(signs[index]) * int.from_bytes(bytes(raw.tobytes()), "big")
 
 
 class RollupTable:
@@ -144,23 +124,15 @@ class RollupTable:
     # ------------------------------------------------------------------
     # Readers
     # ------------------------------------------------------------------
-    def sum_units(self, agg_name: str, indices: np.ndarray) -> int:
-        """Exact total units of a ``sum`` aggregate over rollup rows."""
-        signs = self._sum_signs[agg_name]
-        magnitudes = self._sum_magnitudes[agg_name]
-        width = self._sum_widths[agg_name]
-        total = 0
-        for index in np.asarray(indices, dtype=np.int64):
-            total += decode_unit(signs, magnitudes, width, int(index))
-        return total
-
-    def unit_at(self, agg_name: str, index: int) -> int:
-        return decode_unit(
-            self._sum_signs[agg_name],
-            self._sum_magnitudes[agg_name],
-            self._sum_widths[agg_name],
-            int(index),
+    def sum_units(self, agg_name: str, indices: np.ndarray) -> ExactSum:
+        """Exact total of a ``sum`` aggregate over rollup rows."""
+        indices = np.asarray(indices, dtype=np.int64)
+        magnitudes = self._sum_magnitudes[agg_name].reshape(
+            -1, self._sum_widths[agg_name]
         )
+        return ExactSum.of_bytes(
+            self._sum_signs[agg_name][indices], magnitudes[indices]
+        ).sum()
 
     def plain_column(self, agg_name: str) -> np.ndarray:
         """The int64/float64 array of a count/min/max aggregate."""

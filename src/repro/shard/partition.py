@@ -8,10 +8,11 @@ single node would.
 Two invariants make sharded execution bit-identical to single-node:
 
 - **Exactness does not depend on row placement.**  Every merged
-  aggregate is an :class:`~repro.core.exactsum.ExactSum` (or an
-  integer count), and exact merging is associative and commutative --
-  so hash sharding, which *permutes* rows across shards, still
-  reproduces the single-scan value to the last bit.
+  aggregate is an :class:`~repro.core.exactsum.ExactSum` (int64 limb
+  arrays of 2**-1074 units) or an integer count, and exact merging --
+  aligned integer addition -- is associative and commutative, so hash
+  sharding, which *permutes* rows across shards, still reproduces the
+  single-scan value to the last bit.
 - **Code spaces are inherited from the parent.**  Shard fact columns
   re-encode the subset against the parent dictionary (and the parent
   FoR reference/width), never a fresh one: compiled group keys travel
@@ -122,8 +123,8 @@ def shard_database(
     """One shard: the fact-table subset plus every dimension replicated.
 
     Rollups attached to the parent are rebuilt *per shard* (their SUM
-    partials are ExactSum units, so shard rollups merge exactly across
-    nodes just like scans do).  The shard database gets a stable
+    partials read back as ExactSum limb arrays, so shard rollups merge
+    exactly across nodes just like scans do).  The shard database gets a stable
     derived ``cache_key`` so per-database caches (zone maps, compiled
     programs, group tables) never collide with the parent's.
     """

@@ -1,9 +1,9 @@
 """Checksummed wire codec for partial results and scattered calls.
 
-Partial states carry ExactSum instances, WorkProfiles and numpy
-arrays -- none of which survive JSON -- so the shard protocol ops
-embed a pickled payload (base64, with a SHA-256 digest) inside the
-existing JSON line.  The digest turns a truncated or bit-flipped
+Partial states carry ExactSum limb columns (an int64 array plus its
+first-limb index), WorkProfiles and numpy arrays -- none of which
+survive JSON -- so the shard protocol ops embed a pickled payload
+(base64, with a SHA-256 digest) inside the existing JSON line.  The digest turns a truncated or bit-flipped
 partial into :class:`CorruptPartial` at the coordinator, which treats
 it exactly like a dead replica: fail over, never merge garbage.
 """

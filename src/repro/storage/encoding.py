@@ -749,44 +749,3 @@ def encode_columns(columns: dict) -> dict:
         encoded = encode_column(name, values)
         result[name] = encoded if encoded is not None else values
     return result
-
-
-# ----------------------------------------------------------------------
-# Encoded group-by kernel
-# ----------------------------------------------------------------------
-def groupby_dictionary_sums(
-    key_columns, weights: np.ndarray, selected=None
-) -> dict[tuple, float] | None:
-    """Group-by over small-domain encoded keys, aggregating straight
-    into the dictionary-sized result (never materialising decoded key
-    arrays).
-
-    ``key_columns`` are :class:`EncodedColumn` instances whose domains
-    are tiny (Q1's ``l_returnflag``/``l_linestatus``); ``weights`` is
-    the measure; ``selected`` optionally restricts rows (bool mask or
-    indices).  Returns ``{(key values...): sum}`` or None when a key
-    column has no small domain.
-    """
-    domains = [column.small_domain() for column in key_columns]
-    if any(domain is None for domain in domains):
-        return None
-    n = len(weights) if selected is None else None
-    combined = None
-    radix = 1
-    for column, domain in zip(reversed(key_columns), reversed(domains)):
-        codes = column.codes_range(0, len(column))
-        if selected is not None:
-            codes = codes[selected]
-        part = codes.astype(np.int64) * radix
-        combined = part if combined is None else combined + part
-        radix *= len(domain)
-    sums = np.bincount(combined, weights=weights, minlength=radix)
-    counts = np.bincount(combined, minlength=radix)
-    result = {}
-    for flat in np.flatnonzero(counts):
-        key, remainder = [], int(flat)
-        for domain in reversed(domains):
-            key.append(domain[remainder % len(domain)])
-            remainder //= len(domain)
-        result[tuple(reversed(key))] = float(sums[flat])
-    return result

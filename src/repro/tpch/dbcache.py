@@ -456,17 +456,3 @@ def _persist(
 
 #: Drop the in-process memo (test isolation helper).
 clear_memo = _memo.clear
-
-
-def prewarm(*specs) -> None:
-    """Load (or generate) databases into the in-process memo.
-
-    Each spec is a ``(scale_factor, seed, tables, skew)`` tuple.  The
-    parallel figure driver calls this in the parent before forking so
-    workers inherit the arrays through copy-on-write pages instead of
-    regenerating per process.
-    """
-    from repro.tpch.dbgen import generate_database
-
-    for scale_factor, seed, tables, skew in specs:
-        generate_database(scale_factor, seed, tables=tables, skew=skew)

@@ -48,7 +48,7 @@ def assert_leaf_matches(groups: GroupedPartial, reference: dict) -> None:
     and integer counts, group for group."""
     keys = sorted(reference)
     assert list(zip(*(column.tolist() for column in groups.keys))) == keys
-    assert groups.columns["sum:lineitem.l_extendedprice"] == [
+    assert groups.columns["sum:lineitem.l_extendedprice"].tolist() == [
         int(reference[key][0] * 2**1074) for key in keys
     ]
     counts = groups.columns["count:*"]

@@ -20,6 +20,16 @@ finite_doubles = st.floats(
 )
 
 
+def rounded(units: int) -> float:
+    """``units * 2**-1074`` correctly rounded by rational arithmetic
+    (``float(Fraction)`` divides two ints, correctly rounded), signed
+    infinity past the double range."""
+    try:
+        return float(Fraction(units, 1 << 1074))
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
+
+
 class TestExactness:
     def test_matches_math_fsum(self):
         rng = np.random.default_rng(3)
@@ -66,9 +76,10 @@ class TestExactness:
     def test_totals_round_each_group_like_total(self, units):
         """Units past the double range round to signed infinity, like
         :meth:`ExactSum.total`; every other group is unaffected."""
-        totals = ExactSum.totals(units)
+        totals = ExactSum(units).totals()
         assert totals.dtype == np.float64
         assert totals.tolist() == [ExactSum(u).total() for u in units]
+        assert totals.tolist() == [rounded(u) for u in units]
 
 
 class TestPartitionInvariance:
@@ -89,10 +100,10 @@ class TestPartitionInvariance:
         values = [0.1, 0.2, 0.3, -7.5e200, 7.5e200, 5e-324]
         assert ExactSum.of(*values) == ExactSum.of_array(np.array(values))
 
-    def test_add_array_accumulates_in_place(self):
+    def test_in_place_add_accumulates(self):
         acc = ExactSum()
-        acc.add_array(np.array([1.5, 2.5]))
-        acc.add_array(np.array([-4.0]))
+        acc += ExactSum.of_array(np.array([1.5, 2.5]))
+        acc += ExactSum.of_array(np.array([-4.0]))
         assert acc == ExactSum.of(1.5, 2.5, -4.0)
         assert acc.total() == 0.0
 
@@ -189,7 +200,7 @@ class TestFractionOracle:
             np.array(group_ids, dtype=np.int64),
             n_groups,
         )
-        assert units == oracle_grouped(values, group_ids, n_groups)
+        assert units.tolist() == oracle_grouped(values, group_ids, n_groups)
 
     @given(grouped_inputs())
     @settings(max_examples=50, deadline=None)
@@ -199,14 +210,14 @@ class TestFractionOracle:
         group_ids = np.array(group_ids, dtype=np.int64)
         units = ExactSum.grouped_units(values, group_ids, n_groups)
         for group in range(n_groups):
-            assert units[group] == ExactSum.of_array(values[group_ids == group]).units
+            assert units[group] == ExactSum.of_array(values[group_ids == group])
 
     def test_money_columns_in_a_few_groups(self):
         """TPC-H money columns: two limbs, a few groups, two empty."""
         rng = np.random.default_rng(11)
         values = rng.uniform(-1000.0, 1000.0, size=500).round(2)
         group_ids = rng.integers(0, 6, size=500)
-        units = ExactSum.grouped_units(values, group_ids, 8)
+        units = ExactSum.grouped_units(values, group_ids, 8).tolist()
         assert units == oracle_grouped(values.tolist(), group_ids.tolist(), 8)
         assert units[6] == units[7] == 0
 
@@ -218,14 +229,14 @@ class TestFractionOracle:
         values[::97] = 0.0
         group_ids = rng.integers(0, 4, size=n)  # group 4 stays empty
         assert ExactSum.of_array(values).units == oracle_units(values.tolist())
-        assert ExactSum.grouped_units(values, group_ids, 5) == oracle_grouped(
+        assert ExactSum.grouped_units(values, group_ids, 5).tolist() == oracle_grouped(
             values.tolist(), group_ids.tolist(), 5
         )
 
     def test_subnormals_and_huge_values_share_a_group(self):
         values = np.array([5e-324, -2.0**1000, 1.5e-310, 2.0**1000, 5e-324])
         assert ExactSum.of_array(values).units == 2 + oracle_units([1.5e-310])
-        assert ExactSum.grouped_units(values, np.zeros(5, dtype=np.int64), 1) == [
+        assert ExactSum.grouped_units(values, np.zeros(5, dtype=np.int64), 1).tolist() == [
             oracle_units(values.tolist())
         ]
 
@@ -250,7 +261,8 @@ class TestFractionOracle:
             ExactSum.grouped_units(values, np.array([0, -1, 1]), 2)
 
     def test_empty_input(self):
-        assert ExactSum.grouped_units(np.array([]), np.array([], dtype=np.int64), 3) == [0, 0, 0]
+        empty = ExactSum.grouped_units(np.array([]), np.array([], dtype=np.int64), 3)
+        assert empty.tolist() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +279,7 @@ def both_entry_points(values) -> set[int]:
     ids = np.zeros(len(values), dtype=np.int64)
     return {
         ExactSum.of_array(values).units,
-        ExactSum.grouped_units(values, ids, 1)[0],
+        ExactSum.grouped_units(values, ids, 1).units,
     }
 
 
@@ -303,7 +315,8 @@ class TestLimbKernel:
 
     def test_level_sums_fold_across_more_blocks_than_int64_holds(self, monkeypatch):
         """Blocks sharing a grid fold as int64 grid steps, at most 2**52
-        per block: they must be lifted before 2**11 of them overflow."""
+        per block: they must be placed on the limbs before 2**11 of them
+        overflow."""
         monkeypatch.setattr(exactsum_module, "_BLOCK", 4)  # 50-bit limbs
         value = 2.0**50 - 1  # one limb of 50 one-bits
         values = np.full(4 * 3000, value)
@@ -325,7 +338,7 @@ class TestLimbKernel:
         values = np.array(values)
         assert both_entry_points(values) == {oracle_units(values.tolist())}
         ids = np.arange(len(values)) % 3
-        assert ExactSum.grouped_units(values, ids, 3) == oracle_grouped(
+        assert ExactSum.grouped_units(values, ids, 3).tolist() == oracle_grouped(
             values.tolist(), ids.tolist(), 3
         )
 
@@ -339,7 +352,7 @@ class TestLimbKernel:
         ])
         assert both_entry_points(values) == {oracle_units(values.tolist())}
         ids = np.array([0, 1, 2] * 4)
-        assert ExactSum.grouped_units(values, ids, 4) == oracle_grouped(
+        assert ExactSum.grouped_units(values, ids, 4).tolist() == oracle_grouped(
             values.tolist(), ids.tolist(), 4
         )
         # A sum beyond the double range is still exact in units.
@@ -359,7 +372,7 @@ class TestLimbKernel:
 
     def test_consecutive_blocks_with_different_top_exponents(self):
         """Each block peels on its own grids; blocks that share a grid
-        fold before they are lifted."""
+        fold before they are placed on the limbs."""
         rng = np.random.default_rng(23)
         pattern = rng.uniform(-1000.0, 1000.0, size=64).round(2)
         repeats = BLOCK // len(pattern)
@@ -370,7 +383,7 @@ class TestLimbKernel:
         )
         assert both_entry_points(values) == {expected}
         ids = np.arange(len(values)) % 2  # even / odd pattern positions
-        assert ExactSum.grouped_units(values, ids, 2) == [
+        assert ExactSum.grouped_units(values, ids, 2).tolist() == [
             repeats * sum(
                 oracle_units((pattern[parity::2] * scale).tolist()) for scale in scales
             )
@@ -385,6 +398,7 @@ class TestLimbKernel:
         ids[:10] = ids[10:20]  # some groups hold two rows
         units = ExactSum.grouped_units(values, ids, n_groups)
         assert len(units) == n_groups
+        units = units.tolist()
         expected = {}
         for group, value in zip(ids.tolist(), values.tolist()):
             expected[group] = expected.get(group, 0) + oracle_units([value])
@@ -401,7 +415,7 @@ class TestLimbKernel:
                    * (1 - rng.integers(0, 11, size=100) / 100))
         index = np.arange(n_groups * per_group)
         values, ids = pattern[index % 100], index % n_groups
-        units = ExactSum.grouped_units(values, ids, n_groups)
+        units = ExactSum.grouped_units(values, ids, n_groups).tolist()
         by_position = [per_group * oracle_units([v]) for v in pattern.tolist()]
         assert units == [by_position[group % 100] for group in range(n_groups)]
 
@@ -416,7 +430,7 @@ class TestLimbKernel:
             sum(counts[i] * oracle_units([pattern[i]]) for i in half)
             for half in (range(64), range(64, 128))
         ]
-        assert ExactSum.grouped_units(values, ids, 2) == expected
+        assert ExactSum.grouped_units(values, ids, 2).tolist() == expected
         assert ExactSum.of_array(values).units == sum(expected)
 
     def test_absurd_and_late_bad_ids_are_value_errors(self):
@@ -426,3 +440,144 @@ class TestLimbKernel:
             ids[-1] = bad  # in the last block
             with pytest.raises(ValueError, match=r"\[0, 5\)"):
                 ExactSum.grouped_units(values, ids, 5)
+
+
+# ---------------------------------------------------------------------------
+# Vectorised rounding, of_counts and merge headroom vs rational oracles
+# ---------------------------------------------------------------------------
+
+#: The largest double, and half its ulp, in units.
+MAX_UNITS = int(Fraction(sys.float_info.max) * 2**1074)
+HALF_TOP_ULP = 1 << (970 + 1074)
+
+
+@st.composite
+def near_ties(draw) -> int:
+    """Units one below, at and one above the midpoint between two
+    adjacent 53-bit mantissas, at any scale, either sign."""
+    mantissa = draw(st.integers(1 << 52, (1 << 53) - 1))
+    shift = draw(st.integers(1, 2050))
+    offset = draw(st.sampled_from((-1, 0, 1)))
+    sign = draw(st.sampled_from((-1, 1)))
+    return sign * (((2 * mantissa + 1) << (shift - 1)) + offset)
+
+
+class TestRounding:
+    def check(self, units) -> None:
+        """A column long enough to round vectorised, and each group
+        alone through the Python-int bridge."""
+        copies = -(-exactsum_module._BRIDGE_GROUPS // len(units))
+        expected = [(e, math.copysign(1, e)) for e in map(rounded, units)]
+        vectorised = ExactSum(units * copies).totals().tolist()
+        for got in (vectorised, [ExactSum(u).total() for u in units] * copies):
+            assert [(g, math.copysign(1, g)) for g in got] == expected * copies
+
+    def test_ties_round_half_to_even(self):
+        units = []
+        for shift in (1, 2, 31, 32, 33, 63, 64, 65, 500, 1000, 1990):
+            for mantissa in (1 << 52, (1 << 52) + 1, (1 << 53) - 2, (1 << 53) - 1):
+                tie = (2 * mantissa + 1) << (shift - 1)
+                units += [tie - 1, tie, tie + 1, -tie, -(tie - 1), -(tie + 1)]
+        self.check(units)
+
+    def test_subnormal_normal_boundary(self):
+        """Below 2**53 units every sum is a double (2**52 units is the
+        smallest normal); from there on the last bits round."""
+        units = [
+            base + delta
+            for base in (1, 1 << 52, 1 << 53, 1 << 54, 3 << 53)
+            for delta in range(-3, 4)
+            if base + delta >= 0
+        ]
+        self.check(units + [-u for u in units])
+
+    def test_largest_double_and_overflow(self):
+        """MAX_DOUBLE's mantissa is odd: its upper midpoint is a tie that
+        rounds away, to infinity; one unit below stays finite."""
+        units = [
+            MAX_UNITS, MAX_UNITS + 1, MAX_UNITS + HALF_TOP_ULP - 1,
+            MAX_UNITS + HALF_TOP_ULP, MAX_UNITS + 2 * HALF_TOP_ULP, 1 << 2200,
+        ]
+        self.check(units + [-u for u in units])
+        assert ExactSum(MAX_UNITS + HALF_TOP_ULP - 1).total() == sys.float_info.max
+        assert ExactSum(-MAX_UNITS - HALF_TOP_ULP).total() == -math.inf
+
+    @given(st.lists(near_ties(), min_size=1, max_size=30), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_uncarried_sums_round_like_the_integer(self, units, data):
+        """Each integer split in two signed parts: the sum's limbs are
+        uncarried and of mixed sign until rounding carries them."""
+        units = units * -(-exactsum_module._BRIDGE_GROUPS // len(units))  # vectorised
+        parts = [data.draw(st.integers(-abs(u) * 2, abs(u) * 2)) for u in units]
+        merged = ExactSum(parts) + ExactSum([u - p for u, p in zip(units, parts)])
+        assert merged.tolist() == units
+        assert merged.totals().tolist() == [rounded(u) for u in units]
+
+
+#: Values from the subnormal quantum to the largest double, both signs.
+EXTREME_VALUES = np.array([
+    5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310, sys.float_info.max,
+    -sys.float_info.max, 2.0**1023, -(2.0**1000), 0.1, -7.25, 0.0, -0.0, 1e-300,
+])
+
+
+class TestOfCounts:
+    def test_equals_of_array_at_extreme_counts(self):
+        counts = [1, 2**20, 3, 2**19 + 1, 0, 7, 65536, 2**18, 5, 1, 123457, 99, 2**20 - 1]
+        expanded = np.repeat(EXTREME_VALUES, counts)
+        assert ExactSum.of_counts(EXTREME_VALUES, counts) == ExactSum.of_array(expanded)
+
+    def test_counts_up_to_2_36_against_the_rational_sum(self):
+        rng = np.random.default_rng(43)
+        counts = rng.integers(0, 1 << 36, size=len(EXTREME_VALUES))
+        counts[:2] = (1 << 36) - 1
+        expected = sum(
+            Fraction(float(v)) * int(c) for v, c in zip(EXTREME_VALUES, counts)
+        ) * 2**1074
+        assert ExactSum.of_counts(EXTREME_VALUES, counts).units == expected
+        with pytest.raises(ValueError, match="2\\*\\*36"):
+            ExactSum.of_counts([1.0], [1 << 36])
+
+    def test_a_full_dictionary_at_sf1_counts(self):
+        """2**16 dictionary values, 6 million occurrences: every product
+        of a value's steps and its count stays inside int64."""
+        rng = np.random.default_rng(47)
+        cents = rng.integers(-(1 << 24), 1 << 24, size=1 << 16)
+        counts = rng.multinomial(6_000_000, np.full(1 << 16, 1 / (1 << 16)))
+        expected = int(np.dot(cents, counts)) << (1074 - 7)  # value = cents * 2**-7
+        assert ExactSum.of_counts(np.ldexp(cents, -7), counts).units == expected
+
+    def test_only_counted_values_must_be_finite(self):
+        assert ExactSum.of_counts([np.nan, 2.0], [0, 3]) == ExactSum.of(6.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            ExactSum.of_counts([np.inf, 2.0], [1, 3])
+
+
+class TestMergeHeadroom:
+    def test_a_chain_of_merges_past_2_20_partials_stays_exact(self):
+        """A partial whose limbs sit near 2**32, doubled 40 times beside
+        a subnormal partial on another window: 2**40 partials merged,
+        past the 2**30 headroom where ``+`` carries once."""
+        near_bound = math.nextafter(2.0**40, 0.0)
+        partial = ExactSum.of_array(np.full(BLOCK, near_bound))
+        tiny = ExactSum.of(-5e-324)
+        total, expected = partial, partial.units
+        for _ in range(40):
+            total = total + total + tiny
+            expected = 2 * expected - 1
+        assert total.units == expected
+        assert total.total() == rounded(expected)
+
+    def test_2_20_groups_against_an_integer_oracle(self):
+        """Money-like values (multiples of 2**-7) over 2**20 groups, some
+        empty, some with several rows; the oracle sums scaled integers."""
+        rng = np.random.default_rng(53)
+        n_groups = 1 << 20
+        ids = rng.integers(0, n_groups, size=n_groups + (n_groups >> 1))
+        cents = rng.integers(-(1 << 30), 1 << 30, size=len(ids))
+        sums = ExactSum.grouped_units(np.ldexp(cents, -7), ids, n_groups)
+        exact = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(exact, ids, cents)
+        assert sums.totals().tolist() == np.ldexp(exact, -7).tolist()
+        sample = rng.choice(n_groups, size=2000, replace=False)
+        assert sums[sample].tolist() == [int(c) << (1074 - 7) for c in exact[sample]]

@@ -4,7 +4,8 @@ Rows are split into blocks, each block is aggregated into a leaf by a
 row-at-a-time dict (sharing nothing with the leaf's merge), and the
 leaves are merged in a random order and tree shape.  The result must be
 the leaf of the whole row set, bit for bit: keys (values and dtypes),
-integer counts, integer-valued float sums and exact units.  The block
+integer counts, integer-valued float sums and exact units (limb
+columns, compared through their Python-int bridge).  The block
 splits are drawn so that every merge path runs: identical key sets,
 disjoint ascending ranges, overlaps, empty blocks and zero-key blocks.
 """
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.exactsum import ExactSum
 from repro.engines.morsel import GroupedPartial, merge_states
 
 #: Key column generators: a narrow int, a float from a few values, a
@@ -53,7 +55,7 @@ def leaf(rows, n_keys: int) -> GroupedPartial:
         {
             "n": np.array([groups[k][0] for k in keys], dtype=np.int64),
             "qty": np.array([groups[k][1] for k in keys], dtype=np.float64),
-            "units": [groups[k][2] for k in keys],
+            "units": ExactSum([groups[k][2] for k in keys]),
         },
     )
 
@@ -67,7 +69,7 @@ def assert_same(got: GroupedPartial, want: GroupedPartial) -> None:
     for name in ("n", "qty"):
         assert got.columns[name].dtype == want.columns[name].dtype
         assert got.columns[name].tolist() == want.columns[name].tolist()
-    assert got.columns["units"] == want.columns["units"]
+    assert got.columns["units"].tolist() == want.columns["units"].tolist()
 
 
 def blocks_by(mode: str, rows, n_blocks: int, rng) -> list[list]:
@@ -115,6 +117,41 @@ def test_any_merge_of_blocks_equals_one_block(n_keys, data, mode, n_blocks, rng)
     blocks = blocks_by(mode, rows, n_blocks, rng)
     rng.shuffle(blocks)
     leaves = [leaf(block, n_keys) for block in blocks]
+    whole = leaf([row for block in blocks for row in block], n_keys)
+    assert_same(merge_randomly(leaves, rng), whole)
+
+
+#: Units (2**-1074 each) of doubles below 2**-1000 and of doubles from
+#: 2**900 up: a 53-bit signed mantissa shifted to an exponent of 900..1023.
+TINY_UNITS = st.integers(-(1 << 73), 1 << 73)
+HUGE_UNITS = st.builds(
+    lambda mantissa, exponent, negative: (-mantissa if negative else mantissa)
+    << (exponent - 52 + 1074),
+    st.integers(1 << 52, (1 << 53) - 1), st.integers(900, 1023), st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_keys=st.integers(0, 2),
+    data=st.data(),
+    n_blocks=st.integers(2, 5),
+    rng=st.randoms(use_true_random=False),
+)
+def test_blocks_on_disjoint_limb_windows_merge_exactly(n_keys, data, n_blocks, rng):
+    """Blocks alternate between sums below 2**-1000 and above 2**900,
+    so their unit columns sit on limb windows that share no limb; any
+    merge order and tree shape still gives the leaf of all rows."""
+    blocks = []
+    for index in range(n_blocks):
+        units = TINY_UNITS if index % 2 else HUGE_UNITS
+        row = st.tuples(st.tuples(*KEY_VALUES[:n_keys]), st.integers(1, 50), units)
+        blocks.append(data.draw(st.lists(row, min_size=1, max_size=12)))
+    leaves = [leaf(block, n_keys) for block in blocks]
+    huge, tiny = leaves[0].columns["units"], leaves[1].columns["units"]
+    # Disjoint windows (unless the huge block cancelled to nothing).
+    assert not huge.limbs.size or tiny.low + tiny.limbs.shape[1] <= huge.low
+    rng.shuffle(leaves)
     whole = leaf([row for block in blocks for row in block], n_keys)
     assert_same(merge_randomly(leaves, rng), whole)
 

@@ -86,7 +86,7 @@ class TestBuildRollup:
                 & (status[lo:hi] == rollup.key_columns["l_linestatus"][row])
             )
             expected = ExactSum.of_array(quantity[lo:hi][member])
-            assert rollup.unit_at("sum_qty", row) == expected.units
+            assert rollup.sum_units("sum_qty", [row]) == expected
             assert rollup.plain_column("row_count")[row] == int(member.sum())
 
     def test_min_max_partials(self, rollup_db):
@@ -116,9 +116,7 @@ class TestBuildRollup:
             (rollup_db.table("lineitem").partitioning.row_counts > 0).sum()
         )
         assert rollup.n_rows == non_empty
-        total = ExactSum(
-            rollup.sum_units("sum_qty", np.arange(rollup.n_rows))
-        ).total()
+        total = rollup.sum_units("sum_qty", np.arange(rollup.n_rows)).total()
         expected = ExactSum.of_array(
             np.asarray(rollup_db.table("lineitem")["l_quantity"])
         ).total()

@@ -27,7 +27,6 @@ from repro.storage.encoding import (
     compare_values,
     encode_column,
     encode_columns,
-    groupby_dictionary_sums,
     pack_bits,
     unpack_bits,
 )
@@ -304,32 +303,3 @@ class TestEncodedColumnContract:
         clone = column.renamed("y")
         assert clone.encoding is column.encoding
         assert clone.name == "y"
-
-
-class TestGroupByOnCodes:
-    def test_matches_decoded_groupby(self):
-        rng = np.random.default_rng(5)
-        flags = rng.integers(0, 3, 4000, dtype=np.int64)
-        status = rng.integers(0, 2, 4000, dtype=np.int64)
-        weights = rng.uniform(0, 10, 4000)
-        key_columns = [
-            encode_column("f", flags), encode_column("s", status)
-        ]
-        got = groupby_dictionary_sums(key_columns, weights)
-        for (f, s), total in got.items():
-            expected = weights[(flags == f) & (status == s)].sum()
-            assert total == pytest.approx(expected, rel=1e-12)
-
-    def test_selected_mask(self):
-        flags = np.asarray([0, 1, 0, 1, 2], dtype=np.int64)
-        weights = np.asarray([1.0, 2.0, 4.0, 8.0, 16.0])
-        selected = np.asarray([True, True, False, True, True])
-        got = groupby_dictionary_sums(
-            [encode_column("f", flags)], weights[selected], selected
-        )
-        assert got == {(0,): 1.0, (1,): 10.0, (2,): 16.0}
-
-    def test_large_domain_returns_none(self):
-        values = np.arange(5000, dtype=np.int64)
-        column = encode_column("k", values)
-        assert groupby_dictionary_sums([column], np.ones(5000)) is None

@@ -137,8 +137,7 @@ def sec8_compression(db, profiler) -> FigureResult:
         )
     else:
         figure.note(
-            "database holds no encoded columns (REPRO_ENCODING=off?): "
-            "encoded widths equal raw widths"
+            "database holds no encoded columns: encoded widths equal raw widths"
         )
     figure.note(
         "recorded work profiles always account logical (decoded) widths; "

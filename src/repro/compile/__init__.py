@@ -11,7 +11,7 @@ the pipeline so intermediates are never materialised, hash joins on
 :class:`repro.core.exactsum.ExactSum` units so morsel partials merge
 bit-identically on both executors.
 
-Toggle with ``REPRO_COMPILE`` (on by default; see :mod:`repro.settings`).
+Lowering always tries the compiler for a plan no template matches.
 """
 
 from __future__ import annotations

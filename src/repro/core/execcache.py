@@ -108,11 +108,6 @@ def memoized_execution(method_name: str, func):
                 method_name,
                 db.identity,
                 call_args,
-                # Results are bit-identical across the keyed switches,
-                # but byte accounting (encoded_nbytes, storage stats)
-                # and pruning / routing behaviour are not -- a run must
-                # never be served an entry recorded under other settings.
-                settings.result_key(),
             )
             hash(key)
         except TypeError:

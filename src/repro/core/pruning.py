@@ -39,8 +39,7 @@ rather than by re-deriving profiles:
    blocks, and the cost of pruned ranges collapses to a deep copy.
 
 False positives only: a chunk the statistics cannot decide is scanned
-normally, so pruning can waste a scan but never drop a row.  Disable
-with ``REPRO_PRUNING=0``.
+normally, so pruning can waste a scan but never drop a row.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import settings
 from repro.obs import trace
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE, CHUNK_ROWS, MIXED
 
@@ -288,13 +286,11 @@ def compute_prune_plan(
 def plan_for(db, method: str, kwargs, executor: str) -> PrunePlan | None:
     """The prune stage of :func:`repro.core.parallel.run_call`: the
     plan for one bound call, or None when execution should not prune
-    (pruning off, no prunable predicate summary, or nothing pruned).
+    (no prunable predicate summary, or nothing pruned).
 
     Emits a ``prune`` span whenever a summary was evaluated, so the
     decision -- including "kept everything" -- is visible in traces.
     """
-    if not settings.enabled("pruning"):
-        return None
     atoms = atoms_for(db, method, kwargs)
     if not atoms:
         return None

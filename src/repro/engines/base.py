@@ -469,15 +469,14 @@ class Engine(ABC):
         to :meth:`merge_morsels`."""
         kwargs = dict(kwargs)
         if method == "run_join":
-            size = kwargs.get("size") or (kwargs.get("args") or [None])[0]
+            size = kwargs.get("size")
             if size not in JOIN_SPECS:
                 raise ValueError(f"unknown join size {size!r}")
             return db.table(JOIN_SPECS[size].probe_table).n_rows
         if method == "run_compiled":
             from repro.compile.program import compiled_program
 
-            plan = kwargs.get("plan") or (kwargs.get("args") or [None])[0]
-            return db.table(compiled_program(plan).driving).n_rows
+            return db.table(compiled_program(kwargs["plan"]).driving).n_rows
         return db.table("lineitem").n_rows
 
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import settings
 from repro.core.exactsum import ExactSum
 from repro.core.pruning import scan_outcome
 from repro.obs import trace
@@ -149,11 +148,6 @@ def exact_sum_column(
         if selected is not None:
             values = values[selected]
         return ExactSum.of_array(values), "decoded", "column-raw"
-    if not settings.enabled("encoded_agg"):
-        values = table[column][lo:hi]
-        if selected is not None:
-            values = values[selected]
-        return ExactSum.of_array(values), "decoded", "toggle-off"
     result = encoded.exact_sum(lo, hi, selected)
     if result is not None:
         return result, "code-domain", encoded.codec_kind
@@ -187,8 +181,6 @@ def grouped_exact_sum(
     set of ``major * multiplier + minor`` key values that occur in the
     selection.
     """
-    if not settings.enabled("encoded_agg"):
-        return None
     major_enc = table.encoding(major)
     minor_enc = table.encoding(minor)
     measure_enc = table.encoding(measure)
@@ -258,8 +250,6 @@ def q1_encoded_aggregation(lineitem, lo: int, hi: int, selected):
     )
     if grouped is not None:
         qty_mode, qty_why = "code-domain", "grouped-bincount"
-    elif not settings.enabled("encoded_agg"):
-        qty_mode, qty_why = "decoded", "toggle-off"
     elif lineitem.encoding("l_quantity") is None:
         qty_mode, qty_why = "decoded", "column-raw"
     else:

@@ -24,8 +24,8 @@ this router reproduces were pinned per engine:
   summation -- order-dependent, hence not reproducible from partials --
   so DBMS R / DBMS C fall back on Q1 by design.
 
-Routing is toggled with ``REPRO_ROLLUPS`` (on by default) and keyed
-into the execution cache, so flipping it can never serve stale results.
+Routing is always attempted on a database with rollups attached; a
+database without them is never routed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import settings
 from repro.core.pruning import PredicateAtom
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE
 
@@ -258,14 +257,13 @@ def attempt(db, engine, method: str, kwargs, executor: str, finish: bool = True)
     """Route with a ``route`` span: the first stage of
     :func:`repro.core.parallel.run_call` on every executor.
 
-    Returns ``(None, None)`` without emitting a span when routing is
-    inactive (toggle off, or the database has no rollups) so span trees
-    of rollup-free databases are unchanged.  Otherwise emits one
-    ``route`` span with ``rollup_used``/``reason`` attributes and, on a
-    hit, returns the routed result with the decision in
-    ``details["rollup"]``.
+    Returns ``(None, None)`` without emitting a span when the database
+    has no rollups, so span trees of rollup-free databases are
+    unchanged.  Otherwise emits one ``route`` span with
+    ``rollup_used``/``reason`` attributes and, on a hit, returns the
+    routed result with the decision in ``details["rollup"]``.
     """
-    if not settings.enabled("rollups") or not has_rollups(db):
+    if not has_rollups(db):
         return None, None
     from repro.obs import trace
 

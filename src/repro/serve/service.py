@@ -8,8 +8,8 @@ every admitted request carries a deadline; a request that misses it
 returns ``status="timeout"`` and is marked abandoned so a worker that
 later pops it drops it instead of executing dead work.
 
-Compiled plans are cached per normalized SQL text and keyed settings
-(the parse/plan/lower pipeline is otherwise pure), and the engine
+Compiled plans are cached per normalized SQL text (the
+parse/plan/lower pipeline is pure), and the engine
 executions themselves hit the process-wide
 :mod:`repro.core.execcache`, so repeated statements -- the
 common case for a profiling service -- cost one dictionary lookup plus
@@ -24,7 +24,7 @@ import queue
 import threading
 from dataclasses import dataclass, field
 
-from repro import memo, settings
+from repro import memo
 from repro.core.parallel import WorkerPool, normalized_call, run_call
 from repro.obs import (
     Clock,
@@ -652,7 +652,7 @@ class QueryService:
             "route": "compiled" if bound.method == "run_compiled" else "template",
             "binding": str(bound),
         }
-        if bound.plan is not None and settings.enabled("compile"):
+        if bound.plan is not None:
             try:
                 report["program"] = compiled_program(bound.plan).describe()
             except CompileError as exc:
@@ -720,10 +720,9 @@ class QueryService:
             return copy.deepcopy(self._totals)
 
     def stats_snapshot(self) -> dict:
-        """Service counters plus, per subsystem, its toggle and what
-        the execution stages decided over the service's lifetime.
-        Never triggers generation -- an unserved database reports only
-        toggles and counters."""
+        """Service counters plus, per subsystem, what the execution
+        stages decided over the service's lifetime.  Never triggers
+        generation -- an unserved database reports only counters."""
         from repro.compile.program import compile_cache_stats
 
         snapshot = self.stats.snapshot()
@@ -736,10 +735,7 @@ class QueryService:
         snapshot["executor"] = self.config.executor
         with self._db_lock:
             db = self._db
-        storage: dict = {
-            "encoding_enabled": settings.enabled("encoding"),
-            "database_loaded": db is not None,
-        }
+        storage: dict = {"database_loaded": db is not None}
         if db is not None:
             tables = [db.table(name) for name in db.table_names]
             storage.update(
@@ -756,22 +752,13 @@ class QueryService:
             )
         snapshot["storage"] = storage
         totals = self._decision_totals()
-        snapshot["pruning"] = {
-            "enabled": settings.enabled("pruning"), **totals["pruning"]
-        }
+        snapshot["pruning"] = totals["pruning"]
         snapshot["rollups"] = {
-            "enabled": settings.enabled("rollups"),
             "tables": sorted(getattr(db, "rollup_names", ())) if db else [],
             **totals["rollups"],
         }
-        snapshot["encoded_agg"] = {
-            "enabled": settings.enabled("encoded_agg"), **totals["encoded_agg"]
-        }
-        snapshot["compile"] = {
-            "enabled": settings.enabled("compile"),
-            "cache": compile_cache_stats(),
-            **totals["compile"],
-        }
+        snapshot["encoded_agg"] = totals["encoded_agg"]
+        snapshot["compile"] = {"cache": compile_cache_stats(), **totals["compile"]}
         snapshot["chooser"] = totals["chooser"]
         with self._pool_lock:
             if self._pool is not None:

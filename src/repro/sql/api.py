@@ -10,7 +10,7 @@ This is the surface the examples, the query service and the tests use::
 
 from __future__ import annotations
 
-from repro import memo, settings
+from repro import memo
 from repro.obs import trace
 from repro.sql import ast
 from repro.sql import plan as ir
@@ -41,10 +41,8 @@ def compile_sql(sql: str) -> BoundQuery:
 
 
 class PlanCache(memo.BoundedCache):
-    """LRU of lowered statements keyed on :func:`normalize_sql` text and
-    the keyed settings, so requests that differ only in formatting share
-    one plan and a lowering made under one setting (``REPRO_COMPILE``
-    decides whether a statement binds at all) never serves another.
+    """LRU of lowered statements keyed on :func:`normalize_sql` text
+    alone, so requests that differ only in formatting share one plan.
 
     Lowering runs outside the lock; threads that miss the same text at
     once each lower it and converge on the entry stored first.
@@ -57,7 +55,7 @@ class PlanCache(memo.BoundedCache):
         """:func:`compile_sql` through the cache, inside a
         ``plan_cache`` span annotated with the outcome."""
         with trace.span("plan_cache"):
-            key = (normalize_sql(sql), settings.result_key())
+            key = normalize_sql(sql)
             bound = self.get(key)
             if bound is not None:
                 trace.annotate(outcome="hit")

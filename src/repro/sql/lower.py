@@ -33,7 +33,6 @@ import dataclasses
 import functools
 from dataclasses import dataclass, field
 
-from repro import settings
 from repro.engines.base import TPCH_RUNNERS
 from repro.sql import plan as ir
 from repro.sql.errors import SqlError, err
@@ -283,30 +282,23 @@ def lower(plan: ir.PlanNode, sql: str | None = None) -> BoundQuery:
                 kwargs=bound.kwargs,
                 plan=plan,
             )
-    compile_reason = None
     from repro.compile import CompileError
+    from repro.compile.program import compiled_program
 
-    if settings.enabled("compile"):
-        from repro.compile.program import compiled_program
-
-        try:
-            program = compiled_program(plan)
-        except CompileError as exc:
-            compile_reason = str(exc)
-        else:
-            # Compiled programs partition their own driving table and
-            # merge exactly, but they stay outside zone-map pruning and
-            # rollup routing: ``pruning.atoms_for`` / ``router.profile_for``
-            # know the hand-wired runners only and decline ``run_compiled``.
-            return BoundQuery(
-                workload=program.workload,
-                method="run_compiled",
-                kwargs=(("plan", plan),),
-                plan=plan,
-            )
-    else:
-        compile_reason = "plan compilation is disabled (REPRO_COMPILE=0)"
-    raise _no_binding(plan, sql, compile_reason)
+    try:
+        program = compiled_program(plan)
+    except CompileError as exc:
+        raise _no_binding(plan, sql, str(exc)) from None
+    # Compiled programs partition their own driving table and merge
+    # exactly, but they stay outside zone-map pruning and rollup
+    # routing: ``pruning.atoms_for`` / ``router.profile_for`` know the
+    # hand-wired runners only and decline ``run_compiled``.
+    return BoundQuery(
+        workload=program.workload,
+        method="run_compiled",
+        kwargs=(("plan", plan),),
+        plan=plan,
+    )
 
 
 def _plan_features(node) -> frozenset[str]:
@@ -416,9 +408,7 @@ def _nearest_workload(core: ir.PlanNode) -> str | None:
     return best_name
 
 
-def _no_binding(
-    plan: ir.PlanNode, sql: str | None, compile_reason: str | None = None
-) -> SqlError:
+def _no_binding(plan: ir.PlanNode, sql: str | None, compile_reason: str) -> SqlError:
     """Describe the *full* supported surface: documented templates,
     parameterised micro-benchmark shapes, the per-query TPC-H runners
     behind ``run_tpch``, and the compiled fallback."""
@@ -439,9 +429,8 @@ def _no_binding(
         "- compiled fallback: single-block select / equi-join / "
         "group-by / SUM-COUNT-AVG aggregate plans over the stored "
         "schema lower to fused kernel programs (run_compiled)",
+        f"- the compiler declined this plan: {compile_reason}",
     ]
-    if compile_reason:
-        lines.append(f"- the compiler declined this plan: {compile_reason}")
     nearest = _nearest_workload(core)
     if nearest:
         lines.append(f"- nearest profiled workload by plan structure: {nearest}")

@@ -65,8 +65,7 @@ class Database:
         Deliberately does *not* invalidate the database identity: a
         rollup is derived data over unchanged base tables, so memoized
         base-table executions stay valid (routing happens upstream of
-        the execution cache and is keyed separately via
-        ``REPRO_ROLLUPS``)."""
+        the execution cache, so a routed answer is never stored in it)."""
         if rollup.base_table not in self._tables:
             raise KeyError(
                 f"rollup {rollup.name!r} references unknown base table "

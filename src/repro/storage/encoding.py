@@ -35,7 +35,7 @@ separately (``encoded_nbytes``, ``scan_itemsize``) for the compression
 analyses.
 
 The policy (:func:`choose_encoding`) picks a codec from cheap column
-stats at load time; ``REPRO_ENCODING=off`` disables the whole tier.
+stats at load time; every database is encoded this way.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from repro import settings
 
 #: Policy bounds (see :func:`choose_encoding`).
 MAX_DICT_SIZE = 4096
@@ -737,10 +735,7 @@ def encode_column(name: str, values: np.ndarray) -> EncodedColumn | None:
 
 def encode_columns(columns: dict) -> dict:
     """Policy-encode a ``{name: array}`` mapping (used at database load
-    time); respects the ``REPRO_ENCODING`` toggle.  Values that are
-    already encoded pass through."""
-    if not settings.enabled("encoding"):
-        return dict(columns)
+    time).  Values that are already encoded pass through."""
     result = {}
     for name, values in columns.items():
         if isinstance(values, EncodedColumn):

@@ -30,19 +30,17 @@ faults, not a full read, and parallel workers share the page cache.
 Encoded entries are 2-4x smaller on disk, so both the fault traffic
 and the cache footprint shrink accordingly.
 
-Format 2 stores the encoded form; format-1 entries (raw columns) are
-still readable and are policy-encoded in memory on load.  With
-``REPRO_ENCODING=off`` the encoding step is skipped and encoded disk
-entries are decoded into raw arrays at load time.
+Format 2 stores the encoded form; format-1 entries (raw columns), and
+any entry whose meta does not say ``"encoded": true``, are still
+readable and are policy-encoded in memory on load.
 
 Format 3 additionally persists per-column zone maps
 (:mod:`repro.storage.zonemap`) as ``<table>.<column>.zm.<part>.npy``
 files, so a warm load attaches pruning statistics without a build pass.
 Formats 1 and 2 stay readable; their zone maps are built lazily on
 first use.  A persisted code-domain map is only attached when the
-in-memory column carries the matching encoding (e.g. not under
-``REPRO_ENCODING=off``); otherwise the lazy build recomputes
-value-domain statistics.
+in-memory column carries the matching encoding; otherwise the lazy
+build recomputes the statistics.
 
 Format 4 additionally persists partitioning metadata
 (:mod:`repro.rollup.partition`) as ``<table>.ptn.<part>.npy`` files and
@@ -215,9 +213,9 @@ def _extract(db: Database) -> tuple[dict, dict, dict, dict, dict]:
     rollups = {name: db.rollup(name) for name in getattr(db, "rollup_names", ())}
     meta = {
         "format": _FORMAT_VERSION,
-        # True when the encoding policy already ran over this entry, so
-        # a warm load can skip re-probing the deliberately-raw columns.
-        "encoded": settings.enabled("encoding"),
+        # The encoding policy already ran over this entry, so a warm
+        # load can skip re-probing the deliberately-raw columns.
+        "encoded": True,
         "name": db.name,
         "scale_factor": db.scale_factor,
         "tables": {
@@ -302,19 +300,11 @@ def load(key: str) -> Database | None:
                     )
                     for part in descriptor["parts"]
                 }
-                rebuilt = EncodedColumn.from_payload(column, descriptor, arrays)
-                # REPRO_ENCODING=off: decode encoded disk entries back
-                # to raw arrays so execution sees no encoding tier.
-                loaded[column] = rebuilt if settings.enabled("encoding") else np.asarray(
-                    rebuilt.values
-                )
+                loaded[column] = EncodedColumn.from_payload(column, descriptor, arrays)
             # Entries persisted with the policy applied need no second
-            # pass; format-1 (all-raw) entries and entries written with
-            # encoding off are brought up to the in-memory policy.
-            if meta.get("encoded") and settings.enabled("encoding"):
-                tables[table_name] = loaded
-            else:
-                tables[table_name] = encode_columns(loaded)
+            # pass; format-1 (all-raw) entries and entries written
+            # without it are brought up to the in-memory policy.
+            tables[table_name] = loaded if meta.get("encoded") else encode_columns(loaded)
         zone_maps = _load_zone_maps(directory, meta)
         partitionings = _load_partitionings(directory, meta)
         rollups = _load_rollups(directory, meta)

@@ -148,7 +148,6 @@ class TestServiceSurface:
         snapshot = service.stats_snapshot()
         assert snapshot["chooser"]["decisions"] >= 1
         assert snapshot["compile"]["queries"] >= 1
-        assert snapshot["compile"]["enabled"] is True
         chosen = snapshot["chooser"]["chosen"]
         assert sum(chosen.values()) == snapshot["chooser"]["decisions"]
 

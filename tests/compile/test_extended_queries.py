@@ -53,11 +53,6 @@ class TestLowering:
         assert "plan=<plan>" in text
         assert "Aggregate" not in text, "plan repr must not leak into the str"
 
-    def test_disabled_compiler_reports_why(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        with pytest.raises(SqlError, match="REPRO_COMPILE"):
-            compile_sql(EXTENDED_TPCH_SQL["Q3"])
-
     def test_no_binding_reports_the_supported_surface(self):
         # Bare projection with no aggregate: no template matches and
         # the compiler declines (nothing to aggregate).

@@ -7,6 +7,7 @@ from repro import settings
 from repro.core.execcache import EXECUTION_CACHE
 from repro.core.profiler import MicroArchProfiler
 from repro.engines import TectorwiseEngine, TyperEngine
+from repro.storage import ColumnTable, Database
 from repro.tpch.dbgen import generate_database
 
 
@@ -136,40 +137,49 @@ _SWITCHES = [
 
 
 class TestModeKeys:
-    """The cache key carries every *keyed* switch of the settings
-    table: a result recorded under one mode must never serve another
-    (the modes change details like compressed byte accounting and
-    routing decisions).  Switches that are not keyed never split it."""
+    """The cache key is engine class, method, database identity and
+    call arguments -- no setting is part of it."""
 
-    @pytest.mark.parametrize(
-        "name", [name for name in _SWITCHES if settings.SETTINGS[name].keyed]
-    )
-    def test_keyed_flip_misses(self, db, monkeypatch, name):
+    def test_key_is_engine_method_database_and_args(self, db):
+        TyperEngine().run_projection(db, 2)
+        key = (
+            f"{TyperEngine.__module__}.{TyperEngine.__qualname__}",
+            "run_projection",
+            db.identity,
+            (("degree", 2), ("simd", False)),
+        )
+        assert EXECUTION_CACHE.get(key) is not None
+
+    def test_equal_content_under_another_identity_misses(self, db):
+        """A database holding the very same column objects under another
+        identity is never served the first one's entry."""
+        twin = Database(name=db.name, scale_factor=db.scale_factor)
+        for name in db.table_names:
+            table = db.table(name)
+            twin.add_table(ColumnTable(name, {c: table.column(c) for c in table.column_names}))
+        assert twin.identity != db.identity
         engine = TyperEngine()
-        engine.run_q6(db)
-        monkeypatch.setenv(settings.SETTINGS[name].env, _flipped(name))
-        engine.run_q6(db)
+        first = engine.run_q6(db)
+        again = engine.run_q6(twin)
+        assert "cached" not in again.details
+        assert again.value == first.value
         assert EXECUTION_CACHE.hits == 0
         assert len(EXECUTION_CACHE) == 2
 
-    @pytest.mark.parametrize(
-        "name", [name for name in _SWITCHES if not settings.SETTINGS[name].keyed]
-    )
+    @pytest.mark.parametrize("name", _SWITCHES)
     def test_unkeyed_flip_does_not_split_the_key(self, db, monkeypatch, name):
         engine = TyperEngine()
         engine.run_q6(db)
-        key = settings.result_key()
         monkeypatch.setenv(settings.SETTINGS[name].env, _flipped(name))
         engine.run_q6(db)
-        assert settings.result_key() == key
         assert len(EXECUTION_CACHE) == 1
 
     def test_same_modes_still_hit(self, db, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODING", "0")
-        monkeypatch.setenv("REPRO_ENCODED_AGG", "0")
-        monkeypatch.setenv("REPRO_PRUNING", "0")
-        monkeypatch.setenv("REPRO_ROLLUPS", "0")
-        monkeypatch.setenv("REPRO_COMPILE", "0")
+        """With every other switch away from its default, a repeated
+        call is still served from the cache."""
+        for name in _SWITCHES:
+            if name != "exec_cache":
+                monkeypatch.setenv(settings.SETTINGS[name].env, _flipped(name))
         engine = TyperEngine()
         engine.run_projection(db, 2)
         result = engine.run_projection(db, 2)

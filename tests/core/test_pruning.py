@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import settings
 from repro.core import pruning
 from repro.core.parallel import normalized_call
 from repro.core.pruning import PredicateAtom, compute_prune_plan, translate_claim
@@ -76,13 +75,11 @@ class TestAtoms:
 
 
 class TestToggle:
-    def test_disable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRUNING", "0")
-        assert not settings.enabled("pruning")
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PRUNING", raising=False)
-        assert settings.enabled("pruning")
+    def test_enabled_by_default(self, sorted_db):
+        """Pruning has no switch: a prunable call on clustered data
+        always gets a plan."""
+        plan = pruning.plan_for(sorted_db, "run_q6", {}, executor="thread")
+        assert plan is not None and plan.chunks_pruned > 0
 
 
 # ----------------------------------------------------------------------

@@ -167,3 +167,32 @@ class TestSimdGuard:
     def test_unknown_join_size(self, small_db):
         with pytest.raises(ValueError):
             TyperEngine().run_join(small_db, "huge")
+
+
+class TestPartitionRows:
+    """The table a bound call partitions into morsels, from the
+    normalized keyword items every caller passes."""
+
+    def test_join_partitions_its_probe_table(self, tiny_db):
+        for size, spec in JOIN_SPECS.items():
+            rows = TyperEngine().partition_rows(tiny_db, "run_join", (("size", size),))
+            assert rows == tiny_db.table(spec.probe_table).n_rows
+
+    @pytest.mark.parametrize("kwargs", [{"size": "huge"}, {}], ids=["unknown", "missing"])
+    def test_unknown_join_size_raises(self, tiny_db, kwargs):
+        with pytest.raises(ValueError, match="unknown join size"):
+            TyperEngine().partition_rows(tiny_db, "run_join", kwargs)
+
+    def test_compiled_plan_partitions_its_driving_table(self, tiny_db):
+        from repro.sql import plan_sql
+
+        plan = plan_sql(
+            "SELECT o_custkey, SUM(o_totalprice) FROM orders "
+            "WHERE o_totalprice > 1000 GROUP BY o_custkey"
+        )
+        rows = TyperEngine().partition_rows(tiny_db, "run_compiled", {"plan": plan})
+        assert rows == tiny_db.table("orders").n_rows != tiny_db.table("lineitem").n_rows
+
+    def test_everything_else_partitions_lineitem(self, tiny_db):
+        rows = TyperEngine().partition_rows(tiny_db, "run_q6", {})
+        assert rows == tiny_db.table("lineitem").n_rows

@@ -57,16 +57,15 @@ def raw_twin(tiny_db):
 
 @pytest.fixture(scope="module")
 def encoded_db(tiny_db):
-    """The shared fixture database; skip the matrix if the encoding
-    toggle is off (nothing to compare)."""
+    """The shared fixture database, which must hold encoded columns:
+    an unencoded fixture would make every comparison here raw vs raw."""
     encoded = sum(
         1
         for name in tiny_db.table_names
         for column in tiny_db.table(name).column_names
         if tiny_db.table(name).encoding(column) is not None
     )
-    if not encoded:
-        pytest.skip("REPRO_ENCODING=off: database holds no encoded columns")
+    assert encoded, "the fixture database holds no encoded columns"
     return tiny_db
 
 
@@ -133,9 +132,10 @@ class TestMorsels:
 
 
 class TestAggToggle:
-    """``REPRO_ENCODED_AGG`` only changes execution strategy: flipping
-    it must leave values, work and raw-twin equivalence untouched, and
-    with the toggle off every aggregate must report a decoded mode."""
+    """Code-domain aggregation on (the encoded database) and off (its
+    raw twin, whose columns have no codes to aggregate) only changes the
+    execution strategy: values and work are identical, and the twin
+    reports every aggregate in a decoded mode."""
 
     @pytest.mark.parametrize(("method", "kwargs"), [
         ("run_q1", {}),
@@ -144,34 +144,29 @@ class TestAggToggle:
         ("run_projection", {"degree": 4}),
     ], ids=["q1", "groupby", "projection-p1", "projection-p4"])
     def test_toggle_off_matches_toggle_on(
-        self, encoded_db, raw_twin, engine, method, kwargs, monkeypatch
+        self, encoded_db, raw_twin, engine, method, kwargs
     ):
         on = getattr(engine, method)(encoded_db, **kwargs)
-        monkeypatch.setenv("REPRO_ENCODED_AGG", "0")
-        off = getattr(engine, method)(encoded_db, **kwargs)
-        raw = getattr(engine, method)(raw_twin, **kwargs)
-        assert_identical(on, off, f"{engine.name} {method} toggle flip")
-        assert_identical(off, raw, f"{engine.name} {method} toggle-off vs raw")
+        off = getattr(engine, method)(raw_twin, **kwargs)
+        assert_identical(on, off, f"{engine.name} {method} code domain vs raw")
         decision = off.details.get("encoded_agg")
         if decision is not None:
             assert decision["code_domain"] == 0
 
     def test_pool_spawned_with_toggle_off_matches_single_shot(
-        self, encoded_db, monkeypatch
+        self, encoded_db, raw_twin
     ):
-        """Pool workers read the settings they inherited at spawn: a
-        pool started under ``REPRO_ENCODED_AGG=0`` decodes every slot
-        and still merges to the code-domain single-shot result."""
+        """A pool over the raw twin decodes every slot and still merges
+        to the code-domain single-shot result."""
         from repro.core.parallel import WorkerPool
         from repro.engines import TectorwiseEngine
 
         engine = TectorwiseEngine()
         single = engine.run_q1(encoded_db)
         assert single.details["encoded_agg"]["code_domain"] >= 2
-        monkeypatch.setenv("REPRO_ENCODED_AGG", "0")
-        with WorkerPool(encoded_db, n_workers=2) as pool:
+        with WorkerPool(raw_twin, n_workers=2) as pool:
             pooled = pool.run_query(engine, "run_q1")
-        assert_identical(pooled, single, "Tectorwise run_q1 [pool, toggle off]")
+        assert_identical(pooled, single, "Tectorwise run_q1 [pool over raw twin]")
         assert pooled.details["encoded_agg"]["code_domain"] == 0
 
 

@@ -129,13 +129,13 @@ class TestProcessPool:
             shifted_db.table("lineitem").n_rows
         )
 
-    def test_pool_disabled_pruning_still_matches(self, sorted_db, monkeypatch):
-        monkeypatch.setenv("REPRO_PRUNING", "0")
+    def test_pool_disabled_pruning_still_matches(self, pool, sorted_db):
+        """A method without prune atoms (the group-by) is never pruned
+        and still matches the direct engine call."""
         engine = TyperEngine()
-        baseline = engine.run_q6(sorted_db)
-        with WorkerPool(sorted_db, n_workers=2) as pool:
-            result = pool.run_query(engine, "run_q6")
-        assert_identical(result, baseline, "pruning disabled")
+        baseline = engine.run_groupby(sorted_db)
+        result = pool.run_query(engine, "run_groupby")
+        assert_identical(result, baseline, "pool groupby, no prune atoms")
         assert "pruning" not in result.details
 
 

@@ -125,7 +125,6 @@ class TestPruningObservability:
             response = pruned_service.submit(TPCH_SQL["Q6"])
             assert response["status"] == "ok"
         stats = pruned_service.stats_snapshot()["pruning"]
-        assert stats["enabled"] is True
         assert stats["queries"] == 2
         assert stats["queries_pruned"] == 2
         assert stats["morsels_pruned"] == 2 * 1

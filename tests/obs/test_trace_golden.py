@@ -405,15 +405,14 @@ class TestPrunedGolden:
         )
         assert ranges[0][0] == plan.kept_segments[0][0]
         assert ranges[-1][1] == plan.kept_segments[-1][1]
-        assert stats["enabled"] is True
         assert stats["queries_pruned"] == 1
         assert stats["rows_pruned"] == plan.rows_pruned
 
-    def test_disabled_pruning_emits_no_prune_span(self, sorted_db,
-                                                  monkeypatch):
-        from repro.tpch.sql import TPCH_SQL
+    def test_disabled_pruning_emits_no_prune_span(self, sorted_db):
+        """A statement without prune atoms (the group-by) is never
+        pruned, so its trace has no ``prune`` span."""
+        from repro.tpch.sql import GROUPBY_SQL
 
-        monkeypatch.setenv("REPRO_PRUNING", "0")
         EXECUTION_CACHE.clear()
         service = QueryService(
             ServiceConfig(workers=1, queue_depth=4),
@@ -421,7 +420,7 @@ class TestPrunedGolden:
             clock=FakeClock(step=0.001),
         )
         with service:
-            response = service.submit(TPCH_SQL["Q6"], trace_query=True)
+            response = service.submit(GROUPBY_SQL, trace_query=True)
         assert response["status"] == "ok", response
         with pytest.raises(AssertionError, match="no span named"):
             find(response["trace"], "prune")
@@ -536,17 +535,6 @@ class TestRoutedGolden:
             "children": [],
         }
         find(response["trace"], "morsel")  # base path actually ran
-
-    def test_disabled_rollups_emit_no_route_span(self, routed_db,
-                                                 monkeypatch):
-        from repro.tpch.sql import GROUPBY_SQL
-
-        monkeypatch.setenv("REPRO_ROLLUPS", "0")
-        with self._service(routed_db) as service:
-            response = service.submit(GROUPBY_SQL, trace_query=True)
-        assert response["status"] == "ok", response
-        with pytest.raises(AssertionError, match="no span named"):
-            find(response["trace"], "route")
 
     def test_no_rollups_attached_emits_no_route_span(self, tiny_db):
         from repro.tpch.sql import GROUPBY_SQL

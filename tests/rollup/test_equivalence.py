@@ -13,7 +13,6 @@ empty or put every row in one partition.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -91,13 +90,14 @@ class TestProcessPool:
         assert_identical(result, baseline, "pool q6 fallback")
         assert result.details["rollup"]["reason"] == "unsupported-method"
 
-    def test_pool_disabled_routing_still_matches(self, rollup_db, monkeypatch):
-        monkeypatch.setenv("REPRO_ROLLUPS", "0")
+    def test_pool_disabled_routing_still_matches(self, tiny_db):
+        """A database without rollups is never routed; the pool still
+        matches the direct engine call."""
         engine = TyperEngine()
-        baseline = engine.run_groupby(rollup_db)
-        with WorkerPool(rollup_db, n_workers=2) as pool:
+        baseline = engine.run_groupby(tiny_db)
+        with WorkerPool(tiny_db, n_workers=2) as pool:
             result = pool.run_query(engine, "run_groupby")
-        assert_identical(result, baseline, "pool disabled routing")
+        assert_identical(result, baseline, "pool groupby, no rollups")
         assert "rollup" not in result.details
 
 

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import settings
 from repro.engines import ALL_ENGINES, TyperEngine, TectorwiseEngine
 from repro.rollup import (
     PartitionSpec,
     attempt,
     build_and_attach,
-    build_rollup,
     partitioned_database,
     profile_for,
     route,
@@ -177,14 +174,6 @@ class TestFallbackReasons:
 
 
 class TestAttempt:
-    def test_inactive_when_disabled(self, rollup_db, monkeypatch):
-        monkeypatch.setenv("REPRO_ROLLUPS", "0")
-        assert not settings.enabled("rollups")
-        result, decision = attempt(
-            rollup_db, TyperEngine(), "run_groupby", {}, executor="thread"
-        )
-        assert result is None and decision is None
-
     def test_inactive_without_rollups(self, tiny_db):
         result, decision = attempt(
             tiny_db, TyperEngine(), "run_groupby", {}, executor="thread"

@@ -19,7 +19,7 @@ from repro.rollup import PartitionSpec, build_and_attach, partitioned_database
 from repro.serve import QueryService, ServiceConfig
 from repro.serve.server import dispatch, run_repl
 from repro.tpch.schema import DATE_1998_09_02
-from repro.tpch.sql import GROUPBY_SQL, TPCH_SQL, projection_sql
+from repro.tpch.sql import GROUPBY_SQL, TPCH_SQL
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,6 @@ class TestStats:
         assert service.submit(TPCH_SQL["Q1"])["status"] == "ok"
         assert service.submit(TPCH_SQL["Q6"])["status"] == "ok"
         stats = service.stats_snapshot()["rollups"]
-        assert stats["enabled"] is True
         assert stats["tables"] == ["lineitem_by_flag_status"]
         assert stats["queries"] == 3
         assert stats["routed"] == 2
@@ -64,15 +63,16 @@ class TestStats:
         assert response["status"] == "ok"
         assert response["value"] == TyperEngine().run_groupby(routed_db).value
 
-    def test_disabled_toggle_counts_nothing(self, routed_db, monkeypatch):
-        monkeypatch.setenv("REPRO_ROLLUPS", "0")
+    def test_disabled_toggle_counts_nothing(self, tiny_db):
+        """A database without rollups is never routed, so routing counts
+        nothing."""
         EXECUTION_CACHE.clear()
         with QueryService(
-            ServiceConfig(workers=1, queue_depth=8), db=routed_db
+            ServiceConfig(workers=1, queue_depth=8), db=tiny_db
         ) as service:
             assert service.submit(GROUPBY_SQL)["status"] == "ok"
             stats = service.stats_snapshot()["rollups"]
-        assert stats["enabled"] is False
+        assert stats["tables"] == []
         assert stats["queries"] == 0 and stats["routed"] == 0
         EXECUTION_CACHE.clear()
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.sql import PlanCache, SqlError, api
+from repro.sql import PlanCache, api
+from repro.sql.tokens import normalize_sql
 from repro.tpch.sql import GROUPBY_SQL, projection_sql
 
 
@@ -61,15 +60,14 @@ def test_concurrent_misses_converge_on_one_entry(monkeypatch):
     assert (stats["misses"], stats["hits"], stats["entries"]) == (2, 0, 1)
 
 
-def test_a_lowering_is_not_served_under_other_settings(monkeypatch):
-    """``lower`` reads ``REPRO_COMPILE``: a statement compiled under the
-    default must not be served from the cache once compilation is off."""
+def test_key_is_the_normalized_text_alone():
+    """Two formattings of one statement are one entry, stored under its
+    :func:`normalize_sql` text."""
     sql = "SELECT l_returnflag, SUM(l_quantity) FROM lineitem GROUP BY l_returnflag"
     cache = PlanCache(4)
-    assert cache.compile(sql).method == "run_compiled"
-    monkeypatch.setenv("REPRO_COMPILE", "0")
-    with pytest.raises(SqlError, match="REPRO_COMPILE=0"):
-        cache.compile(sql)
-    monkeypatch.delenv("REPRO_COMPILE")
-    assert cache.compile(sql).method == "run_compiled"
-    assert cache.stats()["hits"] == 1
+    bound = cache.compile(sql)
+    assert bound.method == "run_compiled"
+    reformatted = sql.lower().replace(" from ", "\n  FROM  ")
+    assert cache.compile(reformatted) is bound
+    assert cache.get(normalize_sql(reformatted)) is bound
+    assert len(cache) == 1

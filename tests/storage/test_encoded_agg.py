@@ -13,7 +13,6 @@ morph decision a pure execution-strategy choice.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,7 +257,7 @@ def test_grouped_exact_sum_requires_encodings():
 # ----------------------------------------------------------------------
 # The morph decision
 # ----------------------------------------------------------------------
-def test_exact_sum_column_modes(monkeypatch):
+def test_exact_sum_column_modes():
     rng = np.random.default_rng(5)
     table, _, _, qty = _grouped_table(rng, 64)
     total, mode, why = exact_sum_column(table, "qty", 0, 64)
@@ -269,9 +268,3 @@ def test_exact_sum_column_modes(monkeypatch):
     total, mode, why = exact_sum_column(raw, "qty", 0, 64)
     assert (mode, why) == ("decoded", "column-raw")
     assert total == ExactSum.of_array(qty)
-
-    monkeypatch.setenv("REPRO_ENCODED_AGG", "0")
-    total, mode, why = exact_sum_column(table, "qty", 0, 64)
-    assert (mode, why) == ("decoded", "toggle-off")
-    assert total == ExactSum.of_array(qty)
-    assert grouped_exact_sum(table, "flag", "status", 2, "qty", 0, 64) is None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.storage.encoding import (
@@ -26,7 +26,6 @@ from repro.storage.encoding import (
     choose_encoding,
     compare_values,
     encode_column,
-    encode_columns,
     pack_bits,
     unpack_bits,
 )
@@ -264,12 +263,6 @@ class TestPolicy:
             np.asarray([0, 2**40, 2**50], dtype=np.int64), 5000
         )
         assert choose_encoding(values).kind == "dict"
-
-    def test_toggle_disables_encoding(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODING", "off")
-        columns = {"x": np.repeat(np.arange(50, dtype=np.int64), 4)}
-        out = encode_columns(columns)
-        assert isinstance(out["x"], np.ndarray)
 
     def test_dictionary_cap_respected(self):
         values = np.arange(MAX_DICT_SIZE + 1, dtype=np.float64)

@@ -15,7 +15,7 @@ OFF_WORDS = ("0", "false", "no", "off")
 
 
 class TestParser:
-    @pytest.mark.parametrize("name", ["pruning", "reference_sim"])
+    @pytest.mark.parametrize("name", ["exec_cache", "reference_sim"])
     def test_unset_and_empty_are_the_default(self, monkeypatch, name):
         row = settings.SETTINGS[name]
         monkeypatch.delenv(row.env, raising=False)
@@ -24,7 +24,7 @@ class TestParser:
             monkeypatch.setenv(row.env, blank)
             assert settings.enabled(name) is row.default
 
-    @pytest.mark.parametrize("name", ["pruning", "reference_sim"])
+    @pytest.mark.parametrize("name", ["exec_cache", "reference_sim"])
     @pytest.mark.parametrize("word", OFF_WORDS)
     def test_off_words_in_any_case_and_padding(self, monkeypatch, name, word):
         env = settings.SETTINGS[name].env
@@ -32,7 +32,7 @@ class TestParser:
             monkeypatch.setenv(env, spelling)
             assert settings.enabled(name) is False
 
-    @pytest.mark.parametrize("name", ["pruning", "reference_sim"])
+    @pytest.mark.parametrize("name", ["exec_cache", "reference_sim"])
     @pytest.mark.parametrize("value", ["1", "on", "garbage"])
     def test_anything_else_is_on(self, monkeypatch, name, value):
         monkeypatch.setenv(settings.SETTINGS[name].env, value)
@@ -67,25 +67,26 @@ class TestCallTimeReads:
         monkeypatch.setenv("REPRO_SF", "0.05")
         assert settings.scale_factor() == 0.05
 
-    def test_result_key_is_the_keyed_rows_in_table_order(self, monkeypatch):
-        keyed = [name for name, row in settings.SETTINGS.items() if row.keyed]
-        for name in keyed:
-            monkeypatch.delenv(settings.SETTINGS[name].env, raising=False)
-        assert settings.result_key() == (True,) * len(keyed)
-        monkeypatch.setenv(settings.SETTINGS[keyed[1]].env, "off")
-        assert settings.result_key() == (True, False) + (True,) * (len(keyed) - 2)
-
 
 class TestCensus:
     def test_readme_table_lists_exactly_the_table(self):
         readme = (ROOT / "README.md").read_text()
         section = readme.split("## Settings", 1)[1].split("\n## ", 1)[0]
-        documented = set(re.findall(r"REPRO_[A-Z_]+", section))
-        assert documented == {row.env for row in settings.SETTINGS.values()}
+        documented = re.findall(r"^\| `(REPRO_[A-Z_]+)`", section, re.MULTILINE)
+        assert documented == [row.env for row in settings.SETTINGS.values()]
+        assert len(documented) == 5
+        header = next(line for line in section.splitlines() if line.startswith("| name"))
+        assert "keyed" not in header
 
     def test_retired_names_are_gone(self):
-        retired = ("REPRO_SHARD_" + "NODE", "REPRO_SHARD_" + "FAULTS")
+        retired = [
+            "REPRO_" + name
+            for name in (
+                "SHARD_NODE", "SHARD_FAULTS",
+                "ENCODING", "ENCODED_AGG", "PRUNING", "ROLLUPS", "COMPILE",
+            )
+        ]
+        pattern = re.compile(r"\b(" + "|".join(retired) + r")\b")
         for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]:
-            text = path.read_text()
-            for name in retired:
-                assert name not in text, f"{name} in {path.relative_to(ROOT)}"
+            match = pattern.search(path.read_text())
+            assert match is None, f"{match and match[0]} in {path.relative_to(ROOT)}"

@@ -175,3 +175,60 @@ class TestZoneMapPersistence:
                                       again["lineitem"]["l_quantity"])
         self.assert_equal_zone_maps(
             again.table("lineitem").zone_map("l_shipdate"), expected)
+
+
+class TestEncodedEntries:
+    """Every stored entry carries ``"encoded": true``: a warm load takes
+    its EncodedColumns and zone maps as stored, while an entry without
+    the flag (format 1: raw columns) is encoded on load."""
+
+    def test_encoded_entry_loads_without_an_encoding_pass(
+        self, isolated_cache, monkeypatch
+    ):
+        import json
+
+        from repro.storage import EncodedColumn, zonemap
+
+        db = generate_database(0.005, seed=27, tables=("lineitem",))
+        entry = isolated_cache / "dbgen" / db.cache_key
+        meta = json.loads((entry / "meta.json").read_text())
+        assert meta["encoded"] is True
+        stored = meta["encodings"]["lineitem"]
+        assert stored, "the entry holds no encoded lineitem columns"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm load must not rebuild this")
+
+        monkeypatch.setattr(dbcache, "encode_columns", refuse)
+        monkeypatch.setattr(zonemap, "build_zone_map", refuse)
+        dbcache.clear_memo()
+        again = generate_database(0.005, seed=27, tables=("lineitem",))
+        lineitem = again.table("lineitem")
+        for column in lineitem.column_names:
+            encoded = lineitem.encoding(column)
+            assert isinstance(encoded, EncodedColumn) == (column in stored), column
+            if encoded is not None:
+                assert encoded.codec_kind == stored[column]["codec"], column
+            lineitem.zone_map(column)  # attached from disk, never built
+
+    def test_raw_entry_is_encoded_on_load(self, isolated_cache):
+        import json
+
+        db = generate_database(0.005, seed=29, tables=("lineitem",))
+        entry = isolated_cache / "dbgen" / db.cache_key
+        meta = json.loads((entry / "meta.json").read_text())
+        for stale in entry.glob("*.npy"):
+            stale.unlink()
+        for name in db.table_names:
+            table = db.table(name)
+            for column in table.column_names:
+                np.save(entry / f"{name}.{column}.npy", np.asarray(table[column]))
+        raw_meta = {key: meta[key] for key in ("name", "scale_factor", "tables")}
+        (entry / "meta.json").write_text(json.dumps({"format": 1, **raw_meta}))
+        dbcache.clear_memo()
+        again = generate_database(0.005, seed=29, tables=("lineitem",))
+        for name in db.table_names:
+            table, loaded = db.table(name), again.table(name)
+            for column in table.column_names:
+                assert (loaded.encoding(column) is None) == (table.encoding(column) is None)
+                np.testing.assert_array_equal(loaded[column], table[column])

@@ -54,11 +54,12 @@ class ExperimentSpec:
     def execute(self, db=None, scale_factor: float | None = None, seed: int = DEFAULT_SEED) -> FigureResult:
         """Run the experiment, generating data if none is supplied.
 
-        Engine runs served by the in-process execution cache are
-        counted and recorded as a figure note, so regenerated artefacts
-        always disclose how much of their input was memoized.
+        Engine runs and reference answers served by the in-process
+        execution cache are counted and recorded as a figure note, so
+        regenerated artefacts always disclose how much of their input
+        was memoized.
         """
-        from repro.core.execcache import EXECUTION_CACHE
+        from repro.core import execcache
 
         if db is None:
             db = generate_database(
@@ -67,13 +68,18 @@ class ExperimentSpec:
                 tables=self.tables,
             )
         profiler = MicroArchProfiler(spec=self.machine)
-        hits_before = EXECUTION_CACHE.hits
+        hits_before = execcache.EXECUTION_CACHE.hits
+        references_before = execcache.reference_hits
         figure = self.run(db, profiler)
-        served = EXECUTION_CACHE.hits - hits_before
+        references = execcache.reference_hits - references_before
+        runs = execcache.EXECUTION_CACHE.hits - hits_before - references
+        served = " and ".join(
+            f"{count} {what}"
+            for count, what in ((runs, "engine runs"), (references, "reference answers"))
+            if count
+        )
         if served:
-            figure.note(
-                f"{served} engine runs served from the in-process execution cache"
-            )
+            figure.note(f"{served} served from the in-process execution cache")
         return figure
 
 

@@ -26,12 +26,21 @@ Correctness guards:
   reports can mark memoized measurements (see
   :class:`repro.core.report.ProfileReport`).
 
-Disable with ``REPRO_EXEC_CACHE=0``.
+The same cache holds the numpy reference answers of the four TPC-H
+queries (:func:`memoized_reference`), keyed by ``("reference", function
+name, database identity)``: the interpreter engines' finishers and the
+result checks of every figure ask for them, and the answer depends on
+the database alone.  Callers receive a deep copy, for the reason above.
+
+Disable with ``REPRO_EXEC_CACHE=0``: every engine run and every
+reference answer is then computed afresh.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
+import threading
 from functools import wraps
 
 from repro import memo, settings
@@ -123,4 +132,31 @@ def memoized_execution(method_name: str, func):
             return result
 
     wrapper._execcache_wrapped = True
+    return wrapper
+
+
+#: Reference answers served from :data:`EXECUTION_CACHE` since import;
+#: its ``hits`` count them too (see :mod:`repro.analysis.registry`).
+reference_hits = 0
+_reference_hits_lock = threading.Lock()
+
+
+def memoized_reference(func):
+    """Wrap a reference implementation ``func(db)`` with cache
+    lookup/store; every caller gets a private deep copy."""
+
+    @wraps(func)
+    def wrapper(db):
+        global reference_hits
+        if not settings.enabled("exec_cache"):
+            return func(db)
+        key = ("reference", func.__name__, db.identity)
+        answer = EXECUTION_CACHE.get(key)
+        if answer is None:
+            answer = EXECUTION_CACHE.put(key, func(db))
+        else:
+            with _reference_hits_lock:
+                reference_hits += 1
+        return copy.deepcopy(answer)
+
     return wrapper

@@ -20,8 +20,9 @@ The four micro-benchmarks run through
 TPC-H queries keep their own ``run_*``: the interpreters model *cost*,
 not novel execution, so a morsel measures just the streams that cost
 depends on (filter masks, the green-part probe) and the result values
-come from the reference implementations, evaluated once in the merge
-finisher.
+come from the reference implementations, asked for once in the merge
+finisher; the execution cache computes each once per database
+(:func:`repro.core.execcache.memoized_reference`).
 
 Morsel protocol (:mod:`repro.engines.morsel`): each morsel records the
 interpretation cost of its own rows -- all scalar quantities are dyadic

@@ -29,7 +29,8 @@ class Setting:
 #: name -> row.  Switches have a bool default; the rest are values.
 SETTINGS: dict[str, Setting] = {
     "exec_cache": Setting(
-        "REPRO_EXEC_CACHE", True, "memoize engine runs in-process"),
+        "REPRO_EXEC_CACHE", True,
+        "memoize engine runs and TPC-H reference answers in-process"),
     "disk_cache": Setting(
         "REPRO_DISK_CACHE", True,
         "persist generated TPC-H databases under the cache directory"),

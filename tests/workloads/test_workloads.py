@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.engines import HPE_ENGINES, TectorwiseEngine, TyperEngine
+from repro.engines import (
+    HPE_ENGINES,
+    ColumnStoreEngine,
+    RowStoreEngine,
+    TectorwiseEngine,
+    TyperEngine,
+)
+from repro.tpch.queries import q1_reference, q18_reference
+from repro.workloads.tpch_queries import RESULT_CHECKS
 from repro.workloads import (
     hash_chain_comparison,
     join_chain_stats,
@@ -93,6 +101,33 @@ class TestTpch:
         reports = run_predicated_q6(small_db, TectorwiseEngine(), profiler)
         assert set(reports) == {"branched", "predicated"}
         assert not reports["predicated"].work.branch_streams
+
+    def test_interpreters_verify_exactly(self, tiny_db, profiler):
+        engines = [RowStoreEngine(), ColumnStoreEngine()]
+        reports = run_tpch(tiny_db, engines, profiler)
+        assert set(reports) == {"DBMS R", "DBMS C"}
+
+
+class TestResultChecks:
+    """Interpreter values are the reference answers themselves, so a
+    wrong one with the right shape must fail."""
+
+    def test_wrong_q1_groups_fail(self, small_db):
+        reference = q1_reference(small_db)
+        wrong = {
+            key: dict(group, sum_charge=group["sum_charge"] + 1.0)
+            for key, group in reference.items()
+        }
+        assert len(wrong) == 4
+        assert RESULT_CHECKS["Q1"](small_db, reference)
+        assert not RESULT_CHECKS["Q1"](small_db, wrong)
+
+    def test_wrong_q18_winners_fail(self, small_db):
+        reference = q18_reference(small_db)
+        assert reference
+        wrong = {orderkey: total + 1.0 for orderkey, total in reference.items()}
+        assert RESULT_CHECKS["Q18"](small_db, reference)
+        assert not RESULT_CHECKS["Q18"](small_db, wrong)
 
 
 class TestPredicationComparison:

@@ -286,6 +286,18 @@ _LABELS = {
 TPCH_RUNNERS = {"Q1": "run_q1", "Q6": "run_q6", "Q9": "run_q9", "Q18": "run_q18"}
 
 
+def groupby_table(db: Database) -> GroupByHashTable:
+    """The group-by micro-benchmark's hash table over ``l_partkey * 4 +
+    l_returnflag``: one build per database, probed by every engine and
+    measured by the Section 6 chain comparison."""
+
+    def build():
+        lineitem = db.table("lineitem")
+        return GroupByHashTable(lineitem["l_partkey"] * 4 + lineitem["l_returnflag"])
+
+    return shared_structure(db, "groupby-micro", build)
+
+
 class Engine(ABC):
     """A profiled system: the shared workloads plus one cost model.
 
@@ -647,14 +659,6 @@ class Engine(ABC):
             "join", merged.state["sum"].total(), merged, details, size=size, simd=simd
         )
 
-    def _groupby_table(self, db: Database) -> GroupByHashTable:
-        def build():
-            lineitem = db.table("lineitem")
-            composite = lineitem["l_partkey"] * 4 + lineitem["l_returnflag"]
-            return GroupByHashTable(composite)
-
-        return shared_structure(db, "groupby-micro", build)
-
     def run_groupby(self, db: Database, row_range=None) -> QueryResult:
         """Group-by micro-benchmark (Section 2/6 discussion)."""
         lineitem = db.table("lineitem")
@@ -665,12 +669,12 @@ class Engine(ABC):
                 "sum": total,
                 AGG_STATE_KEY: (("sum", "l_extendedprice", mode, why),),
             },
-            table=self._groupby_table(db),
+            table=groupby_table(db),
         )
         return self._price("groupby", db, facts, lo, hi, row_range)
 
     def _finish_groupby(self, db: Database, merged: MergedPartials) -> QueryResult:
-        table = self._groupby_table(db)
+        table = groupby_table(db)
         details = {
             "groups": table.n_groups,
             "chain_stats": table.chain_stats(),

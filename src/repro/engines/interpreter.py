@@ -285,7 +285,7 @@ class InterpreterEngine(Engine):
         lineitem = db.table("lineitem")
         lo, hi = resolve_range(row_range, lineitem.n_rows)
         m = hi - lo
-        predicates = [(name, mask[lo:hi]) for name, mask in q6_predicates(db)]
+        predicates = q6_predicates(db, lo, hi)
 
         work = self._new_work()
         alive = np.ones(m, dtype=bool)

@@ -113,25 +113,29 @@ def q6_reference(db: Database) -> float:
     return float((lineitem["l_extendedprice"][mask] * discount[mask]).sum())
 
 
-def q6_predicates(db: Database) -> list[tuple[str, np.ndarray]]:
+def q6_predicates(
+    db: Database, lo: int = 0, hi: int | None = None
+) -> list[tuple[str, np.ndarray]]:
     """Q6's five individual predicates with their boolean outcome
-    streams (the per-predicate selectivities a vectorized engine's
-    branch predictor observes -- Section 6)."""
+    streams over rows ``[lo, hi)`` of lineitem (the per-predicate
+    selectivities a vectorized engine's branch predictor observes --
+    Section 6)."""
     from repro.engines.scan import predicate_mask
 
     lineitem = db.table("lineitem")
-    n = lineitem.n_rows
+    if hi is None:
+        hi = lineitem.n_rows
     return [
         ("l_shipdate >= 1994-01-01",
-         predicate_mask(lineitem, "l_shipdate", "ge", sc.DATE_1994_01_01, 0, n)),
+         predicate_mask(lineitem, "l_shipdate", "ge", sc.DATE_1994_01_01, lo, hi)),
         ("l_shipdate < 1995-01-01",
-         predicate_mask(lineitem, "l_shipdate", "lt", sc.DATE_1995_01_01, 0, n)),
+         predicate_mask(lineitem, "l_shipdate", "lt", sc.DATE_1995_01_01, lo, hi)),
         ("l_discount >= 0.05",
-         predicate_mask(lineitem, "l_discount", "ge", 0.05, 0, n)),
+         predicate_mask(lineitem, "l_discount", "ge", 0.05, lo, hi)),
         ("l_discount <= 0.07",
-         predicate_mask(lineitem, "l_discount", "le", 0.07, 0, n)),
+         predicate_mask(lineitem, "l_discount", "le", 0.07, lo, hi)),
         ("l_quantity < 24",
-         predicate_mask(lineitem, "l_quantity", "lt", 24.0, 0, n)),
+         predicate_mask(lineitem, "l_quantity", "lt", 24.0, lo, hi)),
     ]
 
 

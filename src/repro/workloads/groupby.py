@@ -12,26 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engines.base import Engine, JOIN_SPECS
-from repro.engines.hashtable import ChainedHashTable, ChainStats, GroupByHashTable
+from repro.engines.base import JOIN_SPECS, groupby_table
+from repro.engines.hashtable import ChainStats
+from repro.engines.morsel import key_table
 from repro.core.profiler import MicroArchProfiler
 from repro.core.report import ProfileReport
+from repro.workloads.sweep import profile_sweep
 
 
 def run_groupby(
     db, engines, profiler: MicroArchProfiler
 ) -> dict[str, ProfileReport]:
     """Profile the group-by micro-benchmark on every engine."""
-    results: dict[str, ProfileReport] = {}
-    reference = None
-    for engine in engines:
-        query = engine.run_groupby(db)
-        if reference is None:
-            reference = query.value
-        elif abs(query.value - reference) > 1e-6 * max(1.0, abs(reference)):
-            raise AssertionError(f"{engine.name} disagrees on the group-by result")
-        results[engine.name] = profiler.profile(engine, query)
-    return results
+    reports = profile_sweep(
+        engines, profiler, (None,),
+        lambda engine, _: engine.run_groupby(db),
+        "the group-by result",
+    )
+    return {name: per_argument[None] for name, per_argument in reports.items()}
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,11 @@ class ChainComparison:
 
 
 def hash_chain_comparison(db) -> ChainComparison:
-    """Build the large join's and the group-by micro-benchmark's hash
-    tables and measure their chain-length distributions."""
+    """The chain-length distributions of the hash tables the engines
+    probe: the large join's build side and the group-by
+    micro-benchmark's table."""
     spec = JOIN_SPECS["large"]
-    join_table = ChainedHashTable(db.table(spec.build_table)[spec.build_key])
-    lineitem = db.table("lineitem")
-    composite = lineitem["l_partkey"] * 4 + lineitem["l_returnflag"]
-    group_table = GroupByHashTable(composite)
-    return ChainComparison(join=join_table.chain_stats(), groupby=group_table.chain_stats())
+    join_table = key_table(db, spec.build_table, spec.build_key)
+    return ChainComparison(
+        join=join_table.chain_stats(), groupby=groupby_table(db).chain_stats()
+    )

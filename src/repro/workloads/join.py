@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.engines.base import JOIN_SIZES, Engine
 from repro.core.profiler import MicroArchProfiler
 from repro.core.report import ProfileReport
+from repro.workloads.sweep import profile_sweep
 
 
 def run_join_sweep(
@@ -20,21 +21,11 @@ def run_join_sweep(
     simd: bool = False,
 ) -> dict[str, dict[str, ProfileReport]]:
     """Profile every engine at every join size, cross-checking results."""
-    results: dict[str, dict[str, ProfileReport]] = {}
-    reference_values: dict[str, float] = {}
-    for engine in engines:
-        per_size = {}
-        for size in sizes:
-            query = engine.run_join(db, size, simd=simd)
-            reference = reference_values.setdefault(size, query.value)
-            if abs(query.value - reference) > 1e-6 * max(1.0, abs(reference)):
-                raise AssertionError(
-                    f"{engine.name} disagrees on the {size} join: "
-                    f"{query.value} != {reference}"
-                )
-            per_size[size] = profiler.profile(engine, query)
-        results[engine.name] = per_size
-    return results
+    return profile_sweep(
+        engines, profiler, sizes,
+        lambda engine, size: engine.run_join(db, size, simd=simd),
+        "the {} join",
+    )
 
 
 def join_chain_stats(db, engine: Engine, size: str = "large"):

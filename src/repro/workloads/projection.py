@@ -6,9 +6,9 @@ l_tax, l_quantity), profiled per engine and degree.
 
 from __future__ import annotations
 
-from repro.engines.base import Engine
 from repro.core.profiler import MicroArchProfiler
 from repro.core.report import ProfileReport
+from repro.workloads.sweep import profile_sweep
 
 DEGREES = (1, 2, 3, 4)
 
@@ -25,21 +25,11 @@ def run_projection_sweep(
     Returns ``{engine name: {degree: ProfileReport}}``; engine result
     values are cross-checked to be identical before returning.
     """
-    results: dict[str, dict[int, ProfileReport]] = {}
-    reference_values: dict[int, float] = {}
-    for engine in engines:
-        per_degree = {}
-        for degree in degrees:
-            query = engine.run_projection(db, degree, simd=simd)
-            reference = reference_values.setdefault(degree, query.value)
-            if abs(query.value - reference) > 1e-6 * max(1.0, abs(reference)):
-                raise AssertionError(
-                    f"{engine.name} disagrees on projection p{degree}: "
-                    f"{query.value} != {reference}"
-                )
-            per_degree[degree] = profiler.profile(engine, query)
-        results[engine.name] = per_degree
-    return results
+    return profile_sweep(
+        engines, profiler, degrees,
+        lambda engine, degree: engine.run_projection(db, degree, simd=simd),
+        "projection p{}",
+    )
 
 
 def normalized_response_times(

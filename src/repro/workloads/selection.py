@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.engines.base import SELECTION_SELECTIVITIES, Engine
 from repro.core.profiler import MicroArchProfiler
 from repro.core.report import ProfileReport
+from repro.workloads.sweep import profile_sweep
 
 
 def run_selection_sweep(
@@ -26,23 +27,13 @@ def run_selection_sweep(
     Returns ``{engine name: {selectivity: ProfileReport}}`` with result
     values cross-checked across engines.
     """
-    results: dict[str, dict[float, ProfileReport]] = {}
-    reference_values: dict[float, float] = {}
-    for engine in engines:
-        per_selectivity = {}
-        for selectivity in selectivities:
-            query = engine.run_selection(
-                db, selectivity, predicated=predicated, simd=simd
-            )
-            reference = reference_values.setdefault(selectivity, query.value)
-            if abs(query.value - reference) > 1e-6 * max(1.0, abs(reference)):
-                raise AssertionError(
-                    f"{engine.name} disagrees on selection "
-                    f"{selectivity:.0%}: {query.value} != {reference}"
-                )
-            per_selectivity[selectivity] = profiler.profile(engine, query)
-        results[engine.name] = per_selectivity
-    return results
+    return profile_sweep(
+        engines, profiler, selectivities,
+        lambda engine, selectivity: engine.run_selection(
+            db, selectivity, predicated=predicated, simd=simd
+        ),
+        "selection {:.0%}",
+    )
 
 
 def run_predication_comparison(
@@ -59,7 +50,7 @@ def run_predication_comparison(
     for selectivity in selectivities:
         branched = engine.run_selection(db, selectivity, predicated=False)
         predicated = engine.run_selection(db, selectivity, predicated=True)
-        if abs(branched.value - predicated.value) > 1e-6 * max(1.0, abs(branched.value)):
+        if branched.value != predicated.value:
             raise AssertionError(
                 f"{engine.name} branched/predicated results diverge at "
                 f"{selectivity:.0%}"

@@ -1,9 +1,7 @@
 """Shared fixtures for the compiler test suite.
 
-``partitionings`` and ``assert_identical`` mirror the morsel
-equivalence matrix in ``tests/engines/test_morsel_equivalence.py``
-(the test tree is not a package, so the helpers are re-exposed here
-as fixtures rather than imported across directories).
+Tilings and the bit-identity assertion come from the matrix
+(``tests/matrix``).
 """
 
 from __future__ import annotations
@@ -11,50 +9,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engines import ALL_ENGINES
-from repro.engines.morsel import MORSEL_ALIGN, morsel_ranges
-
-
-def _ragged_ranges(n_rows: int) -> list[tuple[int, int]]:
-    """An unbalanced, MORSEL_ALIGN-aligned tiling: minimal lead morsel,
-    one huge middle, thin slivers at the end."""
-    align = MORSEL_ALIGN
-    cuts = sorted({
-        0,
-        align,
-        3 * align,
-        (n_rows * 3 // 5) // align * align,
-        (n_rows - 1) // align * align,
-        n_rows,
-    })
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _partitionings(n_rows: int) -> dict[str, list[tuple[int, int]]]:
-    return {
-        "whole": morsel_ranges(n_rows, 1),
-        "halves": morsel_ranges(n_rows, 2),
-        "sevenths": morsel_ranges(n_rows, 7),
-        "ragged": _ragged_ranges(n_rows),
-    }
-
-
-def _assert_identical(merged, single, context: str) -> None:
-    assert merged.value == single.value, context
-    assert merged.tuples == single.tuples, context
-    assert merged.work == single.work, context
-    assert merged.operator_work.keys() == single.operator_work.keys(), context
-    for name, profile in merged.operator_work.items():
-        assert profile == single.operator_work[name], f"{context} operator={name}"
-
-
-@pytest.fixture(scope="session")
-def partitionings():
-    return _partitionings
-
-
-@pytest.fixture(scope="session")
-def assert_identical():
-    return _assert_identical
 
 
 @pytest.fixture(scope="module", params=ALL_ENGINES, ids=lambda cls: cls.name)

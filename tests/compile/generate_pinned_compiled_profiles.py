@@ -36,10 +36,12 @@ import numpy as np
 
 from repro.storage import ColumnTable, Database
 
-# The engine matrix's field digests, reused (the test tree is not a package).
+# The engine matrix's field digests and the flattened Q18, reused (the
+# test tree is not a package).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "engines"))
 from generate_pinned_profiles import summarize  # noqa: E402
-from test_bit_identity import Q18_FLAT  # noqa: E402
+from matrix.cells import Q18_FLAT  # noqa: E402
 
 PINNED_COMPILED = Path(__file__).with_name("pinned_compiled_profiles.json")
 SCALE_FACTOR, SEED = 0.01, 7

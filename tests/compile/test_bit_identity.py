@@ -11,47 +11,26 @@ engines -- see ``REFERENCE_ENGINES``), then re-checks the compiled
 path under morsel partitionings and under the process-pool executor
 (``repro.core.parallel.WorkerPool``).
 
-Q9 and Q18 are flattened because their documented texts use shapes the
-compiler deliberately declines (a derived table with EXTRACT(YEAR),
-an IN (subquery) semi-join); the flattened forms keep the aggregates
-whose totals the hand-wired runners report.
+Q9 and Q18 are flattened (``matrix.cells.Q9_FLAT`` / ``Q18_FLAT``)
+because their documented texts use shapes the compiler deliberately
+declines (a derived table with EXTRACT(YEAR), an IN (subquery)
+semi-join); the flattened forms keep the aggregates whose totals the
+hand-wired runners report.  The tiling and pool cells are declared in
+the matrix (``tests/matrix``, database ``small``); the tests here keep
+their ids.
 """
 
 from __future__ import annotations
 
 import math
 
-import pytest
+from matrix.cells import Q9_FLAT, Q18_FLAT
+from matrix.suites import cases
 
 from repro.core.exactsum import ExactSum
-from repro.core.parallel import WorkerPool
 from repro.sql.api import plan_sql
 from repro.tpch import schema as sc
 from repro.tpch.sql import TPCH_SQL
-
-#: Same aggregate as documented Q9, grouped by nation only: the
-#: hand-wired runner reports the global profit, which is the sum of
-#: these groups' exact totals.
-Q9_FLAT = """\
-SELECT n_name, SUM(l_extendedprice * (1 - l_discount)
-                   - ps_supplycost * l_quantity) AS profit
-FROM part, supplier, lineitem, partsupp, orders, nation
-WHERE s_suppkey = l_suppkey
-  AND ps_suppkey = l_suppkey
-  AND ps_partkey = l_partkey
-  AND p_partkey = l_partkey
-  AND o_orderkey = l_orderkey
-  AND s_nationkey = n_nationkey
-  AND p_name LIKE '%green%'
-GROUP BY n_name;"""
-
-#: The inner winners query of documented Q18: the hand-wired runner
-#: reports the winner count and their total quantity.
-Q18_FLAT = """\
-SELECT l_orderkey, SUM(l_quantity) AS qty
-FROM lineitem
-GROUP BY l_orderkey
-HAVING SUM(l_quantity) > 300;"""
 
 
 def compiled(engine, db, sql):
@@ -159,62 +138,31 @@ class TestAgainstHandWired:
             )
 
 
-MATRIX = [
-    ("Q1", TPCH_SQL["Q1"]),
-    ("Q6", TPCH_SQL["Q6"]),
-    ("Q9-flat", Q9_FLAT),
-    ("Q18-flat", Q18_FLAT),
-]
-
-
 class TestCompiledMorsels:
     """Compiled runs must obey the same merge contract as hand-wired
     ones: any tiling of the driving table merges to the single-shot
     result exactly -- values, tuples, work, operator attribution."""
 
-    @pytest.mark.parametrize(("qid", "sql"), MATRIX, ids=[q for q, _ in MATRIX])
-    def test_partitionings_match_single_shot(
-        self, small_db, engine, qid, sql, partitionings, assert_identical
-    ):
-        plan = plan_sql(sql)
-        single = engine.run_compiled(small_db, plan)
-        n_rows = engine.partition_rows(small_db, "run_compiled", {"plan": plan})
-        for name, ranges in partitionings(n_rows).items():
-            partials = [
-                engine.run_compiled(small_db, plan, row_range=row_range)
-                for row_range in ranges
-            ]
-            merged = engine.merge_morsels(
-                small_db, "run_compiled", {"plan": plan}, partials
-            )
-            assert_identical(merged, single, f"{engine.name} {qid} [{name}]")
+    @cases("compile::test_partitionings_match_single_shot")
+    def test_partitionings_match_single_shot(self, matrix, cells):
+        matrix.check(cells)
 
 
 class TestProcessExecutor:
     """The spawn-based worker pool ships compiled partials across
     process boundaries; the merged answer must stay bit-identical."""
 
-    @pytest.fixture(scope="module")
-    def pool(self, small_db):
-        with WorkerPool(small_db, n_workers=2) as pool:
-            yield pool
+    @cases("compile::test_pool_matches_single_shot")
+    def test_pool_matches_single_shot(self, matrix, cells):
+        matrix.check(cells)
 
-    @pytest.mark.parametrize(("qid", "sql"), MATRIX, ids=[q for q, _ in MATRIX])
-    def test_pool_matches_single_shot(
-        self, small_db, engine, pool, qid, sql, assert_identical
-    ):
-        plan = plan_sql(sql)
-        single = engine.run_compiled(small_db, plan)
-        pooled = pool.run_query(engine, "run_compiled", plan=plan)
-        assert_identical(pooled, single, f"{engine.name} {qid} [pool]")
-
-    def test_pool_agrees_with_hand_wired_totals(self, small_db, pool):
+    def test_pool_agrees_with_hand_wired_totals(self, small_db, matrix):
         from repro.compile.program import compiled_program
         from repro.engines import TyperEngine
 
         engine = TyperEngine()
         plan = plan_sql(TPCH_SQL["Q1"])
         program = compiled_program(plan)
-        pooled = pool.run_query(engine, "run_compiled", plan=plan)
+        pooled = matrix.pool("small").run_query(engine, "run_compiled", plan=plan)
         hand = engine.run_q1(small_db)
         assert exact_total(program, pooled, "sum_qty") == hand.value["sum_qty"]

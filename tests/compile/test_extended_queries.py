@@ -11,6 +11,7 @@ declined or disabled.
 from __future__ import annotations
 
 import pytest
+from matrix.cells import TILED, assert_bit_identical, tiled
 
 from repro.engines import ALL_ENGINES
 from repro.sql import plan as ir
@@ -96,21 +97,12 @@ class TestCrossEngine:
 
 class TestCompiledMorsels:
     @pytest.mark.parametrize("qid", QUERIES)
-    def test_partitionings_match_single_shot(
-        self, tiny_db, engine, qid, partitionings, assert_identical
-    ):
-        plan = plan_sql(EXTENDED_TPCH_SQL[qid])
-        single = engine.run_compiled(tiny_db, plan)
-        n_rows = engine.partition_rows(tiny_db, "run_compiled", {"plan": plan})
-        for name, ranges in partitionings(n_rows).items():
-            partials = [
-                engine.run_compiled(tiny_db, plan, row_range=row_range)
-                for row_range in ranges
-            ]
-            merged = engine.merge_morsels(
-                tiny_db, "run_compiled", {"plan": plan}, partials
-            )
-            assert_identical(merged, single, f"{engine.name} {qid} [{name}]")
+    def test_partitionings_match_single_shot(self, tiny_db, engine, qid):
+        kwargs = {"plan": plan_sql(EXTENDED_TPCH_SQL[qid])}
+        single = engine.run_compiled(tiny_db, **kwargs)
+        for name in TILED:
+            merged = tiled(engine, tiny_db, "run_compiled", kwargs, name)
+            assert_bit_identical(merged, single, f"{engine.name} {qid} [{name}]")
 
 
 class TestStringEquality:

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from generate_pinned_compiled_profiles import CASES, N_ROWS, grouping_sql
+from matrix.cells import TILINGS
 
 from repro.compile.program import compiled_program
 from repro.engines import TyperEngine
@@ -66,7 +67,7 @@ def naive_rows(reference: dict) -> list:
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("shape", ["whole", "halves", "ragged"])
-def test_morsel_state_matches_naive_reference(case, shape, partitionings):
+def test_morsel_state_matches_naive_reference(case, shape):
     db, keys = CASES[case]
     plan = plan_sql(grouping_sql(keys))
     program = compiled_program(plan)
@@ -74,7 +75,7 @@ def test_morsel_state_matches_naive_reference(case, shape, partitionings):
     assert slot_names == {"sum:lineitem.l_extendedprice", "count:*"}
     engine = TyperEngine()
     partials = []
-    for lo, hi in partitionings(N_ROWS)[shape]:
+    for lo, hi in TILINGS[shape](N_ROWS):
         partial = engine.run_compiled(db, plan, row_range=(lo, hi))
         assert_leaf_matches(
             partial.details["partial"]["groups"], naive_groups(db, keys, lo, hi)

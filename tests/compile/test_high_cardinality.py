@@ -11,11 +11,10 @@ must reproduce the single-shot answer bit for bit.
 from __future__ import annotations
 
 import pytest
-from test_bit_identity import Q18_FLAT
+from matrix.cells import Q18_FLAT, assert_bit_identical, tiled
 
 from repro.core.parallel import WorkerPool
 from repro.engines import TyperEngine
-from repro.serve import protocol
 from repro.shard.cluster import ShardCluster
 from repro.shard.coordinator import Coordinator
 from repro.sql.api import plan_sql
@@ -37,30 +36,21 @@ def single(db):
     return result
 
 
-def test_morsel_tilings_match_single_shot(db, single, partitionings, assert_identical):
-    kwargs = {"plan": PLAN}
-    n_rows = ENGINE.partition_rows(db, "run_compiled", kwargs)
+def test_morsel_tilings_match_single_shot(db, single):
     for name in ("sevenths", "ragged"):
-        partials = [
-            ENGINE.run_compiled(db, PLAN, row_range=row_range)
-            for row_range in partitionings(n_rows)[name]
-        ]
-        merged = ENGINE.merge_morsels(db, "run_compiled", kwargs, partials)
-        assert_identical(merged, single, name)
+        merged = tiled(ENGINE, db, "run_compiled", {"plan": PLAN}, name)
+        assert_bit_identical(merged, single, name)
         assert merged.details["exact_totals"] == single.details["exact_totals"]
 
 
-def test_process_pool_matches_single_shot(db, single, assert_identical):
+def test_process_pool_matches_single_shot(db, single):
     with WorkerPool(db, n_workers=2, morsel_rows=1 << 14) as pool:
         pooled = pool.run_query(ENGINE, "run_compiled", plan=PLAN)
-    assert_identical(pooled, single, "pool")
+    assert_bit_identical(pooled, single, "pool")
     assert pooled.details["exact_totals"] == single.details["exact_totals"]
 
 
 def test_two_hash_shards_match_single_shot(db, single):
     with ShardCluster(db, n_shards=2, mode="hash", spawn="thread") as cluster:
         response = Coordinator(db, cluster).execute(Q18_FLAT, engine=ENGINE.name)
-    assert response["status"] == "ok", response.get("error")
-    assert response["route"] == "scatter"
-    assert response["value"] == protocol.jsonable(single.value)
-    assert response["tuples"] == single.tuples
+    assert_bit_identical(response, single, "two hash shards")

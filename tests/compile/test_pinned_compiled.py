@@ -15,6 +15,7 @@ from generate_pinned_compiled_profiles import (
     database,
     pinned_fields,
 )
+from matrix.cells import tiled
 
 from repro.engines import engine_by_name
 from repro.sql.api import plan_sql
@@ -24,18 +25,13 @@ PINNED = json.loads(PINNED_COMPILED.read_text())
 
 @pytest.mark.parametrize("cell", sorted(PINNED["statements"]))
 @pytest.mark.parametrize("engine_name", ENGINES)
-def test_compiled_cell_equals_pinned(db_factory, partitionings, engine_name, cell):
+def test_compiled_cell_equals_pinned(db_factory, engine_name, cell):
     statement = PINNED["statements"][cell]
     db = database(statement["db"], db_factory(SCALE_FACTOR, seed=SEED))
     engine = engine_by_name(engine_name)
     plan = plan_sql(statement["sql"])
-    kwargs = {"plan": plan}
     single = engine.run_compiled(db, plan)
-    n_rows = engine.partition_rows(db, "run_compiled", kwargs)
-    ragged = engine.merge_morsels(db, "run_compiled", kwargs, [
-        engine.run_compiled(db, plan, row_range=row_range)
-        for row_range in partitionings(n_rows)["ragged"]
-    ])
+    ragged = tiled(engine, db, "run_compiled", {"plan": plan}, "ragged")
     pinned = PINNED[engine_name][cell]
     for tiling, result in (("single-shot", single), ("ragged", ragged)):
         got = pinned_fields(result)

@@ -154,6 +154,34 @@ def rollup_db(tiny_db):
 
 
 @pytest.fixture(scope="session")
+def raw_db(tiny_db):
+    """``tiny_db`` with every column decoded to a plain array.
+
+    A distinct Database identity, so the execution cache can never
+    alias the two (its keys include the database identity)."""
+    from repro.storage import ColumnTable, Database
+
+    twin = Database(name=tiny_db.name, scale_factor=tiny_db.scale_factor)
+    for name in tiny_db.table_names:
+        table = tiny_db.table(name)
+        twin.add_table(ColumnTable(
+            name, {c: np.asarray(table[c]) for c in table.column_names}
+        ))
+    return twin
+
+
+@pytest.fixture(scope="session")
+def matrix(request):
+    """The bit-identity matrix's runner (``tests/matrix``): its pools and
+    clusters are spawned once per session, on first use."""
+    from matrix.cells import Matrix
+
+    matrix = Matrix(request.getfixturevalue)
+    yield matrix
+    matrix.close()
+
+
+@pytest.fixture(scope="session")
 def profiler():
     return MicroArchProfiler(spec=BROADWELL)
 

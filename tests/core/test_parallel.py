@@ -1,6 +1,7 @@
-"""Morsel-driven process pool: bit-identity through real worker
-processes, work stealing, shm reuse (no dbgen in workers), and crash
-cleanup."""
+"""Morsel-driven process pool: work stealing, shm reuse (no dbgen in
+workers) and crash cleanup.  Its bit-identity cells, and those of
+``run_call``, are declared in the matrix (``tests/matrix``); the tests
+here keep their ids."""
 
 from __future__ import annotations
 
@@ -10,23 +11,18 @@ from multiprocessing import shared_memory
 
 import pytest
 
+from matrix.cells import POOL_MORSEL_ROWS as MORSEL_ROWS
+from matrix.suites import cases
+
 from repro.core.parallel import (
     MorselLedger,
     WorkerCrashed,
     WorkerPool,
     merge_worker_partials,
     normalized_call,
-    run_call,
 )
-from repro.engines import (
-    ALL_ENGINES,
-    ColumnStoreEngine,
-    TectorwiseEngine,
-    TyperEngine,
-)
+from repro.engines import ColumnStoreEngine, TectorwiseEngine, TyperEngine
 from repro.engines.morsel import MORSEL_ALIGN, morsel_ranges
-
-MORSEL_ROWS = 1024  # small, so tiny_db still splits into many morsels
 
 
 def segment_exists(name: str) -> bool:
@@ -36,12 +32,6 @@ def segment_exists(name: str) -> bool:
         return False
     probe.close()
     return True
-
-
-@pytest.fixture(scope="module")
-def pool(tiny_db):
-    with WorkerPool(tiny_db, n_workers=2, morsel_rows=MORSEL_ROWS) as pool:
-        yield pool
 
 
 class TestNormalizedCall:
@@ -124,44 +114,27 @@ class TestLedger:
 
 
 class TestPoolExecution:
-    WORKLOADS = [
-        ("run_projection", (4,), {}),
-        ("run_selection", (0.5,), {}),
-        ("run_join", ("large",), {}),
-        ("run_groupby", (), {}),
-        ("run_tpch", ("Q1",), {}),
-        ("run_tpch", ("Q6",), {"predicated": True}),
-        ("run_q9", (), {}),
-        ("run_q18", (), {}),
-    ]
+    """Runs on the matrix's 2-worker pool over ``tiny_db``."""
 
-    @pytest.mark.parametrize("engine_cls", ALL_ENGINES, ids=lambda cls: cls.name)
-    def test_pool_results_bit_identical(self, pool, tiny_db, engine_cls):
-        engine = engine_cls()
-        for method, args, kwargs in self.WORKLOADS:
-            parallel = pool.run_query(engine, method, *args, **kwargs)
-            single = getattr(engine, method)(tiny_db, *args, **kwargs)
-            context = f"{engine.name} {method} {args} {kwargs}"
-            assert parallel.value == single.value, context
-            assert parallel.tuples == single.tuples, context
-            assert parallel.work == single.work, context
-            assert parallel.operator_work.keys() == single.operator_work.keys()
-            for name, profile in parallel.operator_work.items():
-                assert profile == single.operator_work[name], f"{context} {name}"
+    @cases("parallel::test_pool_results_bit_identical")
+    def test_pool_results_bit_identical(self, matrix, cells):
+        matrix.check(cells)
 
-    def test_ping(self, pool):
-        assert pool.ping() is True
+    def test_ping(self, matrix):
+        assert matrix.pool("tiny").ping() is True
 
-    def test_workers_never_run_dbgen(self, pool, tiny_db):
+    def test_workers_never_run_dbgen(self, matrix):
         """Workers attach the parent's shm export; generating the
         database again in a worker would defeat the transport.  The
         counters come from the workers' own ``dbgen.GENERATION_COUNT``,
         so any regeneration anywhere in a worker's life shows up."""
+        pool = matrix.pool("tiny")
         pool.run_query(TyperEngine(), "run_q6")
         stats = pool.stats()
         assert stats["worker_dbgen_runs"] == 0
 
-    def test_stats_counters(self, pool, tiny_db):
+    def test_stats_counters(self, matrix, tiny_db):
+        pool = matrix.pool("tiny")
         queries_before = pool.queries_run
         pool.run_query(ColumnStoreEngine(), "run_projection", 1)
         stats = pool.stats()
@@ -174,7 +147,7 @@ class TestPoolExecution:
         assert stats["total_steals"] >= 0
         assert len({worker["pid"] for worker in stats["workers"]}) == 2
 
-    def test_columns_never_cross_via_pickle(self, pool, tiny_db):
+    def test_columns_never_cross_via_pickle(self, tiny_db):
         """The transport guarantee: ``ColumnTable.__reduce__`` raises,
         so had any pool code path pickled a table (task messages,
         partials, queue payloads), every test above would have crashed.
@@ -201,78 +174,9 @@ class TestDriverMatrix:
     dispatcher, finished here or stopped as a partial and finished by
     the caller, the result is the direct engine call's."""
 
-    #: scenario -> (database fixture, method, kwargs)
-    SCENARIOS = {
-        "plain": ("tiny_db", "run_q6", {}),  # shuffled: nothing prunes
-        "pruned": ("sorted_db", "run_q6", {}),
-        "all-pruned": ("shifted_db", "run_q6", {}),
-        "routed": ("rollup_db", "run_groupby", {}),
-        "declined": ("rollup_db", "run_q6", {}),
-    }
-
-    @pytest.fixture(scope="class")
-    def pools(self):
-        """One 2-worker pool per database, spawned on first use."""
-        pools: dict = {}
-
-        def get(db):
-            if id(db) not in pools:  # the databases outlive the class
-                pools[id(db)] = WorkerPool(db, n_workers=2)
-            return pools[id(db)]
-
-        yield get
-        for pool in pools.values():
-            pool.close()
-
-    @pytest.mark.parametrize(
-        "engine_cls",
-        (TyperEngine, TectorwiseEngine, ColumnStoreEngine),
-        ids=lambda cls: cls.name,
-    )
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("finish", (True, False), ids=("finish", "partial"))
-    @pytest.mark.parametrize("pooled", (False, True), ids=("inline", "pool"))
-    def test_equals_direct_call(
-        self, request, pools, pooled, finish, scenario, engine_cls
-    ):
-        fixture, method, kwargs = self.SCENARIOS[scenario]
-        db = request.getfixturevalue(fixture)
-        engine = engine_cls()
-        method, items = normalized_call(engine, method, (), kwargs)
-        result = run_call(
-            db, engine, method, items,
-            pool=pools(db) if pooled else None,
-            finish=finish,
-            executor="process" if pooled else "thread",
-        )
-        details = result.details
-        if not finish:
-            assert result.value is None and "partial" in details
-            result = engine.merge_morsels(db, method, items, [result])
-        direct = getattr(engine, method)(db, **dict(items))
-        context = f"{engine.name} {scenario}"
-        assert result.value == direct.value, context
-
-        routed = scenario == "routed"
-        if scenario in ("routed", "declined"):
-            assert details["rollup"]["rollup_used"] is routed, context
-        else:
-            assert "rollup" not in details
-        if scenario in ("pruned", "all-pruned"):
-            assert details["pruning"]["morsels_pruned"] > 0, context
-        if scenario == "all-pruned":
-            assert details["pruning"]["morsels_scanned"] == 0, context
-        if scenario == "plain":
-            assert "pruning" not in details
-        if not routed:
-            assert result.work == direct.work, context
-        if not routed or not finish:
-            # A routed partial keeps the base-row count so cross-shard
-            # sums equal the scan's; a routed finished result reports
-            # the rollup rows it read.
-            assert result.tuples == direct.tuples, context
-        else:
-            assert result.tuples == details["rollup"]["rows_read"], context
+    @cases("parallel::test_equals_direct_call")
+    def test_equals_direct_call(self, matrix, cells):
+        matrix.check(cells)
 
 
 class TestCrashRecovery:

@@ -4,131 +4,51 @@ The compressed storage tier (:mod:`repro.storage.encoding`) promises
 that operating on codes changes *nothing observable*: values, tuple
 counts, work profiles, per-operator attribution and modeled cycles all
 match a database whose columns are plain arrays -- for every engine,
-every workload, and any morsel partitioning.  This module builds a
-decoded twin of the (encoded) test database and checks the full matrix
-exactly, the same way :mod:`tests.engines.test_morsel_equivalence`
-pins the morsel protocol.
+every workload, and any morsel partitioning.  The raw twin (``raw_db``)
+is one database of the matrix (``tests/matrix``), whose cells compare
+it against the call on the encoded ``tiny_db``; the tests here keep
+their ids and add modeled cycles, the scan kernels' masks and the
+payload round trip.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from matrix.cells import ENGINES, assert_bit_identical
+from matrix.suites import cases, cells
 
 from repro import MicroArchProfiler
-from repro.engines import ALL_ENGINES
-from repro.engines.morsel import morsel_ranges
+from repro.engines import engine_by_name
 from repro.storage import ColumnTable, Database, EncodedColumn
 from repro.tpch.queries import q6_predicates
 
-WORKLOADS = [
-    ("run_projection", {"degree": 4}),
-    ("run_selection", {"selectivity": 0.5}),
-    ("run_selection", {"selectivity": 0.1, "predicated": True}),
-    ("run_join", {"size": "large"}),
-    ("run_groupby", {}),
-    ("run_q1", {}),
-    ("run_q6", {}),
-    ("run_q9", {}),
-    ("run_q18", {}),
-]
-
-WORKLOAD_IDS = [
-    f"{method[len('run_'):]}-{'-'.join(f'{k}{v}' for k, v in kwargs.items()) or 'default'}"
-    for method, kwargs in WORKLOADS
-]
-
-
-@pytest.fixture(scope="module")
-def raw_twin(tiny_db):
-    """``tiny_db`` with every column decoded to a plain array.
-
-    A distinct Database identity, so the execution cache can never
-    alias the two (its keys include the database identity)."""
-    twin = Database(name=tiny_db.name, scale_factor=tiny_db.scale_factor)
-    for name in tiny_db.table_names:
-        table = tiny_db.table(name)
-        twin.add_table(ColumnTable(
-            name,
-            {c: np.asarray(table[c]) for c in table.column_names},
-        ))
-    return twin
-
-
-@pytest.fixture(scope="module")
-def encoded_db(tiny_db):
-    """The shared fixture database, which must hold encoded columns:
-    an unencoded fixture would make every comparison here raw vs raw."""
-    encoded = sum(
-        1
-        for name in tiny_db.table_names
-        for column in tiny_db.table(name).column_names
-        if tiny_db.table(name).encoding(column) is not None
-    )
-    assert encoded, "the fixture database holds no encoded columns"
-    return tiny_db
-
-
-@pytest.fixture(scope="module", params=ALL_ENGINES, ids=lambda cls: cls.name)
-def engine(request):
-    return request.param()
-
-
-def assert_identical(encoded, raw, context: str) -> None:
-    assert encoded.value == raw.value, context
-    assert encoded.tuples == raw.tuples, context
-    assert encoded.work == raw.work, context
-    assert encoded.operator_work.keys() == raw.operator_work.keys(), context
-    for name, profile in encoded.operator_work.items():
-        assert profile == raw.operator_work[name], f"{context} operator={name}"
-
 
 class TestSingleShot:
-    @pytest.mark.parametrize(("method", "kwargs"), WORKLOADS, ids=WORKLOAD_IDS)
-    def test_results_and_work_match(
-        self, encoded_db, raw_twin, engine, method, kwargs
-    ):
-        encoded = getattr(engine, method)(encoded_db, **kwargs)
-        raw = getattr(engine, method)(raw_twin, **kwargs)
-        assert_identical(encoded, raw, f"{engine.name} {method} {kwargs}")
+    @cases("encoded::test_results_and_work_match")
+    def test_results_and_work_match(self, matrix, cells):
+        matrix.check(cells)
 
-    def test_modeled_cycles_match(self, encoded_db, raw_twin, engine):
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_modeled_cycles_match(self, tiny_db, raw_db, engine_name):
         """Identical work must model to identical cycles: the default
         cycle path never sees encoded widths."""
+        engine = engine_by_name(engine_name)
         profiler = MicroArchProfiler()
         for method in ("run_q1", "run_q6"):
-            encoded = profiler.run(engine, method, encoded_db)
-            raw = profiler.run(engine, method, raw_twin)
+            encoded = profiler.run(engine, method, tiny_db)
+            raw = profiler.run(engine, method, raw_db)
             assert encoded.cycles == raw.cycles, f"{engine.name} {method}"
 
 
 class TestMorsels:
     """Encoded columns under ``row_range`` slicing: the codecs must
     produce per-morsel masks equal to slicing the decoded column, and
-    the merged result must match the raw merged result."""
+    the raw twin's merged result must match the encoded single shot."""
 
-    @pytest.mark.parametrize(("method", "kwargs"), [
-        ("run_q1", {}),
-        ("run_q6", {}),
-        ("run_selection", {"selectivity": 0.5}),
-        ("run_groupby", {}),
-    ], ids=["q1", "q6", "selection", "groupby"])
-    @pytest.mark.parametrize("pieces", [2, 5])
-    def test_merged_matches_raw_merged(
-        self, encoded_db, raw_twin, engine, method, kwargs, pieces
-    ):
-        def merged(db):
-            n_rows = engine.partition_rows(db, method, kwargs)
-            partials = [
-                getattr(engine, method)(db, row_range=row_range, **kwargs)
-                for row_range in morsel_ranges(n_rows, pieces)
-            ]
-            return engine.merge_morsels(db, method, kwargs, partials)
-
-        assert_identical(
-            merged(encoded_db), merged(raw_twin),
-            f"{engine.name} {method} pieces={pieces}",
-        )
+    @cases("encoded::test_merged_matches_raw_merged")
+    def test_merged_matches_raw_merged(self, matrix, cells):
+        matrix.check(cells)
 
 
 class TestAggToggle:
@@ -137,50 +57,29 @@ class TestAggToggle:
     execution strategy: values and work are identical, and the twin
     reports every aggregate in a decoded mode."""
 
-    @pytest.mark.parametrize(("method", "kwargs"), [
-        ("run_q1", {}),
-        ("run_groupby", {}),
-        ("run_projection", {"degree": 1}),
-        ("run_projection", {"degree": 4}),
-    ], ids=["q1", "groupby", "projection-p1", "projection-p4"])
-    def test_toggle_off_matches_toggle_on(
-        self, encoded_db, raw_twin, engine, method, kwargs
-    ):
-        on = getattr(engine, method)(encoded_db, **kwargs)
-        off = getattr(engine, method)(raw_twin, **kwargs)
-        assert_identical(on, off, f"{engine.name} {method} code domain vs raw")
-        decision = off.details.get("encoded_agg")
-        if decision is not None:
-            assert decision["code_domain"] == 0
+    @cases("encoded::test_toggle_off_matches_toggle_on")
+    def test_toggle_off_matches_toggle_on(self, matrix, cells):
+        matrix.check(cells)
 
-    def test_pool_spawned_with_toggle_off_matches_single_shot(
-        self, encoded_db, raw_twin
-    ):
+    def test_pool_spawned_with_toggle_off_matches_single_shot(self, matrix, tiny_db):
         """A pool over the raw twin decodes every slot and still merges
         to the code-domain single-shot result."""
-        from repro.core.parallel import WorkerPool
-        from repro.engines import TectorwiseEngine
-
-        engine = TectorwiseEngine()
-        single = engine.run_q1(encoded_db)
+        single = engine_by_name("Tectorwise").run_q1(tiny_db)
         assert single.details["encoded_agg"]["code_domain"] >= 2
-        with WorkerPool(raw_twin, n_workers=2) as pool:
-            pooled = pool.run_query(engine, "run_q1")
-        assert_identical(pooled, single, "Tectorwise run_q1 [pool over raw twin]")
-        assert pooled.details["encoded_agg"]["code_domain"] == 0
+        matrix.check(cells("encoded::test_pool_spawned_with_toggle_off_matches_single_shot"))
 
 
 class TestPredicateMasks:
     """The shared scan kernels, checked directly against numpy on the
     decoded arrays for every encoded lineitem column."""
 
-    def test_every_encoded_column_compares_exactly(self, encoded_db):
-        lineitem = encoded_db.table("lineitem")
+    def test_every_encoded_column_compares_exactly(self, tiny_db):
+        lineitem = tiny_db.table("lineitem")
         n = lineitem.n_rows
-        for name in lineitem.column_names:
+        encoded = [name for name in lineitem.column_names if lineitem.encoding(name)]
+        assert encoded, "the fixture database holds no encoded columns"
+        for name in encoded:
             column = lineitem.encoding(name)
-            if column is None:
-                continue
             decoded = np.asarray(lineitem[name])
             for threshold in (
                 decoded.min(), decoded.max(),
@@ -197,9 +96,9 @@ class TestPredicateMasks:
                         err_msg=f"{name} {op} {threshold}",
                     )
 
-    def test_q6_predicates_match_raw(self, encoded_db, raw_twin):
+    def test_q6_predicates_match_raw(self, tiny_db, raw_db):
         for (label, got), (_, expected) in zip(
-            q6_predicates(encoded_db), q6_predicates(raw_twin)
+            q6_predicates(tiny_db), q6_predicates(raw_db)
         ):
             np.testing.assert_array_equal(got, expected, err_msg=label)
 
@@ -207,12 +106,12 @@ class TestPredicateMasks:
 class TestTransportEquivalence:
     """Payload round-trips (the shm/disk format) preserve execution."""
 
-    def test_rebuilt_columns_execute_identically(self, encoded_db, engine):
-        rebuilt = Database(
-            name=encoded_db.name, scale_factor=encoded_db.scale_factor
-        )
-        for name in encoded_db.table_names:
-            table = encoded_db.table(name)
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_rebuilt_columns_execute_identically(self, tiny_db, engine_name):
+        engine = engine_by_name(engine_name)
+        rebuilt = Database(name=tiny_db.name, scale_factor=tiny_db.scale_factor)
+        for name in tiny_db.table_names:
+            table = tiny_db.table(name)
             columns = {}
             for c in table.column_names:
                 encoding = table.encoding(c)
@@ -222,11 +121,8 @@ class TestTransportEquivalence:
                     meta, arrays = encoding.payload()
                     columns[c] = EncodedColumn.from_payload(c, meta, arrays)
             rebuilt.add_table(ColumnTable(name, columns))
-        assert_identical(
-            engine.run_q1(rebuilt), engine.run_q1(encoded_db),
-            f"{engine.name} rebuilt q1",
-        )
-        assert_identical(
-            engine.run_q6(rebuilt), engine.run_q6(encoded_db),
-            f"{engine.name} rebuilt q6",
-        )
+        for method in ("run_q1", "run_q6"):
+            assert_bit_identical(
+                getattr(engine, method)(rebuilt), getattr(engine, method)(tiny_db),
+                f"{engine.name} rebuilt {method}",
+            )

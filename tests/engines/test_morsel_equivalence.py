@@ -2,10 +2,12 @@
 merge to a result bit-identical to the single-shot run.
 
 This is the correctness contract of :mod:`repro.core.parallel` -- the
-process pool only parallelises what these properties guarantee.  Every
-engine is exercised on every workload kind with several partitionings,
-including a deliberately ragged one, and equality is exact (values,
-tuples, work profiles, per-operator attribution), not approximate.
+process pool only parallelises what these properties guarantee.  The
+engine x workload x tiling cells are declared in the matrix
+(``tests/matrix``), a deliberately ragged tiling included, and equality
+is exact (values, tuples, work profiles, per-operator attribution).
+The tests here keep their ids and add the pinned profiles, pickling,
+associativity and the protocol's range checks.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -23,91 +26,23 @@ from generate_pinned_profiles import (
     cells_for,
     summarize,
 )
+from matrix.cells import ENGINES, assert_bit_identical, tiled
+from matrix.suites import cases
 
 from repro.engines import ALL_ENGINES, TectorwiseEngine, TyperEngine, engine_by_name
-from repro.engines.morsel import MORSEL_ALIGN, morsel_ranges
-
-#: (method, kwargs) pairs covering the acceptance matrix: the three
-#: micro-benchmark kinds plus all four TPC-H queries.
-WORKLOADS = [
-    ("run_projection", {"degree": 2}),
-    ("run_projection", {"degree": 4}),
-    ("run_selection", {"selectivity": 0.5}),
-    ("run_selection", {"selectivity": 0.1, "predicated": True}),
-    ("run_join", {"size": "large"}),
-    ("run_groupby", {}),
-    ("run_q1", {}),
-    ("run_q6", {}),
-    ("run_q9", {}),
-    ("run_q18", {}),
-]
-
-WORKLOAD_IDS = [
-    f"{method[len('run_'):]}-{'-'.join(f'{k}{v}' for k, v in kwargs.items()) or 'default'}"
-    for method, kwargs in WORKLOADS
-]
-
-
-def ragged_ranges(n_rows: int) -> list[tuple[int, int]]:
-    """An intentionally unbalanced tiling: a minimal lead morsel, one
-    huge middle, thin slivers at the end.  Cuts are aligned to
-    :data:`MORSEL_ALIGN` (the protocol rejects anything else) but the
-    piece sizes are wildly uneven -- the shape work stealing produces."""
-    align = MORSEL_ALIGN
-    cuts = sorted({
-        0,
-        min(align, n_rows),
-        min(3 * align, n_rows),
-        (n_rows * 3 // 5) // align * align,
-        (n_rows - 1) // align * align,
-        n_rows,
-    })
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def partitionings(n_rows: int) -> dict[str, list[tuple[int, int]]]:
-    return {
-        "whole": morsel_ranges(n_rows, 1),
-        "halves": morsel_ranges(n_rows, 2),
-        "sevenths": morsel_ranges(n_rows, 7),
-        "ragged": ragged_ranges(n_rows),
-    }
-
-
-def assert_identical(merged, single, context: str) -> None:
-    assert merged.value == single.value, context
-    assert merged.tuples == single.tuples, context
-    assert merged.work == single.work, context
-    assert merged.operator_work.keys() == single.operator_work.keys(), context
-    for name, profile in merged.operator_work.items():
-        assert profile == single.operator_work[name], f"{context} operator={name}"
-
-
-@pytest.fixture(scope="module", params=ALL_ENGINES, ids=lambda cls: cls.name)
-def engine(request):
-    return request.param()
+from repro.engines.morsel import morsel_ranges
 
 
 class TestMorselMerge:
-    @pytest.mark.parametrize(("method", "kwargs"), WORKLOADS, ids=WORKLOAD_IDS)
-    def test_every_partitioning_matches_single_shot(
-        self, tiny_db, engine, method, kwargs
-    ):
-        single = getattr(engine, method)(tiny_db, **kwargs)
-        n_rows = engine.partition_rows(tiny_db, method, kwargs)
-        for name, ranges in partitionings(n_rows).items():
-            partials = [
-                getattr(engine, method)(tiny_db, row_range=row_range, **kwargs)
-                for row_range in ranges
-            ]
-            merged = engine.merge_morsels(tiny_db, method, kwargs, partials)
-            assert_identical(
-                merged, single, f"{engine.name} {method} {kwargs} [{name}]"
-            )
+    @cases("morsel::test_every_partitioning_matches_single_shot")
+    def test_every_partitioning_matches_single_shot(self, matrix, cells):
+        matrix.check(cells)
 
-    def test_run_tpch_routes_row_range(self, tiny_db, engine):
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_run_tpch_routes_row_range(self, tiny_db, engine_name):
         """``run_tpch`` forwards ``row_range`` to the per-query methods,
         so the pool can dispatch the generic entry point too."""
+        engine = engine_by_name(engine_name)
         single = engine.run_tpch(tiny_db, "Q6")
         n_rows = tiny_db.table("lineitem").n_rows
         partials = [
@@ -115,13 +50,13 @@ class TestMorselMerge:
             for row_range in morsel_ranges(n_rows, 3)
         ]
         merged = engine.merge_morsels(tiny_db, "run_q6", {}, partials)
-        assert_identical(merged, single, f"{engine.name} run_tpch Q6")
+        assert_bit_identical(merged, single, f"{engine.name} run_tpch Q6")
 
-    def test_partials_survive_pickling(self, tiny_db, engine):
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_partials_survive_pickling(self, tiny_db, engine_name):
         """Partials cross process boundaries pickled; the merge must not
         depend on in-process object identity."""
-        import pickle
-
+        engine = engine_by_name(engine_name)
         single = engine.run_q1(tiny_db)
         n_rows = tiny_db.table("lineitem").n_rows
         partials = [
@@ -129,7 +64,7 @@ class TestMorselMerge:
             for row_range in morsel_ranges(n_rows, 4)
         ]
         merged = engine.merge_morsels(tiny_db, "run_q1", {}, partials)
-        assert_identical(merged, single, f"{engine.name} pickled partials")
+        assert_bit_identical(merged, single, f"{engine.name} pickled partials")
 
 
 #: Q9 and join-large WorkProfiles (total and per operator, every field)
@@ -159,13 +94,7 @@ class TestPinnedJoinProfiles:
     def test_profiles_equal_pinned(self, db_factory, engine_cls, workload, tiling):
         db = db_factory(0.01, seed=7)
         engine = engine_cls()
-        method, kwargs = JOIN_WORKLOADS[workload]
-        n_rows = engine.partition_rows(db, method, kwargs)
-        partials = [
-            getattr(engine, method)(db, row_range=row_range, **kwargs)
-            for row_range in partitionings(n_rows)[tiling]
-        ]
-        merged = engine.merge_morsels(db, method, kwargs, partials)
+        merged = tiled(engine, db, *JOIN_WORKLOADS[workload], tiling)
         pinned = json.loads(PINNED_JOIN_PROFILES.read_text())[engine.name][workload]
         got = profile_fields(merged)
         assert got["operators"].keys() == pinned["operators"].keys()
@@ -197,11 +126,7 @@ class TestPinnedProfiles:
             if name == cell
         )
         single = getattr(engine, method)(db, **kwargs)
-        n_rows = engine.partition_rows(db, method, kwargs)
-        ragged = engine.merge_morsels(db, method, kwargs, [
-            getattr(engine, method)(db, row_range=row_range, **kwargs)
-            for row_range in ragged_ranges(n_rows)
-        ])
+        ragged = tiled(engine, db, method, kwargs, "ragged")
         for tiling, result in (("single-shot", single), ("ragged", ragged)):
             got = summarize(result)
             # A finisher may report more than the reference did.

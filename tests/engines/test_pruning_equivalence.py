@@ -5,50 +5,24 @@ as the morsel and encoding layers: skipping chunks changes *nothing
 observable* -- values, tuple counts, work profiles and per-operator
 attribution all match the single-shot run, for every engine, in the
 thread path and through the process pool, including the all-pruned and
-nothing-pruned edges.  A hypothesis sweep extends the check to
+nothing-pruned edges.  Those cells are declared in the matrix
+(``tests/matrix``, databases ``sorted`` and ``shifted``); the tests
+here keep their ids, and a hypothesis sweep extends the check to
 arbitrary selection thresholds (and hence arbitrary prune shapes).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from matrix.cells import assert_bit_identical
+from matrix.suites import cases, cells
 
 from repro.core import pruning
-from repro.core.parallel import WorkerPool
-from repro.engines import ALL_ENGINES, TyperEngine, engine_by_name
+from repro.engines import ALL_ENGINES
 from repro.engines.morsel import morsel_ranges
 from repro.tpch.schema import SELECTION_PREDICATE_COLUMNS
-
-#: Prunable workloads exercised across the full engine matrix.
-WORKLOADS = [
-    ("run_q6", {}),
-    ("run_q6", {"predicated": True}),
-    ("run_q1", {}),
-    ("run_selection", {"selectivity": 0.1}),
-    ("run_selection", {"selectivity": 0.02, "predicated": True}),
-]
-
-WORKLOAD_IDS = [
-    f"{method[len('run_'):]}-{'-'.join(f'{k}{v}' for k, v in kwargs.items()) or 'default'}"
-    for method, kwargs in WORKLOADS
-]
-
-
-@pytest.fixture(scope="module", params=ALL_ENGINES, ids=lambda cls: cls.name)
-def engine(request):
-    return request.param()
-
-
-def assert_identical(pruned, baseline, context: str) -> None:
-    assert pruned.value == baseline.value, context
-    assert pruned.tuples == baseline.tuples, context
-    assert pruned.work == baseline.work, f"work profile differs: {context}"
-    assert set(pruned.operator_work) == set(baseline.operator_work), context
-    for name, profile in baseline.operator_work.items():
-        assert pruned.operator_work[name] == profile, f"{context}: {name}"
 
 
 def pruned_result(engine, db, method, kwargs):
@@ -61,24 +35,13 @@ def pruned_result(engine, db, method, kwargs):
 
 
 class TestThreadMatrix:
-    @pytest.mark.parametrize("method,kwargs", WORKLOADS, ids=WORKLOAD_IDS)
-    def test_pruned_equals_single_shot(self, engine, sorted_db, method, kwargs):
-        plan, pruned = pruned_result(engine, sorted_db, method, kwargs)
-        assert plan is not None
-        if method != "run_q1":
-            # Q1's predicate keeps almost everything; the selective
-            # workloads must actually prune for the test to mean much.
-            assert plan.chunks_pruned > 0, "fixture stopped pruning"
-        baseline = getattr(engine, method)(sorted_db, **kwargs)
-        assert_identical(pruned, baseline, f"{engine.name} {method} {kwargs}")
-        assert pruned.details["pruning"]["morsels_pruned"] == plan.chunks_pruned
+    @cases("pruning::test_pruned_equals_single_shot")
+    def test_pruned_equals_single_shot(self, matrix, cells):
+        matrix.check(cells)
 
-    def test_all_pruned_edge(self, engine, shifted_db):
-        plan, pruned = pruned_result(engine, shifted_db, "run_q6", {})
-        assert plan is not None and plan.kept_rows == 0
-        baseline = engine.run_q6(shifted_db)
-        assert_identical(pruned, baseline, f"{engine.name} all-pruned q6")
-        assert pruned.tuples == 0 or pruned.value == baseline.value
+    @cases("pruning::test_all_pruned_edge")
+    def test_all_pruned_edge(self, matrix, cells):
+        matrix.check(cells)
 
     def test_nothing_pruned_on_shuffled_data(self, small_db):
         atoms = pruning.atoms_for(small_db, "run_q6", {})
@@ -88,55 +51,26 @@ class TestThreadMatrix:
 
 class TestAgainstMorselMerge:
     """Pruned merges must also match an *unpruned morsel* merge -- the
-    partition the process pool would have run without pruning."""
+    partition the process pool would have run without pruning: both
+    equal the single shot."""
 
-    @pytest.mark.parametrize("pieces", [1, 3, 7])
-    def test_q6_matches_merged_partition(self, sorted_db, pieces):
-        engine = TyperEngine()
-        plan, pruned = pruned_result(engine, sorted_db, "run_q6", {})
-        assert plan is not None and plan.chunks_pruned > 0
-        n_rows = sorted_db.table("lineitem").n_rows
-        partials = [
-            engine.run_q6(sorted_db, row_range=(lo, hi))
-            for lo, hi in morsel_ranges(n_rows, pieces)
-        ]
-        merged = engine.merge_morsels(sorted_db, "run_q6", {}, partials)
-        assert_identical(pruned, merged, f"pieces={pieces}")
+    @cases("pruning::test_q6_matches_merged_partition")
+    def test_q6_matches_merged_partition(self, matrix, cells):
+        matrix.check(cells)
 
 
 class TestProcessPool:
-    @pytest.fixture(scope="class")
-    def pool(self, sorted_db):
-        with WorkerPool(sorted_db, n_workers=2) as pool:
-            yield pool
+    @cases("pruning::test_pool_matches_single_shot")
+    def test_pool_matches_single_shot(self, matrix, cells):
+        matrix.check(cells)
 
-    @pytest.mark.parametrize("method,kwargs", WORKLOADS, ids=WORKLOAD_IDS)
-    def test_pool_matches_single_shot(self, pool, sorted_db, method, kwargs):
-        engine = engine_by_name("Tectorwise")
-        result = pool.run_query(engine, method, **kwargs)
-        baseline = getattr(engine, method)(sorted_db, **kwargs)
-        assert_identical(result, baseline, f"pool {method} {kwargs}")
-        if method != "run_q1":
-            assert result.details["pruning"]["morsels_pruned"] > 0
+    def test_pool_all_pruned_edge(self, matrix):
+        matrix.check(cells("pruning::test_pool_all_pruned_edge"))
 
-    def test_pool_all_pruned_edge(self, shifted_db):
-        engine = TyperEngine()
-        baseline = engine.run_q6(shifted_db)
-        with WorkerPool(shifted_db, n_workers=2) as pool:
-            result = pool.run_query(engine, "run_q6")
-        assert_identical(result, baseline, "pool all-pruned q6")
-        assert result.details["pruning"]["rows_pruned"] == (
-            shifted_db.table("lineitem").n_rows
-        )
-
-    def test_pool_disabled_pruning_still_matches(self, pool, sorted_db):
+    def test_pool_disabled_pruning_still_matches(self, matrix):
         """A method without prune atoms (the group-by) is never pruned
         and still matches the direct engine call."""
-        engine = TyperEngine()
-        baseline = engine.run_groupby(sorted_db)
-        result = pool.run_query(engine, "run_groupby")
-        assert_identical(result, baseline, "pool groupby, no prune atoms")
-        assert "pruning" not in result.details
+        matrix.check(cells("pruning::test_pool_disabled_pruning_still_matches"))
 
 
 class TestPropertySweep:
@@ -172,7 +106,7 @@ class TestPropertySweep:
         plan, pruned = pruned_result(engine, sorted_db, "run_selection", kwargs)
         assert plan is not None
         if pruned is not None:
-            assert_identical(pruned, baseline, f"thresholds={thresholds}")
+            assert_bit_identical(pruned, baseline, f"thresholds={thresholds}")
 
         n_rows = table.n_rows
         partials = [
@@ -180,4 +114,4 @@ class TestPropertySweep:
             for lo, hi in morsel_ranges(n_rows, pieces)
         ]
         merged = engine.merge_morsels(sorted_db, "run_selection", kwargs, partials)
-        assert_identical(merged, baseline, f"merged pieces={pieces}")
+        assert_bit_identical(merged, baseline, f"merged pieces={pieces}")

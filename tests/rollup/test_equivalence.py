@@ -13,11 +13,11 @@ empty or put every row in one partition.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from matrix.cells import STATEMENTS, assert_bit_identical
+from matrix.suites import cases, cells
 
-from repro.core.parallel import WorkerPool
 from repro.engines import ALL_ENGINES, TyperEngine, engine_by_name
 from repro.rollup import (
     PartitionSpec,
@@ -27,78 +27,37 @@ from repro.rollup import (
 )
 from repro.tpch.schema import DATE_1998_09_02
 
-#: Workloads the router understands, across the full engine matrix.
-WORKLOADS = [
-    ("run_projection", {"degree": 1}),
-    ("run_projection", {"degree": 4}),
-    ("run_groupby", {}),
-    ("run_q1", {}),
-]
-
-WORKLOAD_IDS = ["proj1", "proj4", "groupby", "q1"]
-
-
-def assert_identical(routed, baseline, label: str) -> None:
-    __tracebackhint__ = True
-    assert routed.workload == baseline.workload, label
-    if isinstance(routed.value, dict):
-        assert set(routed.value) == set(baseline.value), label
-        for key in routed.value:
-            assert routed.value[key] == baseline.value[key], f"{label}: {key}"
-    else:
-        assert routed.value == baseline.value, label
+def route_call(db, engine, method, kwargs):
+    """``route`` with its decision attached where ``run_call`` puts
+    it, so the assertion applies the routed difference."""
+    result, decision = route(db, engine, method, dict(kwargs))
+    if result is not None:
+        result.details["rollup"] = decision
+    return result, decision
 
 
 class TestEngineMatrix:
     """Every engine, every routable workload, thread-path route()."""
 
-    @pytest.mark.parametrize("engine_cls", ALL_ENGINES, ids=lambda c: c.name)
-    @pytest.mark.parametrize("method,kwargs", WORKLOADS, ids=WORKLOAD_IDS)
-    def test_routed_matches_base(self, engine_cls, method, kwargs, rollup_db):
-        engine = engine_cls()
-        routed, decision = route(rollup_db, engine, method, dict(kwargs))
-        baseline = getattr(engine, method)(rollup_db, **kwargs)
-        if routed is None:
-            # The only legitimate matrix fallback: a finisher the
-            # router cannot decompose into mergeable partials.
-            assert decision["reason"] == "engine-finisher-not-decomposable"
-            return
-        assert decision["reason"] == "routed"
-        assert_identical(routed, baseline, f"{engine.name} {method} {kwargs}")
+    @cases("rollup::test_routed_matches_base")
+    def test_routed_matches_base(self, matrix, cells):
+        matrix.check(cells)
 
 
 class TestProcessPool:
     """Routing happens parent-side; workers never see the rollup path."""
 
-    @pytest.fixture(scope="class")
-    def pool(self, rollup_db):
-        with WorkerPool(rollup_db, n_workers=2) as pool:
-            yield pool
+    @cases("rollup::test_pool_matches_single_shot")
+    def test_pool_matches_single_shot(self, matrix, cells):
+        matrix.check(cells)
 
-    @pytest.mark.parametrize("method,kwargs", WORKLOADS[:3], ids=WORKLOAD_IDS[:3])
-    def test_pool_matches_single_shot(self, pool, rollup_db, method, kwargs):
-        engine = TyperEngine()
-        result = pool.run_query(engine, method, **kwargs)
-        baseline = getattr(engine, method)(rollup_db, **kwargs)
-        assert_identical(result, baseline, f"pool {method} {kwargs}")
-        assert result.details["rollup"]["reason"] == "routed"
+    def test_pool_fallback_still_matches(self, matrix):
+        matrix.check(cells("rollup::test_pool_fallback_still_matches"))
 
-    def test_pool_fallback_still_matches(self, pool, rollup_db):
-        engine = TyperEngine()
-        result = pool.run_query(engine, "run_q6")
-        baseline = engine.run_q6(rollup_db)
-        assert_identical(result, baseline, "pool q6 fallback")
-        assert result.details["rollup"]["reason"] == "unsupported-method"
-
-    def test_pool_disabled_routing_still_matches(self, tiny_db):
+    def test_pool_disabled_routing_still_matches(self, matrix):
         """A database without rollups is never routed; the pool still
         matches the direct engine call."""
-        engine = TyperEngine()
-        baseline = engine.run_groupby(tiny_db)
-        with WorkerPool(tiny_db, n_workers=2) as pool:
-            result = pool.run_query(engine, "run_groupby")
-        assert_identical(result, baseline, "pool groupby, no rollups")
-        assert "rollup" not in result.details
+        matrix.check(cells("rollup::test_pool_disabled_routing_still_matches"))
 
 
 class TestEdges:
@@ -112,10 +71,10 @@ class TestEdges:
         )
         build_and_attach(db)
         engine = TyperEngine()
-        routed, decision = route(db, engine, "run_groupby", {})
+        routed, decision = route_call(db, engine, "run_groupby", {})
         assert decision["reason"] == "routed"
-        assert_identical(routed, engine.run_groupby(db), "one-partition groupby")
-        routed, decision = route(db, engine, "run_q1", {})
+        assert_bit_identical(routed, engine.run_groupby(db), "one-partition groupby")
+        routed, decision = route_call(db, engine, "run_q1", {})
         assert routed is None
         assert decision["reason"] == "partition-straddle"
 
@@ -128,10 +87,11 @@ class TestEdges:
         )
         build_and_attach(db)
         engine = TyperEngine()
-        for method, kwargs in WORKLOADS:
-            routed, decision = route(db, engine, method, dict(kwargs))
+        for name in ("p1", "p4", "groupby", "Q1"):
+            method, kwargs = STATEMENTS[name].method, dict(STATEMENTS[name].kwargs)
+            routed, decision = route_call(db, engine, method, dict(kwargs))
             assert decision["reason"] == "routed", method
-            assert_identical(
+            assert_bit_identical(
                 routed, getattr(engine, method)(db, **kwargs), method
             )
 
@@ -161,16 +121,16 @@ def test_arbitrary_breaks_route_or_decline(tiny_db, breaks, engine_name):
     engine = engine_by_name(engine_name)
 
     # Predicate-free workloads must always route regardless of breaks.
-    routed, decision = route(db, engine, "run_groupby", {})
+    routed, decision = route_call(db, engine, "run_groupby", {})
     assert decision["reason"] == "routed"
-    assert_identical(routed, engine.run_groupby(db), "groupby")
+    assert_bit_identical(routed, engine.run_groupby(db), "groupby")
 
     # Q1 routes only when the cutoff falls on a partition boundary.
-    routed, decision = route(db, engine, "run_q1", {})
+    routed, decision = route_call(db, engine, "run_q1", {})
     baseline = engine.run_q1(db)
     if routed is not None:
         assert decision["reason"] == "routed"
-        assert_identical(routed, baseline, "q1")
+        assert_bit_identical(routed, baseline, "q1")
     else:
         assert decision["reason"] in (
             "partition-straddle",

@@ -1,6 +1,7 @@
 """Fixtures for sharded scatter-gather tests.
 
-Thread-spawn clusters back the equivalence matrix (cheap, in-process,
+The routing and observability tests share the bit-identity matrix's
+thread-spawn clusters over ``tiny_db`` (cheap, in-process,
 deterministic); the fault and lifecycle tests build their own process
 clusters per test because killing a node consumes it.
 """
@@ -8,9 +9,6 @@ clusters per test because killing a node consumes it.
 from __future__ import annotations
 
 import pytest
-
-from repro.shard.cluster import ShardCluster
-from repro.shard.coordinator import Coordinator
 
 SHARD_COUNTS = (1, 2, 3)
 SHARD_MODES = ("hash", "range")
@@ -27,8 +25,8 @@ SHARD_MODES = ("hash", "range")
         for mode in SHARD_MODES
     ],
 )
-def sharded(request, tiny_db):
-    """(cluster, coordinator) per (shard count, mode) cell of the matrix."""
+def sharded(request, matrix):
+    """(cluster, coordinator) per (shard count, mode)."""
     n_shards, mode = request.param
-    with ShardCluster(tiny_db, n_shards=n_shards, mode=mode, spawn="thread") as cluster:
-        yield cluster, Coordinator(tiny_db, cluster)
+    coordinator = matrix.coordinator("tiny", f"shard-{n_shards}-{mode}")
+    return coordinator.cluster, coordinator

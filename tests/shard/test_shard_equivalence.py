@@ -1,91 +1,43 @@
-"""Bit-identity equivalence matrix: sharded scatter-gather vs the
-single-node oracle.
+"""Sharded scatter-gather vs the single-node oracle.
 
-Every cell asserts *exact* equality of values and tuple counts --
-``resp["value"] == jsonable(oracle.value)`` -- on all four engines,
-all shard counts and both shard modes.  Exactness holds because every
-merged aggregate travels as ExactSum units (or integer counts), whose
-merge is associative and commutative, and the coordinator's finisher
-rounds exactly once, globally.  (The established 1e-12 interpreter
-tolerance is therefore met with margin: the margin is zero bits.)
+The bit-identity cells (every engine, shard count and shard mode) are
+declared in the matrix (``tests/matrix``); the tests here keep their
+ids and assert those cells, plus shard routing and observability.
+Exactness holds because every merged aggregate travels as ExactSum
+units (or integer counts), whose merge is associative and commutative,
+and the coordinator's finisher rounds exactly once, globally.
 """
 
 from __future__ import annotations
 
 import pytest
+from matrix.cells import Q18_FLAT
+from matrix.suites import cases, cells
 
-from repro.engines import engine_by_name
-from repro.serve import protocol
-from repro.shard.cluster import ShardCluster
-from repro.shard.coordinator import Coordinator
 from repro.sql import compile_sql
-from repro.tpch.sql import GROUPBY_SQL, TPCH_SQL, projection_sql
-
-Q18_FLAT = """\
-SELECT l_orderkey, SUM(l_quantity) AS qty
-FROM lineitem
-GROUP BY l_orderkey
-HAVING SUM(l_quantity) > 300;"""
-
-QUERIES = {
-    "Q1": TPCH_SQL["Q1"],
-    "Q6": TPCH_SQL["Q6"],
-    "groupby": GROUPBY_SQL,
-    "projection": projection_sql(2),
-    "Q18-compiled": Q18_FLAT,
-}
-ENGINES = ("Typer", "Tectorwise", "DBMS R", "DBMS C")
+from repro.tpch.sql import TPCH_SQL
 
 
-@pytest.mark.parametrize("engine_name", ENGINES)
-@pytest.mark.parametrize("query_name", sorted(QUERIES))
-def test_sharded_matches_single_node_exactly(
-    sharded, tiny_db, query_name, engine_name
-):
-    _, coordinator = sharded
-    sql = QUERIES[query_name]
-    oracle = compile_sql(sql).execute(engine_by_name(engine_name), tiny_db)
-    response = coordinator.execute(sql, engine=engine_name)
-    assert response["status"] == "ok", response.get("error")
-    assert response["route"] == "scatter"
-    assert response["value"] == protocol.jsonable(oracle.value)
-    assert response["tuples"] == oracle.tuples
+@cases("shard::test_sharded_matches_single_node_exactly")
+def test_sharded_matches_single_node_exactly(matrix, cells):
+    matrix.check(cells)
 
 
-def assert_matches_single_node(coordinator, db, sql, engine_name):
-    oracle = compile_sql(sql).execute(engine_by_name(engine_name), db)
-    response = coordinator.execute(sql, engine=engine_name)
-    assert response["status"] == "ok", response.get("error")
-    assert response["value"] == protocol.jsonable(oracle.value)
-    assert response["tuples"] == oracle.tuples
-
-
-def test_process_executor_nodes_match_single_node(tiny_db):
+def test_process_executor_nodes_match_single_node(matrix):
     """Nodes that fan their share out to their own worker pool stop as
     partials too (pool dispatch + ``finish=False``)."""
-    with ShardCluster(
-        tiny_db, n_shards=2, mode="hash", spawn="thread", node_executor="process"
-    ) as cluster:
-        coordinator = Coordinator(tiny_db, cluster)
-        for query_name in ("Q1", "Q6"):
-            assert_matches_single_node(
-                coordinator, tiny_db, TPCH_SQL[query_name], "Typer"
-            )
+    matrix.check(cells("shard::test_process_executor_nodes_match_single_node"))
 
 
-@pytest.mark.parametrize("engine_name", ("Typer", "Tectorwise"))
-def test_template_q18_over_two_hash_shards(tiny_db, engine_name):
+@cases("shard::test_template_q18_over_two_hash_shards")
+def test_template_q18_over_two_hash_shards(matrix, cells):
     """Each shard's Q18 partial holds its own orders' keys; the leaf
     merges them by key, not by shard-local group id."""
-    with ShardCluster(tiny_db, n_shards=2, mode="hash", spawn="thread") as cluster:
-        assert_matches_single_node(
-            Coordinator(tiny_db, cluster), tiny_db, TPCH_SQL["Q18"], engine_name
-        )
+    matrix.check(cells)
 
 
-def test_compiled_query_lowers_to_the_compiled_route(tiny_db):
-    bound = compile_sql(Q18_FLAT)
-    assert bound.method == "run_compiled"
+def test_compiled_query_lowers_to_the_compiled_route():
+    assert compile_sql(Q18_FLAT).method == "run_compiled"
 
 
 class TestRouting:

@@ -2,6 +2,7 @@
 executes on each engine with results identical to the hand-wired path."""
 
 import pytest
+from matrix.cells import assert_bit_identical
 
 from repro.engines import ALL_ENGINES, JOIN_SIZES, SELECTION_SELECTIVITIES
 from repro.sql import SqlError, compile_sql, execute_sql
@@ -11,14 +12,6 @@ from repro.tpch.sql import GROUPBY_SQL, JOIN_SQL, TPCH_SQL, projection_sql, sele
 @pytest.fixture(scope="module")
 def engines():
     return [engine_cls() for engine_cls in ALL_ENGINES]
-
-
-def assert_identical(result_sql, result_hand, context, check_workload=True):
-    __tracebackhide__ = True
-    assert repr(result_sql.value) == repr(result_hand.value), context
-    assert result_sql.tuples == result_hand.tuples, context
-    if check_workload:
-        assert result_sql.workload == result_hand.workload, context
 
 
 class TestLowering:
@@ -70,7 +63,7 @@ class TestExecutionRoundTrip:
     def test_projection(self, tiny_db, engines, degree):
         bound = compile_sql(projection_sql(degree))
         for engine in engines:
-            assert_identical(
+            assert_bit_identical(
                 bound.execute(engine, tiny_db),
                 engine.run_projection(tiny_db, degree),
                 (engine.name, degree),
@@ -84,19 +77,16 @@ class TestExecutionRoundTrip:
             # The SQL path re-measures the nominal selectivity from the
             # data, so the label may differ by a percent; values and
             # tuple counts must be exact.
-            assert_identical(
-                result_sql,
-                engine.run_selection(tiny_db, selectivity),
-                (engine.name, selectivity),
-                check_workload=False,
-            )
+            hand = engine.run_selection(tiny_db, selectivity)
+            assert repr(result_sql.value) == repr(hand.value), engine.name
+            assert result_sql.tuples == hand.tuples, engine.name
             assert result_sql.workload.startswith("selection-")
 
     @pytest.mark.parametrize("size", JOIN_SIZES)
     def test_joins(self, tiny_db, engines, size):
         bound = compile_sql(JOIN_SQL[size])
         for engine in engines:
-            assert_identical(
+            assert_bit_identical(
                 bound.execute(engine, tiny_db),
                 engine.run_join(tiny_db, size),
                 (engine.name, size),
@@ -105,7 +95,7 @@ class TestExecutionRoundTrip:
     def test_groupby(self, tiny_db, engines):
         bound = compile_sql(GROUPBY_SQL)
         for engine in engines:
-            assert_identical(
+            assert_bit_identical(
                 bound.execute(engine, tiny_db),
                 engine.run_groupby(tiny_db),
                 engine.name,
@@ -115,7 +105,7 @@ class TestExecutionRoundTrip:
     def test_tpch(self, tiny_db, engines, query_id):
         bound = compile_sql(TPCH_SQL[query_id])
         for engine in engines:
-            assert_identical(
+            assert_bit_identical(
                 bound.execute(engine, tiny_db),
                 engine.run_tpch(tiny_db, query_id),
                 (engine.name, query_id),

@@ -20,13 +20,11 @@ byte-stream picture, which is layout-stable across hosts.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.result import FigureResult
 from repro.core import pruning
 from repro.engines import ALL_ENGINES
 from repro.hardware.memory import MemorySystem
-from repro.storage import ColumnTable, Database
+from repro.storage import Database
 from repro.storage.zonemap import CHUNK_ROWS
 
 #: (method, kwargs, label) pairs the figure prunes.
@@ -42,17 +40,10 @@ def _clustered_twin(db) -> Database:
     byte accounting on 8-byte streams; the encoded twin's sorted
     predicate columns collapse into RLE whose run-granular compares
     leave little for pruning to win (see BENCH_PR6.json)."""
-    twin = Database(
-        name=f"{db.name}-clustered", scale_factor=db.scale_factor
-    )
-    for name in db.table_names:
-        table = db.table(name)
-        columns = {c: np.asarray(table[c]) for c in table.column_names}
-        if name == "lineitem":
-            order = np.argsort(columns["l_shipdate"], kind="stable")
-            columns = {c: values[order] for c, values in columns.items()}
-        twin.add_table(ColumnTable(name, columns))
-    return twin
+    tables = {name: db.table(name).decoded() for name in db.table_names}
+    order = db.table("lineitem").sort_order("l_shipdate")
+    tables["lineitem"] = tables["lineitem"].select(order)
+    return db.twin(f"{db.name}-clustered", tables)
 
 
 def sec_pruning(db, profiler) -> FigureResult:

@@ -223,27 +223,16 @@ def partitioned_database(db, spec: PartitionSpec, table_name: str = "lineitem"):
 
     Rows are stably sorted by partition id -- within a partition the
     original row order is preserved, so per-partition aggregates stay
-    reproducible.  Columns are re-encoded with the standard load-time
-    policy, exactly like a fresh generation.
+    reproducible.  The reordered table keeps the parent's code spaces
+    (:meth:`ColumnTable.select`); every other table is shared by
+    reference.
     """
-    from repro.storage import ColumnTable, Database
-    from repro.storage.encoding import encode_columns
-
-    twin = Database(name=f"{db.name}-part", scale_factor=db.scale_factor)
-    for name in db.table_names:
-        table = db.table(name)
-        columns = {c: np.asarray(table[c]) for c in table.column_names}
-        if name == table_name:
-            if spec.column not in columns:
-                raise KeyError(
-                    f"table {table_name!r} has no column {spec.column!r}"
-                )
-            order = np.argsort(spec.partition_ids(columns[spec.column]), kind="stable")
-            columns = {c: values[order] for c, values in columns.items()}
-        new_table = ColumnTable(name, encode_columns(columns))
-        if name == table_name:
-            new_table.set_partitioning(
-                build_partitioning(np.asarray(new_table[spec.column]), spec)
-            )
-        twin.add_table(new_table)
-    return twin
+    table = db.table(table_name)
+    if spec.column not in table:
+        raise KeyError(f"table {table_name!r} has no column {spec.column!r}")
+    values = np.asarray(table[spec.column])
+    ids = spec.partition_ids(values).astype(np.min_scalar_type(spec.n_partitions))
+    order = np.argsort(ids, kind="stable")
+    clustered = table.select(order)
+    clustered.set_partitioning(build_partitioning(values[order], spec))
+    return db.twin(f"{db.name}-part", {table_name: clustered})

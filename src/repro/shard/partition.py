@@ -14,12 +14,13 @@ Two invariants make sharded execution bit-identical to single-node:
   sharding, which *permutes* rows across shards, still reproduces the
   single-scan value to the last bit.
 - **Code spaces are inherited from the parent.**  Shard fact columns
-  re-encode the subset against the parent dictionary (and the parent
-  FoR reference/width), never a fresh one: compiled group keys travel
-  as dictionary codes and are decoded against static per-column
+  are the parent's rows taken by :meth:`ColumnTable.select`: dictionary
+  and FoR codes are gathered under the parent dictionary (and the
+  parent FoR reference/width), never a fresh one.  Compiled group keys
+  travel as dictionary codes and are decoded against static per-column
   dictionaries, so a shard-local dictionary would silently renumber
-  groups.  RLE re-encodes fresh (it is positional and decodes back to
-  values), raw columns stay raw.
+  groups.  RLE goes back through the load-time policy (it is positional
+  and decodes back to values), raw columns stay raw.
 """
 
 from __future__ import annotations
@@ -27,13 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.storage.catalog import Database
-from repro.storage.column import ColumnTable
-from repro.storage.encoding import (
-    DictionaryEncoding,
-    EncodedColumn,
-    ForBitPackEncoding,
-    RLEEncoding,
-)
 
 SHARD_MODES = ("hash", "range")
 FACT_TABLE = "lineitem"
@@ -88,30 +82,6 @@ def shard_assignment(
     ]
 
 
-def _shard_column(table: ColumnTable, name: str, indices: np.ndarray):
-    """The shard's slice of one fact column, parent code space intact."""
-    encoded = table.encoding(name)
-    if encoded is None:
-        return np.asarray(table[name])[indices]
-    values = encoded.values[indices]
-    encoding = encoded.encoding
-    if isinstance(encoding, DictionaryEncoding):
-        new = DictionaryEncoding.encode(values, dictionary=encoding.dictionary)
-    elif isinstance(encoding, ForBitPackEncoding):
-        # The parent reference is the global minimum, so every shard
-        # value re-packs losslessly at the parent's width.
-        new = ForBitPackEncoding.encode(
-            values, reference=encoding.reference, bits=encoding.bits
-        )
-    elif isinstance(encoding, RLEEncoding):
-        new = RLEEncoding.encode(values)
-    else:
-        return values
-    if new is None:
-        return values
-    return EncodedColumn(name, new, encoded.dtype)
-
-
 def shard_database(
     db: Database,
     indices: np.ndarray,
@@ -134,17 +104,9 @@ def shard_database(
             f"shard {shard_id} of {n_shards} ({mode}) owns no {fact_table} rows; "
             "use fewer shards for this scale factor"
         )
-    shard = Database(
-        name=f"{db.name}-shard{shard_id}", scale_factor=db.scale_factor
+    shard = db.twin(
+        f"{db.name}-shard{shard_id}", {fact_table: db.table(fact_table).select(indices)}
     )
-    parent_fact = db.table(fact_table)
-    fact = ColumnTable(fact_table)
-    for column_name in parent_fact.column_names:
-        fact.add_column(column_name, _shard_column(parent_fact, column_name, indices))
-    shard.add_table(fact)
-    for table_name in db.table_names:
-        if table_name != fact_table:
-            shard.add_table(db.table(table_name))
     # Identity last: add_table resets it, and shard caches must key on
     # (parent identity, shard coordinates), not a fresh uid per build.
     shard.cache_key = f"{db.identity}/shard-{mode}-{shard_id}of{n_shards}"

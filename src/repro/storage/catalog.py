@@ -49,6 +49,15 @@ class Database:
         self.cache_key = None
         self.uid = f"anondb-{next(_uid_counter)}"
 
+    def twin(self, name: str, tables: dict[str, ColumnTable]) -> "Database":
+        """A database named ``name`` holding this one's tables, those in
+        ``tables`` replaced (reordered, split or decoded copies); the
+        rest are shared by reference.  Rollups are not carried over."""
+        twin = Database(name=name, scale_factor=self.scale_factor)
+        for table_name, table in self._tables.items():
+            twin.add_table(tables.get(table_name, table))
+        return twin
+
     def table(self, name: str) -> ColumnTable:
         try:
             return self._tables[name]

@@ -176,11 +176,30 @@ class ColumnTable:
         return sum(self.column(name).nbytes for name in column_names)
 
     def select(self, mask_or_indices: np.ndarray) -> "ColumnTable":
-        """Materialise a filtered copy of the table."""
+        """The rows at ``mask_or_indices`` as a new table in this table's
+        code spaces (:meth:`EncodedColumn.select`; raw columns stay raw).
+        Every reordered or split twin is built this way."""
         result = ColumnTable(self.name)
         for name, column in self._columns.items():
-            result.add_column(name, column.values[mask_or_indices])
+            if isinstance(column, EncodedColumn):
+                result.add_column(name, column.select(mask_or_indices))
+            else:
+                result.add_column(name, column.values[mask_or_indices])
         return result
+
+    def sort_order(self, name: str) -> np.ndarray:
+        """The stable row order sorting on column ``name``.  Dictionary
+        and FoR codes preserve value order, so those columns sort on
+        their narrow codes (numpy radix-sorts them) without decoding."""
+        column = self.column(name)
+        codes = column.codes_range(0, len(column)) if isinstance(column, EncodedColumn) else None
+        return np.argsort(column.values if codes is None else codes, kind="stable")
+
+    def decoded(self) -> "ColumnTable":
+        """This table with every column a plain (decoded) array."""
+        return ColumnTable(
+            self.name, {name: column.values for name, column in self._columns.items()}
+        )
 
     def head(self, n: int = 5) -> dict[str, np.ndarray]:
         return {name: column.values[:n] for name, column in self._columns.items()}

@@ -342,12 +342,14 @@ class ForBitPackEncoding:
 
     kind = "for"
 
-    def __init__(self, words: np.ndarray, reference: int, bits: int, length: int):
+    def __init__(self, words: np.ndarray, reference: int, bits: int, length: int,
+                 codes: np.ndarray | None = None):
         self.words = words
         self.reference = int(reference)
         self.bits = int(bits)
         self._length = int(length)
-        self._codes: np.ndarray | None = None
+        #: The byte-aligned scan codes, when the caller already has them.
+        self._codes = codes
 
     @classmethod
     def encode(cls, values: np.ndarray, reference: int | None = None,
@@ -653,6 +655,33 @@ class EncodedColumn:
         encoding = codec.from_payload(meta, arrays)
         return cls(name, encoding, np.dtype(meta["dtype"]))
 
+    def select(self, indices: np.ndarray):
+        """The rows at ``indices`` (a permutation, subset or mask), keeping
+        this column's code space: dictionary codes are gathered under the
+        same dictionary and FoR codes repacked at the same reference and
+        width, without decoding.  RLE columns, and gathered integer codes
+        sorted enough for the policy to pick RLE, go through the policy
+        (a plain array when it keeps them raw)."""
+        encoding = self.encoding
+        if encoding.kind in ("dict", "for"):
+            codes = self.codes_range(0, len(self))[indices]
+            if encoding.kind == "dict":
+                gathered = DictionaryEncoding(encoding.dictionary, codes)
+            else:
+                codes.flags.writeable = False
+                gathered = ForBitPackEncoding(
+                    pack_bits(codes, encoding.bits), encoding.reference,
+                    encoding.bits, len(codes), codes,
+                )
+            column = EncodedColumn(self.name, gathered, self._dtype)
+            if not (np.issubdtype(self._dtype, np.integer) and _rle_pays(codes)):
+                return column
+            values = column.values
+        else:
+            values = self.take(indices)
+        encoded = encode_column(self.name, values)
+        return values if encoded is None else encoded
+
     def renamed(self, name: str) -> "EncodedColumn":
         if name == self.name:
             return self
@@ -689,6 +718,17 @@ def _probe_float_dictionary(values: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _rle_pays(values: np.ndarray) -> bool:
+    """The policy's RLE test: sorted, with mean run length >=
+    :data:`RLE_MIN_RUN_LENGTH` (order-preserving codes answer as their
+    values do)."""
+    n = len(values)
+    if n == 0 or (values[1:] < values[:-1]).any():
+        return False
+    n_runs = int(np.count_nonzero(values[1:] != values[:-1])) + 1
+    return n >= n_runs * RLE_MIN_RUN_LENGTH and n_runs < n
+
+
 def choose_encoding(values: np.ndarray):
     """Pick a codec for ``values`` from cheap stats; None keeps it raw.
 
@@ -703,11 +743,8 @@ def choose_encoding(values: np.ndarray):
     if n == 0 or values.ndim != 1:
         return None
     if np.issubdtype(values.dtype, np.integer):
-        diffs = np.diff(values)
-        if len(diffs) == 0 or (diffs >= 0).all():
-            n_runs = int(np.count_nonzero(diffs)) + 1
-            if n >= n_runs * RLE_MIN_RUN_LENGTH and n_runs < n:
-                return RLEEncoding.encode(values)
+        if _rle_pays(values):
+            return RLEEncoding.encode(values)
         encoded = ForBitPackEncoding.encode(values)
         if encoded is not None:
             return encoded

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
+from databases import ALIGNED_BREAKS, SMALL_SF, TINY_SF, lineitem_twin, raw_twin, sorted_twin
 
 from repro import BROADWELL, SKYLAKE, MicroArchProfiler
 from repro.tpch import generate_database
-from repro.tpch.schema import DATE_1998_09_02
 
-TINY_SF = 0.002
-SMALL_SF = 0.02
 PAPER_SF = 0.2
 
 
@@ -95,32 +92,11 @@ def big_db(db_factory):
     )
 
 
-def lineitem_twin(db, suffix: str, mutate):
-    """A copy of ``db`` whose lineitem columns went through ``mutate``
-    (dict of arrays -> dict of arrays) before encoding."""
-    from repro.storage import ColumnTable, Database
-    from repro.storage.encoding import encode_columns
-
-    twin = Database(name=f"{db.name}-{suffix}", scale_factor=db.scale_factor)
-    for table_name in db.table_names:
-        table = db.table(table_name)
-        columns = {c: np.asarray(table[c]) for c in table.column_names}
-        if table_name == "lineitem":
-            columns = mutate(columns)
-        twin.add_table(ColumnTable(table_name, encode_columns(columns)))
-    return twin
-
-
 @pytest.fixture(scope="session")
 def sorted_db(small_db):
     """lineitem clustered on l_shipdate: selective date predicates
     isolate a narrow kept range, so most chunks prune."""
-
-    def clustered(columns):
-        order = np.argsort(columns["l_shipdate"], kind="stable")
-        return {c: values[order] for c, values in columns.items()}
-
-    return lineitem_twin(small_db, "sorted", clustered)
+    return sorted_twin(small_db)
 
 
 @pytest.fixture(scope="session")
@@ -133,13 +109,6 @@ def shifted_db(tiny_db):
         return out
 
     return lineitem_twin(tiny_db, "shifted", shifted)
-
-
-#: Breaks aligned with the Q1 cutoff: ``searchsorted(side="right")``
-#: puts a value equal to a break into the upper partition, so the upper
-#: break sits just past the cutoff and every partition decides the Q1
-#: predicate wholly.
-ALIGNED_BREAKS = (2100.0, 2300.0, DATE_1998_09_02 + 0.5)
 
 
 @pytest.fixture(scope="session")
@@ -155,19 +124,8 @@ def rollup_db(tiny_db):
 
 @pytest.fixture(scope="session")
 def raw_db(tiny_db):
-    """``tiny_db`` with every column decoded to a plain array.
-
-    A distinct Database identity, so the execution cache can never
-    alias the two (its keys include the database identity)."""
-    from repro.storage import ColumnTable, Database
-
-    twin = Database(name=tiny_db.name, scale_factor=tiny_db.scale_factor)
-    for name in tiny_db.table_names:
-        table = tiny_db.table(name)
-        twin.add_table(ColumnTable(
-            name, {c: np.asarray(table[c]) for c in table.column_names}
-        ))
-    return twin
+    """``tiny_db`` with every column decoded to a plain array."""
+    return raw_twin(tiny_db)
 
 
 @pytest.fixture(scope="session")

@@ -16,29 +16,9 @@ from repro.core.parallel import normalized_call
 from repro.core.pruning import PredicateAtom, compute_prune_plan, translate_claim
 from repro.engines import TyperEngine
 from repro.sql.api import compile_sql
-from repro.storage import ColumnTable, Database
-from repro.storage.encoding import compare_values, encode_columns
+from repro.storage.encoding import compare_values
 from repro.storage.zonemap import CHUNK_ROWS
 from repro.tpch.sql import GROUPBY_SQL, projection_sql
-
-
-def sorted_twin(db, order_by: str = "l_shipdate") -> Database:
-    """``db`` with lineitem stably sorted by ``order_by`` and re-encoded
-    (a fresh identity, so no cache can alias the original)."""
-    twin = Database(name=f"{db.name}-sorted", scale_factor=db.scale_factor)
-    for table_name in db.table_names:
-        table = db.table(table_name)
-        columns = {c: np.asarray(table[c]) for c in table.column_names}
-        if table_name == "lineitem":
-            order = np.argsort(columns[order_by], kind="stable")
-            columns = {c: values[order] for c, values in columns.items()}
-        twin.add_table(ColumnTable(table_name, encode_columns(columns)))
-    return twin
-
-
-@pytest.fixture(scope="module")
-def sorted_db(small_db):
-    return sorted_twin(small_db)
 
 
 # ----------------------------------------------------------------------

@@ -46,23 +46,22 @@ def hierarchy_stats(hierarchy):
 
 
 def cache_contents(hierarchy):
-    """Full contents of all levels: lines in LRU->MRU order with their
-    prefetched flags (tick values themselves are representation detail;
-    only their order is behaviour)."""
-    levels = []
-    for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
-        levels.append(
-            [
-                [
-                    (line, bool(entry[1]))
-                    for line, entry in sorted(
-                        cache_set.items(), key=lambda item: item[1][0]
-                    )
-                ]
-                for cache_set in cache._sets
+    """Occupied sets of all levels: set index -> lines in LRU->MRU order
+    with their prefetched flags (tick values themselves are representation
+    detail; only their order is behaviour).  An empty set is left out on
+    both sides, so two hierarchies compare equal exactly when every set
+    holds the same lines in the same order."""
+    return [
+        {
+            index: [
+                (line, bool(entry[1]))
+                for line, entry in sorted(cache_set.items(), key=lambda item: item[1][0])
             ]
-        )
-    return levels
+            for index, cache_set in enumerate(cache._sets)
+            if cache_set
+        }
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3)
+    ]
 
 
 RNG = np.random.default_rng(1234)

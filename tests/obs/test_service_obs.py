@@ -110,11 +110,11 @@ class TestPruningObservability:
 
     @pytest.fixture
     def pruned_service(self, tiny_db):
-        from tests.obs.test_trace_golden import _sorted_twin
+        from databases import sorted_twin
 
         EXECUTION_CACHE.clear()
         service = QueryService(
-            ServiceConfig(workers=1, queue_depth=8), db=_sorted_twin(tiny_db)
+            ServiceConfig(workers=1, queue_depth=8), db=sorted_twin(tiny_db)
         )
         with service:
             yield service

@@ -10,6 +10,7 @@ while the morsel timings come from the worker processes' real clocks.
 from __future__ import annotations
 
 import pytest
+from databases import sorted_twin
 
 from repro.core.execcache import EXECUTION_CACHE
 from repro.obs import FakeClock
@@ -239,24 +240,6 @@ class TestThreadGolden:
         assert response["cached"] is True
 
 
-def _sorted_twin(db):
-    """lineitem clustered on l_shipdate, so Q6's date window prunes."""
-    import numpy as np
-
-    from repro.storage import ColumnTable, Database
-    from repro.storage.encoding import encode_columns
-
-    twin = Database(name=f"{db.name}-sorted", scale_factor=db.scale_factor)
-    for name in db.table_names:
-        table = db.table(name)
-        columns = {c: np.asarray(table[c]) for c in table.column_names}
-        if name == "lineitem":
-            order = np.argsort(columns["l_shipdate"], kind="stable")
-            columns = {c: values[order] for c, values in columns.items()}
-        twin.add_table(ColumnTable(name, encode_columns(columns)))
-    return twin
-
-
 #: Pruning-decision attrs pinned on the ``prune`` span.
 PRUNE_ATTRS = GOLDEN_ATTRS | frozenset(
     {"morsels_scanned", "morsels_pruned", "rows", "rows_pruned",
@@ -270,7 +253,7 @@ class TestPrunedGolden:
 
     @pytest.fixture(scope="class")
     def sorted_db(self, tiny_db):
-        return _sorted_twin(tiny_db)
+        return sorted_twin(tiny_db)
 
     @pytest.fixture(scope="class")
     def plan(self, sorted_db):

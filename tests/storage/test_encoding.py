@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.storage import ColumnTable
 from repro.storage.encoding import (
     MAX_DICT_SIZE,
     MAX_FOR_BITS,
@@ -26,6 +27,7 @@ from repro.storage.encoding import (
     choose_encoding,
     compare_values,
     encode_column,
+    encode_columns,
     pack_bits,
     unpack_bits,
 )
@@ -296,3 +298,87 @@ class TestEncodedColumnContract:
         clone = column.renamed("y")
         assert clone.encoding is column.encoding
         assert clone.name == "y"
+
+
+# -- the row-take primitive --------------------------------------------
+#: Values whose policy encoding is each codec, plus raw floats.
+_CODEC_VALUES = {
+    "dict": small_floats,
+    "dict-int": st.lists(st.sampled_from([0, 2**40, 2**50]), max_size=200),
+    "for": st.lists(st.integers(min_value=-6, max_value=6), max_size=200),
+    "rle": runny_ints,
+    "raw": st.lists(st.floats(allow_nan=False, width=64), max_size=200),
+}
+
+
+def _row_indices(data, values: np.ndarray) -> np.ndarray:
+    """A sorted subset, a permutation (a random one or the one that
+    sorts ``values``) or an empty index array."""
+    shape = data.draw(st.sampled_from(("subset", "permutation", "sorting", "empty")))
+    n = len(values)
+    if shape == "subset":
+        keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return np.flatnonzero(np.asarray(keep, dtype=bool))
+    if shape == "permutation":
+        return np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64)
+    if shape == "sorting":
+        return np.argsort(values, kind="stable")
+    return np.empty(0, dtype=np.int64)
+
+
+class TestSelect:
+    @given(st.sampled_from(sorted(_CODEC_VALUES)), st.data())
+    def test_rows_keep_the_parent_code_space(self, codec, data):
+        values = data.draw(_CODEC_VALUES[codec])
+        values = np.asarray(values, dtype=np.float64 if codec in ("dict", "raw") else np.int64)
+        parent = ColumnTable("t", encode_columns({"x": values}))
+        indices = _row_indices(data, values)
+        column = parent.select(indices).column("x")
+        expected = values[indices]
+        np.testing.assert_array_equal(column.values, expected)
+        assert column.dtype == values.dtype
+        source = parent.encoding("x")
+        if source is None:
+            assert not isinstance(column, EncodedColumn)
+            return
+        policy = choose_encoding(expected)
+        if source.codec_kind in ("dict", "for") and (policy is None or policy.kind != "rle"):
+            # Gathered codes: same dictionary, same reference and width.
+            assert column.codec_kind == source.codec_kind
+            if source.codec_kind == "dict":
+                assert column.encoding.dictionary is source.encoding.dictionary
+            else:
+                assert (column.encoding.reference, column.encoding.bits) == (
+                    source.encoding.reference, source.encoding.bits
+                )
+            return
+        # Sorted results and RLE sources: what the load-time policy builds.
+        if policy is None:
+            assert not isinstance(column, EncodedColumn)
+            return
+        assert column.payload()[0] == EncodedColumn("x", policy, values.dtype).payload()[0]
+        for name, array in policy.payload()[1].items():
+            np.testing.assert_array_equal(column.payload()[1][name], array)
+
+    def test_sorted_for_rows_become_the_policy_rle(self):
+        values = (np.arange(400, dtype=np.int64) * 7) % 23
+        table = ColumnTable("t", encode_columns({"x": values}))
+        assert table.encoding("x").codec_kind == "for"
+        column = table.select(np.argsort(values, kind="stable")).column("x")
+        assert column.codec_kind == "rle"
+        np.testing.assert_array_equal(column.encoding.run_values, np.arange(23))
+
+    def test_mask_selects_like_its_indices(self):
+        values = (np.arange(300, dtype=np.int64) * 7) % 23
+        table = ColumnTable("t", encode_columns({"x": values}))
+        mask = values > 11
+        np.testing.assert_array_equal(table.select(mask)["x"], values[mask])
+
+    def test_sort_order_on_codes_equals_sort_on_values(self):
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 300, 5000, dtype=np.int64)
+        table = ColumnTable("t", encode_columns({"x": values}))
+        assert table.encoding("x").codec_kind == "for"
+        np.testing.assert_array_equal(
+            table.sort_order("x"), np.argsort(values, kind="stable")
+        )

@@ -48,15 +48,6 @@ def _repeat(reference, db, times):
     return lambda: [reference(db) for _ in range(times)]
 
 
-def _twin(db) -> Database:
-    """The same columns under a fresh identity, safe to mutate."""
-    twin = Database(name=db.name, scale_factor=db.scale_factor)
-    for name in db.table_names:
-        table = db.table(name)
-        twin.add_table(ColumnTable(name, {c: table.column(c) for c in table.column_names}))
-    return twin
-
-
 class TestReferenceCache:
     @pytest.mark.parametrize("query_id", sorted(REFERENCE_IMPLEMENTATIONS))
     def test_repeated_calls_build_once(self, tiny_db, query_id):
@@ -116,7 +107,7 @@ class TestReferenceCache:
         assert q18_reference(tiny_db) == expected
 
     def test_mutated_database_misses(self, tiny_db):
-        db = _twin(tiny_db)
+        db = tiny_db.twin(tiny_db.name, {})  # the same tables, a fresh identity
         assert _builds(_repeat(q1_reference, db, 2))["Q1"] == 1
         db.add_table(ColumnTable("scratch", {"x": np.arange(3)}))
         assert _builds(_repeat(q1_reference, db, 2))["Q1"] == 1
@@ -164,13 +155,7 @@ def _q1_masked(db):
 
 def _derived(db, rows) -> Database:
     """``db`` with lineitem replaced by the rows ``rows``, in that order."""
-    derived = Database(name=f"{db.name}-derived")
-    for name in db.table_names:
-        table = db.table(name)
-        if name == "lineitem":
-            table = ColumnTable(name, {c: table[c][rows] for c in table.column_names})
-        derived.add_table(table)
-    return derived
+    return db.twin(f"{db.name}-derived", {"lineitem": db.table("lineitem").select(rows)})
 
 
 class TestQ1SliceSums:

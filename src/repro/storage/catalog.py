@@ -3,14 +3,31 @@
 Engines receive a :class:`Database` and pick the layout they execute
 on; row tables are materialised lazily so column-only experiments do not
 pay for the row copies.
+
+A database crosses a process or disk boundary as one payload
+(:meth:`Database.payload` / :meth:`Database.from_payload`): a json-safe
+meta plus a flat ``{stem: array}`` mapping.  The dbgen cache
+(:mod:`repro.tpch.dbcache`) writes each array as ``<stem>.npy`` next to
+``meta.json``; the shm transport (:mod:`repro.storage.shm`) maps each
+into one segment.  Stems, per part of each piece's own payload:
+
+- ``<table>.<column>`` -- a raw column;
+- ``<table>.<column>.<part>`` -- an encoded column (meta ``encodings``);
+- ``<table>.<column>.zm.<part>`` -- its zone map (meta ``zone_maps``);
+- ``<table>.ptn.<part>`` -- a table's partitioning (meta ``partitioning``);
+- ``rollup.<name>.<part>`` -- a rollup table (meta ``rollups``).
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from repro.storage.column import ColumnTable
+from repro.storage.encoding import EncodedColumn
 from repro.storage.row import RowTable
+from repro.storage.zonemap import ColumnZoneMap
 
 _uid_counter = itertools.count()
 
@@ -57,6 +74,96 @@ class Database:
         for table_name, table in self._tables.items():
             twin.add_table(tables.get(table_name, table))
         return twin
+
+    def copy(self, encode=None) -> "Database":
+        """Fresh Database and ColumnTable wrappers over this database's
+        columns, zone maps, partitionings and rollups, under the same
+        identity: a holder may attach to its copy without affecting
+        others (the dbcache memo hands one out per hit).  ``encode``
+        replaces each table's columns first (:meth:`ColumnTable.copy`)."""
+        copy = Database(name=self.name, scale_factor=self.scale_factor)
+        for table in self._tables.values():
+            copy.add_table(table.copy(encode))
+        copy._rollups = dict(self._rollups)
+        copy.cache_key = self.cache_key
+        return copy
+
+    def payload(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """(json-safe meta, ``{stem: array}``) of every column, zone map,
+        partitioning and rollup (stems in the module docstring).  Zone
+        maps not built yet are built here."""
+        arrays: dict[str, np.ndarray] = {}
+
+        def add(stem: str, piece) -> dict:
+            meta, parts = piece.payload()
+            for part, array in parts.items():
+                arrays[f"{stem}.{part}"] = array
+            return {**meta, "parts": sorted(parts)}
+
+        encodings, zone_maps, partitioning = {}, {}, {}
+        for table_name, table in self._tables.items():
+            encodings[table_name] = {}
+            for column_name in table.column_names:
+                stem = f"{table_name}.{column_name}"
+                encoded = table.encoding(column_name)
+                if encoded is None:
+                    arrays[stem] = table[column_name]
+                else:
+                    encodings[table_name][column_name] = add(stem, encoded)
+            zone_maps[table_name] = {
+                column_name: add(f"{table_name}.{column_name}.zm", table.zone_map(column_name))
+                for column_name in table.column_names
+            }
+            if table.partitioning is not None:
+                partitioning[table_name] = add(f"{table_name}.ptn", table.partitioning)
+        meta = {
+            "name": self.name,
+            "scale_factor": self.scale_factor,
+            "tables": {name: list(table.column_names) for name, table in self._tables.items()},
+            "encodings": encodings,
+            "zone_maps": zone_maps,
+            "partitioning": partitioning,
+            "rollups": {
+                name: add(f"rollup.{name}", rollup) for name, rollup in self._rollups.items()
+            },
+        }
+        return meta, arrays
+
+    @classmethod
+    def from_payload(cls, meta: dict, arrays: dict) -> "Database":
+        """The database :meth:`payload` described, over ``arrays`` as
+        given (memory-mapped files or shm views stay zero-copy).  Its
+        identity is fresh; callers that know the content set
+        ``cache_key``."""
+        from repro.rollup.partition import Partitioning
+        from repro.rollup.table import RollupTable
+
+        def parts(stem: str, piece_meta: dict) -> dict:
+            return {part: arrays[f"{stem}.{part}"] for part in piece_meta["parts"]}
+
+        db = cls(name=meta["name"], scale_factor=meta["scale_factor"])
+        for table_name, column_names in meta["tables"].items():
+            table = ColumnTable(table_name)
+            encodings = meta["encodings"][table_name]
+            for column_name in column_names:
+                stem = f"{table_name}.{column_name}"
+                codec = encodings.get(column_name)
+                table.add_column(column_name, arrays[stem] if codec is None else (
+                    EncodedColumn.from_payload(column_name, codec, parts(stem, codec))
+                ))
+            for column_name, zone_meta in meta["zone_maps"][table_name].items():
+                table.set_zone_map(column_name, ColumnZoneMap.from_payload(
+                    zone_meta, parts(f"{table_name}.{column_name}.zm", zone_meta)
+                ))
+            partition_meta = meta["partitioning"].get(table_name)
+            if partition_meta is not None:
+                table.set_partitioning(Partitioning.from_payload(
+                    partition_meta, parts(f"{table_name}.ptn", partition_meta)
+                ))
+            db.add_table(table)
+        for name, rollup_meta in meta["rollups"].items():
+            db.add_rollup(RollupTable.from_payload(rollup_meta, parts(f"rollup.{name}", rollup_meta)))
+        return db
 
     def table(self, name: str) -> ColumnTable:
         try:

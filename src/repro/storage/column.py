@@ -195,6 +195,23 @@ class ColumnTable:
         codes = column.codes_range(0, len(column)) if isinstance(column, EncodedColumn) else None
         return np.argsort(column.values if codes is None else codes, kind="stable")
 
+    def copy(self, encode=None) -> "ColumnTable":
+        """A fresh wrapper over the same columns, zone maps and
+        partitioning.  ``encode`` maps ``{name: array or EncodedColumn}``
+        to the columns to keep instead (the dbcache passes the load-time
+        policy, :func:`~repro.storage.encoding.encode_columns`); their
+        zone maps are then built on first use."""
+        if encode is None:
+            result = ColumnTable(self.name, self._columns)
+            result._zone_maps = dict(self._zone_maps)
+        else:
+            result = ColumnTable(self.name, encode({
+                name: column if isinstance(column, EncodedColumn) else column.values
+                for name, column in self._columns.items()
+            }))
+        result._partitioning = self._partitioning
+        return result
+
     def decoded(self) -> "ColumnTable":
         """This table with every column a plain (decoded) array."""
         return ColumnTable(

@@ -9,19 +9,20 @@ tiny work descriptors and per-morsel profiles (Leis et al., SIGMOD'14).
 This module moves a :class:`repro.storage.Database` across process
 boundaries through **one** ``multiprocessing.shared_memory`` segment:
 
-- :func:`export_database` copies every column into a single segment and
+- :func:`export_database` copies every array of the database's payload
+  (:meth:`Database.payload`: raw columns, the *encoded* payload arrays
+  of compressed columns, zone maps, partitioning metadata and rollup
+  tables) into a single segment, once, each on a 64-byte boundary.  It
   returns a :class:`SharedDatabase` handle whose picklable
-  :attr:`~SharedDatabase.manifest` records, per table and column, the
-  dtype, shape and byte offset of the payload.  Encoded columns
-  (:mod:`repro.storage.encoding`) export their *encoded* payload arrays
-  -- dictionary + codes, run values + ends, packed words -- so the
-  segment shrinks by the compression ratio while the attach stays
-  zero-copy.
+  :attr:`~SharedDatabase.manifest` is the payload meta plus
+  ``segment``, ``identity`` and ``layout``: ``{stem: (dtype, length,
+  offset)}`` for every array.  Encoded columns travel compressed, so the
+  segment shrinks by the compression ratio.
 - :func:`attach_database` (worker side) attaches the segment and
-  rebuilds the ``Database`` from zero-copy numpy views over the mapping
-  (raw columns as array views, encoded columns as ``EncodedColumn``
-  over payload views).  Attached columns are marked read-only: workers
-  share one physical copy, so writes would be cross-process data races.
+  rebuilds the ``Database`` (:meth:`Database.from_payload`) from
+  zero-copy numpy views over the mapping.  The views are read-only:
+  workers share one physical copy, so writes would be cross-process
+  data races.
 
 Lifecycle
 ---------
@@ -56,29 +57,13 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.storage.catalog import Database
-from repro.storage.column import ColumnTable
-from repro.storage.encoding import EncodedColumn
-from repro.storage.zonemap import ColumnZoneMap
 
-#: Column payloads start on cache-line boundaries inside the segment.
+#: Payload arrays start on cache-line boundaries inside the segment.
 _ALIGN = 64
-
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _attached_arrays(
-    segment: shared_memory.SharedMemory, descriptors: dict
-) -> dict[str, np.ndarray]:
-    """Read-only zero-copy views for one manifest ``arrays`` section."""
-    arrays = {}
-    for part_name, (dtype, length, offset) in descriptors.items():
-        view = np.ndarray((length,), dtype=dtype, buffer=segment.buf, offset=offset)
-        view.flags.writeable = False
-        arrays[part_name] = view
-    return arrays
 
 
 class SharedDatabase:
@@ -165,152 +150,27 @@ class AttachedDatabase:
 
 
 def export_database(db: Database, name: str | None = None) -> SharedDatabase:
-    """Copy every column of ``db`` into one shared-memory segment.
+    """Copy the payload of ``db`` into one shared-memory segment.
 
     The returned handle's :attr:`~SharedDatabase.manifest` is small and
     picklable; ship it to workers and :func:`attach_database` there.
     """
-    layout: dict[str, dict] = {}
-    payloads: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+    meta, arrays = db.payload()
+    layout: dict[str, tuple[str, int, int]] = {}
     offset = 0
-    for table_name in db.table_names:
-        table = db.table(table_name)
-        columns: dict = {}
-        for column_name in table.column_names:
-            encoded = table.encoding(column_name)
-            if encoded is not None:
-                meta, arrays = encoded.payload()
-                payloads[(table_name, column_name)] = arrays
-                parts = {}
-                for part_name in sorted(arrays):
-                    part = arrays[part_name]
-                    offset = _aligned(offset)
-                    parts[part_name] = (part.dtype.str, len(part), offset)
-                    offset += part.nbytes
-                columns[column_name] = {"encoding": meta, "arrays": parts}
-            else:
-                values = table[column_name]
-                offset = _aligned(offset)
-                columns[column_name] = (values.dtype.str, len(values), offset)
-                offset += values.nbytes
-        layout[table_name] = columns
-
-    # Zone maps ride in the same segment (a few KiB next to the column
-    # payloads), so workers attach pruning statistics zero-copy too.
-    zone_layout: dict[str, dict] = {}
-    zone_payloads: dict[tuple[str, str], dict[str, np.ndarray]] = {}
-    for table_name in db.table_names:
-        table = db.table(table_name)
-        columns = {}
-        for column_name in table.column_names:
-            zone_map = table.zone_map(column_name)
-            meta, arrays = zone_map.payload()
-            zone_payloads[(table_name, column_name)] = arrays
-            parts = {}
-            for part_name in sorted(arrays):
-                part = np.ascontiguousarray(arrays[part_name])
-                zone_payloads[(table_name, column_name)][part_name] = part
-                offset = _aligned(offset)
-                parts[part_name] = (part.dtype.str, len(part), offset)
-                offset += part.nbytes
-            columns[column_name] = {"meta": meta, "arrays": parts}
-        zone_layout[table_name] = columns
-
-    # Partition metadata and rollup tables are derived data measured in
-    # KiB-to-MiB next to the base columns; packing them into the same
-    # segment keeps the worker attach a single zero-copy mapping.
-    partition_layout: dict[str, dict] = {}
-    partition_payloads: dict[str, dict[str, np.ndarray]] = {}
-    for table_name in db.table_names:
-        partitioning = db.table(table_name).partitioning
-        if partitioning is None:
-            continue
-        meta, arrays = partitioning.payload()
-        parts = {}
-        for part_name in sorted(arrays):
-            part = np.ascontiguousarray(arrays[part_name])
-            arrays[part_name] = part
-            offset = _aligned(offset)
-            parts[part_name] = (part.dtype.str, len(part), offset)
-            offset += part.nbytes
-        partition_payloads[table_name] = arrays
-        partition_layout[table_name] = {"meta": meta, "arrays": parts}
-
-    rollup_layout: dict[str, dict] = {}
-    rollup_payloads: dict[str, dict[str, np.ndarray]] = {}
-    for rollup_name in getattr(db, "rollup_names", ()):
-        meta, arrays = db.rollup(rollup_name).payload()
-        parts = {}
-        for part_name in sorted(arrays):
-            part = np.ascontiguousarray(arrays[part_name])
-            arrays[part_name] = part
-            offset = _aligned(offset)
-            parts[part_name] = (part.dtype.str, len(part), offset)
-            offset += part.nbytes
-        rollup_payloads[rollup_name] = arrays
-        rollup_layout[rollup_name] = {"meta": meta, "arrays": parts}
-
+    for stem, array in arrays.items():
+        offset = _aligned(offset)
+        layout[stem] = (array.dtype.str, len(array), offset)
+        offset += array.nbytes
     segment = shared_memory.SharedMemory(create=True, size=max(offset, 1), name=name)
     try:
-        for table_name, columns in layout.items():
-            table = db.table(table_name)
-            for column_name, descriptor in columns.items():
-                if isinstance(descriptor, dict):
-                    arrays = payloads[(table_name, column_name)]
-                    for part_name, (dtype, length, part_offset) in descriptor[
-                        "arrays"
-                    ].items():
-                        view = np.ndarray(
-                            (length,), dtype=dtype, buffer=segment.buf,
-                            offset=part_offset,
-                        )
-                        view[:] = arrays[part_name]
-                else:
-                    dtype, length, column_offset = descriptor
-                    view = np.ndarray(
-                        (length,), dtype=dtype, buffer=segment.buf,
-                        offset=column_offset,
-                    )
-                    view[:] = table[column_name]
-        for (table_name, column_name), arrays in zone_payloads.items():
-            descriptor = zone_layout[table_name][column_name]
-            for part_name, (dtype, length, part_offset) in descriptor[
-                "arrays"
-            ].items():
-                view = np.ndarray(
-                    (length,), dtype=dtype, buffer=segment.buf,
-                    offset=part_offset,
-                )
-                view[:] = arrays[part_name]
-        for layout_section, payload_section in (
-            (partition_layout, partition_payloads),
-            (rollup_layout, rollup_payloads),
-        ):
-            for entry_name, descriptor in layout_section.items():
-                arrays = payload_section[entry_name]
-                for part_name, (dtype, length, part_offset) in descriptor[
-                    "arrays"
-                ].items():
-                    view = np.ndarray(
-                        (length,), dtype=dtype, buffer=segment.buf,
-                        offset=part_offset,
-                    )
-                    view[:] = arrays[part_name]
+        for stem, (dtype, length, start) in layout.items():
+            np.ndarray((length,), dtype=dtype, buffer=segment.buf, offset=start)[:] = arrays[stem]
     except BaseException:
         segment.close()
         segment.unlink()
         raise
-
-    manifest = {
-        "segment": segment.name,
-        "name": db.name,
-        "scale_factor": db.scale_factor,
-        "identity": db.identity,
-        "tables": layout,
-        "zone_maps": zone_layout,
-        "partitioning": partition_layout,
-        "rollups": rollup_layout,
-    }
+    manifest = {**meta, "segment": segment.name, "identity": db.identity, "layout": layout}
     return SharedDatabase(segment, manifest)
 
 
@@ -332,72 +192,12 @@ def attach_database(manifest: dict) -> AttachedDatabase:
     # unrelated process tree would need SharedMemory(track=False)
     # (Python >= 3.13); this module does not support that topology.
     try:
-        db = Database(name=manifest["name"], scale_factor=manifest["scale_factor"])
-        for table_name, columns in manifest["tables"].items():
-            table = ColumnTable(table_name)
-            for column_name, descriptor in columns.items():
-                if isinstance(descriptor, dict):
-                    arrays = {}
-                    for part_name, (dtype, length, offset) in descriptor[
-                        "arrays"
-                    ].items():
-                        view = np.ndarray(
-                            (length,), dtype=dtype, buffer=segment.buf,
-                            offset=offset,
-                        )
-                        view.flags.writeable = False
-                        arrays[part_name] = view
-                    table.add_column(
-                        column_name,
-                        EncodedColumn.from_payload(
-                            column_name, descriptor["encoding"], arrays
-                        ),
-                    )
-                else:
-                    dtype, length, offset = descriptor
-                    view = np.ndarray(
-                        (length,), dtype=dtype, buffer=segment.buf, offset=offset
-                    )
-                    view.flags.writeable = False
-                    table.add_column(column_name, view)
-            for column_name, descriptor in manifest.get("zone_maps", {}).get(
-                table_name, {}
-            ).items():
-                arrays = {}
-                for part_name, (dtype, length, offset) in descriptor[
-                    "arrays"
-                ].items():
-                    view = np.ndarray(
-                        (length,), dtype=dtype, buffer=segment.buf, offset=offset
-                    )
-                    view.flags.writeable = False
-                    arrays[part_name] = view
-                table.set_zone_map(
-                    column_name,
-                    ColumnZoneMap.from_payload(descriptor["meta"], arrays),
-                )
-            ptn_descriptor = manifest.get("partitioning", {}).get(table_name)
-            if ptn_descriptor is not None:
-                from repro.rollup.partition import Partitioning
-
-                table.set_partitioning(
-                    Partitioning.from_payload(
-                        ptn_descriptor["meta"],
-                        _attached_arrays(segment, ptn_descriptor["arrays"]),
-                    )
-                )
-            db.add_table(table)
-        for descriptor in manifest.get("rollups", {}).values():
-            from repro.rollup.table import RollupTable
-
-            db.add_rollup(
-                RollupTable.from_payload(
-                    descriptor["meta"],
-                    _attached_arrays(segment, descriptor["arrays"]),
-                )
-            )
-        # add_table resets identity; restore the content key last so
-        # attached workers alias the exporter's caches.
+        arrays = {}
+        for stem, (dtype, length, offset) in manifest["layout"].items():
+            view = np.ndarray((length,), dtype=dtype, buffer=segment.buf, offset=offset)
+            view.flags.writeable = False
+            arrays[stem] = view
+        db = Database.from_payload(manifest, arrays)
         db.cache_key = manifest["identity"]
     except BaseException:
         segment.close()

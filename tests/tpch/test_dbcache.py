@@ -113,10 +113,9 @@ class TestRoundTrip:
 
 
 class TestZoneMapPersistence:
-    """Format 3+ persists per-column zone maps next to the payloads and
-    reattaches them on load (format 4 adds partitioning and rollups);
-    format-1/2 entries stay readable and fall back to the lazy
-    per-column build."""
+    """Format 4 persists per-column zone maps next to the payloads and
+    reattaches them on load; an entry in an older format (no zone maps)
+    is a miss, regenerated and rewritten in format 4."""
 
     def assert_equal_zone_maps(self, actual, expected):
         assert actual.domain == expected.domain
@@ -156,8 +155,9 @@ class TestZoneMapPersistence:
         )
 
     def test_format_2_entry_stays_readable(self, isolated_cache):
-        """An entry written before zone maps existed loads fine; zone
-        maps come from the lazy build instead of the disk files."""
+        """An entry written before zone maps existed is a miss: the
+        database is regenerated with equal columns and zone maps, and
+        the entry is rewritten in format 4."""
         import json
 
         db = generate_database(0.005, seed=25, tables=("lineitem",))
@@ -175,12 +175,15 @@ class TestZoneMapPersistence:
                                       again["lineitem"]["l_quantity"])
         self.assert_equal_zone_maps(
             again.table("lineitem").zone_map("l_shipdate"), expected)
+        assert json.loads((entry / "meta.json").read_text())["format"] == 4
+        assert list(entry.glob("lineitem.l_shipdate.zm.*.npy"))
 
 
 class TestEncodedEntries:
     """Every stored entry carries ``"encoded": true``: a warm load takes
-    its EncodedColumns and zone maps as stored, while an entry without
-    the flag (format 1: raw columns) is encoded on load."""
+    its EncodedColumns and zone maps as stored, with no encoding pass.
+    A format-1 entry (raw columns) is a miss, regenerated encoded and
+    rewritten in format 4."""
 
     def test_encoded_entry_loads_without_an_encoding_pass(
         self, isolated_cache, monkeypatch
@@ -232,3 +235,30 @@ class TestEncodedEntries:
             for column in table.column_names:
                 assert (loaded.encoding(column) is None) == (table.encoding(column) is None)
                 np.testing.assert_array_equal(loaded[column], table[column])
+                zone_map, expected = loaded.zone_map(column), table.zone_map(column)
+                assert zone_map.domain == expected.domain
+                np.testing.assert_array_equal(zone_map.mins, expected.mins)
+                np.testing.assert_array_equal(zone_map.maxs, expected.maxs)
+        rewritten = json.loads((entry / "meta.json").read_text())
+        assert rewritten["format"] == 4
+        assert rewritten["encodings"] == meta["encodings"]
+
+
+class TestDamagedEntries:
+    def test_truncated_file_is_repaired_once(self, isolated_cache):
+        """A truncated payload file makes the entry unreadable; the load
+        that finds it removes it, so the regenerated database is written
+        back whole and later processes load it instead of paying dbgen."""
+        from repro.tpch import dbgen
+
+        db = generate_database(0.005, seed=31, tables=("lineitem",))
+        damaged = isolated_cache / "dbgen" / db.cache_key / "lineitem.l_tax.codes.npy"
+        whole = damaged.read_bytes()
+        damaged.write_bytes(whole[:40])
+        before = dbgen.GENERATION_COUNT
+        for _ in range(2):
+            dbcache.clear_memo()  # a fresh process: disk path only
+            again = generate_database(0.005, seed=31, tables=("lineitem",))
+            np.testing.assert_array_equal(again["lineitem"]["l_tax"], db["lineitem"]["l_tax"])
+        assert dbgen.GENERATION_COUNT == before + 1
+        assert damaged.read_bytes() == whole

@@ -125,13 +125,7 @@ def estimate_cardinalities(db, program: KernelProgram) -> dict:
     if program.group_refs:
         groups = 1.0
         for table_name, column in program.group_refs:
-            table = db.table(table_name)
-            rows = table.n_rows
-            prefix = min(rows, SAMPLE_ROWS)
-            distinct = (
-                len(np.unique(table[column][:prefix])) if prefix else 1
-            )
-            groups *= max(1, distinct)
+            groups *= max(1, _distinct_in_sample(db, table_name, column))
         groups = min(groups, max(1.0, survivors))
     else:
         groups = 1.0
@@ -144,6 +138,19 @@ def estimate_cardinalities(db, program: KernelProgram) -> dict:
         "joins": joins,
         "groups": float(groups),
     }
+
+
+def _distinct_in_sample(db, table_name: str, column: str) -> int:
+    """Distinct values in the prefix sample of one GROUP BY column: a
+    function of the database alone, so it is counted once per column
+    and kept beside the decisions."""
+
+    def count() -> int:
+        table = db.table(table_name)
+        prefix = min(table.n_rows, SAMPLE_ROWS)
+        return len(np.unique(table[column][:prefix])) if prefix else 1
+
+    return _DECISIONS.get_or_build(("distinct", db.identity, table_name, column), count)
 
 
 # ----------------------------------------------------------------------

@@ -125,7 +125,7 @@ def run_call(
     # (tiny) pre-aggregated table, cheaper than one dispatch.
     result, decision = router.attempt(db, engine, method, kwargs, executor, finish)
     if result is None:
-        plan = pruning.plan_for(db, method, kwargs, executor)
+        plan, summary = pruning.plan_for(db, method, kwargs, executor)
         if pool is None and plan is None and finish:
             # The one special case: a whole-table run on this thread is
             # the plain engine call, which is what the execution cache
@@ -141,26 +141,45 @@ def run_call(
             ):
                 result = getattr(engine, method)(db, **kwargs)
         else:
-            if plan is not None:
-                segments = plan.kept_segments
-            else:
-                segments = ((0, engine.partition_rows(db, method, kwargs)),)
-            if pool is None:
-                partials = pruning.scan_segments(engine, db, method, kwargs, segments)
-            else:
-                partials = pool.dispatch(engine, method, kwargs_items, segments)
-            if plan is not None:
-                partials.extend(
-                    pruning.pruned_partials(engine, db, method, kwargs, plan)
-                )
-            if finish:
-                result = engine.merge_morsels(db, method, kwargs_items, partials)
-            else:
-                result = merge_worker_partials(partials)
-            if plan is not None:
-                result.details["pruning"] = plan.summary(db, method)
+            result = run_scan(
+                db, engine, method, kwargs_items, plan, summary, pool=pool, finish=finish
+            )
     if decision is not None:
         result.details["rollup"] = decision
+    return result
+
+
+def run_scan(
+    db, engine, method: str, kwargs_items: tuple, plan, summary, *, pool=None, finish=True
+):
+    """The dispatch -> synthesize -> finish stages of :func:`run_call`
+    (also :func:`repro.core.pruning.execute_pruned`): scan ``plan``'s
+    kept segments (the whole table when ``plan`` is None) inline or on
+    ``pool``, add the folded pruned partials, merge exactly, and attach
+    ``summary`` as ``details["pruning"]``.  The ``merge`` span counts
+    morsels -- dispatched partials plus pruned blocks -- not folded
+    partial objects."""
+    kwargs = dict(kwargs_items)
+    if plan is not None:
+        segments = plan.kept_segments
+    else:
+        segments = ((0, engine.partition_rows(db, method, kwargs)),)
+    if pool is None:
+        partials = pruning.scan_segments(engine, db, method, kwargs, segments)
+    else:
+        partials = pool.dispatch(engine, method, kwargs_items, segments)
+    morsels = len(partials)
+    if plan is not None:
+        partials.extend(pruning.pruned_partials(engine, db, method, kwargs, plan))
+        morsels += plan.pruned_blocks
+    if finish:
+        result = engine.merge_morsels(
+            db, method, kwargs_items, partials, morsels=morsels
+        )
+    else:
+        result = merge_worker_partials(partials)
+    if summary is not None:
+        result.details["pruning"] = summary
     return result
 
 

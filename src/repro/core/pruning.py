@@ -30,13 +30,19 @@ rather than by re-deriving profiles:
    Because the constants equal what the data would have produced, the
    recorded partial is bit-identical to a real scan of the chunk.
 
-3. **Memoized clones.**  On a pruned chunk the recorded partial is a
-   pure function of ``(j, chunk length, position signature)`` -- every
+3. **Folded partials.**  On a pruned chunk the recorded partial is a
+   pure function of ``(j, block length, position signature)`` -- every
    engine records translation-invariant quantities over 64-aligned
    ranges (the one exception, DBMS R's page-granular scan bytes, is
    captured by :meth:`Engine.morsel_position_signature`).  So one
-   representative execution per key is cloned across all equal-key
-   blocks, and the cost of pruned ranges collapses to a deep copy.
+   representative executes per key, and the ``k`` blocks sharing the
+   key fold into *one* partial by repeated doubling through the exact
+   merge: O(log k) copies and merges per distinct block shape, not one
+   per block.  The merge is exact, associative and commutative, so the
+   fold is bit-identical to merging the ``k`` copies one by one.
+
+Plans are pure functions of immutable zone maps and partitioning, so
+:func:`plan_for` memoizes them per ``(database identity, atoms)``.
 
 False positives only: a chunk the statistics cannot decide is scanned
 normally, so pruning can waste a scan but never drop a row.
@@ -51,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import memo
 from repro.obs import trace
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE, CHUNK_ROWS, MIXED
 
@@ -165,6 +172,11 @@ class PrunePlan:
     @property
     def rows_pruned(self) -> int:
         return sum(hi - lo for lo, hi, _ in self.pruned_runs)
+
+    @property
+    def pruned_blocks(self) -> int:
+        """Morsels synthesized for the pruned runs (see :func:`_blocks`)."""
+        return sum(-(-(hi - lo) // PRUNED_BLOCK_ROWS) for lo, hi, _ in self.pruned_runs)
 
     def summary(self, db=None, method: str | None = None) -> dict:
         """Pruning decision record for result details / serve stats."""
@@ -283,24 +295,39 @@ def compute_prune_plan(
     )
 
 
-def plan_for(db, method: str, kwargs, executor: str) -> PrunePlan | None:
-    """The prune stage of :func:`repro.core.parallel.run_call`: the
-    plan for one bound call, or None when execution should not prune
-    (no prunable predicate summary, or nothing pruned).
+#: Plans by ``(database identity, atoms)``.  Its own cache, so one-use
+#: plans of fresh ad hoc literals never evict shared build sides.
+_PLANS = memo.shared("prune", 64)
 
-    Emits a ``prune`` span whenever a summary was evaluated, so the
-    decision -- including "kept everything" -- is visible in traces.
+
+def plan_for(db, method: str, kwargs, executor: str):
+    """The prune stage of :func:`repro.core.parallel.run_call`:
+    ``(plan, summary)`` for one bound call.  ``plan`` is None when
+    execution should not prune (no prunable predicate summary, or
+    nothing pruned); ``summary`` is :meth:`PrunePlan.summary`, built
+    only when something reads it -- the result details of a pruned
+    call, or the span when tracing -- and None otherwise.
+
+    Emits a ``prune`` span whenever the call has atoms, so the decision
+    -- including "kept everything" -- is visible in traces.  Plans are
+    memoized; the span is emitted on a hit too.
     """
     atoms = atoms_for(db, method, kwargs)
     if not atoms:
-        return None
+        return None, None
+    summary = None
     with trace.span("prune", executor=executor):
-        plan = compute_prune_plan(db, atoms)
-        if plan is not None:
-            trace.annotate(**plan.summary(db, method))
+        plan = _PLANS.get_or_build(
+            (db.identity, atoms), lambda: compute_prune_plan(db, atoms)
+        )
+        tracing = trace.active()
+        if plan is not None and (tracing or not plan.nothing_pruned):
+            summary = plan.summary(db, method)
+            if tracing:
+                trace.annotate(**summary)
     if plan is None or plan.nothing_pruned:
-        return None
-    return plan
+        return None, None
+    return plan, summary
 
 
 # ----------------------------------------------------------------------
@@ -335,15 +362,14 @@ def scan_outcome(column: str, op: str, threshold, lo: int, hi: int) -> bool | No
 # ----------------------------------------------------------------------
 # Synthesized partials
 # ----------------------------------------------------------------------
-def _clone_partial(entry, lo: int, hi: int):
-    """A private copy of a memoized pruned partial, re-addressed to
-    ``[lo, hi)``.  Everything mergeable is deep-copied (merging consumes
-    partial state in place)."""
+def _clone_partial(entry):
+    """A private copy of a pruned partial.  Everything mergeable is
+    deep-copied (merging consumes partial state in place)."""
     from repro.engines.base import QueryResult
 
     details = {
         "partial": copy.deepcopy(entry.details["partial"]),
-        "row_range": (int(lo), int(hi)),
+        "row_range": entry.details["row_range"],
     }
     operators = entry.details.get("operators")
     if operators is not None:
@@ -359,23 +385,43 @@ def _clone_partial(entry, lo: int, hi: int):
     )
 
 
-def _blocks(lo: int, hi: int, block_rows: int = PRUNED_BLOCK_ROWS):
+def _fold(entry, k: int):
+    """``k`` copies of the pruned partial ``entry`` merged into one, by
+    repeated doubling through the exact merge: O(log k) copies and
+    merges.  Merging is exact, associative and commutative, so this is
+    bit-identical to merging ``k`` separate copies."""
+    from repro.engines.morsel import merge_worker_partials
+
+    folded = None
+    power = _clone_partial(entry)
+    while True:
+        if k & 1:
+            piece = power if k == 1 else _clone_partial(power)
+            folded = piece if folded is None else merge_worker_partials([folded, piece])
+        k >>= 1
+        if not k:
+            return folded
+        power = merge_worker_partials([power, _clone_partial(power)])
+
+
+def _blocks(lo: int, hi: int):
     while lo < hi:
-        end = min(lo + block_rows, hi)
+        end = min(lo + PRUNED_BLOCK_ROWS, hi)
         yield lo, end
         lo = end
 
 
 def pruned_partials(engine, db, method: str, kwargs, plan: PrunePlan) -> list:
-    """Synthesize the partial results of every pruned block.
+    """Synthesize the partial results of every pruned block, one folded
+    partial per ``(first_false, block length, position signature)``.
 
-    One representative block per ``(first_false, block length, position
-    signature)`` executes under constant-mask substitution; all other
-    blocks receive re-addressed clones of it.
+    One representative block per key executes under constant-mask
+    substitution; the ``k`` blocks sharing the key fold into one
+    partial (:func:`_fold`) whose row range spans them.  The list holds
+    :attr:`PrunePlan.pruned_blocks` morsels in fewer partials.
     """
     kwargs = dict(kwargs)
-    memo: dict = {}
-    partials = []
+    keyed: dict = {}  # key -> (representative, [blocks])
     for run_lo, run_hi, j in plan.pruned_runs:
         outcomes = {
             atom.key(): index < j for index, atom in enumerate(plan.atoms)
@@ -383,15 +429,19 @@ def pruned_partials(engine, db, method: str, kwargs, plan: PrunePlan) -> list:
         for lo, hi in _blocks(run_lo, run_hi):
             signature = engine.morsel_position_signature(db, method, kwargs, lo, hi)
             key = (j, hi - lo, signature)
-            entry = memo.get(key)
-            if entry is None:
+            if key not in keyed:
                 token = _ACTIVE.set(_PruneOutcomes(lo, hi, outcomes))
                 try:
                     entry = getattr(engine, method)(db, row_range=(lo, hi), **kwargs)
                 finally:
                     _ACTIVE.reset(token)
-                memo[key] = entry
-            partials.append(_clone_partial(entry, lo, hi))
+                keyed[key] = (entry, [])
+            keyed[key][1].append((lo, hi))
+    partials = []
+    for entry, blocks in keyed.values():
+        folded = _fold(entry, len(blocks))
+        folded.details["row_range"] = (blocks[0][0], blocks[-1][1])
+        partials.append(folded)
     return partials
 
 
@@ -408,14 +458,14 @@ def scan_segments(engine, db, method: str, kwargs, segments) -> list:
 
 
 def execute_pruned(engine, db, method: str, kwargs, plan: PrunePlan):
-    """Inline execution under a given plan: scan the kept segments for
-    real, synthesize the pruned ones, merge exactly."""
-    kwargs = dict(kwargs)
-    partials = scan_segments(engine, db, method, kwargs, plan.kept_segments)
-    partials.extend(pruned_partials(engine, db, method, kwargs, plan))
-    result = engine.merge_morsels(db, method, kwargs, partials)
-    result.details["pruning"] = plan.summary(db, method)
-    return result
+    """Inline execution under a given plan: the scan stage of
+    :func:`repro.core.parallel.run_call` (scan the kept segments for
+    real, synthesize the pruned ones, merge exactly)."""
+    from repro.core.parallel import run_scan
+
+    return run_scan(
+        db, engine, method, tuple(dict(kwargs).items()), plan, plan.summary(db, method)
+    )
 
 
 # ----------------------------------------------------------------------

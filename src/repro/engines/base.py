@@ -428,18 +428,22 @@ class Engine(ABC):
             _LABELS[workload](**params), value, merged.tuples, work, details
         )
 
-    def merge_morsels(self, db: Database, method: str, kwargs: dict, partials) -> QueryResult:
+    def merge_morsels(
+        self, db: Database, method: str, kwargs: dict, partials, morsels: int | None = None
+    ) -> QueryResult:
         """Merge morsel partials of one execution into the final
         :class:`QueryResult`, bit-identical to a single-shot run.
 
         ``partials`` are the results of ``run_<method>(db, ...,
         row_range=...)`` calls whose ranges tile ``[0, n_rows)`` of the
         partitioned table.  Merging consumes the partials' state.
+        ``morsels`` is what the ``merge`` span reports when some
+        partials already fold several morsels (default: one each).
         """
         partials = list(partials)
         if not partials:
             raise ValueError("no morsel partials to merge")
-        with trace.span("merge", morsels=len(partials)):
+        with trace.span("merge", morsels=len(partials) if morsels is None else morsels):
             return self._merge_morsels(db, method, kwargs, partials)
 
     def _merge_morsels(self, db, method, kwargs, partials) -> QueryResult:

@@ -96,6 +96,33 @@ class TestCardinalityEstimates:
             assert join["working_set_bytes"] > 0
         assert 1 <= est["groups"] <= max(1, est["survivors"])
 
+    def test_group_key_counts_once_per_column(self, tiny_db, monkeypatch):
+        """Two fresh bindings of one shape (Q3, another date) price
+        separately, but each GROUP BY column's sampled distinct count
+        is taken once."""
+        import numpy as np
+
+        from repro.compile import chooser as chooser_mod
+
+        class CountingNumpy:
+            unique_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def unique(self, *args, **kwargs):
+                CountingNumpy.unique_calls += 1
+                return np.unique(*args, **kwargs)
+
+        monkeypatch.setattr(chooser_mod, "np", CountingNumpy())
+        first = compile_sql(EXTENDED_TPCH_SQL["Q3"])
+        second = compile_sql(EXTENDED_TPCH_SQL["Q3"].replace("1995-03-15", "1995-06-01"))
+        for bound in (first, second):
+            choose(tiny_db, bound)
+        columns = compiled_program(first.plan).group_refs
+        assert len(columns) == 2
+        assert CountingNumpy.unique_calls == len(columns)
+
     def test_estimates_ride_along_in_the_decision(self, tiny_db):
         decision = choose(tiny_db, compile_sql(EXTENDED_TPCH_SQL["Q12"]))
         assert decision["estimates"]["driving"] == "lineitem"

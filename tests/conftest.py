@@ -171,16 +171,25 @@ def sorted_db(small_db):
     return sorted_twin(small_db)
 
 
+def _shifted(columns):
+    """Every l_shipdate pushed past Q6's window."""
+    out = dict(columns)
+    out["l_shipdate"] = columns["l_shipdate"] + 10000.0
+    return out
+
+
 @pytest.fixture(scope="session")
 def shifted_db(tiny_db):
     """Every l_shipdate pushed past Q6's window: all chunks prune."""
+    return lineitem_twin(tiny_db, "shifted", _shifted)
 
-    def shifted(columns):
-        out = dict(columns)
-        out["l_shipdate"] = columns["l_shipdate"] + 10000.0
-        return out
 
-    return lineitem_twin(tiny_db, "shifted", shifted)
+@pytest.fixture(scope="session")
+def folded_db(db_factory):
+    """``shifted_db``'s shape at SF 0.05 (~300k lineitem rows): Q6
+    prunes one run of four full 65 536-row blocks plus a remainder, so
+    equal pruned blocks fold with k = 4."""
+    return lineitem_twin(db_factory(0.05, seed=7), "shifted", _shifted)
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from matrix.cells import assert_bit_identical
 
+from repro import memo
 from repro.core import pruning
-from repro.core.parallel import normalized_call
+from repro.core.parallel import normalized_call, run_call
 from repro.core.pruning import PredicateAtom, compute_prune_plan, translate_claim
 from repro.engines import TyperEngine
+from repro.engines.morsel import MORSEL_ALIGN
+from repro.obs import trace
 from repro.sql.api import compile_sql
 from repro.storage.encoding import compare_values
 from repro.storage.zonemap import CHUNK_ROWS
@@ -58,8 +62,9 @@ class TestToggle:
     def test_enabled_by_default(self, sorted_db):
         """Pruning has no switch: a prunable call on clustered data
         always gets a plan."""
-        plan = pruning.plan_for(sorted_db, "run_q6", {}, executor="thread")
+        plan, summary = pruning.plan_for(sorted_db, "run_q6", {}, executor="thread")
         assert plan is not None and plan.chunks_pruned > 0
+        assert summary == plan.summary(sorted_db, "run_q6")
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +163,82 @@ class TestPrunePlan:
         atoms = pruning.atoms_for(small_db, "run_q6", {})
         plan = compute_prune_plan(small_db, atoms)
         assert plan is not None and plan.nothing_pruned
+
+
+class TestPlanMemo:
+    def test_one_plan_per_database_and_predicate(self, sorted_db):
+        """The plan is computed once per (database, atoms) in the
+        ``prune`` cache and equals the uncached computation."""
+        cache = memo.SHARED["prune"]
+        cache.clear()
+        first, _ = pruning.plan_for(sorted_db, "run_q6", {}, executor="thread")
+        again, _ = pruning.plan_for(sorted_db, "run_q6", {}, executor="thread")
+        assert again is first
+        assert first == compute_prune_plan(
+            sorted_db, pruning.atoms_for(sorted_db, "run_q6", {})
+        )
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 1
+
+    def test_hit_still_emits_the_prune_span(self, sorted_db):
+        pruning.plan_for(sorted_db, "run_q6", {}, executor="thread")
+        tracer = trace.Tracer()
+        token = trace.activate(tracer, tracer.start("query"))
+        try:
+            plan, summary = pruning.plan_for(sorted_db, "run_q6", {}, executor="thread")
+        finally:
+            trace.deactivate(token)
+        (span,) = tracer.render()["children"]
+        assert span["name"] == "prune"
+        assert span["attrs"] == {"executor": "thread", **summary}
+
+
+# ----------------------------------------------------------------------
+# Folded pruned blocks
+# ----------------------------------------------------------------------
+class TestFold:
+    @pytest.fixture
+    def sixteen_blocks(self, folded_db, monkeypatch):
+        """Pruned blocks sized so Q6 on the all-pruned database splits
+        into 16 equal blocks plus a remainder: one key with k = 16."""
+        n_rows = folded_db.table("lineitem").n_rows
+        block = n_rows // 16 // MORSEL_ALIGN * MORSEL_ALIGN
+        monkeypatch.setattr(pruning, "PRUNED_BLOCK_ROWS", block)
+        plan = compute_prune_plan(folded_db, pruning.atoms_for(folded_db, "run_q6", {}))
+        assert plan.kept_segments == () and plan.pruned_blocks == 17
+        return plan
+
+    def test_k_equal_blocks_take_log_k_copies(self, folded_db, sixteen_blocks, monkeypatch):
+        """One copy per block would be 16; doubling needs at most 6."""
+        clones, copies = [], {}
+        clone, fold = pruning._clone_partial, pruning._fold
+
+        def counting_clone(entry):
+            clones.append(entry)
+            return clone(entry)
+
+        def counting_fold(entry, k):
+            before = len(clones)
+            folded = fold(entry, k)
+            copies[k] = len(clones) - before
+            return folded
+
+        monkeypatch.setattr(pruning, "_clone_partial", counting_clone)
+        monkeypatch.setattr(pruning, "_fold", counting_fold)
+        engine = TyperEngine()
+        result = pruning.execute_pruned(engine, folded_db, "run_q6", {}, sixteen_blocks)
+        assert sorted(copies) == [1, 16]
+        assert copies[16] <= 6
+        assert_bit_identical(result, engine.run_q6(folded_db), "k=16")
+
+    def test_merge_span_counts_morsels_not_partials(self, folded_db, sixteen_blocks):
+        tracer = trace.Tracer()
+        token = trace.activate(tracer, tracer.start("query"))
+        try:
+            run_call(folded_db, TyperEngine(), "run_q6", (), executor="thread")
+        finally:
+            trace.deactivate(token)
+        merge = next(s for s in tracer.render()["children"] if s["name"] == "merge")
+        assert merge["attrs"] == {"morsels": 17}
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ observable* -- values, tuple counts, work profiles and per-operator
 attribution all match the single-shot run, for every engine, in the
 thread path and through the process pool, including the all-pruned and
 nothing-pruned edges.  Those cells are declared in the matrix
-(``tests/matrix``, databases ``sorted`` and ``shifted``); the tests
-here keep their ids, and a hypothesis sweep extends the check to
-arbitrary selection thresholds (and hence arbitrary prune shapes).
+(``tests/matrix``, databases ``sorted``, ``shifted`` and ``folded``);
+the tests here keep their ids, and a hypothesis sweep extends the check
+to arbitrary selection thresholds (and hence arbitrary prune shapes).
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ class TestThreadMatrix:
 
     @cases("pruning::test_all_pruned_edge")
     def test_all_pruned_edge(self, matrix, cells):
+        matrix.check(cells)
+
+    @cases("pruning::test_folded_blocks_match_single_shot")
+    def test_folded_blocks_match_single_shot(self, matrix, cells):
+        """Four equal pruned blocks per key fold into one partial (DBMS
+        R's position signature keeps k = 1), inline and through the
+        pool's parent-side synthesis."""
         matrix.check(cells)
 
     def test_nothing_pruned_on_shuffled_data(self, small_db):

@@ -142,6 +142,7 @@ DATABASES = {
     "raw": "raw_db",  # tiny_db with every column decoded
     "sorted": "sorted_db",  # clustered on l_shipdate: date filters prune
     "shifted": "shifted_db",  # every l_shipdate past Q6's window
+    "folded": "folded_db",  # shifted at SF 0.05: Q6's pruned blocks fold k = 4
     "rollup": "rollup_db",  # partitioned, rollups attached: routes or declines
     "small": "small_db",  # the compiler suite's database
 }
@@ -250,6 +251,7 @@ ROUTABLE = {"p1", "p2", "p4", "groupby", "Q1"}
 PRUNED = {
     **{("sorted", s): "some" for s in ("sel10", "sel50", "sel10p", "sel2p", "Q6", "Q6p")},
     **{("shifted", s): "all" for s in ("Q1", "Q6", "Q6p")},
+    ("folded", "Q6"): "all",
 }
 
 
@@ -486,6 +488,18 @@ EXCLUSIONS: tuple[Exclusion, ...] = (
         "execute under",
     ),
     Exclusion({"database": {"tiny", "small"}, "route": {"call"}}, _ITSELF),
+    Exclusion(
+        {"statement": set(STATEMENTS) - {"Q6"}, "database": {"folded"}},
+        "the folded database exists for one shape, several equal pruned "
+        "blocks per key; Q6 on shifted covers the other statements' all-"
+        "pruned edge at a tenth of the rows",
+    ),
+    Exclusion(
+        {"database": {"folded"}, "route": set(ROUTES) - {"pruned", "pool"}},
+        "the fold runs in pruning.pruned_partials on every executor; the "
+        "pruned (inline) and pool (parent-side synthesis) routes reach it, "
+        "and shifted carries the all-pruned edge on the other routes",
+    ),
     *(
         Exclusion({
             "statement": set(STATEMENTS) - {s for d, s in PRUNED if d == database},

@@ -83,6 +83,10 @@ SUITES: dict[str, dict[str, list[Cell]]] = {
     "pruning::test_all_pruned_edge": {
         engine: [Cell(engine, "Q6", "shifted", "pruned")] for engine in ENGINES
     },
+    "pruning::test_folded_blocks_match_single_shot": {
+        f"{engine}-{route}": [Cell(engine, "Q6", "folded", route)]
+        for engine in ENGINES for route in ("pruned", "pool")
+    },
     "pruning::test_q6_matches_merged_partition": {
         str(pieces): [Cell("Typer", "Q6", "sorted", route) for route in ("pruned", tiling)]
         for pieces, tiling in ((1, "whole"), (3, "thirds"), (7, "sevenths"))

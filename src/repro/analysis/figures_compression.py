@@ -21,27 +21,21 @@ from repro.analysis.result import FigureResult
 from repro.engines import ALL_ENGINES
 from repro.engines.morsel import bytes_for_rows, encoded_bytes_for_rows
 from repro.hardware.memory import MemorySystem
+from repro.tpch.schema import LINEITEM_SCANS
+
+_Q1 = LINEITEM_SCANS["run_q1"]
+_Q6 = LINEITEM_SCANS["run_q6"]
 
 #: The columns each engine streams *sequentially* for Q1/Q6 (gathered
-#: measure columns are sparse scans and keep their decoded widths).
+#: columns are sparse scans and keep their decoded widths): Typer
+#: gathers Q6's price, Tectorwise every Q6 column after the first.
 _SEQ_COLUMNS = {
-    ("Typer", "Q1"): (
-        "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-        "l_extendedprice", "l_discount", "l_tax",
-    ),
-    ("Typer", "Q6"): ("l_shipdate", "l_discount", "l_quantity"),
-    ("Tectorwise", "Q1"): (
-        "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-        "l_extendedprice", "l_discount", "l_tax",
-    ),
-    ("Tectorwise", "Q6"): ("l_shipdate",),
-    ("DBMS C", "Q1"): (
-        "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-        "l_extendedprice", "l_discount", "l_tax",
-    ),
-    ("DBMS C", "Q6"): (
-        "l_shipdate", "l_discount", "l_quantity", "l_extendedprice",
-    ),
+    ("Typer", "Q1"): _Q1.columns,
+    ("Typer", "Q6"): _Q6.predicate_columns,
+    ("Tectorwise", "Q1"): _Q1.columns,
+    ("Tectorwise", "Q6"): _Q6.predicate_columns[:1],
+    ("DBMS C", "Q1"): _Q1.columns,
+    ("DBMS C", "Q6"): _Q6.columns,
 }
 
 

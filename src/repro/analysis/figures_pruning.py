@@ -26,6 +26,7 @@ from repro.engines import ALL_ENGINES
 from repro.hardware.memory import MemorySystem
 from repro.storage import Database
 from repro.storage.zonemap import CHUNK_ROWS
+from repro.tpch.schema import scan_columns
 
 #: (method, kwargs, label) pairs the figure prunes.
 _WORKLOADS = (
@@ -84,16 +85,9 @@ def sec_pruning(db, profiler) -> FigureResult:
                 and pruned.work == baseline.work
             )
             summary = plan.summary(clustered, method)
-            scan_columns = pruning.METHOD_SCAN_COLUMNS.get(method)
-            if scan_columns is None:  # run_selection: predicate + payload
-                from repro.tpch.schema import PROJECTION_COLUMNS
-
-                scan_columns = tuple(
-                    atom.column for atom in plan.atoms
-                ) + PROJECTION_COLUMNS
             itemsize = sum(
                 lineitem.column(c).itemsize
-                for c in dict.fromkeys(scan_columns)
+                for c in dict.fromkeys(scan_columns(method))
             )
             total_bytes = lineitem.n_rows * itemsize
             figure.add_row(

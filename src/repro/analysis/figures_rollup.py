@@ -29,7 +29,7 @@ from repro.rollup import (
     partitioned_database,
     route,
 )
-from repro.tpch.schema import DATE_1998_09_02
+from repro.tpch.schema import LINEITEM_SCANS
 
 #: (method, kwargs, label) triples the figure routes.
 _WORKLOADS = (
@@ -43,8 +43,9 @@ def _partitioned_twin(db):
     """Shipdate-partitioned twin of ``db`` with the default rollup
     attached.  The upper break sits just past the Q1 cutoff so the
     predicate is partition-aligned (every partition decides wholly)."""
+    (cutoff,) = LINEITEM_SCANS["run_q1"].atoms
     twin = partitioned_database(
-        db, PartitionSpec("l_shipdate", (2200.0, DATE_1998_09_02 + 0.5))
+        db, PartitionSpec(cutoff.column, (2200.0, cutoff.threshold + 0.5))
     )
     build_and_attach(twin)
     return twin

@@ -81,7 +81,7 @@ AGG_INSTRS = 4.0
 GROUP_INSTRS = 6.0
 
 #: IR comparison -> :func:`predicate_mask` op (``<>`` is mask-inverted).
-_SCAN_OPS = {"<=": "le", "<": "lt", ">=": "ge", ">": "gt", "=": "eq"}
+_SCAN_OPS = {symbol: op for op, symbol in sc.OP_SYMBOLS.items()}
 
 _NUMPY_OPS = {
     "<": np.less,

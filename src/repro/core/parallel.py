@@ -59,6 +59,9 @@ from repro.obs import trace
 #: per-morsel numpy dispatch overhead stays negligible.
 DEFAULT_MORSEL_ROWS = 1 << 16
 
+#: Seconds one dispatched query may run before the pool gives up on it.
+TASK_TIMEOUT_S = 120.0
+
 
 class WorkerCrashed(RuntimeError):
     """A pool worker died or failed while executing a task."""
@@ -394,7 +397,6 @@ class WorkerPool:
         db,
         n_workers: int | None = None,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        task_timeout_s: float = 120.0,
     ):
         from repro.storage import shm
 
@@ -406,7 +408,6 @@ class WorkerPool:
             raise ValueError(f"morsel_rows must be a positive multiple of {MORSEL_ALIGN}")
         self.n_workers = n_workers
         self.morsel_rows = morsel_rows
-        self.task_timeout_s = task_timeout_s
         self.db = db
         self._lock = threading.Lock()
         self._task_counter = 0
@@ -487,7 +488,7 @@ class WorkerPool:
         import queue as queue_module
         import time
 
-        deadline = time.monotonic() + self.task_timeout_s
+        deadline = time.monotonic() + TASK_TIMEOUT_S
         while len(payloads) < self.n_workers:
             try:
                 status, got_task, worker_id, payload = self._results.get(timeout=0.25)
@@ -497,7 +498,7 @@ class WorkerPool:
                     raise WorkerCrashed(f"worker(s) died: {', '.join(dead)}")
                 if time.monotonic() > deadline:
                     raise WorkerCrashed(
-                        f"task timed out after {self.task_timeout_s}s"
+                        f"task timed out after {TASK_TIMEOUT_S}s"
                     )
                 continue
             if got_task != task_id:

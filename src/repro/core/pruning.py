@@ -60,6 +60,12 @@ import numpy as np
 from repro import memo
 from repro.obs import trace
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE, CHUNK_ROWS, MIXED
+from repro.tpch.schema import (
+    LINEITEM_SCANS,
+    PredicateAtom,
+    scan_columns,
+    selection_atoms,
+)
 
 #: Rows per synthesized pruned block.  Matches the process executor's
 #: claim size; pruned runs split into blocks of this size (aligned to
@@ -70,66 +76,30 @@ PRUNED_BLOCK_ROWS = 1 << 16
 # ----------------------------------------------------------------------
 # Predicate summaries
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PredicateAtom:
-    """One conjunct ``column <op> threshold`` over lineitem, in the
-    engines' canonical evaluation order."""
-
-    column: str
-    op: str
-    threshold: float
-
-    def key(self) -> tuple[str, str, float]:
-        return (self.column, self.op, float(self.threshold))
-
-
-#: Lineitem columns each prunable method streams, for the byte
-#: accounting of pruning decisions (the model side channel).
-METHOD_SCAN_COLUMNS = {
-    "run_q6": ("l_shipdate", "l_discount", "l_quantity", "l_extendedprice"),
-    "run_q1": (
-        "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-        "l_extendedprice", "l_discount", "l_tax",
-    ),
-    "run_selection": None,  # predicate columns + the 4 projected, see below
-}
-
-
 def atoms_for(db, method: str, kwargs) -> tuple[PredicateAtom, ...]:
     """Canonical conjunctive summary of one bound engine call.
 
-    Mirrors exactly the ``predicate_mask`` calls the engines make, in
-    order; methods without morsel-local predicates (projection, joins,
-    group-bys -- their filters are not lineitem-range predicates) return
-    no atoms and are never pruned.
+    The hand-wired scans' atoms are read from
+    :data:`repro.tpch.schema.LINEITEM_SCANS`, the declaration the
+    engines' ``predicate_mask`` calls read too; the selection's come
+    from its resolved thresholds (:func:`~repro.tpch.schema.selection_atoms`).
+    Methods without morsel-local predicates (projection, joins,
+    group-bys -- their filters are not lineitem-range predicates)
+    return no atoms and are never pruned.
     """
-    from repro.tpch import schema as sc
-
-    kwargs = dict(kwargs)
-    if method == "run_q6":
-        return (
-            PredicateAtom("l_shipdate", "ge", float(sc.DATE_1994_01_01)),
-            PredicateAtom("l_shipdate", "lt", float(sc.DATE_1995_01_01)),
-            PredicateAtom("l_discount", "ge", 0.05),
-            PredicateAtom("l_discount", "le", 0.07),
-            PredicateAtom("l_quantity", "lt", 24.0),
-        )
-    if method == "run_q1":
-        return (PredicateAtom("l_shipdate", "le", float(sc.DATE_1998_09_02)),)
     if method == "run_selection":
         from repro.engines.base import resolve_selection_cached
 
+        kwargs = dict(kwargs)
         try:
             _, thresholds = resolve_selection_cached(
                 db, kwargs.get("selectivity"), kwargs.get("thresholds")
             )
         except (ValueError, KeyError):
             return ()  # invalid parameters surface through normal execution
-        return tuple(
-            PredicateAtom(column, "le", float(threshold))
-            for column, threshold in thresholds.items()
-        )
-    return ()
+        return selection_atoms(thresholds)
+    scan = LINEITEM_SCANS.get(method)
+    return scan.atoms if scan is not None else ()
 
 
 # ----------------------------------------------------------------------
@@ -191,11 +161,7 @@ class PrunePlan:
             out["partitions_total"] = self.partitions_total
             out["partitions_pruned"] = self.partitions_pruned
         if db is not None and method is not None:
-            columns = METHOD_SCAN_COLUMNS.get(method)
-            if columns is None and method == "run_selection":
-                from repro.tpch.schema import PROJECTION_COLUMNS
-
-                columns = tuple(atom.column for atom in self.atoms) + PROJECTION_COLUMNS
+            columns = scan_columns(method)
             if columns:
                 table = db.table("lineitem")
                 itemsize = sum(

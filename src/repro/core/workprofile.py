@@ -326,8 +326,10 @@ class WorkProfile:
     def instructions_per_tuple(self) -> float:
         return self.instructions / self.tuples if self.tuples else 0.0
 
-    def merge(self, other: "WorkProfile") -> None:
-        """Fold another profile (e.g. one operator's) into this one."""
+    def _fold_scalars(self, other: "WorkProfile") -> None:
+        """The part of both merges that is not a pattern list: exact
+        addition of every scalar count and of the pending amounts, the
+        larger code footprint and the smaller effective ILP."""
         self.tuples += other.tuples
         self.instructions += other.instructions
         self.alu_ops += other.alu_ops
@@ -341,9 +343,6 @@ class WorkProfile:
         self.cached_read_bytes += other.cached_read_bytes
         self.cached_write_bytes += other.cached_write_bytes
         self.cached_access_events += other.cached_access_events
-        self.random_patterns.extend(other.random_patterns)
-        self.sparse_scans.extend(other.sparse_scans)
-        self.branch_streams.extend(other.branch_streams)
         for key, amount in other.pending.items():
             self.pending[key] = self.pending.get(key, 0.0) + amount
         self.code_footprint_bytes = max(
@@ -355,6 +354,13 @@ class WorkProfile:
                 if self.effective_ilp is None
                 else min(self.effective_ilp, other.effective_ilp)
             )
+
+    def merge(self, other: "WorkProfile") -> None:
+        """Fold another profile (e.g. one operator's) into this one."""
+        self._fold_scalars(other)
+        self.random_patterns.extend(other.random_patterns)
+        self.sparse_scans.extend(other.sparse_scans)
+        self.branch_streams.extend(other.branch_streams)
 
     # ------------------------------------------------------------------
     # Morsel partials (repro.core.parallel)
@@ -373,19 +379,6 @@ class WorkProfile:
         the union of the morsels' rows in one shot, for any
         partitioning and any merge order.
         """
-        self.tuples += other.tuples
-        self.instructions += other.instructions
-        self.alu_ops += other.alu_ops
-        self.load_ops += other.load_ops
-        self.store_ops += other.store_ops
-        self.simd_ops += other.simd_ops
-        self.hash_ops += other.hash_ops
-        self.chain_ops += other.chain_ops
-        self.seq_read_bytes += other.seq_read_bytes
-        self.seq_write_bytes += other.seq_write_bytes
-        self.cached_read_bytes += other.cached_read_bytes
-        self.cached_write_bytes += other.cached_write_bytes
-        self.cached_access_events += other.cached_access_events
         for name in ("random_patterns", "sparse_scans", "branch_streams"):
             ours, theirs = getattr(self, name), getattr(other, name)
             if len(ours) != len(theirs):
@@ -405,17 +398,7 @@ class WorkProfile:
             _merge_branch(a, b)
             for a, b in zip(self.branch_streams, other.branch_streams)
         ]
-        for key, amount in other.pending.items():
-            self.pending[key] = self.pending.get(key, 0.0) + amount
-        self.code_footprint_bytes = max(
-            self.code_footprint_bytes, other.code_footprint_bytes
-        )
-        if other.effective_ilp is not None:
-            self.effective_ilp = (
-                other.effective_ilp
-                if self.effective_ilp is None
-                else min(self.effective_ilp, other.effective_ilp)
-            )
+        self._fold_scalars(other)
 
     def scaled(self, factor: float) -> "WorkProfile":
         """A copy with all volume quantities scaled (e.g. per-thread

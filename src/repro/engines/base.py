@@ -577,8 +577,11 @@ class Engine(ABC):
         lineitem = db.table("lineitem")
         lo, hi = resolve_range(row_range, lineitem.n_rows)
         masks = [
-            (column, predicate_mask(lineitem, column, "le", threshold, lo, hi))
-            for column, threshold in thresholds.items()
+            (
+                atom.column,
+                predicate_mask(lineitem, atom.column, atom.op, atom.threshold, lo, hi),
+            )
+            for atom in sc.selection_atoms(thresholds)
         ]
         combined = masks[0][1] & masks[1][1] & masks[2][1]
         qualifying = np.flatnonzero(combined)
@@ -711,7 +714,8 @@ class Engine(ABC):
         """TPC-H Q1: low-cardinality group by."""
         lineitem = db.table("lineitem")
         lo, hi = resolve_range(row_range, lineitem.n_rows)
-        mask = predicate_mask(lineitem, "l_shipdate", "le", sc.DATE_1998_09_02, lo, hi)
+        (atom,) = sc.LINEITEM_SCANS["run_q1"].atoms
+        mask = predicate_mask(lineitem, atom.column, atom.op, atom.threshold, lo, hi)
 
         encoded_payload, agg_decision = q1_encoded_aggregation(lineitem, lo, hi, mask)
         price = lineitem["l_extendedprice"][lo:hi][mask]
@@ -762,14 +766,12 @@ class Engine(ABC):
         lo, hi = resolve_range(row_range, lineitem.n_rows)
         # The five one-sided predicates, in evaluation order.
         predicates = [
-            (f"{column} {symbol}", column, predicate_mask(lineitem, column, op, bound, lo, hi))
-            for column, symbol, op, bound in (
-                ("l_shipdate", ">=", "ge", sc.DATE_1994_01_01),
-                ("l_shipdate", "<", "lt", sc.DATE_1995_01_01),
-                ("l_discount", ">=", "ge", 0.05),
-                ("l_discount", "<=", "le", 0.07),
-                ("l_quantity", "<", "lt", 24.0),
+            (
+                atom.label,
+                atom.column,
+                predicate_mask(lineitem, atom.column, atom.op, atom.threshold, lo, hi),
             )
+            for atom in sc.LINEITEM_SCANS["run_q6"].atoms
         ]
         sided = [mask for _, _, mask in predicates]
         # ... and the three per-column conjuncts a compiled loop sees.

@@ -230,7 +230,7 @@ class InterpreterEngine(Engine):
         self._interp_work(work, m, n_operators=3, term_evals=m * 3)
         work.record_sequential_read(
             self._scan_bytes(
-                db, "lineitem", ["l_partkey", "l_returnflag", "l_extendedprice"], lo, hi
+                db, "lineitem", sc.LINEITEM_SCANS["run_groupby"].columns, lo, hi
             )
         )
         ws = facts.table.working_set_bytes * self.HT_SIZE_FACTOR
@@ -247,16 +247,16 @@ class InterpreterEngine(Engine):
         lineitem = db.table("lineitem")
         lo, hi = resolve_range(row_range, lineitem.n_rows)
         m = hi - lo
-        mask = predicate_mask(lineitem, "l_shipdate", "le", sc.DATE_1998_09_02, lo, hi)
+        scan = sc.LINEITEM_SCANS["run_q1"]
+        (atom,) = scan.atoms
+        mask = predicate_mask(lineitem, atom.column, atom.op, atom.threshold, lo, hi)
         q = int(mask.sum())
 
         work = self._new_work()
         self._interp_work(work, m, n_operators=4, term_evals=m * 2 + q * 14)
-        columns = [
-            "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-            "l_extendedprice", "l_discount", "l_tax",
-        ]
-        work.record_sequential_read(self._scan_bytes(db, "lineitem", columns, lo, hi))
+        work.record_sequential_read(
+            self._scan_bytes(db, "lineitem", scan.columns, lo, hi)
+        )
         work.record_branch_outcomes("shipdate filter", mask)
         # The interpreters model *cost*; values come from the reference
         # implementation in the finisher, so no aggregate here can move
@@ -300,8 +300,9 @@ class InterpreterEngine(Engine):
             term_evals = m * 2 * len(predicates)
         q = int(alive.sum())
         self._interp_work(work, m, n_operators=4, term_evals=term_evals + q * 3)
-        columns = ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"]
-        work.record_sequential_read(self._scan_bytes(db, "lineitem", columns, lo, hi))
+        work.record_sequential_read(
+            self._scan_bytes(db, "lineitem", sc.LINEITEM_SCANS["run_q6"].columns, lo, hi)
+        )
         return self._conclude(
             "q6", db, {"qualifying": q}, work, lo, hi, row_range, predicated=predicated
         )
@@ -337,11 +338,9 @@ class InterpreterEngine(Engine):
         self._interp_work(work, m, n_operators=5, term_evals=m * 2 + q * 16)
         n_build = (partsupp.n_rows + supplier.n_rows + orders.n_rows) if lead else 0
         self._interp_work(work, n_build, n_operators=2, term_evals=n_build)
-        columns = [
-            "l_partkey", "l_suppkey", "l_orderkey",
-            "l_extendedprice", "l_discount", "l_quantity",
-        ]
-        work.record_sequential_read(self._scan_bytes(db, "lineitem", columns, lo, hi))
+        work.record_sequential_read(
+            self._scan_bytes(db, "lineitem", sc.LINEITEM_SCANS["run_q9"].columns, lo, hi)
+        )
         work.record_sequential_read(
             self._full_scan_bytes(db, "partsupp", ["ps_partkey", "ps_suppkey", "ps_supplycost"])
             if lead else 0.0
@@ -372,7 +371,7 @@ class InterpreterEngine(Engine):
         work = self._new_work()
         self._interp_work(work, m, n_operators=4, term_evals=m * 4)
         work.record_sequential_read(
-            self._scan_bytes(db, "lineitem", ["l_orderkey", "l_quantity"], lo, hi)
+            self._scan_bytes(db, "lineitem", sc.LINEITEM_SCANS["run_q18"].columns, lo, hi)
         )
         work.record_sequential_read(
             self._full_scan_bytes(db, "orders", ["o_orderkey", "o_custkey"])

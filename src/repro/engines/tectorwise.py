@@ -36,6 +36,7 @@ from repro.engines.base import Engine, Facts, OperatorWork
 from repro.engines.hashtable import ChainedHashTable, GroupByHashTable
 from repro.engines.morsel import bytes_for_rows, gather_lines
 from repro.storage import Database
+from repro.tpch.schema import LINEITEM_SCANS
 
 
 class TectorwiseEngine(Engine):
@@ -315,10 +316,7 @@ class TectorwiseEngine(Engine):
         work = self._new_work()
         work.record_sequential_read(
             bytes_for_rows(
-                db.table("lineitem"),
-                ["l_partkey", "l_returnflag", "l_extendedprice"],
-                lo,
-                hi,
+                db.table("lineitem"), LINEITEM_SCANS["run_groupby"].columns, lo, hi
             )
         )
         self._record_groupby_updates(work, facts.table, lo, hi)
@@ -352,11 +350,9 @@ class TectorwiseEngine(Engine):
         m = hi - lo
         q = facts.selected
         work = self._new_work()
-        columns = (
-            "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-            "l_extendedprice", "l_discount", "l_tax",
+        work.record_sequential_read(
+            bytes_for_rows(db.table("lineitem"), LINEITEM_SCANS["run_q1"].columns, lo, hi)
         )
-        work.record_sequential_read(bytes_for_rows(db.table("lineitem"), columns, lo, hi))
         # Filter primitive + outcome stream (predictable, ~99% taken).
         self._pass(work, m, stores=0.5, extra_instr=1.0)
         work.record_branch_outcomes("shipdate filter", facts.mask)
@@ -422,11 +418,7 @@ class TectorwiseEngine(Engine):
         work = self._new_work()
         work.record_sequential_read(
             bytes_for_rows(
-                db.table("lineitem"),
-                ("l_partkey", "l_suppkey", "l_orderkey", "l_extendedprice",
-                 "l_discount", "l_quantity"),
-                lo,
-                hi,
+                db.table("lineitem"), LINEITEM_SCANS["run_q9"].columns, lo, hi
             )
         )
         for table, key_bytes in facts.builds:
@@ -443,7 +435,7 @@ class TectorwiseEngine(Engine):
     def _cost_q18(self, db: Database, facts: Facts, lo: int, hi: int):
         work = self._new_work()
         work.record_sequential_read(
-            bytes_for_rows(db.table("lineitem"), ("l_orderkey", "l_quantity"), lo, hi)
+            bytes_for_rows(db.table("lineitem"), LINEITEM_SCANS["run_q18"].columns, lo, hi)
         )
         self._record_groupby_updates(work, facts.table, lo, hi)
         return work

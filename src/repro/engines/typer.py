@@ -28,6 +28,7 @@ from repro.engines.base import Engine, Facts, OperatorWork
 from repro.engines.hashtable import ChainedHashTable, GroupByHashTable
 from repro.engines.morsel import bytes_for_rows, gather_lines
 from repro.storage import Database
+from repro.tpch.schema import LINEITEM_SCANS
 
 
 class TyperEngine(Engine):
@@ -205,10 +206,7 @@ class TyperEngine(Engine):
             work,
             facts.table,
             bytes_for_rows(
-                db.table("lineitem"),
-                ["l_partkey", "l_returnflag", "l_extendedprice"],
-                lo,
-                hi,
+                db.table("lineitem"), LINEITEM_SCANS["run_groupby"].columns, lo, hi
             ),
             lo,
             hi,
@@ -248,10 +246,6 @@ class TyperEngine(Engine):
     def _cost_q1(self, db: Database, facts: Facts, lo: int, hi: int):
         m = hi - lo
         q = facts.selected
-        columns = (
-            "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-            "l_extendedprice", "l_discount", "l_tax",
-        )
         work = self._new_work()
         # Fused scan+filter+aggregate: the eight aggregate updates and
         # the derived expressions dominate the per-tuple arithmetic.
@@ -263,7 +257,9 @@ class TyperEngine(Engine):
             hash_ops=q,
             chain=q * 3.0,  # partially serialised aggregate chains (4 groups)
         )
-        work.record_sequential_read(bytes_for_rows(db.table("lineitem"), columns, lo, hi))
+        work.record_sequential_read(
+            bytes_for_rows(db.table("lineitem"), LINEITEM_SCANS["run_q1"].columns, lo, hi)
+        )
         work.record_branch_outcomes("shipdate filter", facts.mask)
         # The 4-group aggregation table lives in L1: no random pattern.
         return work
@@ -275,7 +271,7 @@ class TyperEngine(Engine):
         m = hi - lo
         q = len(facts.qualifying)
         date_pass, disc_pass, qty_pass = facts.conjuncts
-        pred_cols = ("l_shipdate", "l_discount", "l_quantity")
+        pred_cols = LINEITEM_SCANS["run_q6"].predicate_columns
         work = self._new_work()
         work.record_sequential_read(bytes_for_rows(lineitem, pred_cols, lo, hi))
         price_bytes = bytes_for_rows(lineitem, ["l_extendedprice"], lo, hi)
@@ -323,13 +319,7 @@ class TyperEngine(Engine):
         operators = OperatorWork(self)
         scan_work = operators.operator("scan lineitem")
         scan_work.record_sequential_read(
-            bytes_for_rows(
-                lineitem,
-                ("l_partkey", "l_suppkey", "l_orderkey", "l_extendedprice",
-                 "l_discount", "l_quantity"),
-                lo,
-                hi,
-            )
+            bytes_for_rows(lineitem, LINEITEM_SCANS["run_q9"].columns, lo, hi)
         )
         scan_work.record_work(instructions=m * self.LOOP_INSTRS)
         build_work = operators.operator("hash builds")
@@ -352,7 +342,7 @@ class TyperEngine(Engine):
     def _cost_q18(self, db: Database, facts: Facts, lo: int, hi: int):
         work = self._new_work()
         work.record_sequential_read(
-            bytes_for_rows(db.table("lineitem"), ("l_orderkey", "l_quantity"), lo, hi)
+            bytes_for_rows(db.table("lineitem"), LINEITEM_SCANS["run_q18"].columns, lo, hi)
         )
         self._record_groupby_updates(work, facts.table, 0.0, lo, hi)
         return work

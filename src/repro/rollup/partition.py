@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.storage.zonemap import ALL_FALSE, ALL_TRUE, MIXED
+from repro.storage.zonemap import ALL_FALSE, MIXED, interval_verdicts
 
 
 @dataclass(frozen=True)
@@ -62,24 +62,6 @@ class PartitionSpec:
         return np.searchsorted(
             np.asarray(self.breaks), np.asarray(values), side="right"
         ).astype(np.int64)
-
-
-def _interval_verdict(op: str, threshold: float, mn: float, mx: float) -> int:
-    """Exact three-valued verdict of ``value <op> threshold`` over a
-    non-empty set of values spanning ``[mn, mx]``."""
-    if op == "le":
-        return ALL_TRUE if mx <= threshold else ALL_FALSE if mn > threshold else MIXED
-    if op == "lt":
-        return ALL_TRUE if mx < threshold else ALL_FALSE if mn >= threshold else MIXED
-    if op == "ge":
-        return ALL_TRUE if mn >= threshold else ALL_FALSE if mx < threshold else MIXED
-    if op == "gt":
-        return ALL_TRUE if mn > threshold else ALL_FALSE if mx <= threshold else MIXED
-    if op == "eq":
-        if mn == threshold and mx == threshold:
-            return ALL_TRUE
-        return ALL_FALSE if (threshold < mn or threshold > mx) else MIXED
-    return MIXED
 
 
 @dataclass(frozen=True)
@@ -119,14 +101,9 @@ class Partitioning:
     def verdicts(self, op: str, threshold: float) -> np.ndarray:
         """Per-partition verdict of ``column <op> threshold`` (int8 of
         ALL_FALSE / ALL_TRUE / MIXED; empty partitions are ALL_FALSE)."""
-        out = np.full(self.n_partitions, ALL_FALSE, dtype=np.int8)
-        counts = self.row_counts
-        for p in range(self.n_partitions):
-            if counts[p] > 0:
-                out[p] = _interval_verdict(
-                    op, float(threshold), float(self.mins[p]), float(self.maxs[p])
-                )
-        return out
+        out = interval_verdicts(op, float(threshold), self.mins, self.maxs)
+        out[self.row_counts == 0] = ALL_FALSE
+        return out.astype(np.int8)
 
     def chunk_verdicts(
         self, op: str, threshold: float, chunk_rows: int, n_rows: int

@@ -34,18 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pruning import PredicateAtom
 from repro.storage.zonemap import ALL_FALSE, ALL_TRUE
-
-#: Base-table columns each routable method would stream, for the
-#: avoided-traffic accounting in decisions and stats.
-_BASE_SCAN_COLUMNS = {
-    "run_groupby": ("l_partkey", "l_returnflag", "l_extendedprice"),
-    "run_q1": (
-        "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
-        "l_extendedprice", "l_discount", "l_tax",
-    ),
-}
+from repro.tpch.schema import LINEITEM_SCANS, PredicateAtom, scan_columns
 
 
 def has_rollups(db) -> bool:
@@ -70,8 +60,6 @@ def profile_for(method: str, kwargs) -> QueryProfile | None:
     """The rollup profile of a bound call, or None when the method's
     value cannot be assembled from partials (unsupported method, morsel
     sub-range, SIMD variants)."""
-    from repro.tpch import schema as sc
-
     kwargs = dict(kwargs)
     if kwargs.get("row_range") is not None or kwargs.get("simd"):
         return None
@@ -85,12 +73,11 @@ def profile_for(method: str, kwargs) -> QueryProfile | None:
     if method == "run_groupby":
         return QueryProfile(method, (), ("proj:1",), (), False, False)
     if method == "run_q1":
-        atom = PredicateAtom("l_shipdate", "le", float(sc.DATE_1998_09_02))
         return QueryProfile(
             method,
             ("l_returnflag", "l_linestatus"),
             ("col:l_quantity", "proj:1", "disc_price", "charge"),
-            (atom,),
+            LINEITEM_SCANS[method].atoms,
             True,
             True,
         )
@@ -232,11 +219,6 @@ def route(db, engine, method: str, kwargs, finish: bool = True):
         selected = np.flatnonzero(matched[rollup.partition_ids])
         result = _assemble(engine, db, rollup, profile, selected, kwargs, finish)
         table = db.table(rollup.base_table)
-        scan_columns = _BASE_SCAN_COLUMNS.get(method)
-        if scan_columns is None:  # projection: the first `degree` columns
-            from repro.tpch.schema import PROJECTION_COLUMNS
-
-            scan_columns = PROJECTION_COLUMNS[: int(kwargs.get("degree", 4))]
         decision.update(
             rollup_used=True,
             reason="routed",
@@ -246,7 +228,7 @@ def route(db, engine, method: str, kwargs, finish: bool = True):
             rows_read=len(selected),
             base_rows_avoided=int(table.n_rows),
             bytes_read=int(result.work.seq_read_bytes),
-            base_bytes_avoided=int(table.bytes_for(scan_columns)),
+            base_bytes_avoided=int(table.bytes_for(scan_columns(method, kwargs))),
         )
         return result, decision
     decision["reason"] = reason

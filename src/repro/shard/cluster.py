@@ -36,8 +36,11 @@ from repro.shard.partition import FACT_TABLE, build_shards
 #: Exit code a node process dies with when honouring an injected kill.
 KILLED_EXIT_CODE = 17
 
+#: Admission workers of each node's query service.
+NODE_WORKERS = 2
 
-def _node_main(manifest, port_conn, executor, process_workers, workers, faults):
+
+def _node_main(manifest, port_conn, executor, process_workers, faults):
     """Entry point of one spawned shard-node process."""
     from repro.serve.server import QueryServer
     from repro.serve.service import QueryService, ServiceConfig
@@ -45,7 +48,7 @@ def _node_main(manifest, port_conn, executor, process_workers, workers, faults):
 
     attached = shm.attach_database(manifest)
     config = ServiceConfig(
-        workers=workers,
+        workers=NODE_WORKERS,
         executor=executor,
         process_workers=process_workers,
         shard_node=True,
@@ -80,7 +83,6 @@ class ShardCluster:
         replicas: int = 1,
         spawn: str = "thread",
         node_executor: str = "thread",
-        node_workers: int = 2,
         process_workers: int | None = 2,
         faults: bool = False,
     ):
@@ -108,16 +110,16 @@ class ShardCluster:
         self._closed = False
         try:
             if spawn == "thread":
-                self._start_threads(node_executor, node_workers, process_workers)
+                self._start_threads(node_executor, process_workers)
             else:
-                self._start_processes(node_executor, node_workers, process_workers)
+                self._start_processes(node_executor, process_workers)
         except BaseException:
             self.close()
             raise
         atexit.register(self.close)
 
     # -- startup -------------------------------------------------------
-    def _start_threads(self, node_executor, node_workers, process_workers):
+    def _start_threads(self, node_executor, process_workers):
         from repro.serve.server import QueryServer
         from repro.serve.service import QueryService, ServiceConfig
 
@@ -125,7 +127,7 @@ class ShardCluster:
             replica_endpoints = []
             for _ in range(self.replicas):
                 config = ServiceConfig(
-                    workers=node_workers,
+                    workers=NODE_WORKERS,
                     executor=node_executor,
                     process_workers=process_workers,
                     shard_node=True,
@@ -147,7 +149,7 @@ class ShardCluster:
                 replica_endpoints.append(server.address)
             self.endpoints.append(replica_endpoints)
 
-    def _start_processes(self, node_executor, node_workers, process_workers):
+    def _start_processes(self, node_executor, process_workers):
         from repro.storage import shm
 
         ctx = multiprocessing.get_context("spawn")
@@ -166,7 +168,6 @@ class ShardCluster:
                         child_conn,
                         node_executor,
                         process_workers,
-                        node_workers,
                         self.faults,
                     ),
                     name=f"shard-node-{len(self.endpoints)}-{len(replica_endpoints)}",

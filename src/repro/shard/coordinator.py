@@ -26,7 +26,7 @@ routes:
         | transport error / timeout / corrupt partial
         v
     repro_shard_failover_total{shard,reason}++ ; backoff (bounded,
-    doubling) ; r = (r + 1) % replicas  -- up to max_rounds * replicas
+    doubling) ; r = (r + 1) % replicas  -- up to MAX_ROUNDS * replicas
     attempts, then AllReplicasDown -> clean STATUS_ERROR response.
 
 A deterministic node error (the shard *answered* with an error status
@@ -45,12 +45,20 @@ from repro.obs import Tracer, histogram_quantiles, trace
 from repro.obs.clock import DEFAULT_CLOCK
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.serve import protocol
+from repro.serve.client import QueryClient
 from repro.serve.protocol import STATUS_ERROR, STATUS_OK
 from repro.shard import wire
 from repro.shard.faults import mangle_payload
 from repro.shard.partition import FACT_TABLE
 from repro.sql import PlanCache
 from repro.sql.lower import partition_binding
+
+
+#: Each replica is tried at most this many times per query.
+MAX_ROUNDS = 2
+
+#: Lowered statements the coordinator keeps.
+PLAN_CACHE_SIZE = 64
 
 
 class ShardError(RuntimeError):
@@ -80,16 +88,11 @@ class CoordinatorConfig:
     default_engine: str = "Typer"
     #: Socket/read timeout of one shard attempt.
     attempt_timeout_s: float = 30.0
-    #: Each replica is tried at most this many times per query.
-    max_rounds: int = 2
     #: Bounded exponential backoff between failed attempts.
     backoff_base_s: float = 0.02
     backoff_max_s: float = 0.25
-    plan_cache_size: int = 64
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         if self.attempt_timeout_s <= 0:
             raise ValueError("attempt_timeout_s must be > 0")
 
@@ -113,7 +116,7 @@ class Coordinator:
         self.clock = clock or DEFAULT_CLOCK
         self._sleep = sleep
         self._engines: dict[str, object] = {}
-        self._plans = PlanCache(self.config.plan_cache_size)
+        self._plans = PlanCache(PLAN_CACHE_SIZE)
         self._rr = 0
         self._rr_lock = threading.Lock()
         self.metrics = MetricsRegistry()
@@ -319,7 +322,7 @@ class Coordinator:
         """
         plan = self.fault_plan
         attempts: list = []
-        rotation = list(self.cluster.endpoints[shard_id]) * self.config.max_rounds
+        rotation = list(self.cluster.endpoints[shard_id]) * MAX_ROUNDS
         for failures, endpoint in enumerate(rotation):
             reason = None
             if plan is not None and plan.take("kill", shard_id):
@@ -364,16 +367,8 @@ class Coordinator:
         raise AllReplicasDown(shard_id, attempts)
 
     def _request(self, endpoint, message: dict) -> dict:
-        with socket.create_connection(
-            endpoint, timeout=self.config.attempt_timeout_s
-        ) as sock:
-            stream = sock.makefile("rwb")
-            stream.write(protocol.encode(message))
-            stream.flush()
-            line = stream.readline()
-        if not line:
-            raise ConnectionError("shard node closed the connection")
-        return protocol.decode(line)
+        with QueryClient(*endpoint, timeout=self.config.attempt_timeout_s) as client:
+            return client.request(message)
 
     def _send_die(self, endpoint) -> None:
         """Deliver an injected kill and see the node die: the node acks
@@ -404,10 +399,13 @@ class Coordinator:
           independent anyway -- this keeps congruence checks happy);
         - top-level ``const_*`` state entries (e.g. the per-slot
           encoded-aggregation morph decision) may legitimately differ
-          across shards (each shard re-encodes its own subset), where a
-          single node's morsels must agree.  They are popped before the
-          merge and reinstated only when every shard agrees; finishers
-          treat them as optional.
+          across shards, where a single node's morsels must agree: a
+          shard keeps its parent's dictionary and FoR codes, but the
+          encoding policy chooses RLE again for each shard's rows, so a
+          column's codec -- and with it the morph decision -- can differ
+          between shards.  They are popped before the merge and
+          reinstated only when every shard agrees; finishers treat them
+          as optional.
         """
         offset = 0
         for shard_id, partial in enumerate(partials):

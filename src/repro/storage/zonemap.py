@@ -55,6 +55,31 @@ MIXED = 2
 MAX_CODESET_DOMAIN = 64
 
 
+#: ``op -> (all_true, all_false)`` over value sets spanning ``[mn, mx]``.
+_INTERVAL_RULES = {
+    "le": lambda mn, mx, t: (mx <= t, mn > t),
+    "lt": lambda mn, mx, t: (mx < t, mn >= t),
+    "ge": lambda mn, mx, t: (mn >= t, mx < t),
+    "gt": lambda mn, mx, t: (mn > t, mx <= t),
+    "eq": lambda mn, mx, t: ((mn == t) & (mx == t), (t < mn) | (t > mx)),
+}
+
+
+def interval_verdicts(
+    op: str, threshold, mins: np.ndarray, maxs: np.ndarray
+) -> np.ndarray:
+    """Exact three-valued verdicts (uint8) of ``value <op> threshold``
+    over non-empty value sets spanning ``[mins[i], maxs[i]]`` -- the one
+    rule behind zone-map chunks (value or code domain) and partitions."""
+    if op not in _INTERVAL_RULES:
+        raise ValueError(f"unsupported op {op!r}")
+    all_true, all_false = _INTERVAL_RULES[op](mins, maxs, threshold)
+    out = np.full(len(mins), MIXED, dtype=np.uint8)
+    out[all_true] = ALL_TRUE
+    out[all_false] = ALL_FALSE
+    return out
+
+
 def chunk_starts(n_rows: int, chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
     """Start offsets of the chunk grid over ``n_rows`` rows."""
     if n_rows <= 0:
@@ -108,7 +133,8 @@ class ColumnZoneMap:
         if self.n_chunks == 0:
             return np.empty(0, dtype=np.uint8)
         if self.domain == "value":
-            return self._classify_bounds(op, threshold)
+            # Mirrors ``compare_values`` exactly.
+            return interval_verdicts(op, threshold, self.mins, self.maxs)
         if encoding is None or encoding.codec_kind != self.domain:
             return np.full(self.n_chunks, MIXED, dtype=np.uint8)
         if self.domain == "dict":
@@ -117,53 +143,18 @@ class ColumnZoneMap:
             return self._classify_for(op, threshold, encoding.encoding)
         return np.full(self.n_chunks, MIXED, dtype=np.uint8)
 
-    def _verdicts(self, all_true, all_false) -> np.ndarray:
-        out = np.full(self.n_chunks, MIXED, dtype=np.uint8)
-        out[np.asarray(all_true)] = ALL_TRUE
-        out[np.asarray(all_false)] = ALL_FALSE
-        return out
-
     def _const(self, value: bool) -> np.ndarray:
         return np.full(self.n_chunks, ALL_TRUE if value else ALL_FALSE,
                        dtype=np.uint8)
 
-    def _classify_bounds(self, op: str, threshold) -> np.ndarray:
-        """Value-domain verdicts (mirrors ``compare_values`` exactly)."""
-        mn, mx = self.mins, self.maxs
-        if op == "le":
-            return self._verdicts(mx <= threshold, mn > threshold)
-        if op == "lt":
-            return self._verdicts(mx < threshold, mn >= threshold)
-        if op == "ge":
-            return self._verdicts(mn >= threshold, mx < threshold)
-        if op == "gt":
-            return self._verdicts(mn > threshold, mx <= threshold)
-        if op == "eq":
-            return self._verdicts(
-                (mn == threshold) & (mx == threshold),
-                (threshold < mn) | (threshold > mx),
-            )
-        raise ValueError(f"unsupported op {op!r}")
-
     def _code_verdicts(self, op_codes: str, cut: int) -> np.ndarray:
-        """Verdicts for a code-domain mask of the given shape."""
-        mn, mx = self.mins, self.maxs
-        if op_codes == "lt":  # codes < cut pass
-            return self._verdicts(mx < cut, mn >= cut)
-        if op_codes == "le":
-            return self._verdicts(mx <= cut, mn > cut)
-        if op_codes == "ge":  # codes >= cut pass
-            return self._verdicts(mn >= cut, mx < cut)
-        if op_codes == "gt":
-            return self._verdicts(mn > cut, mx <= cut)
-        if op_codes == "eq":
-            verdicts = self._verdicts((mn == cut) & (mx == cut),
-                                      (cut < mn) | (cut > mx))
-            if self.code_sets is not None and 0 <= cut < 64:
-                absent = (self.code_sets >> np.uint64(cut)) & np.uint64(1) == 0
-                verdicts[absent] = ALL_FALSE
-            return verdicts
-        raise ValueError(f"unsupported op {op_codes!r}")
+        """Verdicts for the code-domain mask ``codes <op_codes> cut``;
+        ``eq`` is refined by the per-chunk distinct-code sets."""
+        verdicts = interval_verdicts(op_codes, cut, self.mins, self.maxs)
+        if op_codes == "eq" and self.code_sets is not None and 0 <= cut < 64:
+            absent = (self.code_sets >> np.uint64(cut)) & np.uint64(1) == 0
+            verdicts[absent] = ALL_FALSE
+        return verdicts
 
     def _classify_dict(self, op: str, threshold, encoding) -> np.ndarray:
         """Mirror of :meth:`DictionaryEncoding.compare`'s cuts."""

@@ -113,6 +113,16 @@ def q6_reference(db: Database) -> float:
     return float((lineitem["l_extendedprice"][mask] * discount[mask]).sum())
 
 
+#: Display names of Q6's declared atoms, in their order.
+_Q6_PREDICATE_NAMES = (
+    "l_shipdate >= 1994-01-01",
+    "l_shipdate < 1995-01-01",
+    "l_discount >= 0.05",
+    "l_discount <= 0.07",
+    "l_quantity < 24",
+)
+
+
 def q6_predicates(
     db: Database, lo: int = 0, hi: int | None = None
 ) -> list[tuple[str, np.ndarray]]:
@@ -125,17 +135,10 @@ def q6_predicates(
     lineitem = db.table("lineitem")
     if hi is None:
         hi = lineitem.n_rows
+    atoms = sc.LINEITEM_SCANS["run_q6"].atoms
     return [
-        ("l_shipdate >= 1994-01-01",
-         predicate_mask(lineitem, "l_shipdate", "ge", sc.DATE_1994_01_01, lo, hi)),
-        ("l_shipdate < 1995-01-01",
-         predicate_mask(lineitem, "l_shipdate", "lt", sc.DATE_1995_01_01, lo, hi)),
-        ("l_discount >= 0.05",
-         predicate_mask(lineitem, "l_discount", "ge", 0.05, lo, hi)),
-        ("l_discount <= 0.07",
-         predicate_mask(lineitem, "l_discount", "le", 0.07, lo, hi)),
-        ("l_quantity < 24",
-         predicate_mask(lineitem, "l_quantity", "lt", 24.0, lo, hi)),
+        (name, predicate_mask(lineitem, atom.column, atom.op, atom.threshold, lo, hi))
+        for name, atom in zip(_Q6_PREDICATE_NAMES, atoms)
     ]
 
 

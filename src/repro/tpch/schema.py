@@ -159,6 +159,97 @@ PROJECTION_COLUMNS = ("l_extendedprice", "l_discount", "l_tax", "l_quantity")
 #: Columns the selection micro-benchmark filters on (Section 2).
 SELECTION_PREDICATE_COLUMNS = ("l_shipdate", "l_commitdate", "l_receiptdate")
 
+#: Comparison symbol of each scan-kernel op name.
+OP_SYMBOLS = {"le": "<=", "lt": "<", "ge": ">=", "gt": ">", "eq": "="}
+
+
+@dataclass(frozen=True)
+class PredicateAtom:
+    """One conjunct ``column <op> threshold`` over lineitem."""
+
+    column: str
+    op: str
+    threshold: float
+
+    def key(self) -> tuple[str, str, float]:
+        return (self.column, self.op, float(self.threshold))
+
+    @property
+    def label(self) -> str:
+        """``column <symbol>``, the stem of the predicate's branch stream."""
+        return f"{self.column} {OP_SYMBOLS[self.op]}"
+
+
+@dataclass(frozen=True)
+class LineitemScan:
+    """What one hand-wired lineitem scan evaluates and streams.
+
+    ``atoms`` are its ``predicate_mask`` calls in evaluation order --
+    what zone-map pruning and rollup routing reason about -- and
+    ``columns`` the columns it streams, in byte-accounting order.
+    """
+
+    atoms: tuple[PredicateAtom, ...]
+    columns: tuple[str, ...]
+
+    @property
+    def predicate_columns(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(atom.column for atom in self.atoms))
+
+
+#: The hand-wired scans by engine method.  The engines' runners and
+#: cost recorders, the Q6 predicate streams, zone-map pruning and the
+#: rollup router all read these entries; nothing restates them.
+LINEITEM_SCANS = {
+    "run_groupby": LineitemScan((), ("l_partkey", "l_returnflag", "l_extendedprice")),
+    "run_q1": LineitemScan(
+        (PredicateAtom("l_shipdate", "le", DATE_1998_09_02),),
+        (
+            "l_shipdate", "l_returnflag", "l_linestatus", "l_quantity",
+            "l_extendedprice", "l_discount", "l_tax",
+        ),
+    ),
+    "run_q6": LineitemScan(
+        (
+            PredicateAtom("l_shipdate", "ge", DATE_1994_01_01),
+            PredicateAtom("l_shipdate", "lt", DATE_1995_01_01),
+            PredicateAtom("l_discount", "ge", 0.05),
+            PredicateAtom("l_discount", "le", 0.07),
+            PredicateAtom("l_quantity", "lt", 24.0),
+        ),
+        ("l_shipdate", "l_discount", "l_quantity", "l_extendedprice"),
+    ),
+    "run_q9": LineitemScan(
+        (),
+        (
+            "l_partkey", "l_suppkey", "l_orderkey",
+            "l_extendedprice", "l_discount", "l_quantity",
+        ),
+    ),
+    "run_q18": LineitemScan((), ("l_orderkey", "l_quantity")),
+}
+
+
+def selection_atoms(thresholds: dict[str, float]) -> tuple[PredicateAtom, ...]:
+    """The selection micro-benchmark's atoms: ``column <= threshold``
+    per resolved threshold, in the thresholds' order."""
+    return tuple(
+        PredicateAtom(column, "le", float(threshold))
+        for column, threshold in thresholds.items()
+    )
+
+
+def scan_columns(method: str, kwargs=()) -> tuple[str, ...]:
+    """The lineitem columns one bound hand-wired call streams: the
+    byte accounting of pruning decisions and rollup routing.  Empty for
+    calls this module does not declare."""
+    if method == "run_projection":
+        return PROJECTION_COLUMNS[: int(dict(kwargs)["degree"])]
+    if method == "run_selection":
+        return SELECTION_PREDICATE_COLUMNS + PROJECTION_COLUMNS
+    scan = LINEITEM_SCANS.get(method)
+    return scan.columns if scan is not None else ()
+
 
 def rows_at_scale(table: str, scale_factor: float) -> int:
     """Row count of ``table`` at the given scale factor.

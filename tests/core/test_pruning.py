@@ -16,12 +16,14 @@ from repro import memo
 from repro.core import pruning
 from repro.core.parallel import normalized_call, run_call
 from repro.core.pruning import PredicateAtom, compute_prune_plan, translate_claim
-from repro.engines import TyperEngine
+from repro.engines import ALL_ENGINES, TyperEngine, scan
 from repro.engines.morsel import MORSEL_ALIGN
 from repro.obs import trace
+from repro.rollup import router
 from repro.sql.api import compile_sql
 from repro.storage.encoding import compare_values
 from repro.storage.zonemap import CHUNK_ROWS
+from repro.tpch.schema import LINEITEM_SCANS
 from repro.tpch.sql import GROUPBY_SQL, projection_sql
 
 
@@ -56,6 +58,44 @@ class TestAtoms:
             tiny_db, "run_selection", {"selectivity": -0.5, "thresholds": None}
         )
         assert atoms == ()
+
+
+#: The engine calls with zone-map atoms.
+_ATOM_CALLS = {
+    "q1": ("run_q1", {}),
+    "q6": ("run_q6", {}),
+    "q6p": ("run_q6", {"predicated": True}),
+    "sel10": ("run_selection", {"selectivity": 0.1}),
+    "sel50": ("run_selection", {"selectivity": 0.5}),
+}
+
+
+class TestDeclaredAtoms:
+    """Pruning classifies exactly the atoms every engine evaluates:
+    both read :data:`repro.tpch.schema.LINEITEM_SCANS`."""
+
+    @pytest.mark.parametrize("call", sorted(_ATOM_CALLS))
+    @pytest.mark.parametrize("engine_cls", ALL_ENGINES, ids=lambda cls: cls.name)
+    def test_engines_evaluate_exactly_the_declared_atoms(
+        self, tiny_db, monkeypatch, engine_cls, call
+    ):
+        # Every predicate_mask call consults scan_outcome first.
+        calls = []
+
+        def spy(column, op, threshold, lo, hi):
+            calls.append((column, op, float(threshold)))
+            return None
+
+        monkeypatch.setattr(scan, "scan_outcome", spy)
+        monkeypatch.setenv("REPRO_EXEC_CACHE", "0")
+        method, kwargs = _ATOM_CALLS[call]
+        getattr(engine_cls(), method)(tiny_db, **kwargs)
+        atoms = pruning.atoms_for(tiny_db, method, kwargs)
+        assert atoms and calls == [atom.key() for atom in atoms]
+
+    def test_router_reads_the_declared_q1_atoms(self):
+        profile = router.profile_for("run_q1", {})
+        assert profile.atoms == LINEITEM_SCANS["run_q1"].atoms
 
 
 class TestToggle:
@@ -133,7 +173,7 @@ class TestPrunePlan:
         table = sorted_db.table("lineitem")
         itemsize = sum(
             table.column(name).itemsize
-            for name in pruning.METHOD_SCAN_COLUMNS["run_q6"]
+            for name in LINEITEM_SCANS["run_q6"].columns
         )
         assert summary["bytes_pruned"] == plan.rows_pruned * itemsize
 

@@ -1,9 +1,10 @@
 """SQL quickstart: parse -> plan -> execute on all four engines.
 
 Takes a SQL statement of the documented dialect (default: TPC-H Q6),
-shows its tokenized/normalized form and logical plan, then executes it
-on every engine and cross-checks that the SQL path returns exactly the
-hand-wired path's result.  Finishes with a selection statement whose
+shows its shape (the normalized text with literals as slots), its
+binding and its logical plan, then executes it on every engine and
+cross-checks that the SQL path returns exactly the hand-wired path's
+result.  Finishes with a selection statement whose
 thresholds are generated from the data (``selection_sql``).
 
 Run:  python examples/sql_quickstart.py ["SELECT ..."] [scale_factor]
@@ -19,8 +20,10 @@ from repro.tpch.sql import TPCH_SQL, selection_sql
 
 
 def show(sql: str, db) -> None:
-    print("SQL:")
-    print(f"  {normalize_sql(sql)}")
+    statement = normalize_sql(sql)
+    print("SQL shape (literals lifted into numbered slots) and binding:")
+    print(f"  {statement.shape}")
+    print(f"  {statement.binding}")
     bound = compile_sql(sql)
     print("\nLogical plan:")
     print(to_text(plan_sql(sql), indent=1))

@@ -263,16 +263,19 @@ def choose(db, bound) -> dict:
          "estimates": {...},
          "workload": ...}
 
+    A decision describes a statement shape on one route: it is cached
+    per (database, workload, method, shape), so every binding of a shape
+    that lowers to the same call shares it, and its ``estimates`` come
+    from the first binding priced.  A query lowered from a plan rather
+    than from SQL text has no shape; its plan stands in.
+
     Raises :class:`ChooserError` when the plan cannot be modelled (the
     chooser needs the compiled program's structure as its cost basis).
     """
     if bound.plan is None:
         raise ChooserError("bound query carries no logical plan")
-    key = (db.identity, bound.workload, bound.method, bound.args, bound.kwargs)
-    try:
-        hash(key)
-    except TypeError:
-        return _price(db, bound)
+    shape = bound.shape if bound.shape is not None else bound.plan
+    key = (db.identity, bound.workload, bound.method, shape)
     return dict(_DECISIONS.get_or_build(key, lambda: _price(db, bound)))
 
 

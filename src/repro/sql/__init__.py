@@ -10,15 +10,17 @@ from repro.sql.api import PlanCache, compile_sql, execute_sql, parse_sql, plan_s
 from repro.sql.errors import SqlError
 from repro.sql.lower import BoundQuery, lower
 from repro.sql.parser import parse
-from repro.sql.planner import Planner
-from repro.sql.tokens import Token, normalize_sql, tokenize
+from repro.sql.planner import Planner, bind
+from repro.sql.tokens import Statement, Token, normalize_sql, tokenize
 
 __all__ = [
     "BoundQuery",
     "PlanCache",
     "Planner",
     "SqlError",
+    "Statement",
     "Token",
+    "bind",
     "compile_sql",
     "execute_sql",
     "lower",

@@ -2,9 +2,10 @@
 
 Without arguments, parses every documented workload (TPC-H Q1/Q6/Q9/
 Q18, the join sizes, the group-by and the projection degrees), prints
-the logical plan and the engine path it lowers to.  With ``--sql`` it
-compiles an arbitrary statement; with ``--execute`` it also runs the
-statement on a tiny generated database across all four engines.
+the statement's shape and binding, the logical plan and the engine
+path it lowers to.  With ``--sql`` it compiles an arbitrary statement;
+with ``--execute`` it also runs the statement on a tiny generated
+database across all four engines.
 
 Everything here works offline -- no service, no network.
 """
@@ -15,9 +16,8 @@ import argparse
 import sys
 
 from repro.sql import plan as ir
-from repro.sql.api import compile_sql, plan_sql
+from repro.sql.api import compile_sql
 from repro.sql.errors import SqlError
-from repro.sql.lower import lower
 from repro.sql.tokens import normalize_sql
 
 
@@ -46,15 +46,16 @@ def _documented_workloads() -> list[tuple[str, str]]:
 
 def _show(title: str, sql: str, execute: bool, scale_factor: float) -> int:
     print(f"== {title} " + "=" * max(1, 66 - len(title)))
-    print(normalize_sql(sql))
     try:
-        plan = plan_sql(sql)
-        bound = lower(plan, sql)
+        statement = normalize_sql(sql)
+        print(f"shape:   {statement.shape}")
+        print(f"binding: {statement.binding}")
+        bound = compile_sql(sql)
     except SqlError as exc:
         print(f"SqlError: {exc}", file=sys.stderr)
         return 1
     print()
-    print(ir.to_text(plan))
+    print(ir.to_text(bound.plan))
     print(f"-> {bound}")
     _show_route(bound)
     if execute:

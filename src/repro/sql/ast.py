@@ -1,5 +1,10 @@
 """Abstract syntax tree produced by the parser.
 
+The tree is a statement's *shape*: each lifted value literal is a
+:class:`Param` naming its binding slot, and the values ride along in
+the top-level :attr:`Select.binding` (see
+:func:`repro.sql.tokens.normalize_sql`).
+
 AST nodes carry their source offset (``pos``) so the planner can point
 at the offending token when validation fails; ``pos`` never takes part
 in equality.
@@ -16,30 +21,17 @@ class Expr:
 
 
 @dataclass(frozen=True)
-class Number(Expr):
-    value: float
+class Param(Expr):
+    """A lifted literal -- a number, a DATE (days since the TPC-H
+    epoch) or an INTERVAL (a day count) -- as its binding slot."""
+
+    slot: int
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class String(Expr):
     value: str
-    pos: int = field(default=-1, compare=False)
-
-
-@dataclass(frozen=True)
-class DateLit(Expr):
-    """DATE 'yyyy-mm-dd' folded to days since the TPC-H epoch."""
-
-    days: int
-    pos: int = field(default=-1, compare=False)
-
-
-@dataclass(frozen=True)
-class IntervalLit(Expr):
-    """INTERVAL 'n' DAY folded to a day count."""
-
-    days: int
     pos: int = field(default=-1, compare=False)
 
 
@@ -151,3 +143,5 @@ class Select:
     order_by: tuple[OrderItem, ...] = ()
     limit: int | None = None
     pos: int = field(default=-1, compare=False)
+    #: The slots' values, on the statement's top-level select only.
+    binding: tuple = field(default=(), compare=False, repr=False)

@@ -54,7 +54,8 @@ class BoundQuery:
     """A logical plan resolved to one engine method and its arguments.
 
     ``kwargs`` is a tuple of (name, value) pairs so bound queries stay
-    hashable (the serve layer caches them per normalized SQL text).
+    hashable (the serve layer caches them per statement).  ``shape`` is
+    the statement's shape text when it was compiled from SQL.
     """
 
     workload: str
@@ -62,6 +63,7 @@ class BoundQuery:
     args: tuple = ()
     kwargs: tuple = ()
     plan: ir.PlanNode | None = field(default=None, compare=False)
+    shape: str | None = field(default=None, compare=False, repr=False)
 
     def call_kwargs(self) -> dict:
         return dict(self.kwargs)

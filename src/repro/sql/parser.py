@@ -24,14 +24,17 @@ Grammar (keywords case-insensitive)::
                  | EXTRACT '(' YEAR FROM expr ')'
                  | ident ['.' ident] | '(' expr ')'
 
-DATE literals fold to days since the TPC-H epoch (1992-01-01) and
-INTERVAL literals to day counts, so date arithmetic constant-folds to
-plain numbers during planning.
+The parser reads a statement's shape (:func:`~repro.sql.tokens.
+normalize_sql`): numbers, DATE strings (days since the TPC-H epoch,
+1992-01-01) and INTERVAL counts become :class:`~repro.sql.ast.Param`
+slots whose values the planner substitutes last (:func:`repro.sql.
+planner.bind`).  A malformed DATE or INTERVAL string raises where the
+parser reaches it, so the first error in the text is the one reported.
 """
 
 from __future__ import annotations
 
-import datetime
+import dataclasses
 
 from repro.sql import ast
 from repro.sql.errors import SqlError, err
@@ -40,28 +43,18 @@ from repro.sql.tokens import (
     KIND_IDENT,
     KIND_NUMBER,
     KIND_STRING,
+    Statement,
     Token,
-    tokenize,
+    normalize_sql,
 )
-from repro.tpch.schema import DATE_EPOCH
 
 AGGREGATE_FUNCS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
 
-_EPOCH = datetime.date.fromisoformat(DATE_EPOCH)
-
-
-def _days_since_epoch(text: str, sql: str, pos: int) -> int:
-    try:
-        day = datetime.date.fromisoformat(text)
-    except ValueError:
-        raise err(f"malformed date {text!r} (expected yyyy-mm-dd)", sql, pos) from None
-    return (day - _EPOCH).days
-
 
 class _Parser:
-    def __init__(self, sql: str):
-        self.sql = sql
-        self.tokens = tokenize(sql)
+    def __init__(self, statement: Statement):
+        self.sql = statement.sql
+        self.tokens = statement.tokens
         self.index = 0
 
     # -- token stream helpers ------------------------------------------
@@ -101,6 +94,12 @@ class _Parser:
         if self.current.kind != KIND_IDENT:
             raise self.failure(f"expected {what}")
         return self.advance()
+
+    def param(self, literal: Token, keyword: Token) -> ast.Param:
+        """The slot of a DATE or INTERVAL string, or its literal error."""
+        if isinstance(literal.value, SqlError):
+            raise literal.value
+        return ast.Param(slot=literal.slot, pos=keyword.pos)
 
     def failure(self, expected: str) -> SqlError:
         token = self.current
@@ -270,7 +269,7 @@ class _Parser:
         token = self.current
         if token.kind == KIND_NUMBER:
             self.advance()
-            return ast.Number(value=float(token.value), pos=token.pos)
+            return ast.Param(slot=token.slot, pos=token.pos)
         if token.kind == KIND_STRING:
             self.advance()
             return ast.String(value=str(token.value), pos=token.pos)
@@ -280,8 +279,7 @@ class _Parser:
             if literal.kind != KIND_STRING:
                 raise self.failure("expected date string after DATE")
             self.advance()
-            days = _days_since_epoch(str(literal.value), self.sql, literal.pos)
-            return ast.DateLit(days=days, pos=token.pos)
+            return self.param(literal, token)
         if token.is_keyword("INTERVAL"):
             self.advance()
             literal = self.current
@@ -292,13 +290,7 @@ class _Parser:
             if not unit.is_keyword("DAY"):
                 raise self.failure("expected DAY (the only supported interval unit)")
             self.advance()
-            try:
-                days = int(str(literal.value))
-            except ValueError:
-                raise err(
-                    f"malformed interval count {literal.value!r}", self.sql, literal.pos
-                ) from None
-            return ast.IntervalLit(days=days, pos=token.pos)
+            return self.param(literal, token)
         if token.is_keyword("EXTRACT"):
             self.advance()
             self.expect_op("(")
@@ -328,8 +320,9 @@ class _Parser:
         raise self.failure("expected expression")
 
 
-def parse(sql: str) -> ast.Select:
-    """Parse one SELECT statement into an AST."""
-    if not sql or not sql.strip():
-        raise SqlError("empty statement")
-    return _Parser(sql).parse_statement()
+def parse(sql: str | Statement) -> ast.Select:
+    """Parse one SELECT statement (text, or its :func:`normalize_sql`
+    split) into the AST of its shape, carrying its binding."""
+    statement = sql if isinstance(sql, Statement) else normalize_sql(sql)
+    select = _Parser(statement).parse_statement()
+    return dataclasses.replace(select, binding=statement.binding)

@@ -49,6 +49,28 @@ class ConstExpr:
 
 
 @dataclass(frozen=True)
+class ParamExpr:
+    """A literal of a statement shape: slot ``slot`` of the binding
+    (only in shape plans; :func:`repro.sql.planner.bind` replaces it)."""
+
+    slot: int
+
+    def __str__(self) -> str:
+        return f"?{self.slot}"
+
+
+@dataclass(frozen=True)
+class NegExpr:
+    """``-arg`` of a constant ``arg`` (only in shape plans; ``bind``
+    folds it to the constant ``-v``)."""
+
+    arg: "ScalarExpr"
+
+    def __str__(self) -> str:
+        return f"-{self.arg}"
+
+
+@dataclass(frozen=True)
 class Arith:
     op: str
     left: "ScalarExpr"
@@ -79,7 +101,7 @@ class AggCall:
         return f"{self.func}({'*' if self.arg is None else self.arg})"
 
 
-ScalarExpr = Union[ColumnExpr, ConstExpr, Arith, YearOf, AggCall]
+ScalarExpr = Union[ColumnExpr, ConstExpr, ParamExpr, NegExpr, Arith, YearOf, AggCall]
 
 
 @dataclass(frozen=True)

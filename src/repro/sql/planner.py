@@ -9,6 +9,11 @@ in Aggregate/Project, OrderBy and Limit nodes.
 Validation failures raise :class:`~repro.sql.errors.SqlError` carrying
 the offending token's position.
 
+Planning works on a statement's *shape*: literal leaves become
+:class:`~repro.sql.plan.ParamExpr` slots and no arithmetic is folded.
+:func:`bind` then substitutes one binding and folds constants, so a
+fresh literal costs a bind, not a parse and a plan.
+
 Dictionary-encoded strings: the stored schema keeps ``p_name`` as the
 integer category column ``p_namecat`` (see :mod:`repro.tpch.schema`),
 so ``p_name LIKE '%green%'`` -- the only string predicate in the
@@ -16,6 +21,8 @@ documented workloads -- rewrites to ``p_namecat = GREEN_CATEGORY``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.sql import ast
 from repro.sql import plan as ir
@@ -91,6 +98,13 @@ class Planner:
         self.schemas = schemas if schemas is not None else SCHEMAS
 
     def plan(self, select: ast.Select, sql: str | None = None) -> ir.PlanNode:
+        """The plan of the statement ``select`` was parsed from: its
+        shape plan bound to ``select.binding``."""
+        return bind(self.plan_shape(select, sql), select.binding)
+
+    def plan_shape(self, select: ast.Select, sql: str | None = None) -> ir.PlanNode:
+        """The plan of ``select``'s shape: every literal leaf is a
+        :class:`~repro.sql.plan.ParamExpr`, every constant unfolded."""
         return _Binder(self, sql).bind(select)
 
 
@@ -201,12 +215,8 @@ class _Binder:
 
     # -- scalar expressions -------------------------------------------
     def _convert(self, expr: ast.Expr, scopes, agg_ok: bool) -> ir.ScalarExpr:
-        if isinstance(expr, ast.Number):
-            return ir.ConstExpr(value=float(expr.value))
-        if isinstance(expr, ast.DateLit):
-            return ir.ConstExpr(value=float(expr.days))
-        if isinstance(expr, ast.IntervalLit):
-            return ir.ConstExpr(value=float(expr.days))
+        if isinstance(expr, ast.Param):
+            return ir.ParamExpr(slot=expr.slot)
         if isinstance(expr, ast.String):
             raise self.error(
                 "string literals are only valid in LIKE, DATE and INTERVAL",
@@ -216,22 +226,14 @@ class _Binder:
             return self._resolve(expr, scopes)
         if isinstance(expr, ast.Neg):
             arg = self._convert(expr.arg, scopes, agg_ok)
-            if isinstance(arg, ir.ConstExpr):
-                return ir.ConstExpr(value=-arg.value)
+            if _is_constant(arg):
+                return ir.NegExpr(arg=arg)
             return ir.Arith(op="*", left=ir.ConstExpr(value=-1.0), right=arg)
         if isinstance(expr, ast.Binary):
             if expr.op in _COMPARISON_OPS:
                 raise self.error("comparison not allowed in a value expression", expr.pos)
             left = self._convert(expr.left, scopes, agg_ok)
             right = self._convert(expr.right, scopes, agg_ok)
-            if isinstance(left, ir.ConstExpr) and isinstance(right, ir.ConstExpr):
-                folded = {
-                    "+": left.value + right.value,
-                    "-": left.value - right.value,
-                    "*": left.value * right.value,
-                    "/": left.value / right.value if right.value else float("nan"),
-                }[expr.op]
-                return ir.ConstExpr(value=float(folded))
             return ir.Arith(op=expr.op, left=left, right=right)
         if isinstance(expr, ast.Func):
             if not agg_ok:
@@ -277,7 +279,7 @@ class _Binder:
                 join_pairs.append((left.ref, right.ref))
                 return
             op = term.op
-            if isinstance(left, ir.ConstExpr) and not isinstance(right, ir.ConstExpr):
+            if _is_constant(left) and not _is_constant(right):
                 left, right, op = right, left, _MIRROR[op]
             self._push_filter(ir.Compare(left=left, op=op, right=right), term.pos, scopes)
             return
@@ -481,8 +483,70 @@ def _pairs_for(candidate: str, joined: set[str], pairs):
 
 
 # ----------------------------------------------------------------------
+# Binding
+# ----------------------------------------------------------------------
+
+
+#: Plan and expression nodes with children, and their fields in order.
+_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in (
+        ir.Filter, ir.Join, ir.Aggregate, ir.Project, ir.OrderBy, ir.Limit,
+        ir.SubqueryScan, ir.Compare, ir.InSubquery, ir.NamedExpr, ir.YearOf,
+        ir.AggCall,
+    )
+}
+
+
+def bind(plan, binding: tuple):
+    """The plan of one statement: shape plan ``plan`` with each
+    :class:`~repro.sql.plan.ParamExpr` replaced by its ``binding``
+    value and constants folded as a literal-in-place plan folds them.
+
+    An :class:`~repro.sql.plan.Arith` folds only when both sides are
+    constants after binding (``DATE - INTERVAL`` folds, ``/ 0`` to NaN);
+    the planner never builds one over two constants of its own, and a
+    subtree that keeps a column never folds.  A
+    :class:`~repro.sql.plan.NegExpr` folds to ``-v``.
+    """
+    kind = type(plan)
+    if kind is ir.ParamExpr:
+        return ir.ConstExpr(value=binding[plan.slot])
+    if kind is ir.NegExpr:
+        return ir.ConstExpr(value=-bind(plan.arg, binding).value)
+    if kind is ir.Arith:
+        left, right = bind(plan.left, binding), bind(plan.right, binding)
+        if type(left) is not ir.ConstExpr or type(right) is not ir.ConstExpr:
+            return ir.Arith(op=plan.op, left=left, right=right)
+        folded = {
+            "+": left.value + right.value,
+            "-": left.value - right.value,
+            "*": left.value * right.value,
+            "/": left.value / right.value if right.value else float("nan"),
+        }[plan.op]
+        return ir.ConstExpr(value=float(folded))
+    if kind is tuple:
+        return tuple([bind(item, binding) for item in plan])
+    fields = _FIELDS.get(kind)
+    if fields is None:  # a leaf: Scan, ColumnExpr, ConstExpr, names, flags
+        return plan
+    return kind(*[bind(getattr(plan, name), binding) for name in fields])
+
+
+# ----------------------------------------------------------------------
 # Expression walks
 # ----------------------------------------------------------------------
+
+
+def _is_constant(expr: ir.ScalarExpr) -> bool:
+    """Whether ``expr`` binds to a single constant."""
+    if isinstance(expr, (ir.ConstExpr, ir.ParamExpr, ir.NegExpr)):
+        return True
+    return (
+        isinstance(expr, ir.Arith)
+        and _is_constant(expr.left)
+        and _is_constant(expr.right)
+    )
 
 
 def _tables_in(expr: ir.ScalarExpr) -> set[str]:

@@ -1,4 +1,5 @@
-"""Tokenizer for the documented SQL dialect.
+"""Tokenizer for the documented SQL dialect, and the split of a
+statement into its shape and its binding.
 
 The dialect is exactly what :mod:`repro.tpch.sql` documents: SELECT
 lists with arithmetic and SUM/COUNT/AVG aggregates, comma joins,
@@ -9,9 +10,13 @@ case-insensitive; identifiers are case-folded to lower case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import datetime
+import re
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.sql.errors import err
+from repro.sql.errors import SqlError, err
+from repro.tpch.schema import DATE_EPOCH
 
 KEYWORDS = frozenset(
     {
@@ -22,7 +27,6 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators first so ``<=`` never lexes as ``<`` ``=``.
 OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/")
 PUNCTUATION = ("(", ")", ",", ";", ".")
 
@@ -34,14 +38,15 @@ KIND_OP = "op"
 KIND_EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its source offset (for error carets)."""
 
     kind: str
     text: str
     pos: int
     value: object = None
+    #: Binding slot of a lifted literal (see :func:`normalize_sql`).
+    slot: int | None = None
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind == KIND_KEYWORD and self.text in names
@@ -50,12 +55,12 @@ class Token:
         return self.kind == KIND_OP and self.text in ops
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+#: Runs taken whole: ``\s`` is ``str.isspace`` and ``\w`` is
+#: ``str.isalnum() or "_"``, character for character.
+_SPACES = re.compile(r"\s+")
+_WORD_TAIL = re.compile(r"\w*")
+_TWO_CHAR_OPS = frozenset(op for op in OPERATORS if len(op) == 2)
+_ONE_CHAR_OPS = frozenset(op for op in OPERATORS + PUNCTUATION if len(op) == 1)
 
 
 def tokenize(sql: str) -> list[Token]:
@@ -65,16 +70,14 @@ def tokenize(sql: str) -> list[Token]:
     while i < n:
         ch = sql[i]
         if ch.isspace():
-            i += 1
+            i = _SPACES.match(sql, i).end()
             continue
         if sql.startswith("--", i):  # line comment
             newline = sql.find("\n", i)
             i = n if newline < 0 else newline + 1
             continue
-        if _is_ident_start(ch):
-            start = i
-            while i < n and _is_ident_part(sql[i]):
-                i += 1
+        if ch.isalpha() or ch == "_":
+            start, i = i, _WORD_TAIL.match(sql, i + 1).end()
             word = sql[start:i]
             upper = word.upper()
             if upper in KEYWORDS:
@@ -89,47 +92,113 @@ def tokenize(sql: str) -> list[Token]:
             text = sql[start:i]
             if text.count(".") > 1:
                 raise err(f"malformed number {text!r}", sql, start)
-            tokens.append(Token(KIND_NUMBER, text, start, value=float(text)))
+            tokens.append(Token(KIND_NUMBER, text, start, float(text)))
             continue
         if ch == "'":
-            start = i
-            i += 1
-            while i < n and sql[i] != "'":
-                i += 1
-            if i >= n:
-                raise err("unterminated string literal", sql, start)
-            tokens.append(Token(KIND_STRING, sql[start:i + 1], start, value=sql[start + 1:i]))
-            i += 1
+            close = sql.find("'", i + 1)
+            if close < 0:
+                raise err("unterminated string literal", sql, i)
+            tokens.append(Token(KIND_STRING, sql[i:close + 1], i, sql[i + 1:close]))
+            i = close + 1
             continue
-        matched = False
-        for op in OPERATORS + PUNCTUATION:
-            if sql.startswith(op, i):
-                tokens.append(Token(KIND_OP, op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise err(f"unexpected character {ch!r}", sql, i)
+        # Two-character operators first, so ``<=`` never lexes as ``<`` ``=``.
+        op = sql[i:i + 2]
+        if op not in _TWO_CHAR_OPS:
+            op = ch
+            if op not in _ONE_CHAR_OPS:
+                raise err(f"unexpected character {ch!r}", sql, i)
+        tokens.append(Token(KIND_OP, op, i))
+        i += len(op)
     tokens.append(Token(KIND_EOF, "", n))
     return tokens
 
 
-def normalize_sql(sql: str) -> str:
-    """Whitespace/case-insensitive canonical text of a query.
+_EPOCH = datetime.date.fromisoformat(DATE_EPOCH)
 
-    The serve layer keys its compiled-plan cache on this string, so
-    requests that differ only in formatting share one plan (and, after
-    lowering, one execution-cache entry).
+
+def _literal_value(keyword: str, token: Token, sql: str) -> float:
+    """The number a DATE (days since the TPC-H epoch) or INTERVAL
+    (a day count) string stands for."""
+    text = str(token.value)
+    if keyword == "DATE":
+        try:
+            day = datetime.date.fromisoformat(text)
+        except ValueError:
+            raise err(
+                f"malformed date {text!r} (expected yyyy-mm-dd)", sql, token.pos
+            ) from None
+        return float((day - _EPOCH).days)
+    try:
+        return float(int(text))
+    except ValueError:
+        raise err(f"malformed interval count {text!r}", sql, token.pos) from None
+
+
+@dataclass(frozen=True)
+class Statement:
+    """One statement split into its shape and its binding.
+
+    The ``shape`` is the canonical token text with every value literal
+    replaced by a numbered slot: each number but LIMIT's count becomes
+    ``?n``, and each DATE or INTERVAL string ``'?n'``.  The ``binding``
+    holds the slots' values in order, as the plan sees them: numbers as
+    floats, dates as days since the TPC-H epoch, intervals as day
+    counts.  Strings compared with a column, LIKE patterns, ``IN
+    (subquery)`` and LIMIT stay in the shape (the planner turns the
+    strings into dictionary codes, so they shape the plan).
+
+    ``tokens`` is the shape's token stream (a lifted literal carries its
+    ``slot``), which :func:`~repro.sql.parser.parse` consumes without
+    lexing again.  A malformed DATE or INTERVAL string binds to None;
+    its token's value and ``error`` (the first one's) hold the
+    :class:`SqlError` the parser raises on reaching it.
     """
-    parts = []
-    for token in tokenize(sql):
-        if token.kind == KIND_EOF:
-            break
-        if token.kind == KIND_NUMBER:
-            parts.append(repr(float(token.text)))
-        else:
+
+    shape: str
+    binding: tuple
+    sql: str = field(compare=False, repr=False)
+    tokens: list = field(compare=False, repr=False)
+    error: SqlError | None = field(default=None, compare=False, repr=False)
+
+
+def normalize_sql(sql: str) -> Statement:
+    """Tokenize ``sql`` once and split it into shape and binding.
+
+    Statements that differ only in formatting, case or ``!=`` against
+    ``<>`` have one shape; statements that differ only in lifted
+    literals share a shape and differ in binding.  The query service
+    plans each shape once (:class:`~repro.sql.PlanCache`).
+    """
+    if not sql or not sql.strip():
+        raise SqlError("empty statement")
+    tokens = tokenize(sql)
+    parts: list[str] = []
+    binding: list = []
+    error = None
+    previous = ""  # keyword text of the token before, else ""
+    for index, token in enumerate(tokens):
+        kind = token.kind
+        if kind == KIND_NUMBER and previous != "LIMIT":
+            parts.append(f"?{len(binding)}")
+            tokens[index] = Token(kind, token.text, token.pos, token.value, len(binding))
+            binding.append(token.value)
+        elif kind == KIND_STRING and previous in ("DATE", "INTERVAL"):
+            try:
+                value = _literal_value(previous, token, sql)
+            except SqlError as exc:
+                value = exc
+                error = error or exc
+            parts.append(f"'?{len(binding)}'")
+            tokens[index] = Token(kind, token.text, token.pos, value, len(binding))
+            binding.append(None if isinstance(value, SqlError) else value)
+        elif kind == KIND_NUMBER:
+            parts.append(repr(token.value))
+        elif kind == KIND_OP and token.text == "!=":
+            parts.append("<>")
+        elif kind != KIND_EOF:
             parts.append(token.text)
+        previous = token.text if kind == KIND_KEYWORD else ""
     # A trailing semicolon is optional and never changes the statement.
     while parts and parts[-1] == ";":
         parts.pop()
-    return " ".join(parts)
+    return Statement(" ".join(parts), tuple(binding), sql, tokens, error)

@@ -67,6 +67,24 @@ class TestDecision:
         fresh = choose(tiny_db, compile_sql(EXTENDED_TPCH_SQL["Q3"]))
         assert fresh == first
 
+    def test_bindings_of_one_shape_share_a_decision(self, tiny_db, monkeypatch):
+        """A decision is per shape and route: another date in Q3 reads the
+        cached decision; Q6 and its compiled variant (one shape, two
+        routes) get one decision each."""
+        from repro.compile import chooser as chooser_mod
+
+        q6, q6v = TPCH_SQL["Q6"], TPCH_SQL["Q6"].replace("< 24", "< 25")
+        first = choose(tiny_db, compile_sql(EXTENDED_TPCH_SQL["Q3"]))
+        template = choose(tiny_db, compile_sql(q6))
+        compiled = choose(tiny_db, compile_sql(q6v))
+        assert (template["route"], compiled["route"]) == ("template", "compiled")
+        monkeypatch.setattr(
+            chooser_mod, "_decide", lambda *args: pytest.fail("a binding was re-priced")
+        )
+        other = EXTENDED_TPCH_SQL["Q3"].replace("1995-03-15", "1995-06-01")
+        assert choose(tiny_db, compile_sql(other)) == first
+        assert choose(tiny_db, compile_sql(q6v.replace("< 25", "< 30"))) == compiled
+
     def test_uncompilable_query_raises_with_the_reason(self, tiny_db):
         bound = compile_sql(TPCH_SQL["Q18"])  # IN (subquery) semi-join
         with pytest.raises(ChooserError, match="IN \\(subquery\\)"):
@@ -97,9 +115,9 @@ class TestCardinalityEstimates:
         assert 1 <= est["groups"] <= max(1, est["survivors"])
 
     def test_group_key_counts_once_per_column(self, tiny_db, monkeypatch):
-        """Two fresh bindings of one shape (Q3, another date) price
-        separately, but each GROUP BY column's sampled distinct count
-        is taken once."""
+        """Two bindings of one shape (Q3, another date) share one
+        decision, and each GROUP BY column's sampled distinct count is
+        taken once."""
         import numpy as np
 
         from repro.compile import chooser as chooser_mod

@@ -34,7 +34,8 @@ class TestBasicShapes:
 
     def test_date_literal_folds_to_epoch_days(self):
         select = parse("SELECT a FROM t WHERE d >= DATE '1994-01-01'")
-        assert select.where.right == ast.DateLit(days=DATE_1994_01_01)
+        assert select.where.right == ast.Param(slot=0)
+        assert select.binding == (float(DATE_1994_01_01),)
 
     def test_date_minus_interval(self):
         select = parse(
@@ -42,10 +43,9 @@ class TestBasicShapes:
         )
         binary = select.where.right
         assert binary == ast.Binary(
-            op="-",
-            left=ast.DateLit(days=DATE_1998_12_01),
-            right=ast.IntervalLit(days=90),
+            op="-", left=ast.Param(slot=0), right=ast.Param(slot=1)
         )
+        assert select.binding == (float(DATE_1998_12_01), 90.0)
 
     def test_between(self):
         select = parse("SELECT a FROM t WHERE b BETWEEN 0.05 AND 0.07")

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import settings
-
 
 def two_bit_stationary_distribution(p_taken: float) -> np.ndarray:
     """Stationary distribution over the four 2-bit counter states.
@@ -135,17 +133,14 @@ class GSharePredictor:
         """Feed a boolean outcome stream for one static branch; returns
         the misprediction rate over the stream.
 
-        Large streams use the batch kernel in
-        :mod:`repro.hardware.fastsim` (identical counts and final
-        state); ``REPRO_REFERENCE_SIM=1`` forces the per-event path.
+        Streams of at least ``fastsim.MIN_BATCH_EVENTS`` use the batch
+        kernel in :mod:`repro.hardware.fastsim` (identical counts and
+        final state).
         """
         from repro.hardware import fastsim
 
         count = len(outcomes)
-        if (
-            count >= fastsim.MIN_BATCH_EVENTS
-            and not settings.enabled("reference_sim")
-        ):
+        if count >= fastsim.MIN_BATCH_EVENTS:
             added = fastsim.gshare_run_batch(self, pc, outcomes)
             return added / count
         before = self.mispredictions

@@ -25,9 +25,9 @@ whole address/outcome arrays per call:
 Both kernels leave the simulator objects in a state equivalent to the
 reference event loop (identical reported statistics, identical future
 decisions) and are cross-checked against the reference models in
-``tests/hardware/test_fastsim_equivalence.py``.  Setting
-``REPRO_REFERENCE_SIM=1`` disables them and restores the per-event
-reference path, which remains the oracle.
+``tests/hardware/test_fastsim_equivalence.py``, where the per-event
+reference loops remain the oracle.  Streams shorter than
+:data:`MIN_BATCH_EVENTS` take the per-event loops.
 
 Note on float accumulation: the reference accumulates per-access
 latencies one by one while the batch kernels compute ``count x

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import settings
 from repro.hardware.cache import SetAssociativeCache
 from repro.hardware.prefetcher import (
     NextLinePrefetcher,
@@ -114,18 +113,14 @@ class CacheHierarchy:
     def replay(self, addresses) -> HierarchyStats:
         """Replay a full address stream; returns the aggregate stats.
 
-        Large streams are dispatched to the batch kernels in
-        :mod:`repro.hardware.fastsim`, which report statistics identical
-        to this per-event loop; set ``REPRO_REFERENCE_SIM=1`` to force
-        the reference path.
+        Streams of at least ``fastsim.MIN_BATCH_EVENTS`` are dispatched
+        to the batch kernels in :mod:`repro.hardware.fastsim`, which
+        report statistics identical to this per-event loop.
         """
         from repro.hardware import fastsim
 
         addresses = np.asarray(addresses)
-        if (
-            len(addresses) >= fastsim.MIN_BATCH_EVENTS
-            and not settings.enabled("reference_sim")
-        ):
+        if len(addresses) >= fastsim.MIN_BATCH_EVENTS:
             fastsim.replay_hierarchy(self, addresses)
             return self.stats
         for addr in addresses:

@@ -89,16 +89,17 @@ class MetricFamily:
         return _Handle(self, key)
 
     def _get(self, key: tuple):
-        with self._registry._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = (
-                    _HistogramSeries(len(self.buckets))
-                    if self.kind == "histogram"
-                    else _Series()
-                )
-                self._series[key] = series
-            return series
+        """The series at ``key``, created on first use; the caller
+        holds the registry lock."""
+        series = self._series.get(key)
+        if series is None:
+            series = (
+                _HistogramSeries(len(self.buckets))
+                if self.kind == "histogram"
+                else _Series()
+            )
+            self._series[key] = series
+        return series
 
     # -- unlabelled convenience ---------------------------------------
     def _default(self):
@@ -136,9 +137,8 @@ class _Handle:
             raise TypeError(f"{self._family.name} is a {self._family.kind}")
         if self._family.kind == "counter" and amount < 0:
             raise ValueError("counters only go up")
-        series = self._family._get(self._key)
-        with self._family._registry._lock:
-            series.value += amount
+        with self._family._registry.lock:
+            self._family._get(self._key).value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         if self._family.kind != "gauge":
@@ -148,30 +148,28 @@ class _Handle:
     def set(self, value: float) -> None:
         if self._family.kind != "gauge":
             raise TypeError(f"{self._family.name} is a {self._family.kind}")
-        series = self._family._get(self._key)
-        with self._family._registry._lock:
-            series.value = float(value)
+        with self._family._registry.lock:
+            self._family._get(self._key).value = float(value)
 
     def sync(self, total: float) -> None:
         """Mirror an externally maintained monotonic counter: set the
         series to its current total at scrape time."""
         if self._family.kind != "counter":
             raise TypeError(f"{self._family.name} is a {self._family.kind}")
-        series = self._family._get(self._key)
-        with self._family._registry._lock:
-            series.value = float(total)
+        with self._family._registry.lock:
+            self._family._get(self._key).value = float(total)
 
     def observe(self, value: float) -> None:
         if self._family.kind != "histogram":
             raise TypeError(f"{self._family.name} is a {self._family.kind}")
-        series = self._family._get(self._key)
         buckets = self._family.buckets
         index = len(buckets)
         for position, bound in enumerate(buckets):
             if value <= bound:
                 index = position
                 break
-        with self._family._registry._lock:
+        with self._family._registry.lock:
+            series = self._family._get(self._key)
             series.counts[index] += 1
             series.sum += value
             series.count += 1
@@ -181,7 +179,9 @@ class MetricsRegistry:
     """A set of metric families; every accessor is idempotent."""
 
     def __init__(self):
-        self._lock = threading.RLock()
+        #: Re-entrant: hold it across several updates so that no
+        #: snapshot sees some of them and not the rest.
+        self.lock = threading.RLock()
         self._families: dict[str, MetricFamily] = {}
 
     def _family(self, name, help_text, kind, labelnames, buckets=None) -> MetricFamily:
@@ -190,7 +190,7 @@ class MetricsRegistry:
         for label in labelnames:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label name {label!r}")
-        with self._lock:
+        with self.lock:
             family = self._families.get(name)
             if family is None:
                 family = MetricFamily(self, name, help_text, kind, labelnames, buckets)
@@ -218,7 +218,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """The registry as plain picklable data (see module docstring)."""
-        with self._lock:
+        with self.lock:
             out = {}
             for name, family in self._families.items():
                 series = {}

@@ -180,6 +180,7 @@ def _obs_smoke(args: argparse.Namespace) -> int:
         "repro_queries_total",
         "repro_query_latency_seconds_bucket",
         "repro_cache_misses_total",
+        "repro_compile_queries_total",
         "repro_queue_depth",
         "repro_service_workers",
     ):

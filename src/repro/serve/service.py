@@ -19,7 +19,6 @@ tier served them.
 
 from __future__ import annotations
 
-import copy
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -101,63 +100,93 @@ class _Request:
     abandoned: bool = False
 
 
+#: Every unlabelled count of ``stats_snapshot()``: (block, key) ->
+#: (counter family, help); block ``None`` is the snapshot's top level.
+#: Registration and rendering both read this table.  The labelled
+#: families (query outcomes, rollup fallbacks, aggregate modes, chooser
+#: routes) hold the rest, and the blocks' sums are rendered from them.
+COUNTERS = {
+    (None, "cache_hits"):
+        ("repro_queries_cached_total", "Queries served from the execution cache"),
+    ("pruning", "queries"): (
+        "repro_prune_eligible_queries_total",
+        "Queries zone-map pruning planned a scan for"),
+    ("pruning", "queries_pruned"): (
+        "repro_prune_queries_total",
+        "Queries that skipped at least one morsel via zone maps"),
+    ("pruning", "morsels_scanned"): (
+        "repro_prune_morsels_scanned_total",
+        "Zone-map chunks scanned by prune-eligible queries"),
+    ("pruning", "morsels_pruned"):
+        ("repro_prune_morsels_pruned_total", "Zone-map chunks skipped without scanning"),
+    ("pruning", "rows_pruned"):
+        ("repro_prune_rows_pruned_total", "Rows skipped via zone maps"),
+    ("pruning", "bytes_pruned"):
+        ("repro_prune_bytes_pruned_total", "Column bytes skipped via zone maps"),
+    ("rollups", "routed"):
+        ("repro_rollup_routed_total", "Queries answered from a materialized rollup"),
+    ("rollups", "rows_read"): (
+        "repro_rollup_rows_read_total",
+        "Pre-aggregated rollup rows read by routed queries"),
+    ("rollups", "base_rows_avoided"): (
+        "repro_rollup_base_rows_avoided_total",
+        "Base-table rows routed queries did not scan"),
+    ("rollups", "bytes_read"):
+        ("repro_rollup_bytes_read_total", "Rollup bytes read by routed queries"),
+    ("rollups", "base_bytes_avoided"): (
+        "repro_rollup_base_bytes_avoided_total",
+        "Base-table bytes routed queries did not scan"),
+    ("encoded_agg", "queries"): (
+        "repro_encoded_agg_eligible_queries_total",
+        "Queries with a code-domain morph decision"),
+    ("encoded_agg", "queries_code_domain"): (
+        "repro_encoded_agg_queries_total",
+        "Queries that aggregated at least one measure in the code domain"),
+    ("compile", "queries"): (
+        "repro_compile_queries_total",
+        "Queries executed through a compiled kernel program"),
+    ("compile", "joins"):
+        ("repro_compile_joins_total", "Joins run by compiled kernel programs"),
+    ("compile", "groups_emitted"): (
+        "repro_compile_groups_emitted_total",
+        "Groups emitted by compiled kernel programs"),
+    ("chooser", "declined"):
+        ("repro_chooser_declined_total", "Queries the engine chooser could not model"),
+}
+
+
 class ServiceStats:
-    """Counters and latency percentiles, all under one lock."""
+    """The latency window: exact percentiles over the latest ``ok``
+    outcomes.  Every count lives in the service's metrics registry."""
 
     KEEP_LATENCIES = 4096
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.submitted = 0
-        self.ok = 0
-        self.errors = 0
-        self.rejected = 0
-        self.timeouts = 0
-        self.cache_hits = 0
         self._latencies_ms: list[float] = []
 
-    def record(self, status: str, latency_ms: float | None, cached: bool) -> None:
+    def record(self, latency_ms: float) -> None:
         with self._lock:
-            self.submitted += 1
-            if status == STATUS_OK:
-                self.ok += 1
-            elif status == STATUS_REJECTED:
-                self.rejected += 1
-            elif status == STATUS_TIMEOUT:
-                self.timeouts += 1
-            else:
-                self.errors += 1
-            if cached:
-                self.cache_hits += 1
-            if latency_ms is not None:
-                self._latencies_ms.append(latency_ms)
-                if len(self._latencies_ms) > self.KEEP_LATENCIES:
-                    del self._latencies_ms[: -self.KEEP_LATENCIES]
+            self._latencies_ms.append(latency_ms)
+            if len(self._latencies_ms) > self.KEEP_LATENCIES:
+                del self._latencies_ms[: -self.KEEP_LATENCIES]
 
     def snapshot(self) -> dict:
         with self._lock:
             latencies = sorted(self._latencies_ms)
-            summary = {}
-            if latencies:
-                def pct(p: float) -> float:
-                    index = min(len(latencies) - 1, int(p * len(latencies)))
-                    return round(latencies[index], 3)
+        if not latencies:
+            return {}
 
-                summary = {
-                    "p50_ms": pct(0.50),
-                    "p90_ms": pct(0.90),
-                    "p99_ms": pct(0.99),
-                    "max_ms": round(latencies[-1], 3),
-                }
-            return {
-                "submitted": self.submitted,
-                "ok": self.ok,
-                "errors": self.errors,
-                "rejected": self.rejected,
-                "timeouts": self.timeouts,
-                "cache_hits": self.cache_hits,
-                "latency": summary,
-            }
+        def pct(p: float) -> float:
+            index = min(len(latencies) - 1, int(p * len(latencies)))
+            return round(latencies[index], 3)
+
+        return {
+            "p50_ms": pct(0.50),
+            "p90_ms": pct(0.90),
+            "p99_ms": pct(0.99),
+            "max_ms": round(latencies[-1], 3),
+        }
 
 
 class QueryService:
@@ -188,31 +217,6 @@ class QueryService:
         self.stats = ServiceStats()
         self.metrics = MetricsRegistry()
         self.slowlog = SlowLog(self.config.slowlog_capacity)
-        #: What the execution stages decided, summed over the service's
-        #: lifetime: one block per ``stats_snapshot()`` key, filled by
-        #: :meth:`_record_decisions` (and the chooser) under one lock
-        #: and mirrored into counters at scrape time.  Sub-dicts count
-        #: per metric label value.
-        self._totals_lock = threading.Lock()
-        self._totals = {
-            "pruning": dict.fromkeys(
-                ("queries", "queries_pruned", "morsels_scanned",
-                 "morsels_pruned", "rows_pruned", "bytes_pruned"), 0
-            ),
-            "rollups": {
-                **dict.fromkeys(
-                    ("queries", "routed", "fallbacks", "rows_read",
-                     "base_rows_avoided", "bytes_read", "base_bytes_avoided"), 0
-                ),
-                "fallback_reasons": {},
-            },
-            "encoded_agg": dict.fromkeys(
-                ("queries", "queries_code_domain", "aggregates_code_domain",
-                 "aggregates_decoded"), 0
-            ),
-            "compile": dict.fromkeys(("queries", "joins", "groups_emitted"), 0),
-            "chooser": {"decisions": 0, "declined": 0, "chosen": {}},
-        }
         self._register_metrics()
         self._workers: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -255,50 +259,15 @@ class QueryService:
         self._m_rollup_tables = m.gauge(
             "repro_rollup_tables", "Rollup tables attached to the served database"
         )
-        #: Counters that mirror one decision total each:
-        #: (``_totals`` block, key) -> counter.
-        self._m_decisions = {
-            ("pruning", "queries_pruned"): m.counter(
-                "repro_prune_queries_total",
-                "Queries that skipped at least one morsel via zone maps",
-            ),
-            ("pruning", "morsels_scanned"): m.counter(
-                "repro_prune_morsels_scanned_total",
-                "Zone-map chunks scanned by prune-eligible queries",
-            ),
-            ("pruning", "morsels_pruned"): m.counter(
-                "repro_prune_morsels_pruned_total",
-                "Zone-map chunks skipped without scanning",
-            ),
-            ("pruning", "rows_pruned"): m.counter(
-                "repro_prune_rows_pruned_total", "Rows skipped via zone maps"
-            ),
-            ("rollups", "routed"): m.counter(
-                "repro_rollup_routed_total",
-                "Queries answered from a materialized rollup",
-            ),
-            ("rollups", "rows_read"): m.counter(
-                "repro_rollup_rows_read_total",
-                "Pre-aggregated rollup rows read by routed queries",
-            ),
-            ("rollups", "base_rows_avoided"): m.counter(
-                "repro_rollup_base_rows_avoided_total",
-                "Base-table rows routed queries did not scan",
-            ),
-            ("encoded_agg", "queries_code_domain"): m.counter(
-                "repro_encoded_agg_queries_total",
-                "Queries that aggregated at least one measure in the code domain",
-            ),
-            ("compile", "queries"): m.counter(
-                "repro_compile_queries_total",
-                "Queries executed through a compiled kernel program",
-            ),
-            ("chooser", "declined"): m.counter(
-                "repro_chooser_declined_total",
-                "Queries the engine chooser could not model",
-            ),
+        #: (block, key) -> its counter's one series, which exists (and
+        #: is sampled at 0) from registration on.
+        self._counters = {
+            slot: m.counter(name, help_text).labels()
+            for slot, (name, help_text) in COUNTERS.items()
         }
-        # Labelled mirrors: one series per label value seen.
+        for series in self._counters.values():
+            series.inc(0)
+        # Labelled: a series exists once a positive count was made.
         self._m_rollup_fallbacks = m.counter(
             "repro_rollup_fallbacks_total",
             "Rollup-eligible queries that fell back to base execution",
@@ -495,10 +464,13 @@ class QueryService:
         ``partial`` op) in the stats and the query/latency metrics;
         latency is kept for ``ok`` outcomes only."""
         ok = status == STATUS_OK
-        self.stats.record(status, latency_ms if ok else None, cached)
-        self._m_queries.labels(engine=engine_name, status=status).inc()
+        with self.metrics.lock:
+            self._m_queries.labels(engine=engine_name, status=status).inc()
+            self._add(None, "cache_hits", cached)
+            if ok:
+                self._m_latency.labels(engine=engine_name).observe(latency_ms / 1e3)
         if ok:
-            self._m_latency.labels(engine=engine_name).observe(latency_ms / 1e3)
+            self.stats.record(latency_ms)
 
     def _finish(
         self, request: _Request, *, skip_if_abandoned: bool = False, **fields
@@ -563,52 +535,52 @@ class QueryService:
         """Finish and render the request's span tree, if it has one."""
         return request.tracer.render() if request.tracer is not None else None
 
+    def _add(self, block, key, amount) -> None:
+        """Count ``amount`` on the :data:`COUNTERS` slot (block, key)."""
+        if amount:
+            self._counters[block, key].inc(int(amount))
+
     def _record_decisions(self, result, method: str) -> None:
-        """Fold what the execution stages decided for one result (every
-        executor and partials alike ship it in ``result.details``) into
-        the service totals."""
+        """Count what the execution stages decided for one result (every
+        executor and partials alike ship it in ``result.details``), in
+        one hold of the registry lock so no scrape sees half of it."""
         details = result.details
         pruning = details.get("pruning")
         rollup = details.get("rollup")
         encoded = details.get("encoded_agg")
-        with self._totals_lock:
+        add = self._add
+        with self.metrics.lock:
             if pruning:
-                totals = self._totals["pruning"]
-                totals["queries"] += 1
-                totals["queries_pruned"] += bool(pruning.get("morsels_pruned"))
+                add("pruning", "queries", 1)
+                add("pruning", "queries_pruned", bool(pruning.get("morsels_pruned")))
                 for key in (
                     "morsels_scanned", "morsels_pruned", "rows_pruned", "bytes_pruned"
                 ):
-                    totals[key] += int(pruning.get(key, 0))
-            if rollup:
-                totals = self._totals["rollups"]
-                totals["queries"] += 1
-                if rollup.get("rollup_used"):
-                    totals["routed"] += 1
-                    for key in (
-                        "rows_read", "base_rows_avoided", "bytes_read",
-                        "base_bytes_avoided",
-                    ):
-                        totals[key] += int(rollup.get(key, 0))
-                else:
-                    totals["fallbacks"] += 1
-                    reasons = totals["fallback_reasons"]
-                    reason = str(rollup.get("reason", "unknown"))
-                    reasons[reason] = reasons.get(reason, 0) + 1
+                    add("pruning", key, pruning.get(key, 0))
+            if rollup and rollup.get("rollup_used"):
+                add("rollups", "routed", 1)
+                for key in (
+                    "rows_read", "base_rows_avoided", "bytes_read", "base_bytes_avoided"
+                ):
+                    add("rollups", key, rollup.get(key, 0))
+            elif rollup:
+                reason = str(rollup.get("reason", "unknown"))
+                self._m_rollup_fallbacks.labels(reason=reason).inc()
             if encoded:
-                totals = self._totals["encoded_agg"]
                 code_domain = int(encoded.get("code_domain", 0))
-                totals["queries"] += 1
-                totals["queries_code_domain"] += bool(code_domain)
-                totals["aggregates_code_domain"] += code_domain
-                totals["aggregates_decoded"] += int(encoded.get("decoded", 0))
+                add("encoded_agg", "queries", 1)
+                add("encoded_agg", "queries_code_domain", bool(code_domain))
+                for mode, count in (
+                    ("code-domain", code_domain),
+                    ("decoded", int(encoded.get("decoded", 0))),
+                ):
+                    if count:  # a labelled series exists once counted
+                        self._m_encoded_agg_aggregates.labels(mode=mode).inc(count)
             if method == "run_compiled":
-                totals = self._totals["compile"]
-                totals["queries"] += 1
-                totals["joins"] += len(
-                    (details.get("compiled") or {}).get("joins", ())
-                )
-                totals["groups_emitted"] += int(details.get("groups", 0))
+                add("compile", "queries", 1)
+                joins = (details.get("compiled") or {}).get("joins", ())
+                add("compile", "joins", len(joins))
+                add("compile", "groups_emitted", details.get("groups", 0))
 
     def _chooser_decision(self, bound) -> dict:
         """The engine chooser's prediction for ``bound`` (a
@@ -622,19 +594,14 @@ class QueryService:
                 decision = choose(self.db, bound)
             except ChooserError as exc:
                 trace.annotate(outcome="declined")
-                with self._totals_lock:
-                    self._totals["chooser"]["declined"] += 1
+                self._add("chooser", "declined", 1)
                 return {"declined": str(exc)}
             trace.annotate(
                 outcome="decided",
                 chosen=decision["chosen"],
                 predicted_cycles=decision["predicted_cycles"][decision["chosen"]],
             )
-        with self._totals_lock:
-            totals = self._totals["chooser"]
-            totals["decisions"] += 1
-            chosen = decision["chosen"]
-            totals["chosen"][chosen] = totals["chosen"].get(chosen, 0) + 1
+        self._m_chooser_decisions.labels(chosen=decision["chosen"]).inc()
         return decision
 
     def explain(self, sql: str) -> dict:
@@ -715,17 +682,37 @@ class QueryService:
             trace=self._trace_dict(request),
         )
 
-    def _decision_totals(self) -> dict:
-        with self._totals_lock:
-            return copy.deepcopy(self._totals)
-
     def stats_snapshot(self) -> dict:
-        """Service counters plus, per subsystem, what the execution
-        stages decided over the service's lifetime.  Never triggers
-        generation -- an unserved database reports only counters."""
+        """Query outcomes plus, per subsystem, what the execution stages
+        decided over the service's lifetime, all rendered from one
+        snapshot of the metrics registry.  Never triggers generation --
+        an unserved database reports only counters."""
         from repro.compile.program import compile_cache_stats
 
-        snapshot = self.stats.snapshot()
+        families = self.metrics.snapshot()
+
+        def labelled(family) -> dict:
+            """Label value -> count of a one-label family."""
+            series = families[family.name]["series"]
+            return {key[0]: int(count) for key, count in sorted(series.items())}
+
+        blocks: dict = {}
+        for (block, key), (name, _) in COUNTERS.items():
+            blocks.setdefault(block, {})[key] = int(families[name]["series"][()])
+        statuses = dict.fromkeys(
+            (STATUS_OK, STATUS_ERROR, STATUS_REJECTED, STATUS_TIMEOUT), 0
+        )
+        for (_, status), count in families[self._m_queries.name]["series"].items():
+            statuses[status] += int(count)
+        snapshot = {
+            "submitted": sum(statuses.values()),
+            "ok": statuses[STATUS_OK],
+            "errors": statuses[STATUS_ERROR],
+            "rejected": statuses[STATUS_REJECTED],
+            "timeouts": statuses[STATUS_TIMEOUT],
+            **blocks[None],
+            "latency": self.stats.snapshot(),
+        }
         plan_cache = self._plans.stats()
         snapshot["plan_cache_entries"] = plan_cache["entries"]
         snapshot["plan_cache_hits"] = plan_cache["hits"]
@@ -751,15 +738,29 @@ class QueryService:
                 ),
             )
         snapshot["storage"] = storage
-        totals = self._decision_totals()
-        snapshot["pruning"] = totals["pruning"]
+        snapshot["pruning"] = blocks["pruning"]
+        rollups, fallbacks = blocks["rollups"], labelled(self._m_rollup_fallbacks)
         snapshot["rollups"] = {
             "tables": sorted(getattr(db, "rollup_names", ())) if db else [],
-            **totals["rollups"],
+            "queries": rollups["routed"] + sum(fallbacks.values()),
+            "routed": rollups["routed"],
+            "fallbacks": sum(fallbacks.values()),
+            **rollups,
+            "fallback_reasons": fallbacks,
         }
-        snapshot["encoded_agg"] = totals["encoded_agg"]
-        snapshot["compile"] = {"cache": compile_cache_stats(), **totals["compile"]}
-        snapshot["chooser"] = totals["chooser"]
+        modes = labelled(self._m_encoded_agg_aggregates)
+        snapshot["encoded_agg"] = {
+            **blocks["encoded_agg"],
+            "aggregates_code_domain": modes.get("code-domain", 0),
+            "aggregates_decoded": modes.get("decoded", 0),
+        }
+        snapshot["compile"] = {"cache": compile_cache_stats(), **blocks["compile"]}
+        chosen = labelled(self._m_chooser_decisions)
+        snapshot["chooser"] = {
+            "decisions": sum(chosen.values()),
+            **blocks["chooser"],
+            "chosen": chosen,
+        }
         with self._pool_lock:
             if self._pool is not None:
                 snapshot["process_pool"] = {
@@ -770,25 +771,8 @@ class QueryService:
 
     # -- observability -------------------------------------------------
     def _sync_mirrored_metrics(self) -> None:
-        """Refresh metrics that mirror state owned elsewhere (decision
-        totals, caches, queue, pool) at scrape time."""
-        totals = self._decision_totals()
-        for (block, key), counter in self._m_decisions.items():
-            counter.sync(totals[block][key])
-        encoded = totals["encoded_agg"]
-        modes = {
-            "code-domain": encoded["aggregates_code_domain"],
-            "decoded": encoded["aggregates_decoded"],
-        }
-        for counter, label, counts in (
-            (self._m_rollup_fallbacks, "reason",
-             totals["rollups"]["fallback_reasons"]),
-            (self._m_encoded_agg_aggregates, "mode", modes),
-            (self._m_chooser_decisions, "chosen", totals["chooser"]["chosen"]),
-        ):
-            for value, count in counts.items():
-                if count:  # a series exists once its label value was seen
-                    counter.labels(**{label: value}).sync(count)
+        """Refresh metrics that mirror state owned elsewhere (caches,
+        queue, pool) at scrape time."""
         for cache in (*memo.SHARED.values(), self._plans):
             stats = cache.stats()
             for kind, counter in self._m_caches.items():

@@ -34,9 +34,6 @@ SETTINGS: dict[str, Setting] = {
     "disk_cache": Setting(
         "REPRO_DISK_CACHE", True,
         "persist generated TPC-H databases under the cache directory"),
-    "reference_sim": Setting(
-        "REPRO_REFERENCE_SIM", False,
-        "per-event reference simulators instead of the batch kernels"),
     "cache_dir": Setting(
         "REPRO_CACHE_DIR", "~/.cache/repro", "root of the on-disk TPC-H cache"),
     "scale_factor": Setting(

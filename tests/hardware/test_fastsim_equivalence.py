@@ -4,8 +4,8 @@ The vectorized/fused kernels in :mod:`repro.hardware.fastsim` must be
 *exactly* equivalent to the per-event reference loops -- identical
 reported statistics, identical cache contents (including LRU order and
 prefetched flags), identical predictor state -- on every trace shape
-the repo uses.  The reference path stays selectable via
-``REPRO_REFERENCE_SIM=1`` and serves as the oracle here.
+the repo uses.  The per-event reference loops (``reference_replay``,
+``GSharePredictor.predict_and_update``) serve as the oracle here.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import settings as repro_settings
 from repro.core.tracesim import (
     bernoulli_outcomes,
     random_trace,
@@ -135,22 +134,22 @@ class TestHierarchyEquivalence:
         for addr in probes:
             assert fast.access(int(addr)) == reference.access(int(addr))
 
-    def test_reference_env_forces_scalar_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REFERENCE_SIM", "1")
-        assert repro_settings.enabled("reference_sim")
-        calls = []
-        hierarchy = CacheHierarchy(BROADWELL, PrefetcherConfig.all_disabled())
-        original = hierarchy.access
-        hierarchy.access = lambda addr: (calls.append(addr), original(addr))[1]
-        hierarchy.replay(sequential_trace(100, 64))
-        assert len(calls) == 100
-
-    def test_replay_dispatches_to_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REFERENCE_SIM", raising=False)
+    def test_replay_dispatches_to_batch(self):
         hierarchy = CacheHierarchy(BROADWELL, PrefetcherConfig.all_disabled())
         hierarchy.access = None  # batch path must not call access()
         stats = hierarchy.replay(sequential_trace(1_000, 64))
         assert stats.accesses == 1_000
+
+    def test_short_stream_runs_per_event(self):
+        """A trace shorter than ``MIN_BATCH_EVENTS`` replays through
+        ``access``, never the batch kernel."""
+        short = fastsim.MIN_BATCH_EVENTS - 1
+        calls = []
+        hierarchy = CacheHierarchy(BROADWELL, PrefetcherConfig.all_disabled())
+        original = hierarchy.access
+        hierarchy.access = lambda addr: (calls.append(addr), original(addr))[1]
+        assert hierarchy.replay(sequential_trace(short, 64)).accesses == short
+        assert len(calls) == short
 
 
 class TestHierarchyProperties:
@@ -269,8 +268,10 @@ class TestGshareEquivalence:
         fast = GSharePredictor()
         assert fast.run(3, outcomes) == pytest.approx(reference_rate)
 
-    def test_reference_env_forces_scalar_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REFERENCE_SIM", "1")
+    def test_short_stream_runs_per_event(self):
+        """A stream shorter than ``MIN_BATCH_EVENTS`` runs through
+        ``predict_and_update``, never the batch kernel."""
+        short = fastsim.MIN_BATCH_EVENTS - 1
         predictor = GSharePredictor()
         calls = []
         original = predictor.predict_and_update
@@ -278,8 +279,8 @@ class TestGshareEquivalence:
             calls.append(pc),
             original(pc, taken),
         )[1]
-        predictor.run(5, bernoulli_outcomes(200, 0.5))
-        assert len(calls) == 200
+        predictor.run(5, bernoulli_outcomes(short, 0.5))
+        assert len(calls) == short
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -303,3 +304,4 @@ class TestGshareEquivalence:
         fast = GSharePredictor(history_bits=0)
         fastsim.gshare_run_batch(fast, 42, outcomes)
         assert_same_predictor(fast, reference)
+

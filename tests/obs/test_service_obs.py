@@ -149,22 +149,36 @@ class TestPruningObservability:
 
 
 class TestDecisionSink:
-    """Every stage decision lands in one totals table, whichever
-    executor made it, and the counters mirror that table at scrape."""
+    """Every stage decision is counted once, in the service's metrics
+    registry, whichever executor made it; ``stats_snapshot()`` renders
+    its blocks from those counters."""
 
-    #: total -> the unlabelled counter that mirrors it
+    #: stats_snapshot() entry -> the unlabelled counter it renders
     MIRRORS = {
+        ("pruning", "queries"): "repro_prune_eligible_queries_total",
         ("pruning", "queries_pruned"): "repro_prune_queries_total",
         ("pruning", "morsels_scanned"): "repro_prune_morsels_scanned_total",
         ("pruning", "morsels_pruned"): "repro_prune_morsels_pruned_total",
         ("pruning", "rows_pruned"): "repro_prune_rows_pruned_total",
+        ("pruning", "bytes_pruned"): "repro_prune_bytes_pruned_total",
         ("rollups", "routed"): "repro_rollup_routed_total",
         ("rollups", "rows_read"): "repro_rollup_rows_read_total",
         ("rollups", "base_rows_avoided"): "repro_rollup_base_rows_avoided_total",
+        ("rollups", "bytes_read"): "repro_rollup_bytes_read_total",
+        ("rollups", "base_bytes_avoided"): "repro_rollup_base_bytes_avoided_total",
+        ("encoded_agg", "queries"): "repro_encoded_agg_eligible_queries_total",
         ("encoded_agg", "queries_code_domain"): "repro_encoded_agg_queries_total",
         ("compile", "queries"): "repro_compile_queries_total",
+        ("compile", "joins"): "repro_compile_joins_total",
+        ("compile", "groups_emitted"): "repro_compile_groups_emitted_total",
         ("chooser", "declined"): "repro_chooser_declined_total",
     }
+    #: The labelled decision families: a series per label value counted.
+    LABELLED = (
+        "repro_rollup_fallbacks_total",
+        "repro_encoded_agg_aggregates_total",
+        "repro_chooser_decisions_total",
+    )
 
     def run(self, db, executor: str):
         statements = (
@@ -207,6 +221,16 @@ class TestDecisionSink:
     @pytest.fixture(scope="class")
     def process_run(self, reuse_db):
         return self.run(reuse_db, "process")
+
+    def test_fresh_service_samples_zero_and_no_label(self, tiny_db):
+        """Before any query, every unlabelled decision counter has a 0
+        sample and no labelled decision series exists."""
+        samples = parse_exposition(QueryService(db=tiny_db).metrics_text())
+        for family in self.MIRRORS.values():
+            assert samples[family] == {(): 0.0}, family
+        for family in self.LABELLED:
+            assert samples["__types__"][family] == "counter"
+            assert family not in samples, family
 
     def test_executors_record_equal_decisions(self, thread_run, process_run):
         thread_stats, process_stats = thread_run[0], process_run[0]
@@ -323,12 +347,12 @@ class TestInjectableClock:
         with service:
             assert service.submit(projection_sql(1))["status"] == "ok"
             assert service.submit("SELECT broken")["status"] == "error"
-        before = service.stats.snapshot()
+        before = service.stats_snapshot()
         assert before["submitted"] == 2
 
         with service:  # restart the worker pool
             assert service.submit(projection_sql(1))["status"] == "ok"
-        after = service.stats.snapshot()
+        after = service.stats_snapshot()
         assert after["submitted"] == 3
         assert after["ok"] == before["ok"] + 1
         assert after["errors"] == before["errors"]

@@ -15,7 +15,7 @@ OFF_WORDS = ("0", "false", "no", "off")
 
 
 class TestParser:
-    @pytest.mark.parametrize("name", ["exec_cache", "reference_sim"])
+    @pytest.mark.parametrize("name", ["exec_cache"])
     def test_unset_and_empty_are_the_default(self, monkeypatch, name):
         row = settings.SETTINGS[name]
         monkeypatch.delenv(row.env, raising=False)
@@ -24,7 +24,7 @@ class TestParser:
             monkeypatch.setenv(row.env, blank)
             assert settings.enabled(name) is row.default
 
-    @pytest.mark.parametrize("name", ["exec_cache", "reference_sim"])
+    @pytest.mark.parametrize("name", ["exec_cache"])
     @pytest.mark.parametrize("word", OFF_WORDS)
     def test_off_words_in_any_case_and_padding(self, monkeypatch, name, word):
         env = settings.SETTINGS[name].env
@@ -32,7 +32,7 @@ class TestParser:
             monkeypatch.setenv(env, spelling)
             assert settings.enabled(name) is False
 
-    @pytest.mark.parametrize("name", ["exec_cache", "reference_sim"])
+    @pytest.mark.parametrize("name", ["exec_cache"])
     @pytest.mark.parametrize("value", ["1", "on", "garbage"])
     def test_anything_else_is_on(self, monkeypatch, name, value):
         monkeypatch.setenv(settings.SETTINGS[name].env, value)
@@ -74,7 +74,7 @@ class TestCensus:
         section = readme.split("## Settings", 1)[1].split("\n## ", 1)[0]
         documented = re.findall(r"^\| `(REPRO_[A-Z_]+)`", section, re.MULTILINE)
         assert documented == [row.env for row in settings.SETTINGS.values()]
-        assert len(documented) == 5
+        assert len(documented) == 4
         header = next(line for line in section.splitlines() if line.startswith("| name"))
         assert "keyed" not in header
 
@@ -84,6 +84,7 @@ class TestCensus:
             for name in (
                 "SHARD_NODE", "SHARD_FAULTS",
                 "ENCODING", "ENCODED_AGG", "PRUNING", "ROLLUPS", "COMPILE",
+                "REFERENCE_SIM",
             )
         ]
         pattern = re.compile(r"\b(" + "|".join(retired) + r")\b")

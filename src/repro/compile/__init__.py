@@ -16,7 +16,9 @@ Lowering always tries the compiler for a plan no template matches.
 
 from __future__ import annotations
 
-__all__ = ["CompileError"]
+from dataclasses import dataclass
+
+__all__ = ["CompileError", "Declined"]
 
 
 class CompileError(Exception):
@@ -25,3 +27,10 @@ class CompileError(Exception):
     Lowering catches this and reports the reason in its "no binding"
     diagnostic; it is never a silent fallback to a wrong program.
     """
+
+
+@dataclass(frozen=True)
+class Declined:
+    """A decline as a cache entry: the reason, raised again on each hit."""
+
+    reason: str

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import memo
-from repro.compile import CompileError
+from repro.compile import CompileError, Declined
 from repro.compile.program import (
     AGG_INSTRS,
     FILTER_INSTRS,
@@ -270,20 +270,24 @@ def choose(db, bound) -> dict:
     than from SQL text has no shape; its plan stands in.
 
     Raises :class:`ChooserError` when the plan cannot be modelled (the
-    chooser needs the compiled program's structure as its cost basis).
+    chooser needs the compiled program's structure as its cost basis);
+    that decline is cached like a decision.
     """
     if bound.plan is None:
         raise ChooserError("bound query carries no logical plan")
     shape = bound.shape if bound.shape is not None else bound.plan
     key = (db.identity, bound.workload, bound.method, shape)
-    return dict(_DECISIONS.get_or_build(key, lambda: _price(db, bound)))
+    decision = _DECISIONS.get_or_build(key, lambda: _price(db, bound))
+    if isinstance(decision, Declined):
+        raise ChooserError(decision.reason)
+    return dict(decision)
 
 
-def _price(db, bound) -> dict:
+def _price(db, bound) -> dict | Declined:
     try:
         program = compiled_program(bound.plan)
     except CompileError as exc:
-        raise ChooserError(f"plan is not compilable: {exc}") from None
+        return Declined(f"plan is not compilable: {exc}")
     return _decide(db, bound, program)
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import memo
-from repro.compile import CompileError
+from repro.compile import CompileError, Declined
 from repro.compile.expr import ScalarKernel, compile_scalar
 from repro.core.exactsum import ExactSum
 from repro.engines.hashtable import HEAD_BYTES, ChainedHashTable
@@ -1103,19 +1103,26 @@ def compiled_program(plan: ir.PlanNode) -> KernelProgram:
 
     Compilation is pure plan analysis (no data access), so one cache
     entry serves every database, engine and executor.  A fresh compile
-    emits a ``compile`` span.
+    emits a ``compile`` span.  A decline is cached too: every hit
+    raises :class:`CompileError` with the same reason.
     """
-    return _CACHE.get_or_build(plan, lambda: _compile(plan))
+    program = _CACHE.get_or_build(plan, lambda: _compile(plan))
+    if isinstance(program, Declined):
+        raise CompileError(program.reason)
+    return program
 
 
-def _compile(plan: ir.PlanNode) -> KernelProgram:
-    with trace.span("compile"):
-        program = _Compiler(plan).compile()
-        trace.annotate(
-            workload=program.workload,
-            joins=len(program.steps),
-            groups=len(program.group_refs),
-        )
+def _compile(plan: ir.PlanNode) -> KernelProgram | Declined:
+    try:
+        with trace.span("compile"):
+            program = _Compiler(plan).compile()
+            trace.annotate(
+                workload=program.workload,
+                joins=len(program.steps),
+                groups=len(program.group_refs),
+            )
+    except CompileError as exc:
+        return Declined(str(exc))
     return program
 
 

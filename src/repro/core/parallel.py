@@ -50,7 +50,7 @@ import time
 import traceback
 
 from repro.core import pruning
-from repro.engines.base import TPCH_RUNNERS
+from repro.engines.base import tpch_runner
 from repro.engines.morsel import MORSEL_ALIGN, merge_worker_partials, morsel_ranges
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -82,13 +82,8 @@ def normalized_call(engine, method: str, args: tuple, kwargs: dict):
         signature = inspect.signature(type(engine).run_tpch)
         bound = signature.bind(engine, None, *args, **kwargs)
         bound.apply_defaults()
-        query_id = bound.arguments["query_id"]
         predicated = bound.arguments["predicated"]
-        if query_id not in TPCH_RUNNERS:
-            raise ValueError(f"unsupported TPC-H query {query_id!r}")
-        if predicated and query_id != "Q6":
-            raise ValueError("predication is studied on Q6 only (Section 7)")
-        method = TPCH_RUNNERS[query_id]
+        method = tpch_runner(bound.arguments["query_id"], predicated)
         args, kwargs = (), ({"predicated": True} if predicated else {})
     signature = inspect.signature(getattr(type(engine), method))
     if "row_range" not in signature.parameters:

@@ -286,6 +286,35 @@ _LABELS = {
 TPCH_RUNNERS = {"Q1": "run_q1", "Q6": "run_q6", "Q9": "run_q9", "Q18": "run_q18"}
 
 
+def tpch_runner(query_id: str, predicated: bool = False) -> str:
+    """The per-query runner ``run_tpch(query_id, predicated)`` calls."""
+    if query_id not in TPCH_RUNNERS:
+        raise ValueError(f"unsupported TPC-H query {query_id!r}")
+    if predicated and query_id != "Q6":
+        raise ValueError("predication is studied on Q6 only (Section 7)")
+    return TPCH_RUNNERS[query_id]
+
+
+def join_spec(size: str) -> JoinSpec:
+    """The join micro-benchmark of ``size``."""
+    if size not in JOIN_SPECS:
+        raise ValueError(f"unknown join size {size!r}")
+    return JOIN_SPECS[size]
+
+
+def driving_table(method: str, kwargs: dict) -> str:
+    """The table a call of ``method`` partitions into morsels: a join
+    drives its probe table, a compiled program its own driving table,
+    every other runner the lineitem scan."""
+    if method == "run_join":
+        return join_spec(kwargs.get("size")).probe_table
+    if method == "run_compiled":
+        from repro.compile.program import compiled_program
+
+        return compiled_program(kwargs["plan"]).driving
+    return "lineitem"
+
+
 def groupby_table(db: Database) -> GroupByHashTable:
     """The group-by micro-benchmark's hash table over ``l_partkey * 4 +
     l_returnflag``: one build per database, probed by every engine and
@@ -478,22 +507,11 @@ class Engine(ABC):
         return None
 
     def partition_rows(self, db: Database, method: str, kwargs: dict) -> int:
-        """Row count of the table ``method`` partitions into morsels
-        (the probe side for joins, lineitem for everything else).
+        """Row count of the :func:`driving_table` of ``method``.
 
         ``kwargs`` is a dict or the ``(key, value)`` item tuple passed
         to :meth:`merge_morsels`."""
-        kwargs = dict(kwargs)
-        if method == "run_join":
-            size = kwargs.get("size")
-            if size not in JOIN_SPECS:
-                raise ValueError(f"unknown join size {size!r}")
-            return db.table(JOIN_SPECS[size].probe_table).n_rows
-        if method == "run_compiled":
-            from repro.compile.program import compiled_program
-
-            return db.table(compiled_program(kwargs["plan"]).driving).n_rows
-        return db.table("lineitem").n_rows
+        return db.table(driving_table(method, dict(kwargs))).n_rows
 
     # ------------------------------------------------------------------
     # Micro-benchmarks (Sections 3-5, 7, 8)
@@ -628,9 +646,7 @@ class Engine(ABC):
     ) -> QueryResult:
         """Hash join micro-benchmark of the given size (Section 5)."""
         self._check_simd(simd)
-        if size not in JOIN_SPECS:
-            raise ValueError(f"unknown join size {size!r}")
-        spec = JOIN_SPECS[size]
+        spec = join_spec(size)
         probe = db.table(spec.probe_table)
         lo, hi = resolve_range(row_range, probe.n_rows)
         table = key_table(db, spec.build_table, spec.build_key)
@@ -699,16 +715,13 @@ class Engine(ABC):
         predicated: bool = False,
         row_range=None,
     ) -> QueryResult:
-        if query_id not in TPCH_RUNNERS:
-            raise ValueError(f"unsupported TPC-H query {query_id!r}")
+        runner = tpch_runner(query_id, predicated)
         # Forward row_range only when set so subclasses that override a
         # runner without morsel support keep working for full runs.
         extra = {} if row_range is None else {"row_range": row_range}
         if query_id == "Q6":
-            return self.run_q6(db, predicated=predicated, **extra)
-        if predicated:
-            raise ValueError("predication is studied on Q6 only (Section 7)")
-        return getattr(self, TPCH_RUNNERS[query_id])(db, **extra)
+            extra["predicated"] = predicated
+        return getattr(self, runner)(db, **extra)
 
     def run_q1(self, db: Database, row_range=None) -> QueryResult:
         """TPC-H Q1: low-cardinality group by."""

@@ -1,52 +1,42 @@
 """Lowering: logical plan -> a bound engine entry point.
 
 The engines execute hand-wired physical plans (``run_projection``,
-``run_selection``, ``run_join``, ``run_groupby``, ``run_tpch``); this
-module recognises which of those paths an incoming logical plan
-computes and binds the call.  Recognition is exact, in two layers:
+``run_selection``, ``run_join``, ``run_groupby``, ``run_tpch``) for the
+workloads the paper profiles, and compiled kernel programs
+(``run_compiled``) for everything else.  Lowering tries, in order:
 
 * **Template equality** -- the four TPC-H queries, the three join
   sizes, the group-by and the four projection degrees are planned once
   from their documented SQL (:mod:`repro.tpch.sql`) and matched by
   structural plan equality, so anything the documentation says is
-  runnable *is* runnable.
-* **Structural matching** -- the micro-benchmarks additionally match by
-  shape with free parameters (projection degree, per-column selection
-  thresholds, join size), so e.g. a selection with thresholds taken
-  from a different scale factor still lowers.
+  runnable *is* runnable, on its hand-wired path.
+* **The selection matcher** -- the selection micro-benchmark's
+  thresholds are data-dependent quantiles, so its shape matches with
+  the three thresholds free.
+* **Compilation** -- any other plan is handed to :mod:`repro.compile`,
+  which turns any supported select/join/group/aggregate shape into a
+  fused vectorized kernel program executed through
+  ``Engine.run_compiled``.  An aliased or regrouped variant of a
+  documented statement therefore runs compiled and returns what its
+  SQL asks for.
 
-* **Compilation fallback** -- a plan matching no hand-wired template is
-  handed to :mod:`repro.compile`, which turns any supported
-  select/join/group/aggregate shape into a fused vectorized kernel
-  program executed through ``Engine.run_compiled``.  Only when the
-  compiler also declines does lowering raise.
-
-A plan that matches nothing raises :class:`SqlError` describing the
-full supported surface and the nearest profiled workload: the engines
-model fixed workloads plus the compilable fragment, and pretending
-otherwise would silently profile the wrong thing.
+A plan the compiler also declines raises :class:`SqlError` describing
+the full supported surface and the nearest profiled workload: the
+engines model fixed workloads plus the compilable fragment, and
+pretending otherwise would silently profile the wrong thing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 from dataclasses import dataclass, field
 
-from repro.engines.base import TPCH_RUNNERS
+from repro.engines.base import TPCH_RUNNERS, Engine, driving_table
 from repro.sql import plan as ir
 from repro.sql.errors import SqlError, err
 from repro.tpch.schema import PROJECTION_COLUMNS, SELECTION_PREDICATE_COLUMNS
-
-#: Engine methods a plan may bind to.
-BINDABLE_METHODS = (
-    "run_projection",
-    "run_selection",
-    "run_join",
-    "run_groupby",
-    "run_tpch",
-    "run_compiled",
-)
 
 
 @dataclass(frozen=True)
@@ -132,7 +122,7 @@ def _template_index() -> dict[ir.PlanNode, BoundQuery]:
 
 
 # ----------------------------------------------------------------------
-# Structural matchers (micro-benchmarks with free parameters)
+# The selection matcher (the thresholds are free parameters)
 # ----------------------------------------------------------------------
 
 
@@ -149,25 +139,6 @@ def _sum_of_columns(outputs: tuple[ir.NamedExpr, ...]) -> tuple[str, ...] | None
             return None
         columns.append(term.ref.column)
     return tuple(columns)
-
-
-def _match_projection(core: ir.PlanNode) -> BoundQuery | None:
-    if not (
-        isinstance(core, ir.Aggregate)
-        and not core.group_by
-        and core.having is None
-        and core.child == ir.Scan(table="lineitem")
-    ):
-        return None
-    columns = _sum_of_columns(core.outputs)
-    for degree in range(1, len(PROJECTION_COLUMNS) + 1):
-        if columns == PROJECTION_COLUMNS[:degree]:
-            return BoundQuery(
-                workload=f"projection-{degree}",
-                method="run_projection",
-                args=(degree,),
-            )
-    return None
 
 
 def _match_selection(core: ir.PlanNode) -> BoundQuery | None:
@@ -203,87 +174,12 @@ def _match_selection(core: ir.PlanNode) -> BoundQuery | None:
     )
 
 
-def _match_join(core: ir.PlanNode) -> BoundQuery | None:
-    from repro.engines.base import JOIN_SPECS
-
-    if not (
-        isinstance(core, ir.Aggregate)
-        and not core.group_by
-        and core.having is None
-        and isinstance(core.child, ir.Join)
-        and isinstance(core.child.left, ir.Scan)
-        and isinstance(core.child.right, ir.Scan)
-        and len(core.child.pairs) == 1
-    ):
-        return None
-    columns = _sum_of_columns(core.outputs)
-    if columns is None:
-        return None
-    join = core.child
-    tables = {join.left.table, join.right.table}
-    (left_key, right_key), = join.pairs
-    keys = {left_key.column, right_key.column}
-    for size, spec in JOIN_SPECS.items():
-        if (
-            tables == {spec.build_table, spec.probe_table}
-            and keys == {spec.build_key, spec.probe_key}
-            and columns == spec.sum_columns
-        ):
-            return BoundQuery(
-                workload=f"join-{size}", method="run_join", args=(size,)
-            )
-    return None
-
-
-def _match_groupby(core: ir.PlanNode) -> BoundQuery | None:
-    if not (
-        isinstance(core, ir.Aggregate)
-        and core.having is None
-        and core.child == ir.Scan(table="lineitem")
-    ):
-        return None
-    group_columns = tuple(ref.column for ref in core.group_by)
-    if group_columns != ("l_partkey", "l_returnflag"):
-        return None
-    aggregates = [
-        out.expr for out in core.outputs if isinstance(out.expr, ir.AggCall)
-    ]
-    if len(aggregates) != 1:
-        return None
-    agg = aggregates[0]
-    if not (
-        agg.func == "sum"
-        and agg.arg == ir.ColumnExpr(ref=ir.ColRef(table="lineitem", column="l_extendedprice"))
-    ):
-        return None
-    return BoundQuery(workload="groupby", method="run_groupby")
-
-
-_MATCHERS = (_match_projection, _match_selection, _match_join, _match_groupby)
-
-
 def lower(plan: ir.PlanNode, sql: str | None = None) -> BoundQuery:
     """Bind a logical plan onto an engine entry point, or raise."""
     core = ir.strip_decorations(plan)
-    template = _template_index().get(core)
-    if template is not None:
-        return BoundQuery(
-            workload=template.workload,
-            method=template.method,
-            args=template.args,
-            kwargs=template.kwargs,
-            plan=plan,
-        )
-    for matcher in _MATCHERS:
-        bound = matcher(core)
-        if bound is not None:
-            return BoundQuery(
-                workload=bound.workload,
-                method=bound.method,
-                args=bound.args,
-                kwargs=bound.kwargs,
-                plan=plan,
-            )
+    bound = _template_index().get(core) or _match_selection(core)
+    if bound is not None:
+        return dataclasses.replace(bound, plan=plan)
     from repro.compile import CompileError
     from repro.compile.program import compiled_program
 
@@ -338,56 +234,33 @@ class PartitionBinding:
     """How one bound call maps onto horizontally partitioned data.
 
     ``table`` is the table whose rows the morsel executor partitions
-    for this call (:meth:`Engine.partition_rows` uses the same rule);
-    ``referenced`` is every table the call reads at all.  A
-    scatter-gather coordinator scatters a call only when ``table`` is
-    the sharded fact table; a call that never touches the fact table
-    runs on any single shard (dimensions are fully replicated); a call
-    that reads the fact table without driving over it cannot be
-    scattered safely and is rejected with a clean error.
+    for this call (:func:`~repro.engines.base.driving_table`, the rule
+    :meth:`Engine.partition_rows` reads); ``referenced`` is every table
+    the plan reads.  A scatter-gather coordinator scatters a call only
+    when ``table`` is the sharded fact table; a call that never touches
+    the fact table runs on any single shard (dimensions are fully
+    replicated); a call that reads the fact table without driving over
+    it cannot be scattered safely and is rejected with a clean error.
     """
 
-    table: str | None
+    table: str
     referenced: frozenset
 
 
 def partition_binding(bound: BoundQuery) -> PartitionBinding:
     """Derive the :class:`PartitionBinding` for a lowered query."""
-    referenced: set[str] = set()
+    # Name the positional arguments (a join's size) as the engine does.
+    call = inspect.signature(getattr(Engine, bound.method)).bind(
+        None, None, *bound.args, **bound.call_kwargs()
+    )
+    table = driving_table(bound.method, call.arguments)
+    referenced = {table}
     if bound.plan is not None:
-        referenced = {
+        referenced.update(
             feature.split(":", 1)[1]
             for feature in _plan_features(bound.plan)
             if feature.startswith("table:")
-        }
-    method = bound.method
-    kwargs = dict(bound.kwargs)
-    if method == "run_tpch" and bound.args:
-        method = TPCH_RUNNERS.get(bound.args[0], method)
-    if method == "run_join":
-        from repro.engines.base import JOIN_SPECS
-
-        size = bound.args[0] if bound.args else kwargs.get("size")
-        spec = JOIN_SPECS.get(size)
-        table = spec.probe_table if spec is not None else None
-        if spec is not None:
-            referenced.update((spec.build_table, spec.probe_table))
-    elif method == "run_compiled":
-        from repro.compile.program import compiled_program
-
-        table = compiled_program(kwargs["plan"]).driving
-    else:
-        # Every remaining morsel-capable runner partitions lineitem
-        # (projection/selection/groupby micro-benchmarks and the TPC-H
-        # runners all drive the fact-table scan).
-        table = "lineitem"
-        referenced.add("lineitem")
-        if method == "run_q9":
-            referenced.update(("part", "supplier", "partsupp", "orders", "nation"))
-        elif method == "run_q18":
-            referenced.update(("orders", "customer"))
-    if table is not None:
-        referenced.add(table)
+        )
     return PartitionBinding(table=table, referenced=frozenset(referenced))
 
 

@@ -11,14 +11,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro import memo
+from repro.compile import CompileError
 from repro.compile.chooser import (
     ChooserError,
     choose,
     clear_chooser_cache,
     estimate_cardinalities,
 )
-from repro.compile.program import compiled_program
+from repro.compile.program import (
+    clear_compile_cache,
+    compile_cache_stats,
+    compiled_program,
+)
 from repro.core.execcache import EXECUTION_CACHE
+from repro.obs import trace
 from repro.serve import QueryService, ServiceConfig
 from repro.sql.api import compile_sql
 from repro.tpch.sql import EXTENDED_TPCH_SQL, TPCH_SQL
@@ -89,6 +96,38 @@ class TestDecision:
         bound = compile_sql(TPCH_SQL["Q18"])  # IN (subquery) semi-join
         with pytest.raises(ChooserError, match="IN \\(subquery\\)"):
             choose(tiny_db, bound)
+
+    def test_declines_are_cached_and_raised_again(self, tiny_db):
+        # Documented Q9 binds its template, but the compiler declines its
+        # plan: both caches keep the decline, and a hit raises the same
+        # text without compiling again.
+        bound = compile_sql(TPCH_SQL["Q9"])
+        clear_compile_cache()
+        clear_chooser_cache()
+        with pytest.raises(ChooserError) as first:
+            choose(tiny_db, bound)
+        compile_before = compile_cache_stats()
+        chooser_before = memo.SHARED["chooser"].stats()
+        tracer = trace.Tracer()
+        token = trace.activate(tracer, tracer.start("query"))
+        try:
+            with pytest.raises(ChooserError) as second:
+                choose(tiny_db, bound)
+        finally:
+            trace.deactivate(token)
+        assert str(second.value) == str(first.value)
+        assert str(first.value).startswith("plan is not compilable: ")
+        assert memo.SHARED["chooser"].stats()["hits"] == chooser_before["hits"] + 1
+        assert memo.SHARED["chooser"].stats()["misses"] == chooser_before["misses"]
+        # The chooser hit never reaches the compile cache; asked directly,
+        # the compile cache answers from its stored decline.
+        assert compile_cache_stats() == compile_before
+        with pytest.raises(CompileError) as direct:
+            compiled_program(bound.plan)
+        assert str(first.value) == f"plan is not compilable: {direct.value}"
+        assert compile_cache_stats()["hits"] == compile_before["hits"] + 1
+        assert compile_cache_stats()["misses"] == compile_before["misses"]
+        assert tracer.render()["children"] == []
 
     def test_hand_wired_templates_can_still_be_priced(self, tiny_db):
         # Q1/Q6 bind to the hand-wired template but their plans compile,

@@ -9,6 +9,62 @@ from repro.sql import SqlError, compile_sql, execute_sql
 from repro.tpch.sql import GROUPBY_SQL, JOIN_SQL, TPCH_SQL, projection_sql, selection_sql
 
 
+#: Variants of documented statements that match no template: an output
+#: alias, a regrouped sum, swapped FROM order and join keys, reordered
+#: or omitted GROUP BY outputs.  Each runs compiled.  Name -> (variant,
+#: the documented statement whose single value it must reproduce, or
+#: None for a GROUP BY variant, which returns its groups).
+VARIANTS = {
+    "projection-alias": (
+        "SELECT SUM(l_extendedprice) AS s FROM lineitem", projection_sql(1),
+    ),
+    "projection-regrouped": (
+        "SELECT SUM(l_extendedprice + (l_discount + l_tax)) FROM lineitem",
+        projection_sql(3),
+    ),
+    "projection-regrouped-alias": (
+        "SELECT SUM((l_extendedprice + l_discount) + (l_tax + l_quantity)) "
+        "AS total FROM lineitem",
+        projection_sql(4),
+    ),
+    "join-alias": (
+        "SELECT SUM(s_acctbal + s_suppkey) AS total "
+        "FROM supplier, nation WHERE s_nationkey = n_nationkey",
+        JOIN_SQL["small"],
+    ),
+    "join-swapped-from": (
+        "SELECT SUM(s_acctbal + s_suppkey) "
+        "FROM nation, supplier WHERE s_nationkey = n_nationkey",
+        JOIN_SQL["small"],
+    ),
+    "join-swapped-from-and-keys": (
+        "SELECT SUM(ps_availqty + ps_supplycost) "
+        "FROM supplier, partsupp WHERE s_suppkey = ps_suppkey",
+        JOIN_SQL["medium"],
+    ),
+    "join-swapped-from-regrouped": (
+        "SELECT SUM(l_extendedprice + (l_discount + l_tax) + l_quantity) "
+        "FROM orders, lineitem WHERE o_orderkey = l_orderkey",
+        JOIN_SQL["large"],
+    ),
+    "groupby-alias": (
+        "SELECT l_partkey, l_returnflag, SUM(l_extendedprice) AS revenue "
+        "FROM lineitem GROUP BY l_partkey, l_returnflag",
+        None,
+    ),
+    "groupby-reordered": (
+        "SELECT l_returnflag, l_partkey, SUM(l_extendedprice) "
+        "FROM lineitem GROUP BY l_partkey, l_returnflag",
+        None,
+    ),
+    "groupby-omitted": (
+        "SELECT SUM(l_extendedprice) FROM lineitem "
+        "GROUP BY l_partkey, l_returnflag",
+        None,
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def engines():
     return [engine_cls() for engine_cls in ALL_ENGINES]
@@ -46,6 +102,10 @@ class TestLowering:
         # plan compiler instead of erroring.
         bound = compile_sql("SELECT SUM(o_totalprice) FROM orders")
         assert bound.method == "run_compiled"
+        # Only the documented texts (and a selection with any
+        # thresholds) run hand-wired; their variants compile.
+        for name, (sql, _) in VARIANTS.items():
+            assert compile_sql(sql).method == "run_compiled", name
 
     def test_valid_but_uncompilable_query_rejected(self):
         # A bare projection has nothing to aggregate, so neither a
@@ -110,6 +170,17 @@ class TestExecutionRoundTrip:
                 engine.run_tpch(tiny_db, query_id),
                 (engine.name, query_id),
             )
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, (_, doc) in VARIANTS.items() if doc)
+    )
+    def test_variant_returns_the_documented_value(self, tiny_db, engines, name):
+        sql, documented = VARIANTS[name]
+        variant, hand_wired = compile_sql(sql), compile_sql(documented)
+        for engine in engines:
+            table = variant.execute(engine, tiny_db).value
+            (row,) = table["rows"]
+            assert row == [hand_wired.execute(engine, tiny_db).value], engine.name
 
     def test_execute_sql_accepts_engine_names(self, tiny_db):
         result = execute_sql(projection_sql(1), "Typer", tiny_db)

@@ -1,9 +1,10 @@
 """Benchmark fixtures: shared TPC-H databases.
 
-``REPRO_SF`` controls the default scale factor (0.3 keeps the scanned
-columns beyond the modelled L3).  The join-regime figures additionally
-use an SF 1.0 database whose large-join hash table (~68 MB) exceeds the
-L3 the way the paper's SF 5 setup does.
+``REPRO_SF`` (:func:`repro.settings.scale_factor`) controls the default
+scale factor (0.3 keeps the scanned columns beyond the modelled L3).
+The join-regime figures additionally use an SF 1.0 database whose
+large-join hash table (~68 MB) exceeds the L3 the way the paper's SF 5
+setup does.
 
 Both fixtures are served through the dbgen cache
 (:mod:`repro.tpch.dbcache`): the first session generates and persists
@@ -15,14 +16,13 @@ memory-maps the persisted columns instead of regenerating them.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro import settings
 from repro.tpch import generate_database
 
-BENCH_SF = float(os.environ.get("REPRO_SF", "0.3"))
-JOIN_SF = float(os.environ.get("REPRO_JOIN_SF", "1.0"))
+BENCH_SF = settings.scale_factor()
+JOIN_SF = 1.0
 
 
 @pytest.fixture(scope="session")

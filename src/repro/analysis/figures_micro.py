@@ -7,12 +7,7 @@ bars/series of the corresponding paper figure.
 
 from __future__ import annotations
 
-from repro.engines import (
-    ColumnStoreEngine,
-    RowStoreEngine,
-    TectorwiseEngine,
-    TyperEngine,
-)
+from repro.engines import ALL_ENGINES, COMMERCIAL_ENGINES, HPE_ENGINES
 from repro.hardware.memory import MemoryLatencyChecker
 from repro.workloads import (
     hash_chain_comparison,
@@ -22,25 +17,7 @@ from repro.workloads import (
     run_projection_sweep,
     run_selection_sweep,
 )
-from repro.analysis.result import (
-    CYCLE_SHARE_COLUMNS,
-    STALL_SHARE_COLUMNS,
-    FigureResult,
-    cycle_share_row,
-    stall_share_row,
-)
-
-
-def commercial_engines():
-    return (RowStoreEngine(), ColumnStoreEngine())
-
-
-def hpe_engines():
-    return (TyperEngine(), TectorwiseEngine())
-
-
-def all_engines():
-    return (*commercial_engines(), *hpe_engines())
+from repro.analysis.result import FigureResult, breakdown_figure
 
 
 def table1_server_parameters(db, profiler) -> FigureResult:
@@ -60,63 +37,43 @@ def table1_server_parameters(db, profiler) -> FigureResult:
 # ----------------------------------------------------------------------
 def fig01_projection_commercial_cycles(db, profiler) -> FigureResult:
     """Figure 1: CPU cycles breakdown for projection, DBMS R and C."""
-    reports = run_projection_sweep(db, commercial_engines(), profiler)
-    figure = FigureResult(
-        "fig01",
-        "CPU cycles breakdown for projection (DBMS R / DBMS C)",
-        ("engine", "degree", "stall_ratio", *CYCLE_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig01", "CPU cycles breakdown for projection (DBMS R / DBMS C)",
+        "cycles", "degree",
+        run_projection_sweep(db, [engine() for engine in COMMERCIAL_ENGINES], profiler),
     )
-    for engine, per_degree in reports.items():
-        for degree, report in per_degree.items():
-            figure.rows.append(cycle_share_row(report, degree=degree))
-    return figure
 
 
 def fig02_projection_commercial_stalls(db, profiler) -> FigureResult:
     """Figure 2: stall cycles breakdown for projection, DBMS R and C."""
-    reports = run_projection_sweep(db, commercial_engines(), profiler)
-    figure = FigureResult(
-        "fig02",
-        "Stall cycles breakdown for projection (DBMS R / DBMS C)",
-        ("engine", "degree", "stall_ratio", *STALL_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig02", "Stall cycles breakdown for projection (DBMS R / DBMS C)",
+        "stalls", "degree",
+        run_projection_sweep(db, [engine() for engine in COMMERCIAL_ENGINES], profiler),
     )
-    for engine, per_degree in reports.items():
-        for degree, report in per_degree.items():
-            figure.rows.append(stall_share_row(report, degree=degree))
-    return figure
 
 
 def fig03_projection_hpe_cycles(db, profiler) -> FigureResult:
     """Figure 3: CPU cycles breakdown for projection, Typer/Tectorwise."""
-    reports = run_projection_sweep(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig03",
-        "CPU cycles breakdown for projection (Typer / Tectorwise)",
-        ("engine", "degree", "stall_ratio", *CYCLE_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig03", "CPU cycles breakdown for projection (Typer / Tectorwise)",
+        "cycles", "degree",
+        run_projection_sweep(db, [engine() for engine in HPE_ENGINES], profiler),
     )
-    for engine, per_degree in reports.items():
-        for degree, report in per_degree.items():
-            figure.rows.append(cycle_share_row(report, degree=degree))
-    return figure
 
 
 def fig04_projection_hpe_stalls(db, profiler) -> FigureResult:
     """Figure 4: stall cycles breakdown for projection, Typer/Tectorwise."""
-    reports = run_projection_sweep(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig04",
-        "Stall cycles breakdown for projection (Typer / Tectorwise)",
-        ("engine", "degree", "stall_ratio", *STALL_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig04", "Stall cycles breakdown for projection (Typer / Tectorwise)",
+        "stalls", "degree",
+        run_projection_sweep(db, [engine() for engine in HPE_ENGINES], profiler),
     )
-    for engine, per_degree in reports.items():
-        for degree, report in per_degree.items():
-            figure.rows.append(stall_share_row(report, degree=degree))
-    return figure
 
 
 def fig05_projection_bandwidth(db, profiler) -> FigureResult:
     """Figure 5: single-core sequential bandwidth during projection."""
-    reports = run_projection_sweep(db, hpe_engines(), profiler)
+    reports = run_projection_sweep(db, [engine() for engine in HPE_ENGINES], profiler)
     figure = FigureResult(
         "fig05",
         "Single-core sequential bandwidth, projection (Typer / Tectorwise)",
@@ -137,7 +94,7 @@ def fig05_projection_bandwidth(db, profiler) -> FigureResult:
 
 def fig06_projection_response_time(db, profiler) -> FigureResult:
     """Figure 6: normalised response time, projection p4, four systems."""
-    reports = run_projection_sweep(db, all_engines(), profiler)
+    reports = run_projection_sweep(db, [engine() for engine in ALL_ENGINES], profiler)
     normalized = normalized_response_times(reports, degree=4)
     figure = FigureResult(
         "fig06",
@@ -164,66 +121,43 @@ def fig06_projection_response_time(db, profiler) -> FigureResult:
 # ----------------------------------------------------------------------
 def fig07_selection_commercial_cycles(db, profiler) -> FigureResult:
     """Figure 7: CPU cycles breakdown for selection, DBMS R and C."""
-    reports = run_selection_sweep(db, commercial_engines(), profiler)
-    figure = FigureResult(
-        "fig07",
-        "CPU cycles breakdown for selection (DBMS R / DBMS C)",
-        ("engine", "selectivity", "stall_ratio", *CYCLE_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig07", "CPU cycles breakdown for selection (DBMS R / DBMS C)",
+        "cycles", "selectivity",
+        run_selection_sweep(db, [engine() for engine in COMMERCIAL_ENGINES], profiler),
     )
-    for engine, per_sel in reports.items():
-        for selectivity, report in per_sel.items():
-            figure.rows.append(cycle_share_row(report, selectivity=selectivity))
-    return figure
 
 
 def fig08_selection_commercial_stalls(db, profiler) -> FigureResult:
     """Figure 8: stall cycles breakdown for selection, DBMS R and C."""
-    reports = run_selection_sweep(db, commercial_engines(), profiler)
-    figure = FigureResult(
-        "fig08",
-        "Stall cycles breakdown for selection (DBMS R / DBMS C)",
-        ("engine", "selectivity", "stall_ratio", *STALL_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig08", "Stall cycles breakdown for selection (DBMS R / DBMS C)",
+        "stalls", "selectivity",
+        run_selection_sweep(db, [engine() for engine in COMMERCIAL_ENGINES], profiler),
     )
-    for engine, per_sel in reports.items():
-        for selectivity, report in per_sel.items():
-            figure.rows.append(stall_share_row(report, selectivity=selectivity))
-    return figure
 
 
 def fig09_selection_hpe_cycles(db, profiler) -> FigureResult:
     """Figure 9: CPU cycles breakdown for selection, Typer/Tectorwise."""
-    reports = run_selection_sweep(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig09",
-        "CPU cycles breakdown for selection (Typer / Tectorwise)",
-        ("engine", "selectivity", "stall_ratio", *CYCLE_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig09", "CPU cycles breakdown for selection (Typer / Tectorwise)",
+        "cycles", "selectivity",
+        run_selection_sweep(db, [engine() for engine in HPE_ENGINES], profiler),
+        "Both engines stall the most at 50% selectivity.",
     )
-    for engine, per_sel in reports.items():
-        for selectivity, report in per_sel.items():
-            figure.rows.append(cycle_share_row(report, selectivity=selectivity))
-    figure.note("Both engines stall the most at 50% selectivity.")
-    return figure
 
 
 def fig10_selection_hpe_stalls(db, profiler) -> FigureResult:
     """Figure 10: stall cycles breakdown for selection, Typer/Tectorwise,
     plus the Section 4 bandwidth-utilisation text numbers."""
-    reports = run_selection_sweep(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig10",
-        "Stall cycles breakdown for selection (Typer / Tectorwise)",
-        ("engine", "selectivity", "stall_ratio", "bandwidth_gbps", *STALL_SHARE_COLUMNS),
-    )
-    for engine, per_sel in reports.items():
-        for selectivity, report in per_sel.items():
-            row = stall_share_row(report, selectivity=selectivity)
-            row["bandwidth_gbps"] = report.bandwidth.gbps
-            figure.rows.append(row)
-    figure.note(
+    return breakdown_figure(
+        "fig10", "Stall cycles breakdown for selection (Typer / Tectorwise)",
+        "stalls", "selectivity",
+        run_selection_sweep(db, [engine() for engine in HPE_ENGINES], profiler),
         "Branch mispredictions dominate and peak at 50%; bandwidth stays "
-        "well below the sequential roof (Section 4 text)."
+        "well below the sequential roof (Section 4 text).",
+        bandwidth=True,
     )
-    return figure
 
 
 # ----------------------------------------------------------------------
@@ -231,59 +165,42 @@ def fig10_selection_hpe_stalls(db, profiler) -> FigureResult:
 # ----------------------------------------------------------------------
 def fig11_join_commercial_cycles(db, profiler) -> FigureResult:
     """Figure 11: CPU cycles breakdown for joins, DBMS R and C."""
-    reports = run_join_sweep(db, commercial_engines(), profiler)
-    figure = FigureResult(
-        "fig11",
-        "CPU cycles breakdown for join (DBMS R / DBMS C)",
-        ("engine", "size", "stall_ratio", *CYCLE_SHARE_COLUMNS),
-    )
-    for engine, per_size in reports.items():
-        for size, report in per_size.items():
-            figure.rows.append(cycle_share_row(report, size=size))
-    figure.note(
+    return breakdown_figure(
+        "fig11", "CPU cycles breakdown for join (DBMS R / DBMS C)",
+        "cycles", "size",
+        run_join_sweep(db, [engine() for engine in COMMERCIAL_ENGINES], profiler),
         "Breakdowns stay similar across join sizes: the interpretation "
-        "footprint overshadows the micro-architectural behaviour."
+        "footprint overshadows the micro-architectural behaviour.",
     )
-    return figure
 
 
 def fig12_join_hpe_cycles(db, profiler) -> FigureResult:
     """Figure 12: CPU cycles breakdown for joins, Typer/Tectorwise."""
-    reports = run_join_sweep(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig12",
-        "CPU cycles breakdown for join (Typer / Tectorwise)",
-        ("engine", "size", "stall_ratio", *CYCLE_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig12", "CPU cycles breakdown for join (Typer / Tectorwise)",
+        "cycles", "size",
+        run_join_sweep(db, [engine() for engine in HPE_ENGINES], profiler),
+        "Stall ratio grows with join size.",
     )
-    for engine, per_size in reports.items():
-        for size, report in per_size.items():
-            figure.rows.append(cycle_share_row(report, size=size))
-    figure.note("Stall ratio grows with join size.")
-    return figure
 
 
 def fig13_join_hpe_stalls(db, profiler) -> FigureResult:
     """Figure 13: stall cycles breakdown for joins, Typer/Tectorwise."""
-    reports = run_join_sweep(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig13",
-        "Stall cycles breakdown for join (Typer / Tectorwise)",
-        ("engine", "size", "stall_ratio", *STALL_SHARE_COLUMNS),
-    )
-    for engine, per_size in reports.items():
-        for size, report in per_size.items():
-            figure.rows.append(stall_share_row(report, size=size))
-    figure.note(
+    return breakdown_figure(
+        "fig13", "Stall cycles breakdown for join (Typer / Tectorwise)",
+        "stalls", "size",
+        run_join_sweep(db, [engine() for engine in HPE_ENGINES], profiler),
         "Dcache stalls dominate the large join; Execution stalls are a "
-        "significant share for small/medium (hash computations)."
+        "significant share for small/medium (hash computations).",
     )
-    return figure
 
 
 def fig14_join_bandwidth_response(db, profiler) -> FigureResult:
     """Figure 14: large-join random bandwidth (left) and normalised
     response time across the four systems (right)."""
-    reports = run_join_sweep(db, all_engines(), profiler, sizes=("large",))
+    reports = run_join_sweep(
+        db, [engine() for engine in ALL_ENGINES], profiler, sizes=("large",)
+    )
     normalized = normalized_large_join(reports)
     figure = FigureResult(
         "fig14",

@@ -3,31 +3,21 @@ Section 10 headroom discussion)."""
 
 from __future__ import annotations
 
-from repro.engines import TectorwiseEngine, TyperEngine
+from repro.engines import HPE_ENGINES
 from repro.core.multicore import (
     THREAD_SWEEP,
     MulticoreModel,
     measured_speedup_curve,
 )
-from repro.workloads.tpch_queries import run_tpch
-from repro.analysis.result import (
-    CYCLE_SHARE_COLUMNS,
-    STALL_SHARE_COLUMNS,
-    FigureResult,
-    cycle_share_row,
-    stall_share_row,
-)
-
-
-def hpe_engines():
-    return (TyperEngine(), TectorwiseEngine())
+from repro.analysis.result import FigureResult, breakdown_figure
 
 
 def _multicore_tpch_reports(db, profiler, threads: int = 14):
     """Per-thread reports of the TPC-H queries at ``threads`` threads."""
     model = MulticoreModel(profiler)
     reports = {}
-    for engine in hpe_engines():
+    for engine_cls in HPE_ENGINES:
+        engine = engine_cls()
         per_query = {}
         for query_id in ("Q1", "Q6", "Q9", "Q18"):
             result = engine.run_tpch(db, query_id)
@@ -38,31 +28,19 @@ def _multicore_tpch_reports(db, profiler, threads: int = 14):
 
 def fig27_multicore_tpch_cycles(db, profiler) -> FigureResult:
     """Figure 27: CPU cycles breakdown, TPC-H at 14 threads."""
-    reports = _multicore_tpch_reports(db, profiler)
-    figure = FigureResult(
-        "fig27",
-        "CPU cycles breakdown, TPC-H at 14 threads (Typer / Tectorwise)",
-        ("engine", "query", "stall_ratio", *CYCLE_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig27", "CPU cycles breakdown, TPC-H at 14 threads (Typer / Tectorwise)",
+        "cycles", "query", _multicore_tpch_reports(db, profiler),
+        "Multi-core breakdowns track the single-core ones.",
     )
-    for engine, per_query in reports.items():
-        for query_id, report in per_query.items():
-            figure.rows.append(cycle_share_row(report, query=query_id))
-    figure.note("Multi-core breakdowns track the single-core ones.")
-    return figure
 
 
 def fig28_multicore_tpch_stalls(db, profiler) -> FigureResult:
     """Figure 28: stall cycles breakdown, TPC-H at 14 threads."""
-    reports = _multicore_tpch_reports(db, profiler)
-    figure = FigureResult(
-        "fig28",
-        "Stall cycles breakdown, TPC-H at 14 threads (Typer / Tectorwise)",
-        ("engine", "query", "stall_ratio", *STALL_SHARE_COLUMNS),
+    return breakdown_figure(
+        "fig28", "Stall cycles breakdown, TPC-H at 14 threads (Typer / Tectorwise)",
+        "stalls", "query", _multicore_tpch_reports(db, profiler),
     )
-    for engine, per_query in reports.items():
-        for query_id, report in per_query.items():
-            figure.rows.append(stall_share_row(report, query=query_id))
-    return figure
 
 
 def _bandwidth_curve_figure(db, profiler, figure_id: str, workload: str) -> FigureResult:
@@ -74,7 +52,8 @@ def _bandwidth_curve_figure(db, profiler, figure_id: str, workload: str) -> Figu
     figure = FigureResult(
         figure_id, title, ("engine", "threads", "bandwidth_gbps", "max_gbps")
     )
-    for engine in hpe_engines():
+    for engine_cls in HPE_ENGINES:
+        engine = engine_cls()
         if workload == "projection":
             result = engine.run_projection(db, 4)
         else:
@@ -132,7 +111,8 @@ def sec10_measured_scaling(db, profiler) -> FigureResult:
         ("engine", "query", "workers", "measured_speedup", "modeled_speedup"),
     )
     model = MulticoreModel(profiler)
-    for engine in hpe_engines():
+    for engine_cls in HPE_ENGINES:
+        engine = engine_cls()
         for query_id in ("Q1", "Q6"):
             result = engine.run_tpch(db, query_id)
             modeled = model.speedup_curve(engine, result, worker_counts)
@@ -166,7 +146,7 @@ def sec10_multicore_headroom(db, profiler) -> FigureResult:
     """Section 10 text: SIMD and hyper-threading raise the large join's
     multi-core bandwidth, but it stays below the random-access roof."""
     model = MulticoreModel(profiler)
-    typer, tectorwise = hpe_engines()
+    typer, tectorwise = (engine() for engine in HPE_ENGINES)
     threads = profiler.spec.cores_per_socket
     figure = FigureResult(
         "sec10-headroom",

@@ -3,7 +3,7 @@ text numbers)."""
 
 from __future__ import annotations
 
-from repro.engines import TectorwiseEngine, TyperEngine
+from repro.engines import HPE_ENGINES, TectorwiseEngine, TyperEngine
 from repro.workloads import (
     run_predicated_q6,
     run_predication_comparison,
@@ -11,18 +11,11 @@ from repro.workloads import (
     run_tpch,
 )
 from repro.analysis.result import (
-    CYCLE_SHARE_COLUMNS,
-    STALL_SHARE_COLUMNS,
     TIME_COLUMNS,
     FigureResult,
-    cycle_share_row,
-    stall_share_row,
+    breakdown_figure,
     time_breakdown_row,
 )
-
-
-def hpe_engines():
-    return (TyperEngine(), TectorwiseEngine())
 
 
 # ----------------------------------------------------------------------
@@ -30,41 +23,26 @@ def hpe_engines():
 # ----------------------------------------------------------------------
 def fig15_tpch_cycles(db, profiler) -> FigureResult:
     """Figure 15: CPU cycles breakdown, TPC-H queries, Typer/Tectorwise."""
-    reports = run_tpch(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig15",
-        "CPU cycles breakdown for TPC-H (Typer / Tectorwise)",
-        ("engine", "query", "stall_ratio", *CYCLE_SHARE_COLUMNS),
-    )
-    for engine, per_query in reports.items():
-        for query_id, report in per_query.items():
-            figure.rows.append(cycle_share_row(report, query=query_id))
-    figure.note(
+    return breakdown_figure(
+        "fig15", "CPU cycles breakdown for TPC-H (Typer / Tectorwise)",
+        "cycles", "query",
+        run_tpch(db, [engine() for engine in HPE_ENGINES], profiler),
         "Q1 has the highest Retiring ratio on both engines; Q9 has the "
-        "lowest for Typer and Q6 the lowest for Tectorwise."
+        "lowest for Typer and Q6 the lowest for Tectorwise.",
     )
-    return figure
 
 
 def fig16_tpch_stalls(db, profiler) -> FigureResult:
     """Figure 16: stall cycles breakdown, TPC-H queries, plus the
     Section 6 bandwidth observations."""
-    reports = run_tpch(db, hpe_engines(), profiler)
-    figure = FigureResult(
-        "fig16",
-        "Stall cycles breakdown for TPC-H (Typer / Tectorwise)",
-        ("engine", "query", "stall_ratio", "bandwidth_gbps", *STALL_SHARE_COLUMNS),
-    )
-    for engine, per_query in reports.items():
-        for query_id, report in per_query.items():
-            row = stall_share_row(report, query=query_id)
-            row["bandwidth_gbps"] = report.bandwidth.gbps
-            figure.rows.append(row)
-    figure.note(
+    return breakdown_figure(
+        "fig16", "Stall cycles breakdown for TPC-H (Typer / Tectorwise)",
+        "stalls", "query",
+        run_tpch(db, [engine() for engine in HPE_ENGINES], profiler),
         "Q1 is Execution-heavy, Q6 Dcache-bound on Typer but branch-bound "
-        "on Tectorwise, Q9/Q18 Dcache-dominated with visible branch stalls."
+        "on Tectorwise, Q9/Q18 Dcache-dominated with visible branch stalls.",
+        bandwidth=True,
     )
-    return figure
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +105,8 @@ def fig21_predication_bandwidth(db, profiler) -> FigureResult:
         "Single-core bandwidth, predicated selection (Typer / Tectorwise)",
         ("engine", "selectivity", "variant", "bandwidth_gbps", "max_gbps"),
     )
-    for engine in hpe_engines():
+    for engine_cls in HPE_ENGINES:
+        engine = engine_cls()
         comparison = run_predication_comparison(db, engine, profiler)
         for selectivity, variants in comparison.items():
             for variant, report in variants.items():
@@ -152,7 +131,8 @@ def sec7_predicated_q6(db, profiler) -> FigureResult:
         "Predicated TPC-H Q6 (Typer / Tectorwise)",
         ("engine", "variant", "response_ms", "bandwidth_gbps", "response_change"),
     )
-    for engine in hpe_engines():
+    for engine_cls in HPE_ENGINES:
+        engine = engine_cls()
         reports = run_predicated_q6(db, engine, profiler)
         base = reports["branched"].response_time_ms
         for variant, report in reports.items():
@@ -173,7 +153,7 @@ def sec7_predicated_q6(db, profiler) -> FigureResult:
 def selection_branched_bandwidth(db, profiler) -> FigureResult:
     """Section 4/7 text: branched selection bandwidth (Typer 3/5/5,
     Tectorwise 2.5/3/3 GB/s)."""
-    reports = run_selection_sweep(db, hpe_engines(), profiler)
+    reports = run_selection_sweep(db, [engine() for engine in HPE_ENGINES], profiler)
     figure = FigureResult(
         "sec4-bandwidth",
         "Branched selection bandwidth",

@@ -88,6 +88,43 @@ def stall_share_row(report: ProfileReport, **extra) -> dict:
     return row
 
 
+#: The two breakdown views of every workload (Section 2): the row
+#: builder and the share columns of each.
+_BREAKDOWNS = {
+    "cycles": (cycle_share_row, CYCLE_SHARE_COLUMNS),
+    "stalls": (stall_share_row, STALL_SHARE_COLUMNS),
+}
+
+
+def breakdown_figure(
+    figure_id: str,
+    title: str,
+    view: str,
+    argument: str,
+    reports: dict,
+    *notes: str,
+    bandwidth: bool = False,
+) -> FigureResult:
+    """A CPU-cycles (``view="cycles"``) or stall-cycles (``"stalls"``)
+    breakdown figure: one row per engine and ``argument`` value of
+    ``reports`` (``{engine: {value: report}}``, as a sweep returns it),
+    in sweep order.  ``bandwidth`` adds each run's ``bandwidth_gbps``."""
+    row_for, shares = _BREAKDOWNS[view]
+    extra = ("bandwidth_gbps",) if bandwidth else ()
+    figure = FigureResult(
+        figure_id, title, ("engine", argument, "stall_ratio", *extra, *shares)
+    )
+    for per_argument in reports.values():
+        for value, report in per_argument.items():
+            row = row_for(report, **{argument: value})
+            if bandwidth:
+                row["bandwidth_gbps"] = report.bandwidth.gbps
+            figure.rows.append(row)
+    for note in notes:
+        figure.note(note)
+    return figure
+
+
 def time_breakdown_row(report: ProfileReport, **extra) -> dict:
     """Figure row with per-component response time in ms (Fig 17-20, 26)."""
     row = dict(extra)

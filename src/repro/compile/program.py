@@ -58,15 +58,12 @@ from repro.engines.morsel import (
     bytes_for_rows,
     gather_lines,
     group_ids,
-    resolve_range,
     shared_structure,
 )
 from repro.engines.scan import (
     AGG_STATE_KEY,
-    decision_details,
     exact_sum_column,
     predicate_mask,
-    record_encoded_agg,
 )
 from repro.obs import trace
 from repro.sql import plan as ir
@@ -231,11 +228,10 @@ class KernelProgram:
     # ------------------------------------------------------------------
     # Morsel execution
     # ------------------------------------------------------------------
-    def execute(self, engine, db, row_range):
-        """Run the kernel sequence over one morsel; returns the exactly
-        mergeable ``(state, tuples, work)`` triple."""
+    def execute(self, engine, db, lo, hi):
+        """Run the kernel sequence over driving rows ``[lo, hi)``;
+        returns the exactly mergeable ``(state, work)`` pair."""
         driving = db.table(self.driving)
-        lo, hi = resolve_range(row_range, driving.n_rows)
         m = hi - lo
         lead = lo == 0
         work = engine._new_work()
@@ -448,18 +444,15 @@ class KernelProgram:
             "candidates": n_final,
             AGG_STATE_KEY: tuple(decisions),
         }
-        return state, m, work
+        return state, work
 
     # ------------------------------------------------------------------
     # Finisher (single-shot and merge paths share it)
     # ------------------------------------------------------------------
-    def finish(self, engine, db, merged):
-        from repro.engines.base import QueryResult
-
-        work = engine._finalize_profile(merged.work)
+    def finish(self, merged):
+        """The ``(value, details)`` of a merged execution; the engine's
+        :meth:`~repro.engines.base.Engine._result` packages them."""
         state = merged.state
-        decision = state.get(AGG_STATE_KEY) or ()
-        record_encoded_agg(decision)
         groups = state["groups"]
         frame = _GroupFrame(self, groups)
         names = [out.name for out in self.outputs]
@@ -500,12 +493,7 @@ class KernelProgram:
             "candidates": state.get("candidates", 0),
             "exact_totals": exact_totals,
         }
-        encoded = decision_details(decision)
-        if encoded is not None:
-            details["encoded_agg"] = encoded
-        if merged.operators is not None:
-            details["operators"] = merged.operators
-        return QueryResult(self.workload, value, merged.tuples, work, details)
+        return value, details
 
     def _slot_of(self, agg: ir.AggCall, role: str | None = None) -> AggSlot:
         name = _slot_key(agg, role)
@@ -1124,30 +1112,3 @@ def _compile(plan: ir.PlanNode) -> KernelProgram | Declined:
     except CompileError as exc:
         return Declined(str(exc))
     return program
-
-
-def execute_compiled(engine, db, plan: ir.PlanNode, row_range=None):
-    """Entry point behind :meth:`Engine.run_compiled`.
-
-    ``row_range=None`` runs the full driving table and finishes through
-    the same merge finisher the parallel executor uses; a set range
-    returns an exactly mergeable partial.
-    """
-    from repro.engines.base import MergedPartials
-
-    program = compiled_program(plan)
-    if row_range is not None:
-        state, tuples, work = program.execute(engine, db, row_range)
-        lo, hi = resolve_range(row_range, db.table(program.driving).n_rows)
-        return engine._partial_result(
-            program.workload, state, tuples, work, (lo, hi)
-        )
-    state, tuples, work = program.execute(engine, db, None)
-    merged = MergedPartials(state=state, work=work, tuples=tuples)
-    return program.finish(engine, db, merged)
-
-
-def finish_compiled(engine, db, merged, plan: ir.PlanNode):
-    """Merge finisher behind :meth:`Engine._finish_compiled`."""
-    return compiled_program(plan).finish(engine, db, merged)
-

@@ -30,10 +30,12 @@ from repro.engines.interpreter import (
     RowStoreEngine,
 )
 
-#: All four engines in the paper's presentation order.
-ALL_ENGINES = (RowStoreEngine, ColumnStoreEngine, TyperEngine, TectorwiseEngine)
+#: The two commercial systems, DBMS R and DBMS C.
+COMMERCIAL_ENGINES = (RowStoreEngine, ColumnStoreEngine)
 #: The two high-performance OLAP engines (Sections 3-10 focus).
 HPE_ENGINES = (TyperEngine, TectorwiseEngine)
+#: All four engines in the paper's presentation order.
+ALL_ENGINES = (*COMMERCIAL_ENGINES, *HPE_ENGINES)
 
 
 def engine_by_name(name: str) -> Engine:
@@ -51,6 +53,7 @@ __all__ = [
     "ALL_ENGINES",
     "ChainStats",
     "ChainedHashTable",
+    "COMMERCIAL_ENGINES",
     "ColumnStoreEngine",
     "Engine",
     "GroupByHashTable",

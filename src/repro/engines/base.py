@@ -264,6 +264,14 @@ def _simd_suffix(simd: bool) -> str:
     return "-simd" if simd else ""
 
 
+def _program(plan):
+    """The compiled program of ``plan``.  Imported at call time: the
+    compiler imports the engines' scan and morsel kernels."""
+    from repro.compile.program import compiled_program
+
+    return compiled_program(plan)
+
+
 #: ``QueryResult.workload`` of each workload from its run parameters
 #: (selection takes the *resolved* selectivity).
 _LABELS = {
@@ -279,6 +287,7 @@ _LABELS = {
     "q6": lambda predicated=False: "Q6-predicated" if predicated else "Q6",
     "q9": lambda: "Q9",
     "q18": lambda: "Q18",
+    "compiled": lambda plan: _program(plan).workload,
 }
 
 #: ``run_tpch`` query id -> per-query runner (the dispatch of
@@ -309,9 +318,7 @@ def driving_table(method: str, kwargs: dict) -> str:
     if method == "run_join":
         return join_spec(kwargs.get("size")).probe_table
     if method == "run_compiled":
-        from repro.compile.program import compiled_program
-
-        return compiled_program(kwargs["plan"]).driving
+        return _program(kwargs["plan"]).driving
     return "lineitem"
 
 
@@ -980,14 +987,14 @@ class Engine(ABC):
         and both executors produce bit-identical values.  Defined on
         the base class: the compiled path *is* the bespoke engine.
         """
-        from repro.compile.program import execute_compiled
+        program = _program(plan)
+        lo, hi = resolve_range(row_range, db.table(program.driving).n_rows)
+        state, work = program.execute(self, db, lo, hi)
+        return self._conclude("compiled", db, state, work, lo, hi, row_range, plan=plan)
 
-        return execute_compiled(self, db, plan, row_range)
-
-    def _finish_compiled(self, db: Database, merged, plan) -> QueryResult:
-        from repro.compile.program import finish_compiled
-
-        return finish_compiled(self, db, merged, plan)
+    def _finish_compiled(self, db: Database, merged: MergedPartials, plan) -> QueryResult:
+        value, details = _program(plan).finish(merged)
+        return self._result("compiled", value, merged, details, plan=plan)
 
 
 def _memoize_run_methods(cls) -> None:

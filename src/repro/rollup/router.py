@@ -120,35 +120,14 @@ def _assemble(engine, db, rollup, profile: QueryProfile, selected, kwargs, finis
     """The routed :class:`QueryResult`: exact partial merge + an honest
     (rollup-sized) work profile.  ``finish=False`` stops before the one
     global rounding and returns the ExactSum as a morsel partial."""
-    from repro.engines.base import QueryResult
+    from repro.engines.base import _LABELS, MergedPartials, QueryResult
 
     agg_names = tuple(
         rollup.aggregate_named("sum", expr).name for expr in profile.expressions
     )
     sums = [rollup.sum_units(name, selected) for name in agg_names]
-    details: dict = {}
-    if profile.method == "run_q1":
-        label = "Q1"
-        flags = rollup.key_columns["l_returnflag"][selected]
-        status = rollup.key_columns["l_linestatus"][selected]
-        group_key = flags.astype(np.int64) * 2 + status.astype(np.int64)
-        groups = int(len(np.unique(group_key)))
-        value = {
-            "sum_qty": sums[0].total(),
-            "sum_base_price": sums[1].total(),
-            "sum_disc_price": sums[2].total(),
-            "sum_charge": sums[3].total(),
-            "groups": groups,
-        }
-        details["groups"] = groups
+    if profile.needs_groups:
         agg_names = agg_names + (rollup.aggregate_named("count").name,)
-    else:  # run_projection / run_groupby: one global sum
-        label = (
-            "groupby-micro"
-            if profile.method == "run_groupby"
-            else f"projection-p{int(kwargs['degree'])}"
-        )
-        value = sums[0].total()
 
     n_read = len(selected)
     work = engine._new_work()
@@ -159,6 +138,23 @@ def _assemble(engine, db, rollup, profile: QueryProfile, selected, kwargs, finis
         chain=float(n_read),
     )
     work.record_sequential_read(float(rollup.row_bytes(agg_names) * n_read))
+    if profile.method == "run_q1":
+        # The state a Q1 scan hands its finisher: four exact sums and
+        # the (flag, status) keys present.
+        flags = rollup.key_columns["l_returnflag"][selected]
+        status = rollup.key_columns["l_linestatus"][selected]
+        group_key = flags.astype(np.int64) * 2 + status.astype(np.int64)
+        state = dict(
+            zip(("sum_qty", "sum_base_price", "sum_disc_price", "sum_charge"), sums),
+            keys=set(np.unique(group_key).tolist()),
+        )
+        return engine._finish_q1(db, MergedPartials(state, work, n_read))
+
+    # run_projection / run_groupby: one global sum, kept bare -- their
+    # finishers add SIMD details, and the group-by finisher builds the
+    # group hash table this route exists to avoid.
+    params = {"degree": int(kwargs["degree"])} if profile.method == "run_projection" else {}
+    label = _LABELS[profile.method[len("run_"):]](**params)
     if not finish:
         # The global-sum finishers consume exactly state["sum"] + the
         # merged tuples, so this is indistinguishable from a scan
@@ -168,7 +164,7 @@ def _assemble(engine, db, rollup, profile: QueryProfile, selected, kwargs, finis
         return engine._partial_result(
             label, {"sum": sums[0]}, n_rows, work, (0, n_rows)
         )
-    return QueryResult(label, value, n_read, engine._finalize_profile(work), details)
+    return QueryResult(label, sums[0].total(), n_read, engine._finalize_profile(work), {})
 
 
 def route(db, engine, method: str, kwargs, finish: bool = True):

@@ -31,7 +31,7 @@ from repro.storage.catalog import Database
 
 SHARD_MODES = ("hash", "range")
 FACT_TABLE = "lineitem"
-DEFAULT_SHARD_KEY = "l_orderkey"
+SHARD_KEY = "l_orderkey"
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
@@ -47,18 +47,12 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     return h
 
 
-def shard_assignment(
-    db: Database,
-    n_shards: int,
-    mode: str = "hash",
-    fact_table: str = FACT_TABLE,
-    key_column: str = DEFAULT_SHARD_KEY,
-) -> list[np.ndarray]:
+def shard_assignment(db: Database, n_shards: int, mode: str = "hash") -> list[np.ndarray]:
     """Sorted row-index array per shard, a partition of ``arange(n)``.
 
     ``range`` slices the table into contiguous near-equal chunks (rows
     keep their physical clustering, so zone maps and RLE stay sharp);
-    ``hash`` assigns each row by a mixed hash of ``key_column`` (the
+    ``hash`` assigns each row by a mixed hash of ``SHARD_KEY`` (the
     distribution-friendly choice: co-keyed rows land together).  Hash
     indices are kept sorted within each shard so shard-local scans
     still stream in parent order.
@@ -67,14 +61,14 @@ def shard_assignment(
         raise ValueError(f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}")
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    n_rows = db.table(fact_table).n_rows
+    n_rows = db.table(FACT_TABLE).n_rows
     if mode == "range" or n_shards == 1:
         bounds = [round(i * n_rows / n_shards) for i in range(n_shards + 1)]
         return [
             np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
             for i in range(n_shards)
         ]
-    keys = np.asarray(db.table(fact_table)[key_column]).astype(np.int64)
+    keys = np.asarray(db.table(FACT_TABLE)[SHARD_KEY]).astype(np.int64)
     owner = _mix64(keys) % np.uint64(n_shards)
     return [
         np.flatnonzero(owner == np.uint64(shard_id)).astype(np.int64)
@@ -83,12 +77,7 @@ def shard_assignment(
 
 
 def shard_database(
-    db: Database,
-    indices: np.ndarray,
-    shard_id: int,
-    n_shards: int,
-    mode: str,
-    fact_table: str = FACT_TABLE,
+    db: Database, indices: np.ndarray, shard_id: int, n_shards: int, mode: str
 ) -> Database:
     """One shard: the fact-table subset plus every dimension replicated.
 
@@ -101,18 +90,18 @@ def shard_database(
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         raise ValueError(
-            f"shard {shard_id} of {n_shards} ({mode}) owns no {fact_table} rows; "
+            f"shard {shard_id} of {n_shards} ({mode}) owns no {FACT_TABLE} rows; "
             "use fewer shards for this scale factor"
         )
     shard = db.twin(
-        f"{db.name}-shard{shard_id}", {fact_table: db.table(fact_table).select(indices)}
+        f"{db.name}-shard{shard_id}", {FACT_TABLE: db.table(FACT_TABLE).select(indices)}
     )
     # Identity last: add_table resets it, and shard caches must key on
     # (parent identity, shard coordinates), not a fresh uid per build.
     shard.cache_key = f"{db.identity}/shard-{mode}-{shard_id}of{n_shards}"
     for rollup_name in getattr(db, "rollup_names", ()):
         parent_rollup = db.rollup(rollup_name)
-        if parent_rollup.base_table != fact_table:
+        if parent_rollup.base_table != FACT_TABLE:
             shard.add_rollup(parent_rollup)
             continue
         from repro.rollup.build import RollupSpec, build_and_attach
@@ -129,16 +118,10 @@ def shard_database(
     return shard
 
 
-def build_shards(
-    db: Database,
-    n_shards: int,
-    mode: str = "hash",
-    fact_table: str = FACT_TABLE,
-    key_column: str = DEFAULT_SHARD_KEY,
-) -> list[Database]:
+def build_shards(db: Database, n_shards: int, mode: str = "hash") -> list[Database]:
     """Shard ``db`` into ``n_shards`` databases (see the module docs)."""
-    assignment = shard_assignment(db, n_shards, mode, fact_table, key_column)
+    assignment = shard_assignment(db, n_shards, mode)
     return [
-        shard_database(db, indices, shard_id, n_shards, mode, fact_table)
+        shard_database(db, indices, shard_id, n_shards, mode)
         for shard_id, indices in enumerate(assignment)
     ]

@@ -204,29 +204,34 @@ def _plan_features(node) -> frozenset[str]:
     tables scanned, columns referenced, aggregate functions, and coarse
     shape markers (join / grouped)."""
     features: set[str] = set()
-
-    def walk(obj) -> None:
+    for obj in _nodes(node):
         if isinstance(obj, ir.ColRef):
             features.add(f"table:{obj.table}")
             features.add(f"column:{obj.table}.{obj.column}")
-            return
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            if isinstance(obj, ir.Scan):
-                features.add(f"table:{obj.table}")
-            elif isinstance(obj, ir.Join):
-                features.add("shape:join")
-            elif isinstance(obj, ir.Aggregate):
-                features.add("shape:grouped" if obj.group_by else "shape:global")
-            elif isinstance(obj, ir.AggCall):
-                features.add(f"agg:{obj.func}")
-            for field_ in dataclasses.fields(obj):
-                walk(getattr(obj, field_.name))
-        elif isinstance(obj, (tuple, list)):
-            for item in obj:
-                walk(item)
-
-    walk(node)
+        elif isinstance(obj, ir.Scan):
+            features.add(f"table:{obj.table}")
+        elif isinstance(obj, ir.Join):
+            features.add("shape:join")
+        elif isinstance(obj, ir.Aggregate):
+            features.add("shape:grouped" if obj.group_by else "shape:global")
+        elif isinstance(obj, ir.AggCall):
+            features.add(f"agg:{obj.func}")
     return frozenset(features)
+
+
+def _nodes(plan) -> list:
+    """Every plan node and expression under ``plan``, itself included
+    (the plan classes are plain frozen dataclasses: their fields are
+    their instance dicts)."""
+    found, pending = [], [plan]
+    while pending:
+        obj = pending.pop()
+        if isinstance(obj, (tuple, list)):
+            pending.extend(obj)
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            found.append(obj)
+            pending.extend(vars(obj).values())
+    return found
 
 
 @dataclass(frozen=True)
@@ -257,9 +262,7 @@ def partition_binding(bound: BoundQuery) -> PartitionBinding:
     referenced = {table}
     if bound.plan is not None:
         referenced.update(
-            feature.split(":", 1)[1]
-            for feature in _plan_features(bound.plan)
-            if feature.startswith("table:")
+            node.table for node in _nodes(bound.plan) if isinstance(node, ir.Scan)
         )
     return PartitionBinding(table=table, referenced=frozenset(referenced))
 

@@ -35,7 +35,7 @@ PINNED = {
     "tpch-Q6": (TPCH_SQL["Q6"], "run_tpch", "lineitem", {"lineitem"}),
     "tpch-Q9": (
         TPCH_SQL["Q9"], "run_tpch", "lineitem",
-        {"lineitem", "nation", "orders", "part", "partsupp", "profit", "supplier"},
+        {"lineitem", "nation", "orders", "part", "partsupp", "supplier"},
     ),
     "tpch-Q18": (
         TPCH_SQL["Q18"], "run_tpch", "lineitem", {"customer", "lineitem", "orders"},

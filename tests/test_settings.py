@@ -84,10 +84,11 @@ class TestCensus:
             for name in (
                 "SHARD_NODE", "SHARD_FAULTS",
                 "ENCODING", "ENCODED_AGG", "PRUNING", "ROLLUPS", "COMPILE",
-                "REFERENCE_SIM",
+                "REFERENCE_SIM", "JOIN_SF",
             )
         ]
         pattern = re.compile(r"\b(" + "|".join(retired) + r")\b")
-        for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]:
+        sources = ("src/**/*.py", "tests/**/*.py", "benchmarks/*.py")
+        for path in [path for glob in sources for path in ROOT.glob(glob)]:
             match = pattern.search(path.read_text())
             assert match is None, f"{match and match[0]} in {path.relative_to(ROOT)}"

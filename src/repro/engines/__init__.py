@@ -1,5 +1,7 @@
 """The four profiled OLAP systems and their shared substrates."""
 
+import functools
+
 from repro.engines.base import (
     Engine,
     JOIN_SIZES,
@@ -38,8 +40,10 @@ HPE_ENGINES = (TyperEngine, TectorwiseEngine)
 ALL_ENGINES = (*COMMERCIAL_ENGINES, *HPE_ENGINES)
 
 
+@functools.cache
 def engine_by_name(name: str) -> Engine:
-    """Instantiate an engine from its display name."""
+    """The process's one engine of a display name (engines keep no
+    per-instance state, so every caller can share it)."""
     for engine_cls in ALL_ENGINES:
         if engine_cls.name == name:
             return engine_cls()

@@ -6,8 +6,9 @@ thread (``ThreadingTCPServer``) and each request line blocks only its
 own connection -- concurrency and admission control live in the
 service's worker pool, not here.
 
-The REPL reads bare SQL lines from stdin (``:engine NAME``, ``:stats``,
-``:quit`` directives) so the service is usable without any network.
+The REPL reads bare SQL lines from stdin so the service is usable
+without any network; its ``:op`` directives are answered by the same
+:func:`dispatch` as the TCP ops (``:engine NAME`` and ``:quit`` aside).
 """
 
 from __future__ import annotations
@@ -166,7 +167,9 @@ class QueryServer(socketserver.ThreadingTCPServer):
 
 
 def run_repl(service: QueryService, stdin=None, stdout=None) -> None:
-    """Execute bare SQL lines from ``stdin``; directives start with ':'."""
+    """Execute bare SQL lines from ``stdin``.  ``:engine NAME`` and
+    ``:quit`` are the REPL's own directives; any other ``:op [SQL]``
+    is answered by :func:`dispatch` as the TCP op of that name."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     engine = service.config.default_engine
@@ -181,42 +184,19 @@ def run_repl(service: QueryService, stdin=None, stdout=None) -> None:
         if not line:
             continue
         if line.startswith(":"):
-            parts = line[1:].split()
-            if parts[0] in ("quit", "exit", "q"):
+            op, _, text = line[1:].partition(" ")
+            text = text.strip()
+            if op in ("quit", "exit", "q"):
                 return
-            if parts[0] == "stats":
-                stdout.write(protocol.encode(service.stats_snapshot()).decode())
-            elif parts[0] == "metrics":
-                stdout.write(service.metrics_text())
-            elif parts[0] == "slowlog":
-                stdout.write(protocol.encode({"slowlog": service.slowlog_snapshot()}).decode())
-            elif parts[0] == "rollups":
-                stdout.write(
-                    protocol.encode(
-                        {"rollups": service.stats_snapshot()["rollups"]}
-                    ).decode()
-                )
-            elif parts[0] == "explain" and len(parts) > 1:
-                from repro.sql import SqlError
-
-                sql = line[1:].split(None, 1)[1]
-                try:
-                    report = service.explain(sql)
-                except SqlError as exc:
-                    stdout.write(f"error: {exc}\n")
-                else:
-                    stdout.write(
-                        protocol.encode(
-                            {"explain": protocol.jsonable(report)}
-                        ).decode()
-                    )
-            elif parts[0] == "engine" and len(parts) > 1:
-                engine = " ".join(parts[1:])  # engine names may contain spaces
+            if op == "engine" and text:
+                engine = text  # engine names may contain spaces
                 stdout.write(f"engine set to {engine}\n")
-            else:
-                stdout.write(f"unknown directive {line!r}\n")
-            stdout.flush()
-            continue
-        response = service.submit(line, engine=engine)
+                stdout.flush()
+                continue
+            response = dispatch(service, {"op": op, "sql": text})
+        else:
+            response = service.submit(line, engine=engine)
         stdout.write(protocol.encode(response).decode())
         stdout.flush()
+        if response.get("stopping"):  # ``:shutdown`` ends the REPL as it ends the server
+            return

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro import memo
 from repro.core.parallel import WorkerPool, normalized_call, run_call
+from repro.engines import engine_by_name
 from repro.obs import (
     Clock,
     DEFAULT_CLOCK,
@@ -204,8 +205,6 @@ class QueryService:
         self.clock = clock or DEFAULT_CLOCK
         self._db = db
         self._db_lock = threading.Lock()
-        self._engines: dict[str, object] = {}
-        self._engines_lock = threading.Lock()
         self._plans = PlanCache(self.config.plan_cache_size)
         self._pool = None
         self._pool_lock = threading.Lock()
@@ -330,14 +329,6 @@ class QueryService:
                 )
             return self._db
 
-    def engine(self, name: str):
-        with self._engines_lock:
-            if name not in self._engines:
-                from repro.engines import engine_by_name
-
-                self._engines[name] = engine_by_name(name)
-            return self._engines[name]
-
     def pool(self):
         """The process executor's worker pool (created on first use so
         thread-mode services never spawn processes)."""
@@ -383,7 +374,7 @@ class QueryService:
         status = STATUS_ERROR
         try:
             partial = self._run(
-                self.engine(engine_name), method, tuple(kwargs_items), finish=False
+                engine_by_name(engine_name), method, tuple(kwargs_items), finish=False
             )
             self._record_decisions(partial, method)
             status = STATUS_OK
@@ -639,7 +630,7 @@ class QueryService:
             )
         try:
             bound = self.compile(request.sql)
-            engine = self.engine(request.engine_name)
+            engine = engine_by_name(request.engine_name)
             with trace.span(
                 "execute",
                 engine=request.engine_name,

@@ -1,8 +1,8 @@
 """The scatter-gather coordinator.
 
 One query comes in as SQL; the coordinator lowers it **once** (plan
-LRU), derives its :func:`~repro.sql.lower.partition_binding`, and
-routes:
+LRU), normalizes the bound call once, and routes on the call's
+:func:`~repro.engines.base.driving_table`:
 
 - **scatter** -- the call drives over the sharded fact table: the
   normalized bound call is wire-encoded once and sent to every shard
@@ -17,8 +17,9 @@ routes:
 - **single** -- the call never reads the fact table (dimension-only
   joins): dimensions are fully replicated, so any one shard answers
   it; shards take turns round-robin.
-- anything that reads the fact table without driving over it is
-  refused with a clean error naming the driving table.
+- anything that reads the fact table (one of the plan's scans)
+  without driving over it is refused with a clean error naming the
+  driving table.
 
 **Failover state machine** (per shard, per query)::
 
@@ -41,6 +42,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.engines import engine_by_name
+from repro.engines.base import driving_table
 from repro.obs import Tracer, histogram_quantiles, trace
 from repro.obs.clock import DEFAULT_CLOCK
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
@@ -51,7 +54,7 @@ from repro.shard import wire
 from repro.shard.faults import mangle_payload
 from repro.shard.partition import FACT_TABLE
 from repro.sql import PlanCache
-from repro.sql.lower import partition_binding
+from repro.sql.lower import tables_read
 
 
 #: Each replica is tried at most this many times per query.
@@ -115,7 +118,6 @@ class Coordinator:
         self.fault_plan = fault_plan
         self.clock = clock or DEFAULT_CLOCK
         self._sleep = sleep
-        self._engines: dict[str, object] = {}
         self._plans = PlanCache(PLAN_CACHE_SIZE)
         self._rr = 0
         self._rr_lock = threading.Lock()
@@ -149,13 +151,6 @@ class Coordinator:
         )
         self._m_shards = m.gauge("repro_shard_count", "Shards in the cluster")
         self._m_shards.set(cluster.n_shards)
-
-    def engine(self, name: str):
-        if name not in self._engines:
-            from repro.engines import engine_by_name
-
-            self._engines[name] = engine_by_name(name)
-        return self._engines[name]
 
     # -- public API ----------------------------------------------------
     def execute(
@@ -207,20 +202,7 @@ class Coordinator:
             bound = self._plans.compile(sql)
         except SqlError as exc:
             return {"status": STATUS_ERROR, "error": str(exc)}
-        binding = partition_binding(bound)
-        if binding.table != FACT_TABLE:
-            if FACT_TABLE in binding.referenced:
-                return {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"cannot scatter {bound.workload!r}: it partitions "
-                        f"{binding.table!r} but also reads the sharded fact "
-                        f"table {FACT_TABLE!r}; shard by the driving table "
-                        "to distribute this query"
-                    ),
-                }
-            return self._single(sql, engine_name, options)
-        engine_obj = self.engine(engine_name)
+        engine_obj = engine_by_name(engine_name)
         merged = bound.call_kwargs()
         merged.update(options)
         try:
@@ -229,6 +211,19 @@ class Coordinator:
             )
         except ValueError as exc:
             return {"status": STATUS_ERROR, "error": str(exc)}
+        table = driving_table(method, dict(kwargs_items))
+        if table != FACT_TABLE:
+            if FACT_TABLE in tables_read(bound.plan):
+                return {
+                    "status": STATUS_ERROR,
+                    "error": (
+                        f"cannot scatter {bound.workload!r}: it partitions "
+                        f"{table!r} but also reads the sharded fact "
+                        f"table {FACT_TABLE!r}; shard by the driving table "
+                        "to distribute this query"
+                    ),
+                }
+            return self._single(sql, engine_name, options)
         result, failovers = self._scatter_gather(
             engine_obj, method, kwargs_items, engine_name
         )

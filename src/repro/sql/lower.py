@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 from dataclasses import dataclass, field
 
-from repro.engines.base import TPCH_RUNNERS, Engine, driving_table
+from repro.engines.base import TPCH_RUNNERS
 from repro.sql import plan as ir
 from repro.sql.errors import SqlError, err
 from repro.tpch.schema import PROJECTION_COLUMNS, SELECTION_PREDICATE_COLUMNS
@@ -234,37 +233,9 @@ def _nodes(plan) -> list:
     return found
 
 
-@dataclass(frozen=True)
-class PartitionBinding:
-    """How one bound call maps onto horizontally partitioned data.
-
-    ``table`` is the table whose rows the morsel executor partitions
-    for this call (:func:`~repro.engines.base.driving_table`, the rule
-    :meth:`Engine.partition_rows` reads); ``referenced`` is every table
-    the plan reads.  A scatter-gather coordinator scatters a call only
-    when ``table`` is the sharded fact table; a call that never touches
-    the fact table runs on any single shard (dimensions are fully
-    replicated); a call that reads the fact table without driving over
-    it cannot be scattered safely and is rejected with a clean error.
-    """
-
-    table: str
-    referenced: frozenset
-
-
-def partition_binding(bound: BoundQuery) -> PartitionBinding:
-    """Derive the :class:`PartitionBinding` for a lowered query."""
-    # Name the positional arguments (a join's size) as the engine does.
-    call = inspect.signature(getattr(Engine, bound.method)).bind(
-        None, None, *bound.args, **bound.call_kwargs()
-    )
-    table = driving_table(bound.method, call.arguments)
-    referenced = {table}
-    if bound.plan is not None:
-        referenced.update(
-            node.table for node in _nodes(bound.plan) if isinstance(node, ir.Scan)
-        )
-    return PartitionBinding(table=table, referenced=frozenset(referenced))
+def tables_read(plan: ir.PlanNode) -> frozenset[str]:
+    """The stored tables ``plan`` scans."""
+    return frozenset(node.table for node in _nodes(plan) if isinstance(node, ir.Scan))
 
 
 def _nearest_workload(core: ir.PlanNode) -> str | None:
@@ -288,8 +259,8 @@ def _nearest_workload(core: ir.PlanNode) -> str | None:
 
 def _no_binding(plan: ir.PlanNode, sql: str | None, compile_reason: str) -> SqlError:
     """Describe the *full* supported surface: documented templates,
-    parameterised micro-benchmark shapes, the per-query TPC-H runners
-    behind ``run_tpch``, and the compiled fallback."""
+    the selection's free thresholds, the per-query TPC-H runners behind
+    ``run_tpch``, and the compiled fallback."""
     core = ir.strip_decorations(plan)
     known = sorted({bound.workload for bound in _template_index().values()})
     runners = ", ".join(
@@ -299,10 +270,8 @@ def _no_binding(plan: ir.PlanNode, sql: str | None, compile_reason: str) -> SqlE
         "query is valid but does not match any profiled workload and "
         "could not be compiled.",
         f"- documented templates: {', '.join(known)}",
-        "- parameterised shapes: projection degree 1-"
-        f"{len(PROJECTION_COLUMNS)}, selection with free thresholds over "
-        f"{', '.join(SELECTION_PREDICATE_COLUMNS)}, the three join sizes, "
-        "the lineitem group-by",
+        "- parameterised shapes: selection with free thresholds over "
+        f"{', '.join(SELECTION_PREDICATE_COLUMNS)}",
         f"- TPC-H runners: {runners}",
         "- compiled fallback: single-block select / equi-join / "
         "group-by / SUM-COUNT-AVG aggregate plans over the stored "

@@ -12,6 +12,7 @@ from repro.engines import (
     InterpreterEngine,
     TectorwiseEngine,
     TyperEngine,
+    engine_by_name,
     line_density,
     projection_columns,
     selection_predicate_masks,
@@ -48,6 +49,17 @@ class TestOneDataPassPerWorkload:
         for workload in WORKLOADS:
             if getattr(engine_cls, f"run_{workload}") is getattr(Engine, f"run_{workload}"):
                 assert callable(getattr(engine_cls, f"_cost_{workload}"))
+
+
+def test_engine_by_name_shares_one_engine_per_name():
+    assert engine_by_name("Typer") is engine_by_name("Typer")
+    assert type(engine_by_name("DBMS R")) is ALL_ENGINES[0]
+    with pytest.raises(ValueError) as unknown:
+        engine_by_name("Postgres")
+    assert str(unknown.value) == (
+        "unknown engine 'Postgres'; expected one of "
+        "['DBMS R', 'DBMS C', 'Typer', 'Tectorwise']"
+    )
 
 
 class TestProjectionColumns:

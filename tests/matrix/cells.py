@@ -364,7 +364,7 @@ class Matrix:
 
     def __init__(self, fixture):
         self.db = lambda name: fixture(DATABASES[name])
-        self.engine = functools.cache(engine_by_name)
+        self.engine = engine_by_name
         self._pools: dict = {}
         self._coordinators: dict = {}
 

@@ -161,3 +161,34 @@ class TestRepl:
         stdout = io.StringIO()
         run_repl(service, stdin=stdin, stdout=stdout)
         assert "submitted" in stdout.getvalue()
+
+    @pytest.mark.parametrize(
+        ("directive", "status", "key"),
+        [
+            (":metrics", "ok", "metrics"),
+            (":slowlog", "ok", "slowlog"),
+            (f":explain {GROUPBY_SQL}", "ok", "explain"),
+            (":explain", "error", "error"),
+            (":nosuch", "error", "error"),
+        ],
+        ids=["metrics", "slowlog", "explain", "explain-no-sql", "unknown"],
+    )
+    def test_repl_directive_prints_the_op_response(self, service, directive, status, key):
+        """Every directive but ``:engine`` and ``:quit`` prints the
+        response of the TCP op of the same name, as one JSON line."""
+        stdout = io.StringIO()
+        run_repl(service, stdin=io.StringIO(f"{directive}\n:quit\n"), stdout=stdout)
+        banner, *lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        response = json.loads(lines[0])
+        op, _, sql = directive[1:].partition(" ")
+        assert response["status"] == status and key in response
+        assert set(response) == set(dispatch(service, {"op": op, "sql": sql}))
+
+    def test_repl_shutdown_ends_it_like_the_server(self, service):
+        stdout = io.StringIO()
+        run_repl(service, stdin=io.StringIO(":shutdown\n:ping\n"), stdout=stdout)
+        banner, *lines = stdout.getvalue().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"status": "ok", "stopping": True}
+        ]

@@ -11,9 +11,13 @@ and the coordinator's finisher rounds exactly once, globally.
 from __future__ import annotations
 
 import pytest
-from matrix.cells import Q18_FLAT
+from matrix.cells import Q18_FLAT, same
 from matrix.suites import cases, cells
+from sql.test_partition_binding import PINNED
 
+from repro.engines import engine_by_name
+from repro.serve import protocol
+from repro.shard.partition import FACT_TABLE
 from repro.sql import compile_sql
 from repro.tpch.sql import TPCH_SQL
 
@@ -62,6 +66,19 @@ class TestRouting:
         cluster, coordinator = sharded
         response = coordinator.execute(TPCH_SQL["Q6"])
         assert response["shards"] == cluster.n_shards
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_route_follows_the_driving_table(self, sharded, name):
+        """A call scatters exactly when it drives the sharded fact table;
+        any other runs whole on one shard, over replicated dimensions.
+        Either way the value is the single-node one."""
+        _, coordinator = sharded
+        sql, _, table, _ = PINNED[name]
+        response = coordinator.execute(sql)
+        assert response["status"] == "ok", response.get("error")
+        assert response["route"] == ("scatter" if table == FACT_TABLE else "single")
+        expected = compile_sql(sql).execute(engine_by_name("Typer"), coordinator.db)
+        assert same(response["value"], protocol.jsonable(expected.value))
 
     def test_bad_sql_is_a_clean_error(self, sharded):
         _, coordinator = sharded

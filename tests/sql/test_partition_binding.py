@@ -1,6 +1,7 @@
-"""``partition_binding`` pinned: the driving table and the tables read,
-for each documented workload, an extended TPC-H query and a
-dimension-only compiled statement.
+"""The facts the shard coordinator routes on, pinned: the driving table
+of the normalized call and the tables the plan reads, for each
+documented workload, an extended TPC-H query and a dimension-only
+compiled statement.
 
 The table is literal (written from the implementation that listed the
 TPC-H runners' and joins' tables by hand), so deriving the same facts
@@ -9,8 +10,11 @@ from the plan and the engines' driving-table rule must reproduce it.
 
 import pytest
 
+from repro.core.parallel import normalized_call
+from repro.engines import engine_by_name
+from repro.engines.base import driving_table
 from repro.sql import compile_sql
-from repro.sql.lower import partition_binding
+from repro.sql.lower import tables_read
 from repro.tpch.sql import (
     EXTENDED_TPCH_SQL,
     GROUPBY_SQL,
@@ -62,6 +66,8 @@ def test_partition_binding_is_pinned(name):
     sql, method, table, referenced = PINNED[name]
     bound = compile_sql(sql)
     assert bound.method == method
-    binding = partition_binding(bound)
-    assert binding.table == table
-    assert binding.referenced == frozenset(referenced)
+    runner, kwargs_items = normalized_call(
+        engine_by_name("Typer"), bound.method, bound.args, bound.call_kwargs()
+    )
+    assert driving_table(runner, dict(kwargs_items)) == table
+    assert tables_read(bound.plan) == frozenset(referenced)

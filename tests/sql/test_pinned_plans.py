@@ -13,8 +13,10 @@ import random
 
 import pytest
 
+from repro.compile.program import compiled_program
 from repro.sql import PlanCache, SqlError
 from repro.sql.api import compile_sql
+from repro.sql.lower import tables_read
 
 from generate_pinned_plans import PINNED_PLANS, bound_fields, front_end, plan_digest
 
@@ -68,3 +70,16 @@ def test_bad_statement_raises_the_pinned_error(name):
         assert str(served.value) == entry["error"]
     if entry["warm"] is not None:  # a failed binding leaves the shape usable
         assert _through(cache, entry["warm"]) == _pinned(PLANS[f"warm/{name}"])
+
+
+def test_compiled_statements_that_read_lineitem_drive_it():
+    """The shard coordinator's single route rests on this: a compiled
+    statement that reads the sharded fact table also drives it, so it
+    scatters."""
+    driving = []
+    for entry in PLANS.values():
+        if "'run_compiled'" in entry.get("bound", ""):
+            bound = compile_sql(entry["sql"])
+            if "lineitem" in tables_read(bound.plan):
+                driving.append(compiled_program(bound.plan).driving)
+    assert driving and set(driving) == {"lineitem"}

@@ -216,7 +216,7 @@ def simulate_profile(
         hierarchy.replay(base + CACHE_LINE_BYTES * np.arange(lines, dtype=np.int64))
     hierarchy.stats = HierarchyStats()
     # Materialise the interleaved trace first (the stream generators are
-    # cheap), then replay it in one batch.
+    # cheap), then replay it in one call.
     addresses = np.fromiter(
         (next(streams[index][1]) for index in choices),
         dtype=np.int64,

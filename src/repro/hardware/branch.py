@@ -97,8 +97,8 @@ class TwoBitCounter:
 
 class GSharePredictor:
     """Gshare: global history XOR branch address indexes a table of
-    2-bit counters.  Trace-driven; vectorised over numpy outcome arrays
-    via :meth:`run`."""
+    2-bit counters.  Trace-driven: :meth:`run` feeds a numpy outcome
+    array through :meth:`predict_and_update` one branch at a time."""
 
     def __init__(self, table_bits: int = 12, history_bits: int = 8):
         if table_bits <= 0 or history_bits < 0:
@@ -130,19 +130,10 @@ class GSharePredictor:
         return correct
 
     def run(self, pc: int, outcomes: np.ndarray) -> float:
-        """Feed a boolean outcome stream for one static branch; returns
-        the misprediction rate over the stream.
-
-        Streams of at least ``fastsim.MIN_BATCH_EVENTS`` use the batch
-        kernel in :mod:`repro.hardware.fastsim` (identical counts and
-        final state).
-        """
-        from repro.hardware import fastsim
-
+        """Feed a boolean outcome stream for one static branch through
+        :meth:`predict_and_update`; returns the misprediction rate over
+        the stream."""
         count = len(outcomes)
-        if count >= fastsim.MIN_BATCH_EVENTS:
-            added = fastsim.gshare_run_batch(self, pc, outcomes)
-            return added / count
         before = self.mispredictions
         for taken in outcomes:
             self.predict_and_update(pc, bool(taken))

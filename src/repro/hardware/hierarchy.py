@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hardware.cache import SetAssociativeCache
 from repro.hardware.prefetcher import (
     NextLinePrefetcher,
@@ -111,18 +109,8 @@ class CacheHierarchy:
         return latency
 
     def replay(self, addresses) -> HierarchyStats:
-        """Replay a full address stream; returns the aggregate stats.
-
-        Streams of at least ``fastsim.MIN_BATCH_EVENTS`` are dispatched
-        to the batch kernels in :mod:`repro.hardware.fastsim`, which
-        report statistics identical to this per-event loop.
-        """
-        from repro.hardware import fastsim
-
-        addresses = np.asarray(addresses)
-        if len(addresses) >= fastsim.MIN_BATCH_EVENTS:
-            fastsim.replay_hierarchy(self, addresses)
-            return self.stats
+        """Replay a full address stream through :meth:`access`, one
+        event at a time; returns the aggregate stats."""
         for addr in addresses:
             self.access(int(addr))
         return self.stats

@@ -9,6 +9,10 @@ One request per line, one response per line, UTF-8.  Requests::
     {"op": "metrics"}
     {"op": "slowlog"}
 
+``engine`` is a string and ``timeout`` a finite number of seconds
+above 0; a query whose ``engine`` or ``timeout`` is anything else is
+answered ``error`` without being submitted.
+
 ``"trace": true`` attaches a span tree (see :mod:`repro.obs.trace`)
 to the query response under ``"trace"``.  ``op=metrics`` returns
 Prometheus text exposition under ``"metrics"`` -- service counters,

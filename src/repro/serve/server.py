@@ -13,6 +13,7 @@ without any network; its ``:op`` directives are answered by the same
 
 from __future__ import annotations
 
+import math
 import socketserver
 import sys
 import threading
@@ -140,11 +141,24 @@ def dispatch(service: QueryService, message: dict) -> dict:
             "status": protocol.STATUS_ERROR,
             "error": "'options' must be a JSON object",
         }
+    engine = message.get("engine")
+    if not (engine is None or isinstance(engine, str)):
+        return {"status": protocol.STATUS_ERROR, "error": "'engine' must be a string"}
+    timeout = message.get("timeout")
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not 0 < timeout < math.inf  # also false for NaN
+    ):
+        return {
+            "status": protocol.STATUS_ERROR,
+            "error": "'timeout' must be a positive number of seconds",
+        }
     return service.submit(
         sql,
-        engine=message.get("engine"),
+        engine=engine,
         options=options,
-        timeout=message.get("timeout"),
+        timeout=timeout,
         trace_query=bool(message.get("trace")),
     )
 

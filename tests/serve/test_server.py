@@ -129,6 +129,38 @@ class TestTcp:
         assert response["status"] == "error"
         assert "malformed JSON" in response["error"]
 
+    def test_bad_field_types_get_one_error_each(self, server, service):
+        """A query frame whose ``engine`` or ``timeout`` has the wrong
+        type is answered with one error line, submits nothing, and
+        leaves the connection serving."""
+        sql = json.dumps(projection_sql(1))
+        bad_timeout = "'timeout' must be a positive number of seconds"
+        bad_engine = "'engine' must be a string"
+        frames = [
+            (f'{{"sql": {sql}, "timeout": "abc"}}', bad_timeout),
+            (f'{{"sql": {sql}, "timeout": -1}}', bad_timeout),
+            (f'{{"sql": {sql}, "timeout": 0}}', bad_timeout),
+            (f'{{"sql": {sql}, "timeout": true}}', bad_timeout),
+            (f'{{"sql": {sql}, "timeout": NaN}}', bad_timeout),
+            (f'{{"sql": {sql}, "timeout": Infinity}}', bad_timeout),
+            (f'{{"sql": {sql}, "timeout": [5]}}', bad_timeout),
+            (f'{{"sql": {sql}, "engine": ["Typer"]}}', bad_engine),
+            (f'{{"sql": {sql}, "engine": 7}}', bad_engine),
+        ]
+        submitted = service.stats_snapshot()["submitted"]
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                "".join(frame + "\n" for frame, _ in frames).encode()
+                + encode({"op": "ping"})
+            )
+            reader = sock.makefile("rb")
+            responses = [json.loads(reader.readline()) for _ in range(len(frames) + 1)]
+        *errors, pong = responses
+        assert errors == [{"status": "error", "error": error} for _, error in frames]
+        assert pong == {"status": "ok", "pong": True}
+        assert service.stats_snapshot()["submitted"] == submitted
+
     def test_concurrent_batch_and_cache_hits(self, server):
         host, port = server.address
         statements = [projection_sql(1 + index % 4) for index in range(6)]

@@ -17,7 +17,6 @@ from repro.analysis.ascii_chart import (
     stall_chart,
 )
 from repro.analysis.ablation import METRICS, AblationStudy, scalable_parameters
-from repro.analysis.export import from_json, to_csv, to_json, to_markdown, write_report
 from repro.analysis.registry import (
     DEFAULT_SCALE_FACTOR,
     EXPERIMENTS,
@@ -39,13 +38,8 @@ __all__ = [
     "cycle_chart",
     "METRICS",
     "cycle_share_row",
-    "from_json",
     "run_experiment",
     "scalable_parameters",
-    "to_csv",
-    "to_json",
-    "to_markdown",
-    "write_report",
     "stacked_bar",
     "stall_chart",
     "stall_share_row",

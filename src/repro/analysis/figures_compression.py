@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from repro.analysis.result import FigureResult
 from repro.engines import ALL_ENGINES
-from repro.engines.morsel import bytes_for_rows, encoded_bytes_for_rows
+from repro.engines.morsel import (
+    bytes_for_rows,
+    encoded_bytes_for_rows,
+    row_page_geometry,
+)
 from repro.hardware.memory import MemorySystem
 from repro.tpch.schema import LINEITEM_SCANS
 
@@ -63,7 +67,7 @@ def sec8_compression(db, profiler) -> FigureResult:
                 # NSM pages stream full tuples whatever the columns'
                 # encodings: no reduction, by construction.
                 raw_bpt = encoded_bpt = (
-                    db.row_table("lineitem").tuple_bytes if n else 0.0
+                    row_page_geometry(lineitem)[0] if n else 0.0
                 )
                 ratio = 1.0
             else:

@@ -10,10 +10,12 @@ engines share:
   :data:`MORSEL_ALIGN` rows, so cache lines (8 values of 8 bytes) and
   row-store pages never straddle a boundary and per-morsel line/page
   counts add up exactly to the single-shot counts.
-* **Range-sliced byte accounting** -- ``bytes_for_rows`` /
-  ``row_scan_bytes`` are the ranged versions of
-  ``ColumnTable.bytes_for`` / ``RowTable.scan_bytes`` and telescope
-  exactly (integer bytes, first-row page attribution).
+* **Range-sliced byte accounting** -- ``bytes_for_rows`` is the ranged
+  version of ``ColumnTable.bytes_for``; ``row_page_geometry`` /
+  ``row_scan_bytes`` are the one statement of the row-store (NSM)
+  layout: full tuples on :data:`DEFAULT_PAGE_BYTES` pages, derived from
+  the column dtypes.  Both telescope exactly (integer bytes, first-row
+  page attribution).
 * **Shared global structures** -- hash tables, group-by tables and
   sorted lookup sides depend on *all* rows, not a morsel's; they are
   built once per process and memoized by database identity + tag
@@ -39,6 +41,10 @@ from repro.engines.hashtable import ChainedHashTable
 #: cache line of the widest (8-byte) values, which also divides the
 #: row-store rows-per-page granularity used for page attribution.
 MORSEL_ALIGN = 64
+
+#: Page size of the row store (DBMS R): every scan moves whole pages of
+#: full tuples, whichever attributes the query reads.
+DEFAULT_PAGE_BYTES = 8192
 
 #: Values per cache line used for gather density accounting -- the
 #: engines account all gathers at the 8-byte granularity of the summed
@@ -124,11 +130,9 @@ def encoded_bytes_for_rows(
 
 
 def row_page_geometry(table) -> tuple[int, int]:
-    """(row_bytes, rows_per_page) of a table's row-layout twin, derived
-    from the column dtypes without materialising the structured array
-    (matching :class:`repro.storage.row.RowTable`'s construction)."""
-    from repro.storage.row import DEFAULT_PAGE_BYTES
-
+    """(row_bytes, rows_per_page) of a table's row-store pages: a row is
+    the packed structured dtype of all its columns, and a page holds as
+    many whole rows as fit in :data:`DEFAULT_PAGE_BYTES` (at least one)."""
     dtype = np.dtype(
         [(name, table.column(name).dtype) for name in table.column_names]
     )
@@ -140,9 +144,8 @@ def row_page_geometry(table) -> tuple[int, int]:
 def row_scan_bytes(db, table_name: str, lo: int, hi: int) -> float:
     """Bytes a row-store scan of rows ``[lo, hi)`` moves: each page is
     attributed to the morsel containing its first row, so per-morsel
-    page counts telescope exactly to ``RowTable.scan_bytes()``."""
-    from repro.storage.row import DEFAULT_PAGE_BYTES
-
+    page counts telescope exactly to the full scan's
+    ``ceil(n_rows / rows_per_page)`` pages."""
     table = db.table(table_name)
     if not table.n_rows:
         return 0.0

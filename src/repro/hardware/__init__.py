@@ -23,8 +23,6 @@ from repro.hardware.prefetcher import (
 from repro.hardware.hierarchy import CacheHierarchy, HierarchyStats
 from repro.hardware.branch import (
     GSharePredictor,
-    TwoBitCounter,
-    conjunction_mispredict_rate,
     two_bit_mispredict_rate,
     two_bit_stationary_distribution,
 )
@@ -36,17 +34,8 @@ from repro.hardware.memory import (
 )
 from repro.hardware.ports import ExecutionPorts, OpCounts
 from repro.hardware.tmam import COMPONENTS, STALL_COMPONENTS, CycleBreakdown
-from repro.hardware.topdown import TopDownNode, TopDownTree
-from repro.hardware.msr import (
-    ALL_PREFETCHERS_MASK,
-    MSR_MISC_FEATURE_CONTROL,
-    MsrFile,
-    config_from_msr,
-    msr_from_config,
-)
 
 __all__ = [
-    "ALL_PREFETCHERS_MASK",
     "BROADWELL",
     "SKYLAKE",
     "CACHE_LINE_BYTES",
@@ -67,8 +56,6 @@ __all__ = [
     "LatencyReport",
     "MemoryLatencyChecker",
     "MemorySystem",
-    "MSR_MISC_FEATURE_CONTROL",
-    "MsrFile",
     "NextLinePrefetcher",
     "OpCounts",
     "PortSpec",
@@ -77,12 +64,6 @@ __all__ = [
     "SetAssociativeCache",
     "STALL_COMPONENTS",
     "StreamerPrefetcher",
-    "TopDownNode",
-    "TopDownTree",
-    "TwoBitCounter",
-    "config_from_msr",
-    "msr_from_config",
-    "conjunction_mispredict_rate",
     "two_bit_mispredict_rate",
     "two_bit_stationary_distribution",
 ]

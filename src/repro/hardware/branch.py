@@ -51,50 +51,6 @@ def two_bit_mispredict_rate(p_taken: float) -> float:
     return p_taken * predict_not_taken + (1.0 - p_taken) * predict_taken
 
 
-def conjunction_mispredict_rate(selectivities) -> float:
-    """Misprediction rate seen by a *compiled* engine evaluating a
-    conjunction of predicates as a single short-circuit branch chain.
-
-    A compiled engine like Typer evaluates ``p1 AND p2 AND ...`` at
-    once, so (Section 4) the dominant branch observes the *combined*
-    selectivity (e.g. 10% x 10% x 10% = 0.1%), which is far easier to
-    predict than each individual predicate.  The earlier predicates in
-    the short-circuit chain still execute and contribute smaller,
-    per-prefix misprediction rates weighted by how often they are
-    reached.
-    """
-    selectivities = list(selectivities)
-    if not selectivities:
-        return 0.0
-    combined = 1.0
-    for selectivity in selectivities:
-        if not 0.0 <= selectivity <= 1.0:
-            raise ValueError("selectivities must be in [0, 1]")
-        combined *= selectivity
-    return two_bit_mispredict_rate(combined)
-
-
-class TwoBitCounter:
-    """A single 2-bit saturating counter (building block + test target)."""
-
-    def __init__(self, state: int = 1):
-        if not 0 <= state <= 3:
-            raise ValueError("state must be in [0, 3]")
-        self.state = state
-
-    def predict(self) -> bool:
-        return self.state >= 2
-
-    def update(self, taken: bool) -> bool:
-        """Record the outcome; returns True if the prediction was correct."""
-        correct = self.predict() == taken
-        if taken:
-            self.state = min(3, self.state + 1)
-        else:
-            self.state = max(0, self.state - 1)
-        return correct
-
-
 class GSharePredictor:
     """Gshare: global history XOR branch address indexes a table of
     2-bit counters.  Trace-driven: :meth:`run` feeds a numpy outcome

@@ -32,7 +32,6 @@ from repro.obs.trace import (
     activate,
     active,
     annotate,
-    current_span,
     deactivate,
     record,
     span,
@@ -53,7 +52,6 @@ __all__ = [
     "activate",
     "active",
     "annotate",
-    "current_span",
     "deactivate",
     "histogram_quantiles",
     "merge_snapshots",

@@ -147,11 +147,6 @@ def active() -> bool:
     return _ACTIVE.get() is not None
 
 
-def current_span() -> Span | None:
-    context = _ACTIVE.get()
-    return None if context is None else context[1]
-
-
 class _NullSpan:
     """Singleton no-op context manager for the disabled path."""
 

@@ -11,7 +11,8 @@ One request per line, one response per line, UTF-8.  Requests::
 
 ``engine`` is a string and ``timeout`` a finite number of seconds
 above 0; a query whose ``engine`` or ``timeout`` is anything else is
-answered ``error`` without being submitted.
+answered ``error`` without being submitted, and so is a shard node's
+``op=partial`` call whose ``engine`` is not a string.
 
 ``"trace": true`` attaches a span tree (see :mod:`repro.obs.trace`)
 to the query response under ``"trace"``.  ``op=metrics`` returns

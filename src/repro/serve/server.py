@@ -57,6 +57,15 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
 
 
+def _engine_error(message: dict) -> dict | None:
+    """The error response for an ``engine`` field that is neither absent
+    nor a string, checked before any work is counted or done."""
+    engine = message.get("engine")
+    if engine is None or isinstance(engine, str):
+        return None
+    return {"status": protocol.STATUS_ERROR, "error": "'engine' must be a string"}
+
+
 def dispatch(service: QueryService, message: dict) -> dict:
     """Route one decoded request to the service."""
     op = message.get("op")
@@ -97,6 +106,9 @@ def dispatch(service: QueryService, message: dict) -> dict:
                 "status": protocol.STATUS_ERROR,
                 "error": "this service is not a shard node",
             }
+        engine_error = _engine_error(message)
+        if engine_error:
+            return engine_error
         from repro.shard import wire
 
         try:
@@ -141,9 +153,9 @@ def dispatch(service: QueryService, message: dict) -> dict:
             "status": protocol.STATUS_ERROR,
             "error": "'options' must be a JSON object",
         }
-    engine = message.get("engine")
-    if not (engine is None or isinstance(engine, str)):
-        return {"status": protocol.STATUS_ERROR, "error": "'engine' must be a string"}
+    engine_error = _engine_error(message)
+    if engine_error:
+        return engine_error
     timeout = message.get("timeout")
     if timeout is not None and (
         isinstance(timeout, bool)
@@ -156,7 +168,7 @@ def dispatch(service: QueryService, message: dict) -> dict:
         }
     return service.submit(
         sql,
-        engine=engine,
+        engine=message.get("engine"),
         options=options,
         timeout=timeout,
         trace_query=bool(message.get("trace")),

@@ -1,8 +1,11 @@
-"""Storage substrate: columnar (DSM) and row (NSM) table layouts."""
+"""Storage substrate: columnar (DSM) tables.
+
+The row (NSM) layout is not stored twice: DBMS R's page traffic is
+derived from the column dtypes by :func:`repro.engines.morsel.row_page_geometry`.
+"""
 
 from repro.storage.column import Column, ColumnTable
 from repro.storage.encoding import EncodedColumn, encode_columns
-from repro.storage.row import DEFAULT_PAGE_BYTES, RowTable
 from repro.storage.catalog import Database
 from repro.storage.zonemap import CHUNK_ROWS, ColumnZoneMap, build_zone_map
 
@@ -12,9 +15,7 @@ __all__ = [
     "ColumnTable",
     "ColumnZoneMap",
     "Database",
-    "DEFAULT_PAGE_BYTES",
     "EncodedColumn",
-    "RowTable",
     "build_zone_map",
     "encode_columns",
 ]

@@ -26,15 +26,13 @@ import numpy as np
 
 from repro.storage.column import ColumnTable
 from repro.storage.encoding import EncodedColumn
-from repro.storage.row import RowTable
 from repro.storage.zonemap import ColumnZoneMap
 
 _uid_counter = itertools.count()
 
 
 class Database:
-    """A collection of named :class:`ColumnTable` instances with lazily
-    materialised row-layout twins.
+    """A collection of named :class:`ColumnTable` instances.
 
     ``cache_key`` names the content when the database came out of the
     dbgen cache (:mod:`repro.tpch.dbcache`); hand-built or subsequently
@@ -49,7 +47,6 @@ class Database:
         self.cache_key: str | None = None
         self.uid = f"anondb-{next(_uid_counter)}"
         self._tables: dict[str, ColumnTable] = {}
-        self._row_tables: dict[str, RowTable] = {}
         self._rollups: dict = {}
 
     @property
@@ -201,12 +198,6 @@ class Database:
     @property
     def rollup_names(self) -> tuple[str, ...]:
         return tuple(self._rollups)
-
-    def row_table(self, name: str) -> RowTable:
-        """Row-layout twin of a table (materialised on first use)."""
-        if name not in self._row_tables:
-            self._row_tables[name] = RowTable(self.table(name))
-        return self._row_tables[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._tables

@@ -135,7 +135,6 @@ class AttachedDatabase:
         # Views into the mapping keep the buffer alive; drop the tables
         # first so close() does not export pointers to unmapped pages.
         self.database._tables.clear()
-        self.database._row_tables.clear()
         try:
             self._segment.close()
         except BufferError:

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.hardware import (
     GSharePredictor,
-    TwoBitCounter,
-    conjunction_mispredict_rate,
     two_bit_mispredict_rate,
     two_bit_stationary_distribution,
 )
@@ -57,52 +55,6 @@ class TestMispredictRate:
     def test_close_to_optimal_for_biased_branch(self):
         # A 2-bit counter on Bernoulli(p) is near min(p, 1-p).
         assert two_bit_mispredict_rate(0.1) == pytest.approx(0.11, abs=0.02)
-
-
-class TestConjunction:
-    def test_combined_selectivity_is_product(self):
-        """The compiled-engine effect: 10% x 10% x 10% -> easy branch."""
-        rate = conjunction_mispredict_rate([0.1, 0.1, 0.1])
-        assert rate == pytest.approx(two_bit_mispredict_rate(0.001))
-        assert rate < two_bit_mispredict_rate(0.1) / 10
-
-    def test_single_predicate_unchanged(self):
-        assert conjunction_mispredict_rate([0.3]) == pytest.approx(
-            two_bit_mispredict_rate(0.3)
-        )
-
-    def test_empty_conjunction(self):
-        assert conjunction_mispredict_rate([]) == 0.0
-
-    def test_rejects_bad_selectivity(self):
-        with pytest.raises(ValueError):
-            conjunction_mispredict_rate([1.4])
-
-
-class TestTwoBitCounter:
-    def test_saturates(self):
-        counter = TwoBitCounter(state=3)
-        counter.update(True)
-        assert counter.state == 3
-        counter = TwoBitCounter(state=0)
-        counter.update(False)
-        assert counter.state == 0
-
-    def test_hysteresis(self):
-        counter = TwoBitCounter(state=3)
-        counter.update(False)  # one not-taken does not flip prediction
-        assert counter.predict()
-        counter.update(False)
-        assert not counter.predict()
-
-    def test_update_reports_correctness(self):
-        counter = TwoBitCounter(state=3)
-        assert counter.update(True)
-        assert not counter.update(False)
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            TwoBitCounter(state=4)
 
 
 class TestGShare:

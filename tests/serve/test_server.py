@@ -17,6 +17,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import decode, encode, jsonable
 from repro.serve.server import dispatch
+from repro.shard import wire
 from repro.tpch.sql import GROUPBY_SQL, JOIN_SQL, projection_sql
 
 
@@ -104,6 +105,19 @@ class TestDispatch:
             service, {"op": "sql", "sql": projection_sql(1), "options": 7}
         )
         assert response["status"] == "error"
+
+    def test_partial_checks_engine_like_the_query_path(self, tiny_db):
+        """A shard node's ``partial`` op rejects a non-string ``engine``
+        before any work: nothing is submitted and no metric series is
+        named after the bad value."""
+        node = QueryService(
+            ServiceConfig(shard_node=True, scale_factor=0.0), db=tiny_db
+        )
+        frame = {**wire.encode_call("run_q6", ()), "engine": ["Typer"]}
+        response = dispatch(node, frame)
+        assert response == {"status": "error", "error": "'engine' must be a string"}
+        assert node.stats_snapshot()["submitted"] == 0
+        assert "['Typer']" not in node.metrics_text()
 
 
 class TestTcp:

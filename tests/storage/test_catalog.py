@@ -39,15 +39,3 @@ class TestCatalog:
 
     def test_scale_factor_recorded(self):
         assert make_db().scale_factor == 0.1
-
-
-class TestRowTwin:
-    def test_materialised_lazily_and_cached(self):
-        db = make_db()
-        twin = db.row_table("t1")
-        assert db.row_table("t1") is twin
-        assert np.array_equal(twin["a"], db.table("t1")["a"])
-
-    def test_row_twin_of_missing_table(self):
-        with pytest.raises(KeyError):
-            make_db().row_table("zz")

@@ -10,6 +10,7 @@ from repro.engines.morsel import DEFAULT_PAGE_BYTES, row_page_geometry, row_scan
 from repro.storage import ColumnTable, Database
 
 MIXED = (np.int64, np.float64, np.int32, np.float32, np.int8)
+WIDE = (np.int64, np.float64, np.int64)
 
 
 def make_db(n_rows: int, dtypes=MIXED) -> Database:
@@ -40,6 +41,34 @@ class TestGeometry:
 
     def test_empty_table_scans_nothing(self):
         assert row_scan_bytes(make_db(0), "t", 0, 0) == 0
+
+    def test_rows_per_page_of_three_wide_columns(self):
+        db = make_db(1000, WIDE)
+        assert row_page_geometry(db.table("t")) == (24, DEFAULT_PAGE_BYTES // 24)
+
+    def test_partial_last_page_is_charged_whole(self):
+        db = make_db(1000, WIDE)
+        _, rows_per_page = row_page_geometry(db.table("t"))
+        n_rows = 2 * rows_per_page + 5
+        db = make_db(n_rows, WIDE)
+        assert row_scan_bytes(db, "t", 2 * rows_per_page, n_rows) == DEFAULT_PAGE_BYTES
+
+    def test_scan_reads_more_than_a_column_subset(self):
+        """A row-store scan drags whole rows: more traffic than the
+        column subset a column store would read."""
+        db = make_db(1000, WIDE)
+        table = db.table("t")
+        scan = row_scan_bytes(db, "t", 0, table.n_rows)
+        assert scan >= table.nbytes
+        assert scan > table.bytes_for(["c0"])
+
+    def test_full_scan_counts_page_slack(self):
+        db = make_db(1000, WIDE)
+        _, rows_per_page = row_page_geometry(db.table("t"))
+        n_pages = -(-1000 // rows_per_page)
+        assert 1000 % rows_per_page
+        assert row_scan_bytes(db, "t", 0, 1000) == n_pages * DEFAULT_PAGE_BYTES
+        assert row_scan_bytes(db, "t", 0, 1000) > db.table("t").nbytes
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,8 @@ The package is organised around the paper's methodology:
 - :mod:`repro.hardware` models the Intel Broadwell / Skylake servers of the
   paper (caches, prefetchers, branch prediction, memory bandwidth,
   execution ports) and provides the Top-Down (TMAM) cycle containers.
-- :mod:`repro.storage` provides row (NSM) and column (DSM) table storage.
+- :mod:`repro.storage` provides column (DSM) table storage; DBMS R's row
+  (NSM) page traffic is derived from the column dtypes.
 - :mod:`repro.tpch` generates the TPC-H tables and defines the profiled
   queries (Q1, Q6, Q9, Q18).
 - :mod:`repro.engines` implements the four profiled systems: a commercial

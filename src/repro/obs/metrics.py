@@ -13,9 +13,9 @@ across the multi-process executor:
 - :func:`render_snapshot` -- Prometheus text exposition (``# HELP`` /
   ``# TYPE`` / ``name{labels} value``), deterministic ordering.
 
-:func:`parse_exposition` is a strict parser for that format used by the
-CI obs-smoke step and the tests -- if the exposition ever stops
-parsing, the gate fails.
+:func:`parse_exposition` is a strict parser for that format; only the
+tests use it, as their oracle -- if the exposition ever stops parsing,
+they fail.
 """
 
 from __future__ import annotations

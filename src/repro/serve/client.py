@@ -1,10 +1,8 @@
-"""Minimal client for the query service, plus the CI smoke driver.
+"""Minimal client for the query service.
 
 ``QueryClient`` is a blocking line-protocol client (one socket, one
 request in flight).  ``run_batch`` opens one client per thread and
-fires a concurrent batch -- this is what the CI smoke test uses to
-assert the service answers >= 8 concurrent requests and serves repeats
-from the execution cache.
+fires a concurrent batch.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ tier served them.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -79,6 +80,17 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; use 'thread' or 'process'"
             )
+        # queue.Queue(maxsize=0) is unbounded, and no worker or a zero
+        # deadline times every request out: each would silently disable
+        # the service instead of configuring it.
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be positive and finite")
+        if self.process_workers is not None and self.process_workers < 1:
+            raise ValueError("process_workers must be None or >= 1")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be >= 1")
         if self.slowlog_capacity < 1:

@@ -74,6 +74,10 @@ class TestMetricsOp:
             (("engine", "Typer"),)
         ] == 1
         assert samples["__types__"]["repro_query_latency_seconds"] == "histogram"
+        assert samples["repro_query_latency_seconds_bucket"][
+            (("engine", "Typer"), ("le", "+Inf"))
+        ] == 1
+        assert samples["repro_queue_depth"][()] == 0
 
     def test_cache_counters_are_mirrored(self, service):
         sql = projection_sql(2)

@@ -18,7 +18,7 @@ from repro.serve import (
 from repro.serve.protocol import decode, encode, jsonable
 from repro.serve.server import dispatch
 from repro.shard import wire
-from repro.tpch.sql import GROUPBY_SQL, JOIN_SQL, projection_sql
+from repro.tpch.sql import GROUPBY_SQL, JOIN_SQL, TPCH_SQL, projection_sql
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +178,12 @@ class TestTcp:
     def test_concurrent_batch_and_cache_hits(self, server):
         host, port = server.address
         statements = [projection_sql(1 + index % 4) for index in range(6)]
-        statements += [GROUPBY_SQL, JOIN_SQL["small"]]
-        requests = [{"sql": sql} for sql in statements]
+        statements += [GROUPBY_SQL, *JOIN_SQL.values(), TPCH_SQL["Q1"], TPCH_SQL["Q6"]]
+        engines = ("DBMS R", "DBMS C", "Typer", "Tectorwise")
+        requests = [
+            {"sql": sql, "engine": engines[index % len(engines)]}
+            for index, sql in enumerate(statements)
+        ]
         assert len(requests) >= 8
         first = run_batch(host, port, requests, timeout=120.0)
         assert all(r["status"] == "ok" for r in first), first

@@ -36,6 +36,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="plan_cache_size"):
             ServiceConfig(plan_cache_size=0)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("workers", 0),
+            ("queue_depth", 0),
+            ("queue_depth", -1),
+            ("timeout_s", 0.0),
+            ("timeout_s", -1.0),
+            ("timeout_s", float("inf")),
+            ("timeout_s", float("nan")),
+            ("process_workers", 0),
+        ],
+    )
+    def test_values_that_disable_the_service_rejected(self, field, value):
+        """A zero queue depth is an unbounded ``queue.Queue``, and no
+        worker or no deadline times every request out."""
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
 
 class TestProcessExecutor:
     def test_submit_runs_in_pool(self, process_service):

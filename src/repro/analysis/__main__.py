@@ -80,6 +80,13 @@ def _run_parallel(targets, scale_factor: float, seed: int, jobs: int):
         yield from pool.imap(_run_one, targets)
 
 
+def _scale_factor(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -91,9 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_run_arguments(subparser, with_experiment: bool):
         if with_experiment:
             subparser.add_argument(
-                "experiment", help="experiment id, e.g. fig03, or 'all'"
+                "experiment", choices=[*EXPERIMENTS, "all"], metavar="experiment",
+                help="experiment id, e.g. fig03, or 'all' (see 'list')",
             )
-        subparser.add_argument("--sf", type=float, default=DEFAULT_SCALE_FACTOR,
+        subparser.add_argument("--sf", type=_scale_factor, default=DEFAULT_SCALE_FACTOR,
                                help="TPC-H scale factor")
         subparser.add_argument("--seed", type=int, default=DEFAULT_SEED)
         subparser.add_argument(
@@ -112,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate",
         help="cross-validate the analytic model against the trace simulators",
     )
-    validator.add_argument("--sf", type=float, default=0.05)
+    validator.add_argument("--sf", type=_scale_factor, default=0.05)
     validator.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
 

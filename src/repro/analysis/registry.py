@@ -63,7 +63,7 @@ class ExperimentSpec:
 
         if db is None:
             db = generate_database(
-                scale_factor=scale_factor or DEFAULT_SCALE_FACTOR,
+                scale_factor=DEFAULT_SCALE_FACTOR if scale_factor is None else scale_factor,
                 seed=seed,
                 tables=self.tables,
             )

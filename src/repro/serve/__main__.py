@@ -18,6 +18,10 @@ from repro.serve.service import QueryService, ServiceConfig
 
 
 def _config(args: argparse.Namespace) -> ServiceConfig:
+    # ServiceConfig takes 0 from callers that attach a database; this
+    # entry point always generates one, which needs a positive size.
+    if not args.scale_factor > 0:
+        raise ValueError("scale_factor must be positive")
     return ServiceConfig(
         workers=args.workers,
         queue_depth=args.queue_depth,

@@ -95,6 +95,8 @@ class ServiceConfig:
             raise ValueError("plan_cache_size must be >= 1")
         if self.slowlog_capacity < 1:
             raise ValueError("slowlog_capacity must be >= 1")
+        # An unknown default would fail every query that names no engine.
+        engine_by_name(self.default_engine)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Structural tests for every figure function: each must produce the
-rows, columns and notes its consumers (benchmarks, CLI, charts)
+rows, columns and notes its consumers (olapbench, CLI, charts)
 rely on."""
 
 import pytest

@@ -68,6 +68,22 @@ class TestExecution:
         figure = EXPERIMENTS["fig03"].execute(db=small_db)
         assert len(figure.rows) == 8  # 2 engines x 4 degrees
 
+    def test_explicit_scale_factor_reaches_the_generator(self, monkeypatch):
+        """Only a missing scale factor means the default: 0 is passed on
+        (and rejected there) rather than silently run at SF 0.3."""
+        import repro.analysis.registry as registry
+
+        requested = []
+
+        def spy(*, scale_factor, **kwargs):
+            requested.append(scale_factor)
+            raise ValueError("scale_factor must be positive")
+
+        monkeypatch.setattr(registry, "generate_database", spy)
+        with pytest.raises(ValueError, match="positive"):
+            EXPERIMENTS["fig05"].execute(scale_factor=0.0)
+        assert requested == [0.0]
+
 
 class TestCli:
     def test_list(self, capsys):
@@ -78,6 +94,31 @@ class TestCli:
     def test_run_single(self, capsys):
         assert cli_main(["run", "table1", "--sf", "0.002"]) == 0
         assert "Broadwell" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig99"],
+            ["run", "fig03", "--sf", "0"],
+            ["run", "all", "--sf", "-1"],
+            ["all", "--sf", "0"],
+            ["validate", "--sf", "0"],
+        ],
+        ids=["unknown-id", "run-sf-zero", "run-all-sf-negative", "all-sf-zero",
+             "validate-sf-zero"],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, monkeypatch, capsys):
+        """Exit 2 with a usage message, before any data is generated."""
+        import repro.analysis.__main__ as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an experiment on rejected input")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_all_subcommand_with_jobs_matches_sequential(self, capsys, monkeypatch):
         """`all --jobs N` must produce the same figure rows as the

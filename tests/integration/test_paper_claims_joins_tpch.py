@@ -75,6 +75,14 @@ class TestJoin:
         retiring_typer = reports["Typer"]["large"].breakdown.retiring
         assert retiring_r > 20 * retiring_typer
 
+    def test_commercial_join_retiring_share_across_sizes(self, paper_db, profiler):
+        """Figure 11: the instruction footprint keeps the commercial
+        systems' joins Retiring-heavy at every size."""
+        reports = run_join_sweep(paper_db, (RowStoreEngine(), ColumnStoreEngine()), profiler)
+        for per_size in reports.values():
+            for report in per_size.values():
+                assert 0.3 <= report.retiring_ratio <= 0.85
+
     def test_chain_statistics_match_paper_shape(self, paper_db):
         """Section 6: join chains 0-1 and regular; group-by chains
         longer-tailed and more irregular."""
@@ -88,11 +96,11 @@ class TestJoin:
     def test_groupby_micro_behaves_like_join(self, paper_db, profiler):
         """Section 2: the group-by micro-benchmark was omitted from the
         paper because it behaves like the join."""
-        engine = TyperEngine()
-        groupby = profiler.profile(engine, engine.run_groupby(paper_db))
-        join = profiler.profile(engine, engine.run_join(paper_db, "large"))
-        assert groupby.breakdown.dominant_stall() == join.breakdown.dominant_stall()
-        assert groupby.stall_ratio == pytest.approx(join.stall_ratio, abs=0.2)
+        for engine in (TyperEngine(), TectorwiseEngine()):
+            groupby = profiler.profile(engine, engine.run_groupby(paper_db))
+            join = profiler.profile(engine, engine.run_join(paper_db, "large"))
+            assert groupby.breakdown.dominant_stall() == join.breakdown.dominant_stall()
+            assert groupby.stall_ratio == pytest.approx(join.stall_ratio, abs=0.2)
 
 
 class TestTpch:
@@ -157,6 +165,16 @@ class TestTpch:
         assert typer["Q6"].bandwidth.gbps > tpch_reports["Tectorwise"]["Q6"].bandwidth.gbps
         for engine in ("Typer", "Tectorwise"):
             assert tpch_reports[engine]["Q18"].bandwidth.gbps < 2.5
+
+    def test_commercial_systems_far_behind_on_every_query(
+        self, paper_db, profiler, tpch_reports
+    ):
+        """Section 6's omitted comparison: orders of magnitude between
+        the commercial and the high-performance systems on TPC-H."""
+        commercial = run_tpch(paper_db, (RowStoreEngine(), ColumnStoreEngine()), profiler)
+        for query_id, typer in tpch_reports["Typer"].items():
+            assert commercial["DBMS R"][query_id].cycles > 10.0 * typer.cycles
+            assert commercial["DBMS C"][query_id].cycles > 2.0 * typer.cycles
 
     def test_micro_benchmark_conclusions_generalize(self, tpch_reports, join_reports):
         """Section 6's closing point: operator-level behaviour predicts

@@ -20,6 +20,7 @@ class TestProjectionSaturation:
         curve = model.bandwidth_curve("Typer", result, (1, 4, 8, 12, 14))
         saturation = model.saturation_point(curve, 66.0)
         assert saturation in (4, 8)
+        assert curve[8] >= 0.9 * 66.0
         assert curve[14] == pytest.approx(66.0, rel=0.05)
 
     def test_tectorwise_saturates_later(self, model, paper_db):
@@ -28,12 +29,13 @@ class TestProjectionSaturation:
         typer_sat = model.saturation_point(
             model.bandwidth_curve("Typer", typer_result), 66.0
         )
-        tw_sat = model.saturation_point(
-            model.bandwidth_curve("Tectorwise", tw_result), 66.0
-        )
+        tw_curve = model.bandwidth_curve("Tectorwise", tw_result)
+        tw_sat = model.saturation_point(tw_curve, 66.0)
         assert tw_sat is not None and typer_sat is not None
         assert tw_sat > typer_sat
         assert tw_sat in (12, 14)
+        assert tw_curve[8] < 0.9 * 66.0
+        assert tw_curve[12] >= 0.75 * 66.0
 
     def test_extra_threads_beyond_saturation_wasted(self, model, paper_db):
         """Section 10: using more cores than the saturation point wastes
@@ -76,6 +78,7 @@ class TestMulticoreBreakdowns:
                 crowd = model.run(engine, result, 14).per_thread
                 assert crowd.stall_ratio == pytest.approx(solo.stall_ratio, abs=0.2)
                 assert crowd.breakdown.dominant_stall() == solo.breakdown.dominant_stall()
+                assert crowd.stall_shares()["dcache"] >= 0.4
 
     def test_q1_still_most_retiring_at_14_threads(self, model, paper_db):
         for engine in (TyperEngine(), TectorwiseEngine()):
@@ -84,6 +87,28 @@ class TestMulticoreBreakdowns:
                 result = engine.run_tpch(paper_db, query_id)
                 ratios[query_id] = model.run(engine, result, 14).per_thread.retiring_ratio
             assert max(ratios, key=ratios.get) == "Q1"
+
+
+class TestTpchScaling:
+    """Section 10's omitted TPC-H graphs: speedup and socket bandwidth
+    against the thread count."""
+
+    def test_every_query_peaks_at_fourteen_threads(self, model, paper_db):
+        for engine in (TyperEngine(), TectorwiseEngine()):
+            for query_id in ("Q1", "Q9"):
+                result = engine.run_tpch(paper_db, query_id)
+                speedups = model.speedup_curve(engine, result)
+                assert speedups[14] == max(speedups.values())
+                assert speedups[14] > 4.0
+
+    def test_bandwidth_spans_projection_high_to_join_low(self, model, paper_db):
+        """Predicated Q6 streams near the roof; the hash-heavy Q18 sits
+        near the join's low utilisation."""
+        for engine in (TyperEngine(), TectorwiseEngine()):
+            q6 = model.run(engine, engine.run_q6(paper_db, predicated=True), 14)
+            assert q6.bandwidth_gbps >= 0.8 * q6.socket_bandwidth.max_gbps
+            q18 = model.run(engine, engine.run_tpch(paper_db, "Q18"), 14)
+            assert q18.bandwidth_gbps < 0.6 * q18.socket_bandwidth.max_gbps
 
 
 class TestHeadroom:
@@ -101,6 +126,12 @@ class TestHeadroom:
         scalar_bw = model.run(engine, scalar, threads).bandwidth_gbps
         simd_bw = model.run(engine, simd, threads).bandwidth_gbps
         assert 1.2 <= simd_bw / scalar_bw <= 2.0
+
+    def test_simd_raises_join_bandwidth_on_broadwell_too(self, model, paper_db):
+        engine = TectorwiseEngine()
+        scalar = model.run(engine, engine.run_join(paper_db, "large"), 14)
+        simd = model.run(engine, engine.run_join(paper_db, "large", simd=True), 14)
+        assert simd.bandwidth_gbps > 1.15 * scalar.bandwidth_gbps
 
     def test_hyper_threading_raises_bandwidth_about_a_third(self, model, big_db):
         engine = TyperEngine()

@@ -42,7 +42,9 @@ class TestPredication:
     ):
         for comparison in (typer_predication, tectorwise_predication):
             for variants in comparison.values():
-                assert variants["predicated"].breakdown.branch_misp == 0.0
+                predicated = variants["predicated"].breakdown
+                assert predicated.branch_misp == 0.0
+                assert predicated.dcache + predicated.execution > 0.0
                 assert variants["branched"].breakdown.branch_misp > 0.0
 
     def test_predicated_selection_becomes_scan_like(self, typer_predication):
@@ -103,6 +105,7 @@ def simd_pairs(paper_db, skylake_profiler):
     for label, method, args, kwargs in (
         ("projection", "run_projection", (paper_db, 4), {}),
         ("selection-50", "run_selection", (paper_db, 0.5), {"predicated": True}),
+        ("selection-90", "run_selection", (paper_db, 0.9), {"predicated": True}),
         ("join-large", "run_join", (paper_db, "large"), {}),
     ):
         runner = getattr(engine, method)
@@ -131,14 +134,14 @@ class TestSimd:
 
     def test_simd_shifts_scan_stalls_toward_dcache(self, simd_pairs):
         """Figure 23: Dcache stalls up, Execution stalls down."""
-        for label in ("projection", "selection-50"):
+        for label in ("projection", "selection-50", "selection-90"):
             scalar, simd = simd_pairs[label]
             assert simd.breakdown.dcache >= scalar.breakdown.dcache * 0.95
             assert simd.breakdown.execution <= scalar.breakdown.execution
 
     def test_simd_raises_scan_bandwidth(self, simd_pairs):
         """Figure 24."""
-        for label in ("projection", "selection-50"):
+        for label in ("projection", "selection-50", "selection-90"):
             scalar, simd = simd_pairs[label]
             assert simd.bandwidth.gbps > scalar.bandwidth.gbps
 
@@ -193,6 +196,25 @@ class TestPrefetchers:
         of cycles are stalls."""
         report = projection_by_config["All enabled"]
         assert 0.5 <= report.stall_ratio <= 0.8
+
+    def test_findings_hold_on_the_other_scans(self, paper_db, profiler):
+        """Section 9's omitted graphs: Tectorwise's projection and both
+        engines' selections, branched and predicated, slow down
+        severalfold without prefetchers, mostly through Dcache."""
+        typer, tectorwise = TyperEngine(), TectorwiseEngine()
+        cases = [(tectorwise, tectorwise.run_projection(paper_db, 4))]
+        for engine in (typer, tectorwise):
+            for predicated in (False, True):
+                cases.append(
+                    (engine, engine.run_selection(paper_db, 0.5, predicated=predicated))
+                )
+        enabled = ExecutionContext(prefetchers=PrefetcherConfig.all_enabled())
+        disabled = ExecutionContext(prefetchers=PrefetcherConfig.all_disabled())
+        for engine, result in cases:
+            on = profiler.profile(engine, result, enabled)
+            off = profiler.profile(engine, result, disabled)
+            assert off.cycles > 1.5 * on.cycles
+            assert on.breakdown.dcache < 0.5 * off.breakdown.dcache
 
     def test_join_gains_only_modestly(self, big_db, profiler):
         """Section 9: ~20% for the large join (random accesses)."""

@@ -51,6 +51,7 @@ class TestProjectionCommercial:
         report = projection_reports["DBMS R"][4]
         shares = report.stall_shares()
         assert shares["dcache"] + shares["execution"] > 0.6
+        assert shares["icache"] < 0.25
 
     def test_instruction_footprint_orders_of_magnitude(self, projection_reports):
         """Figure 6: DBMS R ~2 orders of magnitude slower than Typer;
@@ -114,6 +115,25 @@ class TestProjectionHighPerformance:
             typer = projection_reports["Typer"][degree].bandwidth.gbps
             tectorwise = projection_reports["Tectorwise"][degree].bandwidth.gbps
             assert tectorwise < 0.9 * typer
+
+
+class TestSelectionCommercial:
+    """Figures 7-8."""
+
+    @pytest.fixture(scope="class")
+    def commercial_selection(self, paper_db, profiler):
+        return run_selection_sweep(
+            paper_db, (RowStoreEngine(), ColumnStoreEngine()), profiler
+        )
+
+    def test_retiring_grows_with_selectivity(self, commercial_selection):
+        for reports in commercial_selection.values():
+            assert reports[0.9].retiring_ratio >= reports[0.1].retiring_ratio
+
+    def test_no_instruction_stall_problem(self, commercial_selection):
+        for reports in commercial_selection.values():
+            for report in reports.values():
+                assert report.stall_shares()["icache"] < 0.3
 
 
 class TestSelection:

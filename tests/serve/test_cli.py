@@ -69,17 +69,23 @@ def test_serves_all_engines_over_tcp_and_exits_on_shutdown(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    ("flags", "message"),
     [
-        ["--queue-depth", "0"],
-        ["--workers", "0"],
-        ["--timeout", "0"],
-        ["--process-workers", "0"],
+        (["--queue-depth", "0"], "must be"),
+        (["--workers", "0"], "must be"),
+        (["--timeout", "0"], "must be"),
+        (["--process-workers", "0"], "must be"),
+        (["--engine", "Bogus"], "unknown engine 'Bogus'"),
+        (["--scale-factor", "0"], "scale_factor must be positive"),
+        (["--scale-factor", "-0.5"], "scale_factor must be positive"),
     ],
-    ids=["queue-depth", "workers", "timeout", "process-workers"],
+    ids=[
+        "queue-depth", "workers", "timeout", "process-workers",
+        "engine", "scale-factor-zero", "scale-factor-negative",
+    ],
 )
 def test_settings_that_disable_the_service_exit_2_before_serving(
-    flags, monkeypatch, capsys
+    flags, message, monkeypatch, capsys
 ):
     """The config's ``ValueError`` is a usage error: exit 2, with no
     service started and no socket bound."""
@@ -92,4 +98,4 @@ def test_settings_that_disable_the_service_exit_2_before_serving(
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["--port", "0", *flags])
     assert exit_info.value.code == 2
-    assert "must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

@@ -88,7 +88,7 @@ class TestCensus:
             )
         ]
         pattern = re.compile(r"\b(" + "|".join(retired) + r")\b")
-        sources = ("src/**/*.py", "tests/**/*.py", "benchmarks/*.py")
+        sources = ("src/**/*.py", "tests/**/*.py")
         for path in [path for glob in sources for path in ROOT.glob(glob)]:
             match = pattern.search(path.read_text())
             assert match is None, f"{match and match[0]} in {path.relative_to(ROOT)}"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing.context
+import os
 import sys
 
 from repro.analysis.registry import (
@@ -87,6 +88,13 @@ def _scale_factor(text: str) -> float:
     return value
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -105,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="TPC-H scale factor")
         subparser.add_argument("--seed", type=int, default=DEFAULT_SEED)
         subparser.add_argument(
-            "--jobs", type=int, default=1,
+            "--jobs", type=_jobs, default=1,
             help="worker processes for multi-experiment runs (default 1)",
         )
 
@@ -127,6 +135,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop quietly, and point
+        # stdout at devnull so the interpreter's exit flush fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(args) -> int:
     if args.command == "validate":
         from repro.core.validation import ModelValidator
         from repro.tpch import generate_database
@@ -145,9 +165,8 @@ def main(argv=None) -> int:
 
     experiment = "all" if args.command == "all" else args.experiment
     targets = list(EXPERIMENTS) if experiment == "all" else [experiment]
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(targets) > 1:
-        figures = _run_parallel(targets, args.sf, args.seed, jobs)
+    if args.jobs > 1 and len(targets) > 1:
+        figures = _run_parallel(targets, args.sf, args.seed, args.jobs)
     else:
         figures = (
             run_experiment(experiment_id, scale_factor=args.sf, seed=args.seed)

@@ -13,6 +13,7 @@ Everything here works offline -- no service, no network.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.sql import plan as ir
@@ -125,11 +126,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.sql is not None:
-        return _show("statement", args.sql, args.execute, args.scale_factor)
+    statements = (
+        [("statement", args.sql)] if args.sql is not None else _documented_workloads()
+    )
     status = 0
-    for title, sql in _documented_workloads():
-        status |= _show(title, sql, args.execute, args.scale_factor)
+    try:
+        for title, sql in statements:
+            status |= _show(title, sql, args.execute, args.scale_factor)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop quietly, and point
+        # stdout at devnull so the interpreter's exit flush fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -1,5 +1,9 @@
 """Experiment-registry tests: completeness and executability."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import EXPERIMENTS, FigureResult, run_experiment
@@ -103,9 +107,11 @@ class TestCli:
             ["run", "all", "--sf", "-1"],
             ["all", "--sf", "0"],
             ["validate", "--sf", "0"],
+            ["run", "fig03", "--jobs", "0"],
+            ["all", "--jobs", "-3"],
         ],
         ids=["unknown-id", "run-sf-zero", "run-all-sf-negative", "all-sf-zero",
-             "validate-sf-zero"],
+             "validate-sf-zero", "run-jobs-zero", "all-jobs-negative"],
     )
     def test_bad_input_is_a_usage_error(self, argv, monkeypatch, capsys):
         """Exit 2 with a usage message, before any data is generated."""
@@ -119,6 +125,20 @@ class TestCli:
             cli_main(argv)
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["list"], ["run", "table1", "--sf", "0.002"]], ids=["list", "run"]
+    )
+    def test_closed_pipe_stops_quietly(self, argv):
+        """``python -m repro.analysis ... | head`` once ``head`` exits."""
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "wb") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.analysis", *argv],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert "Traceback" not in done.stderr and "Error" not in done.stderr, done.stderr
 
     def test_all_subcommand_with_jobs_matches_sequential(self, capsys, monkeypatch):
         """`all --jobs N` must produce the same figure rows as the

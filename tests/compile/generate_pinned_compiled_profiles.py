@@ -16,34 +16,27 @@ defined here on their own one-table databases (``test_grouping.py``
 checks the same cases against a row-at-a-time reference).  The module
 imports nothing the reference commit lacks, so it runs against it.
 
-The file records behaviour, so it is regenerated only from a commit
-whose numbers are the reference (it was written from ``f1a7707``, the
-last commit whose grouped compiled state was a dict per group)::
-
-    PYTHONPATH=<that checkout>/src \
-        python tests/compile/generate_pinned_compiled_profiles.py
+It was written from ``f1a7707``, the last commit whose grouped compiled
+state was a dict per group; ``python tests/pinned.py compiled_profiles``
+writes it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 import sys
 from pathlib import Path
 
 import numpy as np
+from matrix.cells import Q18_FLAT
+from pinned import json_sha256
 
 from repro.storage import ColumnTable, Database
 
-# The engine matrix's field digests and the flattened Q18, reused (the
-# test tree is not a package).
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+# The engine matrix's field digests (the test tree is not a package).
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "engines"))
 from generate_pinned_profiles import summarize  # noqa: E402
-from matrix.cells import Q18_FLAT  # noqa: E402
 
-PINNED_COMPILED = Path(__file__).with_name("pinned_compiled_profiles.json")
 SCALE_FACTOR, SEED = 0.01, 7
 ENGINES = ("Typer", "Tectorwise")
 
@@ -118,9 +111,7 @@ def grouping_sql(keys) -> str:
 def details_digest(details: dict) -> str:
     """SHA-256 of the canonical JSON of a result's details (operator
     profiles are digested separately; ``cached`` is not behaviour)."""
-    plain = {k: v for k, v in details.items() if k not in ("cached", "operators")}
-    canonical = json.dumps(plain, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return json_sha256({k: v for k, v in details.items() if k not in ("cached", "operators")})
 
 
 def _statements(db) -> dict:
@@ -156,24 +147,19 @@ def pinned_fields(result) -> dict:
     return {**summarize(result), "details_digest": details_digest(result.details)}
 
 
-def main() -> None:
+def collect() -> dict:
     from repro.engines import engine_by_name
     from repro.sql.api import plan_sql
     from repro.tpch import generate_database
 
     tpch = generate_database(scale_factor=SCALE_FACTOR, seed=SEED)
     statements = _statements(tpch)
-    pinned: dict = {"statements": statements}
-    for name in ENGINES:
-        engine = engine_by_name(name)
-        pinned[name] = {}
-        for cell, statement in statements.items():
-            db = database(statement["db"], tpch)
-            result = engine.run_compiled(db, plan_sql(statement["sql"]))
-            pinned[name][cell] = pinned_fields(result)
-    PINNED_COMPILED.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(statements)} cells x {len(ENGINES)} engines")
-
-
-if __name__ == "__main__":
-    main()
+    return {"statements": statements, **{
+        name: {
+            cell: pinned_fields(engine_by_name(name).run_compiled(
+                database(statement["db"], tpch), plan_sql(statement["sql"])
+            ))
+            for cell, statement in statements.items()
+        }
+        for name in ENGINES
+    }}

@@ -4,23 +4,15 @@ totals included) and every WorkProfile, single-shot and ragged."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
-from generate_pinned_compiled_profiles import (
-    ENGINES,
-    PINNED_COMPILED,
-    SCALE_FACTOR,
-    SEED,
-    database,
-    pinned_fields,
-)
+from generate_pinned_compiled_profiles import ENGINES, SCALE_FACTOR, SEED, database, pinned_fields
 from matrix.cells import tiled
+from pinned import load
 
 from repro.engines import engine_by_name
 from repro.sql.api import plan_sql
 
-PINNED = json.loads(PINNED_COMPILED.read_text())
+PINNED = load("compiled_profiles")
 
 
 @pytest.mark.parametrize("cell", sorted(PINNED["statements"]))

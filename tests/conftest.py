@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import pytest
 from databases import ALIGNED_BREAKS, SMALL_SF, TINY_SF, lineitem_twin, raw_twin, sorted_twin
+from leaks import children, listening_sockets, session_pids, shm_segments
 
 from repro import BROADWELL, SKYLAKE, MicroArchProfiler
 from repro.tpch import generate_database
@@ -44,67 +44,34 @@ def repro_env_unchanged():
 _LEAK_GRACE_SECONDS = 3.0
 
 
-def _children() -> dict:
-    """pid -> command name of every live (non-zombie) child of this
-    process, read from ``/proc``."""
-    children = {}
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            stat = Path("/proc", entry, "stat").read_text()
-        except OSError:
-            continue  # exited while we were listing
-        # The command name may hold spaces and parentheses; the fields
-        # after the last ')' are fixed.
-        head, _, tail = stat.rpartition(")")
-        fields = tail.split()
-        if fields[0] != "Z" and int(fields[1]) == os.getpid():
-            children[int(entry)] = head.partition("(")[2]
-    return children
-
-
-def _listening_sockets() -> set:
-    found = set()
-    for name in ("tcp", "tcp6"):
-        try:
-            lines = Path("/proc/net", name).read_text().splitlines()[1:]
-        except OSError:
-            continue
-        for line in lines:
-            fields = line.split()
-            if fields[3] == "0A":  # TCP_LISTEN
-                found.add(f"{name}:{fields[1]}")
-    return found
-
-
-def _shm_segments() -> set:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:
-        return set()
-
-
 @pytest.fixture(scope="session", autouse=True)
 def no_leaks_at_session_end():
     """The session leaves no shm segment, child process or listening
     socket behind: every pool, cluster and server a test starts is torn
     down on its own exit path.  multiprocessing's resource tracker is
-    the one child that outlives its users by design."""
+    the one child that outlives its users by design.
+
+    Sockets count only if this process or a live descendant holds them.
+    Children are this process's own.  ``/dev/shm`` is compared machine
+    wide, since a segment's name carries no owner: a segment another run
+    makes meanwhile counts against this one."""
     from multiprocessing import resource_tracker
 
-    shm, sockets = _shm_segments(), _listening_sockets()
+    shm, sockets = shm_segments(), listening_sockets(session_pids())
     yield
     tracker = resource_tracker._resource_tracker._pid
     deadline = time.monotonic() + _LEAK_GRACE_SECONDS
     while True:
-        survivors = {pid: name for pid, name in _children().items() if pid != tracker}
+        survivors = {pid: name for pid, name in children().items() if pid != tracker}
         if not survivors or time.monotonic() > deadline:
             break
         time.sleep(0.05)
     leaks = [f"process {pid} ({name})" for pid, name in sorted(survivors.items())]
-    leaks += [f"shm segment /dev/shm/{name}" for name in sorted(_shm_segments() - shm)]
-    leaks += [f"listening socket {name}" for name in sorted(_listening_sockets() - sockets)]
+    leaks += [f"shm segment /dev/shm/{name}" for name in sorted(shm_segments() - shm)]
+    leaks += [
+        f"listening socket {name}"
+        for name in sorted(listening_sockets(session_pids()) - sockets)
+    ]
     if leaks:
         pytest.fail("test session leaked: " + ", ".join(leaks))
 

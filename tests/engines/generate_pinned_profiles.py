@@ -7,11 +7,11 @@ of the canonical JSON of the total and of every per-operator
 ``TestPinnedProfiles`` (``test_morsel_equivalence.py``) compares the
 single-shot run and a ragged tiling of every cell against it.
 
-The file records behaviour, so it is regenerated only from a commit
-whose numbers are the reference (it was written from ``0b34c2a``, the
-commit before the engines' data passes were unified)::
-
-    PYTHONPATH=<that checkout>/src python tests/engines/generate_pinned_profiles.py
+The values, tuples and digests were recorded from ``0b34c2a``, the
+commit before the engines' data passes were unified; the ``details``
+key lists (checked as a floor) from ``b7cab8f``, which reports more
+keys.  ``python tests/pinned.py profiles`` writes the file
+(``tests/pinned.py`` says from which source).
 
 ``pinned_join_profiles.json`` keeps two of these cells field by field,
 to localise a break the digests only detect.
@@ -20,15 +20,13 @@ to localise a break the digests only detect.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from pathlib import Path
+
+from pinned import json_sha256
 
 from repro.engines import ALL_ENGINES
 from repro.engines.base import selection_thresholds
 from repro.tpch import generate_database
 
-PINNED_PROFILES = Path(__file__).with_name("pinned_profiles.json")
 SCALE_FACTOR, SEED = 0.01, 7
 
 #: Cells every engine runs; ``simd`` twins are added where supported.
@@ -71,13 +69,6 @@ def cells_for(engine, db) -> list[tuple[str, str, dict]]:
     return cells + _PLAIN_CELLS
 
 
-def _digest(profile) -> str:
-    canonical = json.dumps(
-        dataclasses.asdict(profile), sort_keys=True, default=lambda scalar: scalar.item()
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def summarize(result) -> dict:
     """The pinned fields of one finished :class:`QueryResult`."""
     return {
@@ -85,25 +76,20 @@ def summarize(result) -> dict:
         "value": repr(result.value),
         "tuples": int(result.tuples),
         "details": sorted(key for key in result.details if key != "cached"),
-        "work": _digest(result.work),
+        "work": json_sha256(dataclasses.asdict(result.work)),
         "operators": {
-            name: _digest(profile) for name, profile in result.operator_work.items()
+            name: json_sha256(dataclasses.asdict(profile))
+            for name, profile in result.operator_work.items()
         },
     }
 
 
-def main() -> None:
+def collect() -> dict:
     db = generate_database(scale_factor=SCALE_FACTOR, seed=SEED)
-    pinned = {}
-    for engine_cls in ALL_ENGINES:
-        engine = engine_cls()
-        pinned[engine.name] = {
+    return {
+        engine.name: {
             cell: summarize(getattr(engine, method)(db, **kwargs))
             for cell, method, kwargs in cells_for(engine, db)
         }
-    PINNED_PROFILES.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, pinned.values()))} cells to {PINNED_PROFILES}")
-
-
-if __name__ == "__main__":
-    main()
+        for engine in (engine_cls() for engine_cls in ALL_ENGINES)
+    }

@@ -14,23 +14,17 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import pickle
-from pathlib import Path
 
 import pytest
-from generate_pinned_profiles import (
-    PINNED_PROFILES,
-    SCALE_FACTOR,
-    SEED,
-    cells_for,
-    summarize,
-)
+from generate_pinned_profiles import SCALE_FACTOR, SEED, cells_for, summarize
 from matrix.cells import ENGINES, assert_bit_identical, tiled
 from matrix.suites import cases
+from pinned import load
 
 from repro.engines import ALL_ENGINES, TectorwiseEngine, TyperEngine, engine_by_name
 from repro.engines.morsel import morsel_ranges
+from repro.tpch import generate_database
 
 
 class TestMorselMerge:
@@ -67,14 +61,15 @@ class TestMorselMerge:
         assert_bit_identical(merged, single, f"{engine.name} pickled partials")
 
 
-#: Q9 and join-large WorkProfiles (total and per operator, every field)
-#: of Typer and Tectorwise at SF 0.01, seed 7, recorded at the commit
-#: before the hash-table probe became a chain walk.  The figure digests
-#: cover the same numbers end to end; this localises a break to the
-#: probe's ``comparisons`` / ``extra_walk`` / ``found``.
-PINNED_JOIN_PROFILES = Path(__file__).with_name("pinned_join_profiles.json")
-
+#: ``pinned_join_profiles.json``: Q9 and join-large WorkProfiles (total
+#: and per operator, every field) of Typer and Tectorwise at SF 0.01,
+#: seed 7, recorded at the commit before the hash-table probe became a
+#: chain walk, and written in canonical form from ``b7cab8f`` with
+#: equal values.  The figure digests cover the same
+#: numbers end to end; this localises a break to the probe's
+#: ``comparisons`` / ``extra_walk`` / ``found``.
 JOIN_WORKLOADS = {"Q9": ("run_q9", {}), "join-large": ("run_join", {"size": "large"})}
+JOIN_ENGINES = (TyperEngine, TectorwiseEngine)
 
 
 def profile_fields(result) -> dict:
@@ -87,15 +82,26 @@ def profile_fields(result) -> dict:
     }
 
 
+def collect() -> dict:
+    db = generate_database(scale_factor=SCALE_FACTOR, seed=SEED)
+    return {
+        engine.name: {
+            workload: profile_fields(getattr(engine, method)(db, **kwargs))
+            for workload, (method, kwargs) in JOIN_WORKLOADS.items()
+        }
+        for engine in (engine_cls() for engine_cls in JOIN_ENGINES)
+    }
+
+
 class TestPinnedJoinProfiles:
     @pytest.mark.parametrize("workload", JOIN_WORKLOADS)
-    @pytest.mark.parametrize("engine_cls", (TyperEngine, TectorwiseEngine), ids=lambda c: c.name)
+    @pytest.mark.parametrize("engine_cls", JOIN_ENGINES, ids=lambda c: c.name)
     @pytest.mark.parametrize("tiling", ("whole", "ragged"))
     def test_profiles_equal_pinned(self, db_factory, engine_cls, workload, tiling):
-        db = db_factory(0.01, seed=7)
+        db = db_factory(SCALE_FACTOR, seed=SEED)
         engine = engine_cls()
         merged = tiled(engine, db, *JOIN_WORKLOADS[workload], tiling)
-        pinned = json.loads(PINNED_JOIN_PROFILES.read_text())[engine.name][workload]
+        pinned = load("join_profiles")[engine.name][workload]
         got = profile_fields(merged)
         assert got["operators"].keys() == pinned["operators"].keys()
         for name, fields in pinned["operators"].items():
@@ -103,7 +109,7 @@ class TestPinnedJoinProfiles:
         assert got["work"] == pinned["work"]
 
 
-PINNED = json.loads(PINNED_PROFILES.read_text())
+PINNED = load("profiles")
 
 
 class TestPinnedProfiles:

@@ -12,12 +12,23 @@ import pytest
 from matrix.cells import (
     COMPILED, DIMENSIONS, ENGINES, EXCLUSIONS, SHARD_ROUTES, excluded, uncovered,
 )
-from matrix.suites import ADDED, SELECTED
+from matrix.suites import ADDED, SELECTED, SUITE_CELLS
+from pinned import sha256
 
 
 @pytest.mark.parametrize("cell", ADDED, ids=lambda cell: cell.id)
 def test_cell(matrix, cell):
     matrix.check([cell])
+
+
+def test_seed_keeps_every_cell():
+    """The suites' cells, which :func:`select` grows, are pinned: dropping
+    one from a suite fails here even where its test id stays."""
+    ids = sorted({cell.id for cell in SUITE_CELLS})
+    assert len(ids) == 584
+    assert sha256("\n".join(ids)) == (
+        "9c337f56e520631e26d0f17460b3ca6873a11fdc6247ba74b1681ca53f381889"
+    )
 
 
 def test_every_pair_is_selected_or_excluded():

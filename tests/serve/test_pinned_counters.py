@@ -2,45 +2,37 @@
 ``stats_snapshot()`` renders them and as the metrics exposition shows
 them.
 
-``pinned_counters.json`` was written by this module from the commit
-before the service counted everything in its metrics registry (it kept
-a decision-totals table and per-status stats beside it)::
-
-    PYTHONPATH=src python tests/serve/test_pinned_counters.py
+``pinned_counters.json`` was written from the commit before the service
+counted everything in its metrics registry (it kept a decision-totals
+table and per-status stats beside it); ``python tests/pinned.py
+counters`` writes it from :func:`collect`.
 
 The scripted run clears the execution cache, submits six statements
 plus one that fails to compile on a clustered rollup twin, once on the
 thread executor and once on the process executor, and sends ``partial``
-ops to the nodes of two hash shards.  The file records behaviour: never
-regenerate it to make a change pass.
+ops to the nodes of two hash shards.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
+import pytest
+from databases import ALIGNED_BREAKS, TINY_SF
+from pinned import load
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-import pytest  # noqa: E402
-from databases import ALIGNED_BREAKS, TINY_SF  # noqa: E402
-
-from repro.core.execcache import EXECUTION_CACHE  # noqa: E402
-from repro.obs import parse_exposition  # noqa: E402
-from repro.rollup import PartitionSpec, build_and_attach, partitioned_database  # noqa: E402
-from repro.serve import QueryService, ServiceConfig  # noqa: E402
-from repro.serve.server import dispatch  # noqa: E402
-from repro.tpch.schema import DATE_1995_01_01, DATE_1998_09_02  # noqa: E402
-from repro.tpch.sql import (  # noqa: E402
+from repro.core.execcache import EXECUTION_CACHE
+from repro.obs import parse_exposition
+from repro.rollup import PartitionSpec, build_and_attach, partitioned_database
+from repro.serve import QueryService, ServiceConfig
+from repro.serve.server import dispatch
+from repro.tpch import generate_database
+from repro.tpch.schema import DATE_1995_01_01, DATE_1998_09_02
+from repro.tpch.sql import (
     EXTENDED_TPCH_SQL,
     GROUPBY_SQL,
     TPCH_SQL,
     projection_sql,
     selection_sql,
 )
-
-PINNED_COUNTERS = Path(__file__).with_name("pinned_counters.json")
 
 OUTCOMES = ("submitted", "ok", "errors", "rejected", "timeouts", "cache_hits")
 BLOCKS = ("pruning", "rollups", "encoded_agg", "compile", "chooser")
@@ -125,12 +117,22 @@ def scripted_run(tiny_db) -> dict:
     return runs
 
 
+def collect() -> dict:
+    """The scripted run on ``tiny_db``'s database, without the families
+    added since the pin."""
+    runs = scripted_run(generate_database(scale_factor=TINY_SF, seed=7))
+    for run in runs.values():
+        for name in NEW_FAMILIES:
+            run["samples"].pop(name, None)
+    return runs
+
+
 @pytest.fixture(scope="module")
 def runs(tiny_db):
     return scripted_run(tiny_db)
 
 
-PINNED = json.loads(PINNED_COUNTERS.read_text()) if PINNED_COUNTERS.exists() else {}
+PINNED = load("counters")
 
 
 def _counts(value):
@@ -169,10 +171,3 @@ def test_only_the_new_families_are_new_and_render_stats(runs, run):
         expected = stats[key] if block is None else stats[block][key]
         assert samples[name] == {"": expected}, name
 
-
-if __name__ == "__main__":
-    from repro.tpch import generate_database
-
-    runs = scripted_run(generate_database(scale_factor=TINY_SF, seed=7))
-    PINNED_COUNTERS.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINNED_COUNTERS}")

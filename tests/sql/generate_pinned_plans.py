@@ -18,23 +18,17 @@ ad hoc statements (the four olapbench ``frontend_adhoc`` generators,
 copied here, plus templates for literal folding, negation, ``!=``,
 mirrored comparisons, HAVING, LIMIT and subqueries).
 
-``test_pinned_plans.py`` compares the front end against it.  The file
-records behaviour, so it is regenerated only from a commit whose plans
-are the reference (it was written from ``a9c1185``, the last commit
-that planned each statement with its literals in place)::
-
-    PYTHONPATH=<that checkout>/src python tests/sql/generate_pinned_plans.py
+``test_pinned_plans.py`` compares the front end against it.  It was
+written from ``a9c1185``, the last commit that planned each statement
+with its literals in place; ``python tests/pinned.py plans`` writes it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-import sys
-from pathlib import Path
 
-PINNED_PLANS = Path(__file__).with_name("pinned_plans.json")
+from pinned import sha256
+
 AD_HOC_SEED, AD_HOC_PER_TEMPLATE = 35, 25
 
 
@@ -282,8 +276,6 @@ def corpus() -> dict:
         selection_sql,
     )
 
-    here = Path(__file__).resolve()
-    sys.path.insert(0, str(here.parents[1]))
     from databases import TINY_SF
     from matrix.cells import STATEMENTS
 
@@ -309,7 +301,7 @@ def corpus() -> dict:
 
 
 def plan_digest(plan) -> str:
-    return hashlib.sha256(repr(plan).encode()).hexdigest()
+    return sha256(repr(plan))
 
 
 def bound_fields(bound) -> str:
@@ -345,17 +337,11 @@ def error_text(sql: str) -> str:
     raise AssertionError(f"expected a SqlError from {sql!r}")
 
 
-def main() -> None:
-    plans = {name: front_end(sql) for name, sql in corpus().items()}
-    errors = {
-        name: {"sql": sql, "warm": warm, "error": error_text(sql)}
-        for name, (sql, warm) in error_statements().items()
+def collect() -> dict:
+    return {
+        "plans": {name: front_end(sql) for name, sql in corpus().items()},
+        "errors": {
+            name: {"sql": sql, "warm": warm, "error": error_text(sql)}
+            for name, (sql, warm) in error_statements().items()
+        },
     }
-    pinned = {"plans": plans, "errors": errors}
-    PINNED_PLANS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
-    rejected = sum("bound_error" in entry for entry in plans.values())
-    print(f"wrote {len(plans)} statements ({rejected} rejected) and {len(errors)} errors")
-
-
-if __name__ == "__main__":
-    main()

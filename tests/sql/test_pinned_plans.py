@@ -8,7 +8,6 @@ or is repeated."""
 from __future__ import annotations
 
 import contextlib
-import json
 import random
 
 import pytest
@@ -18,9 +17,10 @@ from repro.sql import PlanCache, SqlError
 from repro.sql.api import compile_sql
 from repro.sql.lower import tables_read
 
-from generate_pinned_plans import PINNED_PLANS, bound_fields, front_end, plan_digest
+from generate_pinned_plans import bound_fields, front_end, plan_digest
+from pinned import load
 
-PINNED = json.loads(PINNED_PLANS.read_text())
+PINNED = load("plans")
 PLANS, ERRORS = PINNED["plans"], PINNED["errors"]
 
 

@@ -1,6 +1,10 @@
 """Round-trip: every documented SQL string parses, plans, lowers and
 executes on each engine with results identical to the hand-wired path."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from matrix.cells import assert_bit_identical
 
@@ -196,3 +200,15 @@ class TestExecutionRoundTrip:
             e for e in ALL_ENGINES if e.name == "Tectorwise"
         )().run_q6(tiny_db, predicated=True)
         assert repr(result.value) == repr(reference.value)
+
+
+def test_cli_stops_quietly_on_a_closed_pipe():
+    """``python -m repro.sql | head`` once ``head`` exits."""
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.sql"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert "Traceback" not in done.stderr and "Error" not in done.stderr, done.stderr

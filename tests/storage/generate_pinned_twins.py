@@ -9,35 +9,23 @@ payload array, each table's partitioning (row bounds, mins and maxs)
 and, for shards, the derived ``cache_key``.  ``test_pinned_twins.py``
 rebuilds every twin and compares.
 
-The file records behaviour: never regenerate it to make a change pass.
-It was written by this script from ``76991cc``, the commit before the
-twin builders shared one row-take primitive, whose builders (and
-``sorted_db`` / ``raw_db`` fixtures) decoded every column and ran the
-load-time encoding policy again::
-
-    PYTHONPATH=<that checkout>/src python tests/storage/generate_pinned_twins.py
+It was written from ``76991cc``, the commit before the twin builders
+shared one row-take primitive, whose builders (and ``sorted_db`` /
+``raw_db`` fixtures) decoded every column and ran the load-time
+encoding policy again; ``python tests/pinned.py twins`` writes it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
-from pathlib import Path
-
 import numpy as np
+from databases import ALIGNED_BREAKS, SMALL_SF, TINY_SF, raw_twin, sorted_twin
+from pinned import array_sha256
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from databases import ALIGNED_BREAKS, SMALL_SF, TINY_SF, raw_twin, sorted_twin  # noqa: E402
-
-from repro.analysis.figures_pruning import _clustered_twin  # noqa: E402
-from repro.rollup import PartitionSpec, partitioned_database  # noqa: E402
-from repro.shard import build_shards  # noqa: E402
-from repro.storage import EncodedColumn  # noqa: E402
-from repro.tpch import DATE_1998_09_02, generate_database  # noqa: E402
-
-PINNED_TWINS = Path(__file__).with_name("pinned_twins.json")
+from repro.analysis.figures_pruning import _clustered_twin
+from repro.rollup import PartitionSpec, partitioned_database
+from repro.shard import build_shards
+from repro.storage import EncodedColumn
+from repro.tpch import DATE_1998_09_02, generate_database
 
 
 def _quantile_spec(db, n_quantiles: int = 25) -> PartitionSpec:
@@ -74,18 +62,12 @@ TWINS = {
 }
 
 
-def _digest(array) -> str:
-    array = np.ascontiguousarray(array)
-    header = f"{array.dtype.str}{array.shape}".encode()
-    return hashlib.sha256(header + array.tobytes()).hexdigest()
-
-
 def _column_record(column) -> dict:
     if isinstance(column, EncodedColumn):
         meta, arrays = column.payload()
     else:
         meta, arrays = {"codec": "raw", "dtype": column.dtype.str}, {"values": column.values}
-    return {**meta, "sha256": {name: _digest(array) for name, array in arrays.items()}}
+    return {**meta, "sha256": {name: array_sha256(array) for name, array in arrays.items()}}
 
 
 def _database_record(db) -> dict:
@@ -113,7 +95,7 @@ def twin_record(built) -> list[dict]:
     return [_database_record(built)]
 
 
-def main() -> None:
+def collect() -> dict:
     built: dict = {}
     makers = {
         "tiny_db": lambda: generate_database(scale_factor=TINY_SF, seed=7),
@@ -127,10 +109,4 @@ def main() -> None:
             built[name] = makers[name]()
         return built[name]
 
-    pinned = {twin: twin_record(build(fx)) for twin, build in TWINS.items()}
-    PINNED_TWINS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(pinned)} twins to {PINNED_TWINS}")
-
-
-if __name__ == "__main__":
-    main()
+    return {twin: twin_record(build(fx)) for twin, build in TWINS.items()}

@@ -8,12 +8,11 @@ column.
 
 from __future__ import annotations
 
-import json
-
 import pytest
-from generate_pinned_twins import PINNED_TWINS, TWINS, twin_record
+from generate_pinned_twins import TWINS, twin_record
+from pinned import load
 
-PINNED = json.loads(PINNED_TWINS.read_text())
+PINNED = load("twins")
 
 
 def test_every_twin_is_pinned():

@@ -11,27 +11,24 @@ an entry's ``meta.json`` and of every ``.npy`` file in it:
 
 ``test_pinned_dbcache.py`` stores both into a private cache directory
 and compares, so an entry written by one revision keeps serving the
-next.  The file records behaviour: never regenerate it to make a change
-pass.  It was written by this script from ``52689d3``, the commit
-before ``Database.payload()`` replaced the cache's hand-written column,
-zone-map, partitioning and rollup walks::
-
-    PYTHONPATH=<that checkout>/src python tests/tpch/generate_pinned_dbcache.py
+next.  It was written from ``52689d3``, the commit before
+``Database.payload()`` replaced the cache's hand-written column,
+zone-map, partitioning and rollup walks; ``python tests/pinned.py
+dbcache_entries`` writes it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
+
+from pinned import sha256
 
 from repro.rollup import PartitionSpec, build_and_attach, partitioned_database
 from repro.tpch import dbcache, generate_database
 from repro.tpch.schema import DATE_1998_09_02
-
-PINNED_ENTRIES = Path(__file__).with_name("pinned_dbcache_entries.json")
 
 #: Cache key the partitioned twin is stored under.
 PARTITIONED_KEY = "pinned-partitioned-rollup"
@@ -42,7 +39,7 @@ BREAKS = (2100.0, 2300.0, DATE_1998_09_02 + 0.5)
 
 def _digests(directory: Path) -> dict[str, str]:
     return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        path.name: sha256(path.read_bytes())
         for path in sorted(directory.iterdir())
     }
 
@@ -62,15 +59,11 @@ def stored_entries(root: Path) -> dict[str, dict[str, str]]:
     }
 
 
-def main() -> None:
-    with tempfile.TemporaryDirectory() as root:
-        os.environ["REPRO_CACHE_DIR"] = root
+def collect() -> dict:
+    with (
+        tempfile.TemporaryDirectory() as root,
+        mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": root}),
+        mock.patch.object(dbcache, "MIN_PERSIST_BYTES", 0),
+    ):
         os.environ.pop("REPRO_DISK_CACHE", None)
-        dbcache.MIN_PERSIST_BYTES = 0
-        pinned = stored_entries(Path(root))
-    PINNED_ENTRIES.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
-    print(", ".join(f"{name}: {len(files)} files" for name, files in pinned.items()))
-
-
-if __name__ == "__main__":
-    main()
+        return stored_entries(Path(root))

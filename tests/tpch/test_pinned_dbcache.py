@@ -8,9 +8,8 @@ match, so entries persisted by either revision serve the other.
 
 from __future__ import annotations
 
-import json
-
-from generate_pinned_dbcache import PINNED_ENTRIES, stored_entries
+from generate_pinned_dbcache import stored_entries
+from pinned import load
 
 from repro.tpch import dbcache
 
@@ -19,4 +18,4 @@ def test_stored_entries_match_pinned(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
     monkeypatch.setattr(dbcache, "MIN_PERSIST_BYTES", 0)
-    assert stored_entries(tmp_path) == json.loads(PINNED_ENTRIES.read_text())
+    assert stored_entries(tmp_path) == load("dbcache_entries")

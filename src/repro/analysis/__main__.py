@@ -18,6 +18,7 @@ printed in registry order regardless of completion order.
 from __future__ import annotations
 
 import argparse
+import math
 import multiprocessing.context
 import os
 import sys
@@ -83,8 +84,8 @@ def _run_parallel(targets, scale_factor: float, seed: int, jobs: int):
 
 def _scale_factor(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

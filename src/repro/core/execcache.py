@@ -14,11 +14,12 @@ Correctness guards:
   -- the dbgen cache key when the content is known, a per-object uid
   otherwise.  Mutating a database (``add_table``) drops its content key,
   so derived databases never alias cached runs.
-- **Snapshot on both put and get.**  Callers receive a private
-  :class:`~repro.engines.base.QueryResult` copy (work profile and
-  operator profiles deep-copied via ``scaled(1.0)``), so callers that
-  mutate their result cannot poison the cache and cached entries cannot
-  be mutated through earlier handles.
+- **Copy on both put and get.**  Callers receive a private copy made
+  by :meth:`repro.engines.base.QueryResult.copy` (work profile and
+  operator profiles copied with every count's value and type), so a
+  hit carries the bits of a fresh run, callers that mutate their
+  result cannot poison the cache and cached entries cannot be mutated
+  through earlier handles.
 - **Only first-party engines participate.**  Engine subclasses defined
   outside ``repro.*`` (test doubles that override behaviour while
   inheriting ``name``) bypass the cache entirely.
@@ -63,28 +64,7 @@ CACHED_METHODS = (
 )
 
 
-def _snapshot(result, cached: bool):
-    """A private copy of a QueryResult (see module docstring)."""
-    from repro.engines.base import QueryResult
-
-    details = dict(result.details)
-    operators = details.get("operators")
-    if operators:
-        details["operators"] = {
-            name: profile.scaled(1.0) for name, profile in operators.items()
-        }
-    if cached:
-        details["cached"] = True
-    return QueryResult(
-        workload=result.workload,
-        value=result.value,
-        tuples=result.tuples,
-        work=result.work.scaled(1.0),
-        details=details,
-    )
-
-
-#: The process-wide cache; entries are snapshots (see module docstring).
+#: The process-wide cache; entries are private copies (see module docstring).
 EXECUTION_CACHE = memo.shared("execution", 512)
 
 
@@ -125,10 +105,12 @@ def memoized_execution(method_name: str, func):
             cached = EXECUTION_CACHE.get(key)
             if cached is not None:
                 trace.annotate(outcome="hit")
-                return _snapshot(cached, cached=True)
+                hit = cached.copy()
+                hit.details["cached"] = True
+                return hit
             trace.annotate(outcome="miss")
             result = func(self, db, *args, **kwargs)
-            EXECUTION_CACHE.put(key, _snapshot(result, cached=False))
+            EXECUTION_CACHE.put(key, result.copy())
             return result
 
     wrapper._execcache_wrapped = True

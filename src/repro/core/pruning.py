@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import bisect
 import contextvars
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,29 +327,6 @@ def scan_outcome(column: str, op: str, threshold, lo: int, hi: int) -> bool | No
 # ----------------------------------------------------------------------
 # Synthesized partials
 # ----------------------------------------------------------------------
-def _clone_partial(entry):
-    """A private copy of a pruned partial.  Everything mergeable is
-    deep-copied (merging consumes partial state in place)."""
-    from repro.engines.base import QueryResult
-
-    details = {
-        "partial": copy.deepcopy(entry.details["partial"]),
-        "row_range": entry.details["row_range"],
-    }
-    operators = entry.details.get("operators")
-    if operators is not None:
-        details["operators"] = {
-            name: profile.scaled(1.0) for name, profile in operators.items()
-        }
-    return QueryResult(
-        workload=entry.workload,
-        value=entry.value,
-        tuples=entry.tuples,
-        work=entry.work.scaled(1.0),
-        details=details,
-    )
-
-
 def _fold(entry, k: int):
     """``k`` copies of the pruned partial ``entry`` merged into one, by
     repeated doubling through the exact merge: O(log k) copies and
@@ -359,15 +335,15 @@ def _fold(entry, k: int):
     from repro.engines.morsel import merge_worker_partials
 
     folded = None
-    power = _clone_partial(entry)
+    power = entry.copy()
     while True:
         if k & 1:
-            piece = power if k == 1 else _clone_partial(power)
+            piece = power if k == 1 else power.copy()
             folded = piece if folded is None else merge_worker_partials([folded, piece])
         k >>= 1
         if not k:
             return folded
-        power = merge_worker_partials([power, _clone_partial(power)])
+        power = merge_worker_partials([power, power.copy()])
 
 
 def _blocks(lo: int, hi: int):

@@ -193,11 +193,10 @@ class WhatIfAnalyzer:
         baseline = self.profiler.profile(engine, result, context)
         spec = scenario.transform_spec(self.profiler.spec)
         params = scenario.transform_params(self.profiler.model.params)
-        work = result.work
         if scenario.name == "free-hashing":
-            work = _without_hash_cost(work)
+            result = _without_hash_cost(result)
         modified = MicroArchProfiler(spec=spec, params=params)
-        projected = modified.profile(engine, _clone_result(result, work), context)
+        projected = modified.profile(engine, result, context)
         return WhatIfResult(scenario=scenario, baseline=baseline, projected=projected)
 
     def sweep(
@@ -219,19 +218,9 @@ class WhatIfAnalyzer:
         return max(results, key=lambda name: results[name].speedup)
 
 
-def _without_hash_cost(work):
-    """Copy of a work profile with hash ops demoted to plain ALU ops."""
-    copy = work.scaled(1.0)
-    copy.alu_ops += copy.hash_ops
-    copy.hash_ops = 0.0
-    return copy
-
-
-def _clone_result(result: QueryResult, work) -> QueryResult:
-    return QueryResult(
-        workload=result.workload,
-        value=result.value,
-        tuples=result.tuples,
-        work=work,
-        details=dict(result.details),
-    )
+def _without_hash_cost(result: QueryResult) -> QueryResult:
+    """Copy of a result whose hash ops are demoted to plain ALU ops."""
+    clone = result.copy()
+    clone.work.alu_ops += clone.work.hash_ops
+    clone.work.hash_ops = 0.0
+    return clone

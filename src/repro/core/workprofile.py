@@ -458,6 +458,12 @@ class WorkProfile:
             pending={key: amount * factor for key, amount in self.pending.items()},
         )
 
+    def copy(self) -> "WorkProfile":
+        """A private copy in which every quantity keeps its value and its
+        type: scaling by the int 1 leaves int counts int, where a float
+        factor would turn them into floats."""
+        return self.scaled(factor=1)
+
     def with_sequential_scaled(self, factor: float) -> "WorkProfile":
         """A copy whose *sequential read* traffic is scaled by
         ``factor`` while every other quantity -- instruction mix,
@@ -474,7 +480,7 @@ class WorkProfile:
         """
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        clone = self.scaled(1.0)
+        clone = self.copy()
         clone.seq_read_bytes = self.seq_read_bytes * factor
         return clone
 

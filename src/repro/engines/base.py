@@ -17,6 +17,7 @@ construction; only the recorded work differs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from copy import deepcopy
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -103,6 +104,20 @@ class QueryResult:
         """Per-operator work profiles, when the engine recorded them
         (Section 6: query behaviour decomposes into operator behaviour)."""
         return self.details.get("operators", {})
+
+    def copy(self) -> "QueryResult":
+        """A private copy: the work and operator profiles exactly
+        (:meth:`WorkProfile.copy`), the mergeable ``details["partial"]``
+        state deep (merging consumes it in place), the other details
+        shallow."""
+        details = dict(self.details)
+        if "operators" in details:
+            details["operators"] = {
+                name: profile.copy() for name, profile in details["operators"].items()
+            }
+        if "partial" in details:
+            details["partial"] = deepcopy(details["partial"])
+        return QueryResult(self.workload, self.value, self.tuples, self.work.copy(), details)
 
 
 class OperatorWork:

@@ -12,6 +12,7 @@ drives it over TCP, the way a user does.
 from __future__ import annotations
 
 import argparse
+import math
 
 from repro.serve.server import QueryServer, run_repl
 from repro.serve.service import QueryService, ServiceConfig
@@ -19,9 +20,9 @@ from repro.serve.service import QueryService, ServiceConfig
 
 def _config(args: argparse.Namespace) -> ServiceConfig:
     # ServiceConfig takes 0 from callers that attach a database; this
-    # entry point always generates one, which needs a positive size.
-    if not args.scale_factor > 0:
-        raise ValueError("scale_factor must be positive")
+    # entry point always generates one, which needs a positive, finite size.
+    if not 0 < args.scale_factor < math.inf:
+        raise ValueError("scale_factor must be positive and finite")
     return ServiceConfig(
         workers=args.workers,
         queue_depth=args.queue_depth,

@@ -664,7 +664,7 @@ class QueryService:
                         **self.profiler().span_attrs(engine, result),
                     )
             self._record_decisions(result, method)
-        except (ValueError, TypeError, RuntimeError) as exc:  # SqlError included
+        except Exception as exc:  # noqa: BLE001 - an escape would end this worker
             self._finish(
                 request,
                 skip_if_abandoned=True,

@@ -37,6 +37,7 @@ would answer the same, so the coordinator surfaces it immediately.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 import time
@@ -96,8 +97,15 @@ class CoordinatorConfig:
     backoff_max_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.attempt_timeout_s <= 0:
-            raise ValueError("attempt_timeout_s must be > 0")
+        if not 0 < self.attempt_timeout_s < math.inf:
+            raise ValueError("attempt_timeout_s must be positive and finite")
+        # time.sleep raises on a negative or NaN length: the first
+        # failover would fail instead of backing off.
+        for name in ("backoff_base_s", "backoff_max_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        # An unknown default would fail every query that names no engine.
+        engine_by_name(self.default_engine)
 
 
 class Coordinator:

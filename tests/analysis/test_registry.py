@@ -104,14 +104,15 @@ class TestCli:
         [
             ["run", "fig99"],
             ["run", "fig03", "--sf", "0"],
+            ["run", "fig03", "--sf", "inf"],
             ["run", "all", "--sf", "-1"],
             ["all", "--sf", "0"],
             ["validate", "--sf", "0"],
             ["run", "fig03", "--jobs", "0"],
             ["all", "--jobs", "-3"],
         ],
-        ids=["unknown-id", "run-sf-zero", "run-all-sf-negative", "all-sf-zero",
-             "validate-sf-zero", "run-jobs-zero", "all-jobs-negative"],
+        ids=["unknown-id", "run-sf-zero", "run-sf-inf", "run-all-sf-negative",
+             "all-sf-zero", "validate-sf-zero", "run-jobs-zero", "all-jobs-negative"],
     )
     def test_bad_input_is_a_usage_error(self, argv, monkeypatch, capsys):
         """Exit 2 with a usage message, before any data is generated."""

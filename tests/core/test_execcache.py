@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from matrix.cells import assert_bit_identical
 
 from repro import settings
-from repro.core.execcache import EXECUTION_CACHE
+from repro.core.execcache import CACHED_METHODS, EXECUTION_CACHE
 from repro.core.profiler import MicroArchProfiler
 from repro.engines import TectorwiseEngine, TyperEngine
+from repro.sql.api import plan_sql
 from repro.storage import ColumnTable, Database
 from repro.tpch.dbgen import generate_database
+from repro.tpch.sql import EXTENDED_TPCH_SQL
 
 
 @pytest.fixture(autouse=True)
@@ -125,6 +128,32 @@ class TestMemoization:
             assert EXECUTION_CACHE.hits == 0
         finally:
             db._tables.pop("scratch")
+
+
+#: One call of each memoized method.
+CALLS = {
+    "run_projection": {"degree": 2},
+    "run_selection": {"selectivity": 0.1},
+    "run_join": {"size": "large"},
+    "run_groupby": {},
+    "run_q1": {},
+    "run_q6": {},
+    "run_q9": {},
+    "run_q18": {},
+    "run_compiled": {"plan": plan_sql(EXTENDED_TPCH_SQL["Q3"])},
+}
+
+
+class TestHitIsACopy:
+    @pytest.mark.parametrize("method", CACHED_METHODS)
+    def test_hit_carries_the_types_of_a_fresh_run(self, tiny_db, method):
+        """The hit's work and operator profiles equal the fresh run's as
+        typed canonical JSON, not only under ``==``."""
+        run = getattr(TyperEngine(), method)
+        fresh = run(tiny_db, **CALLS[method])
+        hit = run(tiny_db, **CALLS[method])
+        assert hit.details.get("cached") is True
+        assert_bit_identical(hit, fresh, f"{method} hit")
 
 
 def _flipped(name: str) -> str:

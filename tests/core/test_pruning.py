@@ -17,6 +17,7 @@ from repro.core import pruning
 from repro.core.parallel import normalized_call, run_call
 from repro.core.pruning import PredicateAtom, compute_prune_plan, translate_claim
 from repro.engines import ALL_ENGINES, TyperEngine, scan
+from repro.engines.base import QueryResult
 from repro.engines.morsel import MORSEL_ALIGN
 from repro.obs import trace
 from repro.rollup import router
@@ -250,7 +251,7 @@ class TestFold:
     def test_k_equal_blocks_take_log_k_copies(self, folded_db, sixteen_blocks, monkeypatch):
         """One copy per block would be 16; doubling needs at most 6."""
         clones, copies = [], {}
-        clone, fold = pruning._clone_partial, pruning._fold
+        clone, fold = QueryResult.copy, pruning._fold
 
         def counting_clone(entry):
             clones.append(entry)
@@ -262,7 +263,7 @@ class TestFold:
             copies[k] = len(clones) - before
             return folded
 
-        monkeypatch.setattr(pruning, "_clone_partial", counting_clone)
+        monkeypatch.setattr(QueryResult, "copy", counting_clone)
         monkeypatch.setattr(pruning, "_fold", counting_fold)
         engine = TyperEngine()
         result = pruning.execute_pruned(engine, folded_db, "run_q6", {}, sixteen_blocks)

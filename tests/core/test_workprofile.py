@@ -142,6 +142,17 @@ class TestScaled:
         with pytest.raises(ValueError):
             WorkProfile().scaled(-0.1)
 
+    def test_copy_keeps_every_value_and_type(self):
+        """``repr`` tells ``60`` from ``60.0``, where ``==`` does not."""
+        work = WorkProfile(tuples=100, pending={"rows": 7})
+        work.record_random("probe", 60, 1 << 22)
+        work.record_gather("g", 4096, 40, 64)
+        work.record_branch_stream("b", 100, 0.3)
+        clone = work.copy()
+        assert repr(clone) == repr(work)
+        assert repr(work.scaled(1.0)) != repr(work)
+        assert clone.random_patterns[0] is not work.random_patterns[0]
+
 
 @settings(max_examples=50, deadline=None)
 @given(

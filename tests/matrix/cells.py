@@ -15,11 +15,13 @@ import functools
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
+from pinned import canonical_json
 from repro.core import pruning
 from repro.core.parallel import WorkerPool, normalized_call, run_call
 from repro.engines import engine_by_name
@@ -342,11 +344,26 @@ def assert_bit_identical(result, reference, cell: Cell | str) -> None:
         assert details.pop("encoded_agg")["code_domain"] == 0, context  # "raw-twin"
         expected.pop("encoded_agg")
     assert result.tuples == reference.tuples, context
-    assert result.work == reference.work, f"work profile differs: {context}"
+    assert_same_profile(result.work, reference.work, context)
     assert list(result.operator_work) == list(reference.operator_work), context
     for name, profile in reference.operator_work.items():
-        assert result.operator_work[name] == profile, f"{context} operator={name}"
+        assert_same_profile(result.operator_work[name], profile, f"{context} operator={name}")
     assert same(details, expected), f"{context}: details differ"
+
+
+def assert_same_profile(result, reference, context: str) -> None:
+    """Two WorkProfiles carry the same bits: every field is equal as
+    canonical JSON (:func:`pinned.canonical_json`), so an int count and
+    a float count of one value differ where ``==`` finds them equal.
+    A failure shows each differing field."""
+    __tracebackhide__ = True
+    got, want = asdict(result), asdict(reference)
+    differing = [
+        f"{name}: {canonical_json(got[name])} != {canonical_json(value)}"
+        for name, value in want.items()
+        if canonical_json(got[name]) != canonical_json(value)
+    ]
+    assert not differing, f"{context}: work profile differs in " + "; ".join(differing)
 
 
 # --- Running a cell ---

@@ -49,13 +49,19 @@ def array_sha256(array) -> str:
     return sha256(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
 
 
-def json_sha256(value) -> str:
-    """SHA-256 of ``value`` as sorted-key JSON: numpy scalars as numbers,
-    anything else JSON cannot hold as its ``repr``."""
-    return sha256(json.dumps(
+def canonical_json(value) -> str:
+    """``value`` as sorted-key JSON: numpy scalars as numbers, anything
+    else JSON cannot hold as its ``repr``.  An int and a float of equal
+    value differ here (``96`` and ``96.0``) where ``==`` finds them equal."""
+    return json.dumps(
         value, sort_keys=True,
         default=lambda item: item.item() if isinstance(item, np.generic) else repr(item),
-    ))
+    )
+
+
+def json_sha256(value) -> str:
+    """SHA-256 of :func:`canonical_json` of ``value``."""
+    return sha256(canonical_json(value))
 
 
 def load(name: str):

@@ -78,10 +78,11 @@ def test_serves_all_engines_over_tcp_and_exits_on_shutdown(tmp_path):
         (["--engine", "Bogus"], "unknown engine 'Bogus'"),
         (["--scale-factor", "0"], "scale_factor must be positive"),
         (["--scale-factor", "-0.5"], "scale_factor must be positive"),
+        (["--scale-factor", "inf"], "scale_factor must be positive and finite"),
     ],
     ids=[
         "queue-depth", "workers", "timeout", "process-workers",
-        "engine", "scale-factor-zero", "scale-factor-negative",
+        "engine", "scale-factor-zero", "scale-factor-negative", "scale-factor-inf",
     ],
 )
 def test_settings_that_disable_the_service_exit_2_before_serving(

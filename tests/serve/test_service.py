@@ -133,6 +133,20 @@ class TestErrors:
         assert response["status"] == "error"
         assert "unknown engine" in response["error"]
 
+    @pytest.mark.parametrize("error", [KeyError("plan"), OverflowError("huge")])
+    def test_any_exception_is_an_error_and_keeps_the_worker(
+        self, service, monkeypatch, error
+    ):
+        def fail(sql):
+            raise error
+
+        monkeypatch.setattr(service, "compile", fail)
+        for _ in range(len(service._workers) + 1):
+            response = service.submit(projection_sql(1), timeout=10.0)
+            assert response["status"] == "error", response
+            assert response["error"] == str(error)
+        assert all(worker.is_alive() for worker in service._workers)
+
     def test_errors_counted_in_stats(self, service):
         before = service.stats_snapshot()["errors"]
         service.submit("SELECT FROM lineitem")

@@ -248,3 +248,27 @@ class TestFaultGating:
             assert "shard node" in response["error"]
         finally:
             service.stop()
+
+
+@pytest.mark.parametrize(
+    ("settings", "message"),
+    [
+        ({"default_engine": "Bogus"}, "unknown engine 'Bogus'"),
+        ({"attempt_timeout_s": float("nan")}, "attempt_timeout_s"),
+        ({"attempt_timeout_s": float("inf")}, "attempt_timeout_s"),
+        ({"backoff_base_s": -0.01}, "backoff_base_s"),
+        ({"backoff_base_s": float("nan")}, "backoff_base_s"),
+        ({"backoff_max_s": -1.0}, "backoff_max_s"),
+        ({"backoff_max_s": float("nan")}, "backoff_max_s"),
+    ],
+    ids=[
+        "engine", "timeout-nan", "timeout-inf", "backoff-base-negative",
+        "backoff-base-nan", "backoff-max-negative", "backoff-max-nan",
+    ],
+)
+def test_config_that_would_fail_queries_is_rejected(settings, message):
+    """Each setting would fail a query later (an unknown default engine
+    every query that names none, a negative or NaN backoff the first
+    failover's ``sleep``), so the config refuses it up front."""
+    with pytest.raises(ValueError, match=message):
+        CoordinatorConfig(**settings)

@@ -21,6 +21,7 @@ byte-stream picture, which is layout-stable across hosts.
 from __future__ import annotations
 
 from repro.analysis.result import FigureResult
+from repro.analysis.twins import figure_twin
 from repro.core import pruning
 from repro.engines import ALL_ENGINES
 from repro.hardware.memory import MemorySystem
@@ -58,7 +59,7 @@ def sec_pruning(db, profiler) -> FigureResult:
             "identical",
         ),
     )
-    clustered = _clustered_twin(db)
+    clustered = figure_twin(db, _clustered_twin)
     memory = MemorySystem(profiler.spec)
     lineitem = clustered.table("lineitem")
 

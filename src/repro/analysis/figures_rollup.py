@@ -21,6 +21,7 @@ layout-stable across hosts.
 from __future__ import annotations
 
 from repro.analysis.result import FigureResult
+from repro.analysis.twins import figure_twin
 from repro.engines import ALL_ENGINES
 from repro.hardware.memory import MemorySystem
 from repro.rollup import (
@@ -62,7 +63,7 @@ def sec_rollup(db, profiler) -> FigureResult:
             "identical",
         ),
     )
-    twin = _partitioned_twin(db)
+    twin = figure_twin(db, _partitioned_twin)
     memory = MemorySystem(profiler.spec)
 
     for engine_cls in ALL_ENGINES:

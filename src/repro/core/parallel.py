@@ -463,6 +463,10 @@ class WorkerPool:
         for queue_ in (*self._inboxes, self._results):
             queue_.cancel_join_thread()
             queue_.close()
+        # The spawn context's queues and ledger lock hold named
+        # semaphores, unlinked only when their objects are freed: drop
+        # them here, not whenever the pool itself is.
+        self._inboxes, self._results, self._ledger = [], None, None
         self._exported.unlink()
         atexit.unregister(self.close)
 
@@ -475,6 +479,8 @@ class WorkerPool:
     # -- dispatch ------------------------------------------------------
     def _broadcast_collect(self, build_message):
         """Send one task to every worker; return per-worker payloads."""
+        if self._closed:
+            raise RuntimeError("pool is closed")
         self._task_counter += 1
         task_id = self._task_counter
         for inbox in self._inboxes:

@@ -1,11 +1,11 @@
 """The one bounded in-process cache every memo table uses.
 
 Hash-table builds, compiled programs, chooser decisions, resolved
-selection parameters, engine runs, lowered statements and generated
-databases are all memoized per process through :class:`BoundedCache`:
-one lock, one LRU bound by entry count, one set of counters.  The
-process-wide instances are created by :func:`shared` and listed in
-:data:`SHARED`, which is what the query service's
+selection parameters, engine runs, lowered statements, generated
+databases and figure twins are all memoized per process through
+:class:`BoundedCache`: one lock, one LRU bound by entry count, one set
+of counters.  The process-wide instances are created by :func:`shared`
+and listed in :data:`SHARED`, which is what the query service's
 ``repro_cache_*{cache}`` metrics read.
 
 This module imports nothing from ``repro``: any layer may import it.

@@ -77,12 +77,15 @@ class Database:
         columns, zone maps, partitionings and rollups, under the same
         identity: a holder may attach to its copy without affecting
         others (the dbcache memo hands one out per hit).  ``encode``
-        replaces each table's columns first (:meth:`ColumnTable.copy`)."""
+        replaces each table's columns first (:meth:`ColumnTable.copy`);
+        that copy holds differently encoded data, so its identity is
+        fresh."""
         copy = Database(name=self.name, scale_factor=self.scale_factor)
         for table in self._tables.values():
             copy.add_table(table.copy(encode))
         copy._rollups = dict(self._rollups)
-        copy.cache_key = self.cache_key
+        if encode is None:
+            copy.cache_key = self.cache_key
         return copy
 
     def payload(self) -> tuple[dict, dict[str, np.ndarray]]:

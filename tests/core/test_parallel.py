@@ -11,6 +11,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
+from leaks import shm_segments
 from matrix.cells import POOL_MORSEL_ROWS as MORSEL_ROWS
 from matrix.suites import cases
 
@@ -162,6 +163,9 @@ class TestPoolExecution:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.run_query(TyperEngine(), "run_q6")
+        for call in (pool.ping, pool.stats, pool.metrics_snapshots):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
 
     def test_invalid_morsel_rows_rejected(self, tiny_db):
         with pytest.raises(ValueError, match="multiple"):
@@ -194,6 +198,16 @@ class TestCrashRecovery:
         assert not segment_exists(segment), (
             "close() after a crash must still unlink the shm segment"
         )
+
+    def test_close_unlinks_its_semaphores_while_the_pool_is_held(self, tiny_db):
+        """The spawn context's queue and ledger locks are named
+        semaphores in ``/dev/shm``, unlinked only when freed: close()
+        lets them go, not the pool's last reference."""
+        before = shm_segments()
+        pool = WorkerPool(tiny_db, n_workers=1, morsel_rows=MORSEL_ROWS)
+        assert any(name.startswith("sem.") for name in shm_segments() - before)
+        pool.close()
+        assert shm_segments() - before == set()
 
     def test_close_is_idempotent(self, tiny_db):
         pool = WorkerPool(tiny_db, n_workers=1, morsel_rows=MORSEL_ROWS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.storage import ColumnTable, Database
+from repro.storage.encoding import encode_columns
 
 
 def make_db():
@@ -39,3 +40,17 @@ class TestCatalog:
 
     def test_scale_factor_recorded(self):
         assert make_db().scale_factor == 0.1
+
+
+class TestCopy:
+    def test_plain_copy_keeps_the_identity(self):
+        db = make_db()
+        db.cache_key = "content"
+        assert db.copy().identity == "content"
+
+    def test_encoded_copy_gets_a_fresh_identity(self):
+        db = make_db()
+        db.cache_key = "content"
+        encoded = db.copy(encode_columns)
+        assert encoded.cache_key is None
+        assert encoded.identity not in (db.identity, db.copy(encode_columns).identity)
